@@ -369,69 +369,6 @@ let lint path json stats fail_on =
   in
   if gate then exit 1
 
-(* ---- rules: the declarative fact-base engine ---- *)
-
-let rules_run path json stats show_facts fail_on =
-  let img = load_image path in
-  let work () =
-    let r = Fetch_core.Pipeline.run img in
-    match Fetch_core.Fact_base.of_result r with
-    | Error e ->
-        Printf.eprintf "error: rule program rejected: %s\n" e;
-        exit 2
-    | Ok engine -> (engine, Fetch_core.Fact_base.findings engine)
-  in
-  let (engine, findings), report =
-    if stats then
-      let v, rep = Fetch_obs.Trace.with_run work in
-      (v, Some rep)
-    else (work (), None)
-  in
-  List.iter
-    (fun f ->
-      print_endline
-        (if json then Fetch_check.Finding.to_json f
-         else Fetch_check.Finding.to_string f))
-    findings;
-  let errors = Fetch_check.Finding.count Error findings in
-  let warnings = Fetch_check.Finding.count Warning findings in
-  if not json then begin
-    let store = Fetch_facts.Engine.store engine in
-    let st = Fetch_facts.Engine.stats engine in
-    Printf.printf "%d finding%s: %d error%s, %d warning%s, %d info\n"
-      (List.length findings)
-      (if List.length findings = 1 then "" else "s")
-      errors
-      (if errors = 1 then "" else "s")
-      warnings
-      (if warnings = 1 then "" else "s")
-      (Fetch_check.Finding.count Info findings);
-    Printf.printf
-      "fact base: %d tuples (%d derived), %d strata, %d rule firings\n"
-      (Fetch_facts.Store.total store)
-      st.derived st.strata st.firings
-  end;
-  if show_facts then
-    Fetch_facts.Store.iter_rels (Fetch_facts.Engine.store engine) (fun rel ->
-        List.iter
-          (fun tup ->
-            Printf.printf "%s%s\n"
-              (rel : Fetch_facts.Schema.t).name
-              (Fetch_facts.Fact.to_string tup))
-          (Fetch_facts.Store.to_list (Fetch_facts.Engine.store engine) rel));
-  (match report with
-  | None -> ()
-  | Some rep ->
-      print_newline ();
-      print_string (Fetch_obs.Report.text rep));
-  let gate =
-    match fail_on with
-    | "never" -> false
-    | "warning" -> errors + warnings > 0
-    | _ -> errors > 0
-  in
-  if gate then exit 1
-
 (* ---- adversarial ---- *)
 
 let adversarial list_scenarios scale only json_out check_floors =
@@ -689,38 +626,6 @@ let lint_cmd =
        ~doc:"Cross-check a FETCH run's layers and report inconsistencies")
     Term.(const lint $ path_arg $ json $ stats $ fail_on)
 
-let rules_cmd =
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit findings as JSON lines instead of text.")
-  in
-  let stats =
-    Arg.(value & flag
-         & info [ "stats" ]
-             ~doc:"Print facts.* engine counters and stage timings.")
-  in
-  let facts =
-    Arg.(value & flag
-         & info [ "facts" ]
-             ~doc:"Dump every stored tuple (extensional and derived), \
-                   relation by relation.")
-  in
-  let fail_on =
-    Arg.(value
-         & opt (enum [ ("error", "error"); ("warning", "warning"); ("never", "never") ])
-             "error"
-         & info [ "fail-on" ] ~docv:"SEVERITY"
-             ~doc:"Exit non-zero when findings at or above $(docv) exist \
-                   (error, warning or never).")
-  in
-  Cmd.v
-    (Cmd.info "rules"
-       ~doc:
-         "Evaluate the declarative rule program (ported lint rules, \
-          Algorithm 1's reference criterion, the split-function detector) \
-          over a FETCH run's fact base")
-    Term.(const rules_run $ path_arg $ json $ stats $ facts $ fail_on)
-
 let adversarial_cmd =
   let list_scenarios =
     Arg.(value & flag
@@ -879,6 +784,6 @@ let () =
        (Cmd.group (Cmd.info "fetch" ~doc)
           [
             generate_cmd; analyze_cmd; explain_cmd; disasm_cmd; compare_cmd;
-            unwind_cmd; handlers_cmd; lint_cmd; rules_cmd; adversarial_cmd;
+            unwind_cmd; handlers_cmd; lint_cmd; adversarial_cmd;
             batch_cmd; serve_cmd;
           ]))

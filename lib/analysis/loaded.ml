@@ -112,12 +112,5 @@ let text_bounds t =
            (fun (lo, hi) (l, h) -> (min lo l, max hi h))
            (lo, hi) rest)
 
-(** The FDE whose range contains [addr], if any. *)
-let fde_at t addr =
-  List.find_opt
-    (fun (f : Fetch_dwarf.Eh_frame.fde) ->
-      addr >= f.pc_begin && addr < f.pc_begin + f.pc_range)
-    t.fdes
-
 let fde_starting_at t addr =
   List.exists (fun (f : Fetch_dwarf.Eh_frame.fde) -> f.pc_begin = addr) t.fdes

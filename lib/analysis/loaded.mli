@@ -37,8 +37,5 @@ val text_ranges : t -> (int * int) list
     [None] when there are none.  Coarse bound for pointer prefilters. *)
 val text_bounds : t -> (int * int) option
 
-(** The FDE whose range contains the address, if any. *)
-val fde_at : t -> int -> Fetch_dwarf.Eh_frame.fde option
-
 (** Does an FDE begin exactly at the address? *)
 val fde_starting_at : t -> int -> bool

@@ -18,8 +18,10 @@ type view = {
   fdes : (int * int) list;
   complete_cfi : (int * int) list;
   oracle_height : int -> int option;
+  entry_height : int -> int option;
   callconv_ok : int -> bool;
   call_returns : site:int -> target:int option -> bool;
+  referenced_outside_jumps_of : entry:int -> int -> bool;
   resolve_indirect :
     site:int ->
     window:(int * int * Insn.t) list ->
@@ -323,6 +325,51 @@ let rule_height_mismatch v emit =
       end)
     v.funcs
 
+(* ---- split-fn-fde: an out-jump of [f] lands on an FDE start that is
+   reached by nothing but [f]'s own jumps, and the FDE's entry height
+   equals the nonzero CFI height at the jump site.  The parent's frame is
+   still live and never changed hands, so the FDE describes a split-off
+   fragment of [f], not a function.  The nonzero test excludes genuine
+   tail calls (frame gone, both heights 0); rbp-framed fragments have no
+   rsp-based height and stay silent, as does any fragment with an
+   outside reference. *)
+let rule_split_fn_fde v emit =
+  let fde_start = Hashtbl.create 64 in
+  List.iter (fun (lo, _) -> Hashtbl.replace fde_start lo ()) v.fdes;
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (site, target) ->
+          if
+            target <> f.entry
+            && Hashtbl.mem fde_start target
+            && (not (in_blocks f target))
+            && not (Hashtbl.mem seen (target, f.entry, site))
+          then
+            match v.oracle_height site with
+            | Some h
+              when h <> 0
+                   && v.entry_height target = Some h
+                   && not (v.referenced_outside_jumps_of ~entry:f.entry target)
+              ->
+                Hashtbl.replace seen (target, f.entry, site) ();
+                emit
+                  {
+                    Finding.rule = "split-fn-fde";
+                    severity = Finding.Warning;
+                    addr = target;
+                    related = Some site;
+                    message =
+                      Printf.sprintf
+                        "FDE at %#x looks like a split-off fragment of %#x \
+                         (only reached by its jumps, matching CFI height %d)"
+                        target f.entry h;
+                  }
+            | _ -> ())
+        f.jumps)
+    v.funcs
+
 let rules =
   [
     ("jump-mid-insn", rule_jump_mid_insn);
@@ -331,6 +378,7 @@ let rules =
     ("fde-unreached", rule_fde_unreached);
     ("start-callconv", rule_start_callconv);
     ("height-mismatch", rule_height_mismatch);
+    ("split-fn-fde", rule_split_fn_fde);
   ]
 
 let counters =

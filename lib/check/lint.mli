@@ -21,6 +21,11 @@
     - [height-mismatch] — a sound join-based stack-height dataflow (run on
       {!Dataflow.Join_fixpoint}) disagrees with the CFI height oracle
       inside rsp-complete CFI coverage ([Warning]).
+    - [split-fn-fde] — a kept function jumps out of its blocks to an FDE
+      start that nothing but its own jumps references, and that FDE
+      begins at the jump site's nonzero CFI height: the FDE describes a
+      split-off fragment of the function, not a function ([Warning];
+      Fig. 6b's non-contiguous case, the one Algorithm 1 merges).
 
     The linter consumes a {!view} — plain data plus closures — so it
     depends on no particular pipeline; [Fetch_core.Lint] adapts a
@@ -45,9 +50,15 @@ type view = {
   complete_cfi : (int * int) list;
       (** ranges whose CFI passes the §V-B rsp-completeness test *)
   oracle_height : int -> int option;  (** CFI stack height, complete only *)
+  entry_height : int -> int option;
+      (** CFI stack height without the completeness test — a fragment's
+          FDE starts mid-frame, so only the raw table answers there *)
   callconv_ok : int -> bool;  (** §IV-E verdict for a candidate start *)
   call_returns : site:int -> target:int option -> bool;
       (** does execution continue after this call site? *)
+  referenced_outside_jumps_of : entry:int -> int -> bool;
+      (** is the address referenced by anything but jumps of [entry]?
+          (criterion 3 of Algorithm 1) *)
   resolve_indirect :
     site:int ->
     window:(int * int * Insn.t) list ->

@@ -23,6 +23,13 @@ let view_of (r : Pipeline.result) =
               })
       r.Pipeline.starts
   in
+  (* reuse Algorithm 1's census; only a run with the fix stage off has
+     none, and then it is collected on first use *)
+  let refs =
+    match r.Pipeline.refs with
+    | Some refs -> Lazy.from_val refs
+    | None -> lazy (Refs.collect loaded res)
+  in
   let complete_cfi = ref [] in
   Fetch_dwarf.Height_oracle.iter_complete loaded.Loaded.oracle
     (fun ~lo ~hi -> complete_cfi := (lo, hi) :: !complete_cfi);
@@ -38,6 +45,8 @@ let view_of (r : Pipeline.result) =
         loaded.Loaded.fdes;
     complete_cfi = List.rev !complete_cfi;
     oracle_height = Fetch_dwarf.Height_oracle.height_at loaded.Loaded.oracle;
+    entry_height =
+      Fetch_dwarf.Height_oracle.height_at_unchecked loaded.Loaded.oracle;
     callconv_ok =
       (fun s ->
         Callconv.validate ~noreturn ~cond_noreturn loaded s
@@ -47,6 +56,9 @@ let view_of (r : Pipeline.result) =
         (* conditionally-noreturn callees may return: falling through is
            the sound assumption for the height comparison *)
         match target with Some t -> not (noreturn t) | None -> true);
+    referenced_outside_jumps_of =
+      (fun ~entry t ->
+        Refs.referenced_outside_jumps_of (Lazy.force refs) ~entry t);
     resolve_indirect =
       (fun ~site:_ ~window op ->
         match Jump_table.resolve loaded.Loaded.image ~prior:window op with

@@ -68,6 +68,7 @@ type result = {
           source *)
   rec_result : Recursive.result;
   tailcall : Tailcall.outcome option;
+  refs : Refs.t option;  (** Algorithm 1's census of [rec_result] *)
   invalid_fde_starts : int list;  (** FDE starts rejected as callconv-invalid *)
   loaded : Loaded.t;
 }
@@ -124,6 +125,7 @@ let run_loaded ?(config = default_config) loaded =
       final_seeds = seeds;
       rec_result = res;
       tailcall = None;
+      refs = None;
       invalid_fde_starts = [];
       loaded;
     }
@@ -171,7 +173,7 @@ let run_loaded ?(config = default_config) loaded =
         invalid;
     (* the census stays valid only when the detection result does *)
     let res, seeds, refs =
-      if invalid = [] then (res, seeds, Some refs0)
+      if invalid = [] then (res, seeds, refs0)
       else begin
         (* drop them and re-run detection without those seeds *)
         if Prov.enabled () then
@@ -186,12 +188,12 @@ let run_loaded ?(config = default_config) loaded =
               loaded ~seeds:seeds'
           else (Recursive.run ~config:config.engine loaded ~seeds:seeds', seeds')
         in
-        (res', seeds', None)
+        (res', seeds', Refs.collect loaded res')
       end
     in
     Obs.add c_seeds_final (List.length seeds);
     (* 4b. Algorithm 1 *)
-    let outcome = Tailcall.run ~heights:config.alg1_heights ?refs loaded res in
+    let outcome = Tailcall.run ~heights:config.alg1_heights ~refs loaded res in
     record_verdicts outcome.kept_starts;
     {
       starts = outcome.kept_starts;
@@ -200,6 +202,7 @@ let run_loaded ?(config = default_config) loaded =
       final_seeds = seeds;
       rec_result = res;
       tailcall = Some outcome;
+      refs = Some refs;
       invalid_fde_starts = invalid;
       loaded;
     }

@@ -33,6 +33,9 @@ type result = {
           source *)
   rec_result : Fetch_analysis.Recursive.result;
   tailcall : Tailcall.outcome option;  (** [None] when the fix stage is off *)
+  refs : Refs.t option;
+      (** the reference census Algorithm 1 ran on — exactly that of
+          [rec_result]; [None] when the fix stage is off *)
   invalid_fde_starts : int list;
       (** FDE starts rejected as unreferenced + calling-convention-invalid
           (the hand-broken FDEs of Fig. 6b) *)

@@ -31,8 +31,6 @@ let add t target kind =
 let refs_to t target =
   Option.value ~default:[] (Hashtbl.find_opt t.by_target target)
 
-let iter t f = Hashtbl.iter f t.by_target
-
 (* Data sections eligible for the 8-byte window scan: allocated,
    non-executable, and not unwinding metadata. *)
 let is_data_section (s : Fetch_elf.Image.section) =

@@ -48,25 +48,12 @@ type height_source =
   | Cfi_oracle
   | Static of Fetch_analysis.Stack_height.style
 
-(** Run Algorithm 1 over the current detection result.  [refs], when
-    given, must be the reference census of exactly this [res] — callers
-    that already collected it (the pipeline's broken-FDE check) pass it
-    in so the census is not computed twice.  [jump_only_refs], when
-    given, replaces the criterion-3 census query ("is [target]
-    referenced only by jumps of [entry]?") — the seam through which the
-    rule engine's derived [jump_only_refs] relation is differentially
-    tested against the imperative census. *)
-let run ?(heights = Cfi_oracle) ?refs ?jump_only_refs loaded
-    (res : Recursive.result) =
+(** Run Algorithm 1 over the current detection result.  [refs] must be
+    the reference census of exactly this [res]. *)
+let run ?(heights = Cfi_oracle) ~refs loaded (res : Recursive.result) =
   Obs.span "tailcall" @@ fun () ->
-  let refs =
-    match refs with Some r -> r | None -> Refs.collect loaded res
-  in
-  let jump_only_refs =
-    match jump_only_refs with
-    | Some f -> f
-    | None ->
-        fun ~entry t -> not (Refs.referenced_outside_jumps_of refs ~entry t)
+  let jump_only_refs ~entry t =
+    not (Refs.referenced_outside_jumps_of refs ~entry t)
   in
   let starts = Recursive.starts res in
   let removed = Hashtbl.create 16 in

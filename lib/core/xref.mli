@@ -90,9 +90,8 @@ val strategy_name : strategy -> string
     engine result and the enlarged seed set.
 
     [on_commit] fires after every accepted pointer with the candidate
-    and the already-extended result — the hook the incremental fact
-    base ({!Fact_base}) uses to fold each commit's delta into the rule
-    engine while detection runs. *)
+    and the already-extended result — a test seam for watching the
+    detection state grow one commit at a time. *)
 val detect :
   ?config:Fetch_analysis.Recursive.config ->
   ?strategy:strategy ->

@@ -52,8 +52,8 @@ let height_at t addr =
       Cfa_table.height_at e.rows (addr - e.fde.pc_begin)
   | Some _ | None -> None
 
-(** Height regardless of the completeness test — used to evaluate static
-    analyses against the raw CFI truth in Table IV. *)
+(** Height regardless of the completeness test — for a fragment's FDE
+    start, which lies mid-frame (see the interface). *)
 let height_at_unchecked t addr =
   match entry_at t addr with
   | Some e -> Cfa_table.height_at e.rows (addr - e.fde.pc_begin)
@@ -63,35 +63,6 @@ let height_at_unchecked t addr =
     test — the ranges where {!height_at} answers. *)
 let iter_complete t f =
   Interval_map.iter t.map (fun ~lo ~hi e -> if e.complete then f ~lo ~hi)
-
-(** Enumerate the piecewise-constant height function of every complete
-    entry as [(lo, hi, height)] ranges — exactly the ranges where
-    {!height_at} answers, with the same values. *)
-let iter_rows t f =
-  Interval_map.iter t.map (fun ~lo:_ ~hi:_ e ->
-      if e.complete then begin
-        let fde_lo = e.fde.Eh_frame.pc_begin in
-        let fde_hi = fde_lo + e.fde.Eh_frame.pc_range in
-        let rec go = function
-          | [] -> ()
-          | (r : Cfa_table.row) :: rest ->
-              let lo = fde_lo + r.loc in
-              let hi =
-                match rest with
-                | (r2 : Cfa_table.row) :: _ -> fde_lo + r2.loc
-                | [] -> fde_hi
-              in
-              let lo = max lo fde_lo and hi = min hi fde_hi in
-              (if hi > lo then
-                 match r.cfa with
-                 | Cfa_table.Cfa_reg_offset (reg, off)
-                   when reg = Cfa_table.dw_rsp ->
-                     f ~lo ~hi ~height:(off - 8)
-                 | Cfa_table.Cfa_reg_offset _ | Cfa_table.Cfa_expr -> ());
-              go rest
-        in
-        go e.rows
-      end)
 
 let fde_starting_at t addr =
   match Interval_map.starts_at t.map addr with

@@ -27,19 +27,14 @@ val complete_at : t -> int -> bool
     is incomplete. *)
 val height_at : t -> int -> int option
 
-(** Height regardless of the completeness test — used to evaluate static
-    analyses against the raw CFI truth in Table IV. *)
+(** Height regardless of the completeness test — what the lint rule
+    [split-fn-fde] reads at a fragment's FDE start, which lies mid-frame
+    and so never passes the test. *)
 val height_at_unchecked : t -> int -> int option
 
 (** Iterate every FDE-covered range [\[lo, hi)] whose CFI passes the
     completeness test — the ranges where {!height_at} answers. *)
 val iter_complete : t -> (lo:int -> hi:int -> unit) -> unit
-
-(** Enumerate the piecewise-constant height function of every complete
-    entry as [(lo, hi, height)] ranges — exactly the ranges where
-    {!height_at} answers, with the same values.  Feeds the [cfi_row]
-    extensional relation of [Fetch_core.Fact_base]. *)
-val iter_rows : t -> (lo:int -> hi:int -> height:int -> unit) -> unit
 
 (** The FDE beginning exactly at [addr], if any. *)
 val fde_starting_at : t -> int -> Eh_frame.fde option

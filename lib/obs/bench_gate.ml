@@ -38,10 +38,10 @@ type snapshot = {
   histograms : (string * Trace.hist_stats) list;
 }
 
-(* /5: the perf section now also builds the declarative fact base per
-   binary, adding the facts.extract / facts.eval stage spans and the
-   facts.* counters — /4 baselines lack them and must be re-captured. *)
-let schema_current = "fetch-bench-pipeline/5"
+(* /6: the perf section no longer builds a declarative fact base per
+   binary, so the facts.extract / facts.eval stages and the facts.*
+   counters are gone — /5 baselines carry them and must be re-captured. *)
+let schema_current = "fetch-bench-pipeline/6"
 
 (* ---- writer ---- *)
 

@@ -1,6 +1,8 @@
 (* Tests for fetch.check: the shared worklist dataflow engine (merge
    disciplines, fuel, fatal verdicts, edge hooks) and the cross-layer
-   consistency linter (each rule against a fabricated inconsistency). *)
+   consistency linter (each rule against a fabricated inconsistency, the
+   split-function rule against synth ground truth, and the whole report
+   against golden files). *)
 
 open Fetch_x86
 open Fetch_analysis
@@ -220,7 +222,9 @@ let test_callconv_callee_saved_survives_call () =
 (* --- the linter, rule by rule, against fabricated views --- *)
 
 let lint_view ?(funcs = []) ?(fdes = []) ?(complete_cfi = [])
-    ?(oracle_height = fun _ -> None) ?(callconv_ok = fun _ -> true) loaded
+    ?(oracle_height = fun _ -> None) ?(entry_height = fun _ -> None)
+    ?(callconv_ok = fun _ -> true)
+    ?(referenced_outside_jumps_of = fun ~entry:_ _ -> false) loaded
     (res : Recursive.result) =
   {
     Lint.insn_at = Loaded.insn_at loaded;
@@ -230,8 +234,10 @@ let lint_view ?(funcs = []) ?(fdes = []) ?(complete_cfi = [])
     fdes;
     complete_cfi;
     oracle_height;
+    entry_height;
     callconv_ok;
     call_returns = (fun ~site:_ ~target:_ -> true);
+    referenced_outside_jumps_of;
     resolve_indirect = (fun ~site:_ ~window:_ _ -> None);
   }
 
@@ -451,6 +457,183 @@ let test_lint_truthful_oracle_quiet () =
   in
   check Alcotest.int "no findings" 0 (List.length (Lint.run view))
 
+(* [f] jumps past its own end to [frag], which has an FDE of its own.
+   Each optional argument breaks one premise of split-fn-fde. *)
+let split_findings ?(site_height = 8) ?(frag_height = 8) ?(outside = false)
+    ?(frag_fde = true) ?(frag_in_f = false) () =
+  let loaded, asm =
+    loaded_of
+      [
+        Asm.Label "f";
+        Asm.I (I.Jmp (I.To_label "frag"));
+        Asm.Label "frag";
+        Asm.I I.Ret;
+      ]
+  in
+  let fa = label asm "f" and frag = label asm "frag" in
+  let res = Recursive.run loaded ~seeds:[ fa ] in
+  let hi = if frag_in_f then frag + 1 else frag in
+  let funcs =
+    [ { Lint.entry = fa; blocks = [ (fa, hi) ]; jumps = [ (fa, frag) ] } ]
+  in
+  let view =
+    lint_view ~funcs
+      ~fdes:((fa, frag) :: (if frag_fde then [ (frag, frag + 1) ] else []))
+      ~oracle_height:(fun a -> if a = fa then Some site_height else None)
+      ~entry_height:(fun a -> if a = frag then Some frag_height else None)
+      ~referenced_outside_jumps_of:(fun ~entry a ->
+        outside && entry = fa && a = frag)
+      loaded res
+  in
+  (fa, frag, findings_of "split-fn-fde" (Lint.run view))
+
+let test_lint_split_fn_fde () =
+  (match split_findings () with
+  | fa, frag, [ f ] ->
+      check Alcotest.bool "warning severity" true (f.severity = Finding.Warning);
+      check Alcotest.int "at the fragment" frag f.addr;
+      check (Alcotest.option Alcotest.int) "jump site recorded" (Some fa)
+        f.related;
+      check Alcotest.string "message"
+        (Printf.sprintf
+           "FDE at %#x looks like a split-off fragment of %#x (only reached \
+            by its jumps, matching CFI height 8)"
+           frag fa)
+        f.message
+  | _, _, fs -> Alcotest.failf "expected one finding, got %d" (List.length fs));
+  let quiet what (_, _, fs) = check Alcotest.int what 0 (List.length fs) in
+  quiet "tail call: both heights zero"
+    (split_findings ~site_height:0 ~frag_height:0 ());
+  quiet "heights disagree" (split_findings ~frag_height:16 ());
+  quiet "referenced outside the parent's jumps"
+    (split_findings ~outside:true ());
+  quiet "target has no FDE of its own" (split_findings ~frag_fde:false ());
+  quiet "target inside the parent's blocks" (split_findings ~frag_in_f:true ())
+
+(* --- split-fn-fde against synth ground truth ---
+   A cold-split binary analysed with the fix stage off: Algorithm 1 does
+   not merge, so the split parts survive as FDE-seeded functions of their
+   own and every one the rule flags must be a true part. *)
+let split_run =
+  lazy
+    (let profile =
+       {
+         (Fetch_synth.Profile.make Fetch_synth.Profile.Synthgcc
+            Fetch_synth.Profile.O2)
+         with
+         Fetch_synth.Profile.p_cold_split = 1.0;
+         p_rbp_frame = 0.0;
+       }
+     in
+     let b =
+       Fetch_synth.Link.build_random ~profile ~seed:77
+         { Fetch_synth.Gen.default_spec with n_funcs = 12 }
+     in
+     let r =
+       Fetch_core.Pipeline.run
+         ~config:
+           { Fetch_core.Pipeline.default_config with fix_fde_errors = false }
+         b.image
+     in
+     (b, r))
+
+let test_split_fn_fde_true_parts () =
+  let b, r = Lazy.force split_run in
+  check Alcotest.bool "no census without the fix stage" true
+    (r.Fetch_core.Pipeline.refs = None);
+  let flagged = findings_of "split-fn-fde" (Fetch_core.Lint.run r) in
+  check Alcotest.bool "fires on the split binary" true (flagged <> []);
+  let parts = Fetch_synth.Truth.part_starts b.truth in
+  List.iter
+    (fun (f : Finding.t) ->
+      check Alcotest.bool "warning severity" true (f.severity = Finding.Warning);
+      if not (List.mem f.addr parts) then
+        Alcotest.failf "split-fn-fde flagged %#x: not a true part" f.addr)
+    flagged
+
+(* Negative control: one extra outside reference to a flagged target
+   silences exactly that target and leaves every other finding alone. *)
+let test_split_fn_fde_outside_ref_silences () =
+  let _b, r = Lazy.force split_run in
+  let view = Fetch_core.Lint.view_of r in
+  let before = Lint.run view in
+  let target =
+    match findings_of "split-fn-fde" before with
+    | f :: _ -> f.Finding.addr
+    | [] -> Alcotest.fail "no split finding to control"
+  in
+  let after =
+    Lint.run
+      {
+        view with
+        referenced_outside_jumps_of =
+          (fun ~entry a ->
+            a = target || view.referenced_outside_jumps_of ~entry a);
+      }
+  in
+  check Alcotest.bool "silenced under an outside reference" true
+    (after
+    = List.filter
+        (fun (f : Finding.t) -> not (f.rule = "split-fn-fde" && f.addr = target))
+        before)
+
+(* --- golden: the whole report, pinned ---
+   The four CI lint binaries (built exactly as `fetch generate` builds
+   them) and three adversarial scenarios.  Each golden file is the
+   sorted union of what `fetch lint --json` and the declarative rule
+   engine that split-fn-fde was ported from printed for the binary.
+   One exception: on fde-overlap the engine also reported 15 "partial"
+   FDEs with every byte decoded ("19 of 19 bytes").  It keyed coverage
+   gaps on the FDE start, which overlapping FDEs share.  Those findings
+   are left out. *)
+let generated ~seed compiler opt ~cxx () =
+  let profile = Fetch_synth.Profile.make compiler opt in
+  (Fetch_synth.Link.build_random ~profile ~seed
+     {
+       Fetch_synth.Gen.default_spec with
+       n_funcs = 60;
+       cxx;
+       strip = true;
+       n_asm_called = 1;
+       n_asm_tailonly = 1;
+       n_asm_pointer = 1;
+     })
+    .raw
+
+let adversarial id () =
+  match Fetch_synth.Adversary.find id with
+  | Some sc -> (Fetch_synth.Adversary.build sc ~seed:31).raw
+  | None -> Alcotest.failf "no adversarial scenario %s" id
+
+let golden_binaries =
+  let open Fetch_synth.Profile in
+  [
+    ("ci-11-gcc-O2", generated ~seed:11 Synthgcc O2 ~cxx:false);
+    ("ci-12-gcc-Os-cxx", generated ~seed:12 Synthgcc Os ~cxx:true);
+    ("ci-13-llvm-O3", generated ~seed:13 Synthllvm O3 ~cxx:false);
+    ("ci-14-llvm-Ofast", generated ~seed:14 Synthllvm Ofast ~cxx:false);
+    ("cfi-broken", adversarial "cfi-broken");
+    ("padding-junk", adversarial "padding-junk");
+    ("fde-overlap", adversarial "fde-overlap");
+  ]
+
+let test_lint_golden name raw () =
+  let expected =
+    In_channel.with_open_bin
+      (Filename.concat "lint_golden" (name ^ ".jsonl"))
+      In_channel.input_all
+  in
+  match Fetch_core.Pipeline.run_bytes (raw ()) with
+  | Error e -> Alcotest.failf "%s: %s" name e
+  | Ok r ->
+      let got =
+        String.concat ""
+          (List.map
+             (fun f -> Finding.to_json f ^ "\n")
+             (Fetch_core.Lint.run r))
+      in
+      check Alcotest.string (name ^ ": byte-identical JSONL") expected got
+
 (* --- end to end: clean pipeline runs produce no Error findings --- *)
 
 let test_lint_clean_corpora () =
@@ -526,5 +709,15 @@ let suite =
     Alcotest.test_case "lint: start-callconv" `Quick test_lint_start_callconv;
     Alcotest.test_case "lint: height-mismatch" `Quick test_lint_height_mismatch;
     Alcotest.test_case "lint: truthful oracle stays quiet" `Quick test_lint_truthful_oracle_quiet;
+    Alcotest.test_case "lint: split-fn-fde" `Quick test_lint_split_fn_fde;
     Alcotest.test_case "lint: clean corpora, zero errors" `Quick test_lint_clean_corpora;
+    Alcotest.test_case "split-fn-fde: flags true split parts" `Quick
+      test_split_fn_fde_true_parts;
+    Alcotest.test_case "split-fn-fde: outside ref silences it" `Quick
+      test_split_fn_fde_outside_ref_silences;
   ]
+  @ List.map
+      (fun (name, raw) ->
+        Alcotest.test_case ("lint golden: " ^ name) `Quick
+          (test_lint_golden name raw))
+      golden_binaries

@@ -1,4 +1,4 @@
-(* CLI-level tests for `fetch lint` and `fetch rules`: exit-code gating
+(* CLI-level tests for `fetch lint`: exit-code gating
    (--fail-on) and JSONL output shape.  Runs the real executable
    (argv.(1), wired up by the dune rule) against binaries synthesized
    in-process, so the checks cover argument parsing, serialization and
@@ -49,7 +49,7 @@ let write_binary ~seed spec = save (Fetch_synth.Link.build_random ~profile ~seed
    behind a hand-broken FDE.  The FDE start points into the
    callconv-violating pre-entry bytes, so the seed is rejected; nothing
    else references the function, so its whole range stays undecoded —
-   `fde-unreached` at Warning severity from both `lint` and `rules`. *)
+   `fde-unreached` at Warning severity. *)
 let write_warning_binary ~seed =
   let rng = Fetch_util.Prng.create seed in
   let prog =
@@ -66,9 +66,9 @@ let write_warning_binary ~seed =
   in
   save (Fetch_synth.Link.build ~profile ~rng prog)
 
-(* stderr is dropped: --stats prints the report to stdout and the
-   lint/rules commands only use stderr for hard errors, which the exit
-   code already surfaces. *)
+(* stderr is dropped: --stats prints the report to stdout and the lint
+   command only uses stderr for hard errors, which the exit code already
+   surfaces. *)
 let run args =
   let out = Filename.temp_file "fetch_cli" ".out" in
   let code =
@@ -87,42 +87,42 @@ let lines text =
 
 type counts = { errors : int; warnings : int; infos : int }
 
-let check_jsonl tool path =
-  let code, text = run (Printf.sprintf "%s %s --json --fail-on never" tool path) in
-  check (tool ^ ": --fail-on never exits 0") (code = 0);
+let check_jsonl path =
+  let code, text = run (Printf.sprintf "lint %s --json --fail-on never" path) in
+  check "lint: --fail-on never exits 0" (code = 0);
   let counts = ref { errors = 0; warnings = 0; infos = 0 } in
   List.iter
     (fun line ->
       match Json.parse line with
       | Error e ->
-          check (Printf.sprintf "%s: JSONL line parses (%s)" tool e) false
+          check (Printf.sprintf "lint: JSONL line parses (%s)" e) false
       | Ok j ->
           let str k = Option.bind (Json.member k j) Json.to_str in
           let int k = Option.bind (Json.member k j) Json.to_int in
-          check (tool ^ ": finding has rule/addr/message")
+          check "lint: finding has rule/addr/message"
             (str "rule" <> None && int "addr" <> None && str "message" <> None);
           (match str "severity" with
           | Some "error" -> counts := { !counts with errors = !counts.errors + 1 }
           | Some "warning" ->
               counts := { !counts with warnings = !counts.warnings + 1 }
           | Some "info" -> counts := { !counts with infos = !counts.infos + 1 }
-          | _ -> check (tool ^ ": finding has a valid severity") false))
+          | _ -> check "lint: finding has a valid severity" false))
     (lines text);
   !counts
 
 (* ---- exit codes recomputed from the findings just printed ---- *)
 
-let check_gate tool path (c : counts) =
-  let code_err, _ = run (Printf.sprintf "%s %s --json" tool path) in
+let check_gate path (c : counts) =
+  let code_err, _ = run (Printf.sprintf "lint %s --json" path) in
   check
-    (Printf.sprintf "%s: default gate is --fail-on error (%d errors)" tool
+    (Printf.sprintf "lint: default gate is --fail-on error (%d errors)"
        c.errors)
     (code_err = if c.errors > 0 then 1 else 0);
   let code_warn, _ =
-    run (Printf.sprintf "%s %s --json --fail-on warning" tool path)
+    run (Printf.sprintf "lint %s --json --fail-on warning" path)
   in
   check
-    (Printf.sprintf "%s: --fail-on warning (%d errors+warnings)" tool
+    (Printf.sprintf "lint: --fail-on warning (%d errors+warnings)"
        (c.errors + c.warnings))
     (code_warn = if c.errors + c.warnings > 0 then 1 else 0)
 
@@ -136,8 +136,8 @@ let write_adversarial id =
   | Some sc -> save (Fetch_synth.Adversary.build sc ~seed:31)
 
 (* Findings of one rule, straight from the JSONL stream. *)
-let rule_findings tool path rule =
-  let _, text = run (Printf.sprintf "%s %s --json --fail-on never" tool path) in
+let rule_findings path rule =
+  let _, text = run (Printf.sprintf "lint %s --json --fail-on never" path) in
   List.filter
     (fun line ->
       match Json.parse line with
@@ -158,61 +158,26 @@ let () =
   let adv_cfi = write_adversarial "cfi-broken" in
   let adv_junk = write_adversarial "padding-junk" in
   List.iter
-    (fun tool ->
-      List.iter
-        (fun path ->
-          let c = check_jsonl tool path in
-          check_gate tool path c)
-        [ clean; broken; warn; adv_cfi; adv_junk ])
-    [ "lint"; "rules" ];
+    (fun path ->
+      check_gate path (check_jsonl path))
+    [ clean; broken; warn; adv_cfi; adv_junk ];
 
   (* the cfi-broken corpus is Fig. 6b at scale: its ten hand-broken FDEs
      must surface through the lint surface, not just the eval harness —
-     as split-fn-fde fragments from the rules engine, and as unreached
-     FDE ranges (the rejected lying starts) from the structural linter *)
-  check "rules: cfi-broken binary trips split-fn-fde"
-    (rule_findings "rules" adv_cfi "split-fn-fde" <> []);
+     as split-fn-fde fragments, and as unreached FDE ranges (the
+     rejected lying starts) *)
+  check "lint: cfi-broken binary trips split-fn-fde"
+    (rule_findings adv_cfi "split-fn-fde" <> []);
   check "lint: cfi-broken binary reports its ten lying FDEs as unreached"
-    (List.length (rule_findings "lint" adv_cfi "fde-unreached") >= 10);
+    (List.length (rule_findings adv_cfi "fde-unreached") >= 10);
   (* junk pools are data, never reached: the mid-instruction-jump rule
      must stay quiet — forged prologues alone must not create findings *)
-  List.iter
-    (fun tool ->
-      check
-        (tool ^ ": padding-junk binary stays clean of jump-mid-insn")
-        (rule_findings tool adv_junk "jump-mid-insn" = []))
-    [ "lint"; "rules" ];
+  check "lint: padding-junk binary stays clean of jump-mid-insn"
+    (rule_findings adv_junk "jump-mid-insn" = []);
 
   (* the orphan-FDE binary must actually trip the warning gate, or the
      --fail-on warning checks above only ever saw exit 0 *)
-  let c_rules = check_jsonl "rules" warn in
-  check "rules: orphan FDE yields a warning" (c_rules.warnings > 0);
-  let c_lint = check_jsonl "lint" warn in
-  check "lint: orphan FDE yields a warning" (c_lint.warnings > 0);
-
-  (* --stats: the report lands on stdout and carries the facts.* meters;
-     the summary line proves the engine actually ran *)
-  let code, text = run (Printf.sprintf "rules %s --stats --fail-on never" clean) in
-  check "rules: --stats exits 0" (code = 0);
-  let summary =
-    List.find_opt
-      (fun l -> String.length l >= 10 && String.sub l 0 10 = "fact base:")
-      (lines text)
-  in
-  (match summary with
-  | None -> check "rules: --stats prints the fact-base summary" false
-  | Some l ->
-      Scanf.sscanf l "fact base: %d tuples (%d derived), %d strata, %d rule firings"
-        (fun tuples derived strata firings ->
-          check "rules: fact base is populated"
-            (tuples > 0 && derived > 0 && strata > 0 && firings > 0)));
-  let contains sub =
-    let n = String.length sub and m = String.length text in
-    let rec go i = i + n <= m && (String.sub text i n = sub || go (i + 1)) in
-    go 0
-  in
-  check "rules: --stats shows facts.* counters" (contains "facts.derived");
-  check "rules: --stats shows the facts.eval span" (contains "facts.eval");
+  check "lint: orphan FDE yields a warning" ((check_jsonl warn).warnings > 0);
 
   (* ---- explain: a garbage address must exit 2 with usage, not crash ---- *)
   List.iter

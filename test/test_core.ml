@@ -181,6 +181,39 @@ let test_broken_fde_rejected () =
   let fp, _ = metrics b.truth r.starts in
   check (Alcotest.list Alcotest.int) "still no FPs" [] fp
 
+(* The census Algorithm 1 ran on rides on the result, so the linter need
+   not collect it again; on the reseed path too it must be exactly the
+   census of [rec_result].  Seed 30's reseed changes the census (the
+   pre-reseed one differs at a jump target), so a stale one fails here. *)
+let test_census_carried () =
+  List.iter
+    (fun (what, n_broken_fde) ->
+      let b =
+        Link.build_random ~profile ~seed:30 { spec with Gen.n_broken_fde }
+      in
+      let r = Pipeline.run b.image in
+      check Alcotest.bool (what ^ ": path taken") (n_broken_fde > 0)
+        (r.invalid_fde_starts <> []);
+      match r.refs with
+      | None -> Alcotest.failf "%s: no census on a default run" what
+      | Some refs ->
+          let fresh = Refs.collect r.loaded r.rec_result in
+          check (Alcotest.list Alcotest.int) (what ^ ": pointer candidates")
+            (Refs.pointer_candidates fresh)
+            (Refs.pointer_candidates refs);
+          let jump_targets =
+            Hashtbl.fold
+              (fun _ (f : Fetch_analysis.Recursive.func) acc ->
+                List.map (fun (_, _, t) -> t) f.all_jump_sites @ acc)
+              r.rec_result.funcs []
+          in
+          List.iter
+            (fun a ->
+              if Refs.refs_to refs a <> Refs.refs_to fresh a then
+                Alcotest.failf "%s: census differs at %#x" what a)
+            (r.fde_starts @ jump_targets))
+    [ ("direct", 0); ("reseed", 1) ]
+
 let test_xref_finds_pointer_only_functions () =
   let b = Lazy.force built in
   (* without xref, pointer-only asm functions are missed *)
@@ -705,6 +738,7 @@ let suite =
     Alcotest.test_case "Algorithm 1 merges cold parts" `Quick test_algorithm1_removes_cold_fps;
     Alcotest.test_case "tail calls detected safely" `Quick test_tail_calls_detected;
     Alcotest.test_case "broken FDE rejected and recovered" `Quick test_broken_fde_rejected;
+    Alcotest.test_case "pipeline carries Algorithm 1's census" `Quick test_census_carried;
     Alcotest.test_case "xref finds pointer-only functions" `Quick test_xref_finds_pointer_only_functions;
     Alcotest.test_case "jump tables followed" `Quick test_jump_tables_followed;
     Alcotest.test_case "noreturn analysis" `Quick test_noreturn_detected;
