@@ -22,7 +22,7 @@ let decode_range loaded ~lo ~hi =
   (List.rev !insns, List.rev !junk)
 
 (** Maximal sub-ranges of the executable sections not covered by
-    [covered].  [covered] is an interval map of already-claimed bytes. *)
+    [covered], an instruction table of already-claimed bytes. *)
 let gaps loaded ~covered =
   let ranges = Loaded.text_ranges loaded in
   List.concat_map
@@ -30,11 +30,11 @@ let gaps loaded ~covered =
       let rec walk pos acc =
         if pos >= hi then List.rev acc
         else
-          match Fetch_util.Interval_map.find covered pos with
-          | Some (_, chi, ()) -> walk chi acc
+          match Fetch_util.Insn_index.find covered pos with
+          | Some (_, chi) -> walk chi acc
           | None -> (
-              match Fetch_util.Interval_map.next_from covered pos with
-              | Some (nlo, _, ()) when nlo < hi ->
+              match Fetch_util.Insn_index.next_from covered pos with
+              | Some (nlo, _) when nlo < hi ->
                   walk nlo ((pos, nlo) :: acc)
               | Some _ | None -> List.rev ((pos, hi) :: acc))
       in

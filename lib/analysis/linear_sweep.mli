@@ -9,8 +9,9 @@ val decode_range :
   Loaded.t -> lo:int -> hi:int -> (int * int * Fetch_x86.Insn.t) list * int list
 
 (** Maximal sub-ranges of the executable sections not covered by
-    [covered] (an interval map of already-claimed bytes). *)
-val gaps : Loaded.t -> covered:unit Fetch_util.Interval_map.t -> (int * int) list
+    [covered] (the instruction table of a recursive run: its claimed
+    bytes are the bytes of its instructions). *)
+val gaps : Loaded.t -> covered:Fetch_util.Insn_index.t -> (int * int) list
 
 (** Is the range all padding (NOPs / int3 / zero bytes)? *)
 val all_padding : Loaded.t -> lo:int -> hi:int -> bool

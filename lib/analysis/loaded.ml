@@ -26,6 +26,7 @@ type t = {
           and recovered-vs-skipped record counts *)
   fdes : Fetch_dwarf.Eh_frame.fde list;
   fde_starts : int list;  (** PC Begin of every FDE, ascending, deduped *)
+  fde_start_array : int array;  (** [fde_starts], for {!fde_starting_at} *)
   symbol_starts : int list;  (** defined FUNC symbol addresses *)
   cache : (int, (Fetch_x86.Insn.t * int) option) Hashtbl.t;
 }
@@ -66,6 +67,7 @@ let load ?eh image =
     eh_frame = eh;
     fdes;
     fde_starts;
+    fde_start_array = Array.of_list fde_starts;
     symbol_starts;
     cache = Hashtbl.create 4096;
   }
@@ -112,5 +114,17 @@ let text_bounds t =
            (fun (lo, hi) (l, h) -> (min lo l, max hi h))
            (lo, hi) rest)
 
+(** Does an FDE begin exactly at [addr]?  Binary search over the sorted
+    starts of {e every} FDE — not [Height_oracle.fde_starting_at], which
+    drops FDEs with unsupported CFI, empty ranges or overridden
+    overlaps. *)
 let fde_starting_at t addr =
-  List.exists (fun (f : Fetch_dwarf.Eh_frame.fde) -> f.pc_begin = addr) t.fdes
+  let a = t.fde_start_array in
+  let rec go lo hi =
+    if lo >= hi then false
+    else
+      let mid = (lo + hi) lsr 1 in
+      let v = a.(mid) in
+      if v = addr then true else if v < addr then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)

@@ -11,6 +11,7 @@ type t = {
           and recovered-vs-skipped record counts *)
   fdes : Fetch_dwarf.Eh_frame.fde list;
   fde_starts : int list;  (** PC Begin of every FDE, ascending, deduped *)
+  fde_start_array : int array;  (** [fde_starts], for {!fde_starting_at} *)
   symbol_starts : int list;  (** defined FUNC symbol addresses *)
   cache : (int, (Fetch_x86.Insn.t * int) option) Hashtbl.t;
 }
@@ -37,5 +38,6 @@ val text_ranges : t -> (int * int) list
     [None] when there are none.  Coarse bound for pointer prefilters. *)
 val text_bounds : t -> (int * int) option
 
-(** Does an FDE begin exactly at the address? *)
+(** Does an FDE begin exactly at the address?  O(log #FDE); every FDE
+    counts, including those the height oracle drops. *)
 val fde_starting_at : t -> int -> bool

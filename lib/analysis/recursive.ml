@@ -14,6 +14,8 @@
 open Fetch_x86
 module Obs = Fetch_obs.Trace
 module Prov = Fetch_obs.Provenance
+module Insn_index = Fetch_util.Insn_index
+module Itbl = Hashtbl.Make (Int)
 
 (* Stage instrumentation (no-ops unless a Fetch_obs run is active). *)
 let c_insns_decoded = Obs.counter "recursive.insns_decoded"
@@ -62,8 +64,7 @@ type result = {
   funcs : (int, func) Hashtbl.t;
   noreturn : (int, unit) Hashtbl.t;  (** entries that can never return *)
   cond_noreturn : (int, unit) Hashtbl.t;  (** [error]-style entries *)
-  insn_spans : unit Fetch_util.Interval_map.t;
-      (** union of all decoded instruction extents *)
+  insn_spans : Insn_index.t;  (** every decoded instruction extent *)
 }
 
 let new_func entry =
@@ -190,38 +191,42 @@ let disasm_function loaded cfg ~noreturn ~cond_noreturn ~is_start ~spans
     ~new_entries entry =
   Obs.incr c_funcs_disassembled;
   let f = new_func entry in
-  let visited = Hashtbl.create 16 in
+  let visited = Itbl.create 16 in
   let pending = Queue.create () in
   Queue.add (entry, []) pending;
-  let block_known a = Hashtbl.mem visited a in
+  let block_known a = Itbl.mem visited a in
   while not (Queue.is_empty pending) do
     let b, inherited = Queue.pop pending in
-    if not (Hashtbl.mem visited b) then begin
-      Hashtbl.replace visited b ();
+    if not (Itbl.mem visited b) then begin
+      Itbl.replace visited b ();
+      let calls_before = f.calls in
       let insns, ending =
         decode_block loaded cfg ~noreturn ~cond_noreturn ~f ~is_start
           ~block_known b []
       in
       if Obs.enabled () then Obs.observe h_block_insns (List.length insns);
-      (match insns with
-      | [] -> ()
-      | (lo, _, _) :: _ ->
-          let last_addr, last_len, _ = List.nth insns (List.length insns - 1) in
-          let hi = last_addr + last_len in
-          f.blocks <- (lo, hi) :: f.blocks;
+      let rev_insns = List.rev insns in
+      (match (insns, rev_insns) with
+      | (lo, _, _) :: _, (last_addr, last_len, _) :: _ ->
+          f.blocks <- (lo, last_addr + last_len) :: f.blocks;
           (* per-instruction spans: overlapping decodes of the same bytes
              must never evict earlier coverage *)
-          List.iter
-            (fun (a, l, _) ->
-              if not (Fetch_util.Interval_map.overlaps spans ~lo:a ~hi:(a + l))
-              then Fetch_util.Interval_map.add spans ~lo:a ~hi:(a + l) ())
-            insns);
-      (* register discovered callees *)
-      List.iter (fun (site, t) -> new_entries ~site t) f.calls;
-      let rev_insns = List.rev insns in
+          List.iter (fun (a, l, _) -> Insn_index.add spans ~lo:a ~hi:(a + l)) insns
+      | _ -> ());
+      (* register the callees this block discovered, newest first — the
+         calls of earlier blocks are already known *)
+      let rec register_new calls =
+        if calls != calls_before then
+          match calls with
+          | (site, t) :: rest ->
+              new_entries ~site t;
+              register_new rest
+          | [] -> ()
+      in
+      register_new f.calls;
       let window = rev_insns @ inherited in
       let add_block ?(window = []) t =
-        if not (Hashtbl.mem visited t) then Queue.add (t, window) pending
+        if not (Itbl.mem visited t) then Queue.add (t, window) pending
       in
       match ending with
       | End_ret | End_halt | End_call_noreturn -> ()
@@ -359,12 +364,12 @@ let run ?(config = safe_config) loaded ~seeds =
   let discover = make_discover loaded ~already_known:[] in
   let iterate () =
     let funcs = Hashtbl.create 256 in
-    let spans = Fetch_util.Interval_map.create () in
+    let spans = Insn_index.create (Loaded.text_ranges loaded) in
     let queue = Queue.create () in
-    let known = Hashtbl.create 256 in
+    let known = Itbl.create 256 in
     let register t =
-      if (not (Hashtbl.mem known t)) && Loaded.in_text loaded t then begin
-        Hashtbl.replace known t ();
+      if (not (Itbl.mem known t)) && Loaded.in_text loaded t then begin
+        Itbl.replace known t ();
         Queue.add t queue
       end
     in
@@ -373,7 +378,7 @@ let run ?(config = safe_config) loaded ~seeds =
       register t
     in
     List.iter register seeds;
-    let is_start a = Hashtbl.mem known a in
+    let is_start a = Itbl.mem known a in
     while not (Queue.is_empty queue) do
       let e = Queue.pop queue in
       if not (Hashtbl.mem funcs e) then begin
@@ -397,10 +402,11 @@ let run ?(config = safe_config) loaded ~seeds =
     into the committed extents other than by calling / tail-jumping a
     committed *entry*.  Under that precondition the committed funcs,
     spans and noreturn facts are stable, so every (re-)iteration forks
-    them — [Hashtbl.copy] for funcs and facts, O(1)
-    [Interval_map.copy] for spans — and only the delta is re-decoded
-    when a noreturn fact learned about a *new* function shrinks its
-    blocks. *)
+    them — [Hashtbl.copy] for funcs and facts, the copy-on-write page
+    fork [Insn_index.copy] for spans (O(pages), plus one 256-byte page
+    copy per page the delta first writes) — and only the delta is
+    re-decoded when a noreturn fact learned about a *new* function
+    shrinks its blocks. *)
 let extend ?(config = safe_config) loaded ~prior ~seeds =
   Obs.span "recursive.extend" @@ fun () ->
   Obs.incr c_extend_runs;
@@ -410,13 +416,13 @@ let extend ?(config = safe_config) loaded ~prior ~seeds =
   let discover = make_discover loaded ~already_known in
   let iterate () =
     let funcs = Hashtbl.copy prior.funcs in
-    let spans = Fetch_util.Interval_map.copy prior.insn_spans in
+    let spans = Insn_index.copy prior.insn_spans in
     let queue = Queue.create () in
-    let known = Hashtbl.create 64 in
-    Hashtbl.iter (fun e _ -> Hashtbl.replace known e ()) prior.funcs;
+    let known = Itbl.create 64 in
+    Hashtbl.iter (fun e _ -> Itbl.replace known e ()) prior.funcs;
     let register t =
-      if (not (Hashtbl.mem known t)) && Loaded.in_text loaded t then begin
-        Hashtbl.replace known t ();
+      if (not (Itbl.mem known t)) && Loaded.in_text loaded t then begin
+        Itbl.replace known t ();
         Queue.add t queue
       end
     in
@@ -425,7 +431,7 @@ let extend ?(config = safe_config) loaded ~prior ~seeds =
       register t
     in
     List.iter register seeds;
-    let is_start a = Hashtbl.mem known a in
+    let is_start a = Itbl.mem known a in
     while not (Queue.is_empty queue) do
       let e = Queue.pop queue in
       if not (Hashtbl.mem funcs e) then begin

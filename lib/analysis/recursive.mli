@@ -45,8 +45,8 @@ type result = {
   funcs : (int, func) Hashtbl.t;
   noreturn : (int, unit) Hashtbl.t;  (** entries that can never return *)
   cond_noreturn : (int, unit) Hashtbl.t;  (** [error]-style entries *)
-  insn_spans : unit Fetch_util.Interval_map.t;
-      (** union of all decoded instruction extents *)
+  insn_spans : Fetch_util.Insn_index.t;
+      (** every decoded instruction extent *)
 }
 
 (** Detect [error]-style conditionally-noreturn entries: the entry tests
@@ -58,11 +58,13 @@ val run : ?config:config -> Loaded.t -> seeds:int list -> result
 
 (** [extend loaded ~prior ~seeds] resumes [prior] with extra seeds,
     disassembling only the delta reachable from them; [prior] is not
-    mutated.  Equivalent to re-running from scratch with the union of
-    seeds *provided* no committed function transfers control to a fresh
-    seed and no fresh function transfers into the committed extents
-    except at a committed entry — exactly what xref validation
-    guarantees for accepted function pointers (§IV-E). *)
+    mutated: its instruction table is forked page-wise copy-on-write, so
+    the fork costs O(pages + delta).  Equivalent to re-running from
+    scratch with the union of seeds *provided* no committed function
+    transfers control to a fresh seed and no fresh function transfers
+    into the committed extents except at a committed entry — exactly
+    what xref validation guarantees for accepted function pointers
+    (§IV-E). *)
 val extend : ?config:config -> Loaded.t -> prior:result -> seeds:int list -> result
 
 (** Detected function starts, ascending. *)

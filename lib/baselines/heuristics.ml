@@ -34,8 +34,8 @@ let preceding_function loaded (res : Recursive.result) addr =
   let rec back a steps =
     if steps > 512 || a <= 0 then None
     else
-      match Fetch_util.Interval_map.find res.insn_spans (a - 1) with
-      | Some (lo, _, ()) -> (
+      match Fetch_util.Insn_index.find res.insn_spans (a - 1) with
+      | Some (lo, _) -> (
           (* find the owning function *)
           let owner = ref None in
           Hashtbl.iter
@@ -59,7 +59,7 @@ let control_flow_repair loaded (res : Recursive.result) ~noreturn starts =
   List.filter
     (fun s ->
       Hashtbl.mem refs s
-      || (not (Fetch_util.Interval_map.mem res.insn_spans (s - 1)))
+      || (not (Fetch_util.Insn_index.mem res.insn_spans (s - 1)))
       ||
       match preceding_function loaded res s with
       | Some prev -> not (noreturn prev)

@@ -1,7 +1,7 @@
 (** Cross-layer consistency linter — rule semantics in the interface. *)
 
 open Fetch_x86
-module IM = Fetch_util.Interval_map
+module Insn_index = Fetch_util.Insn_index
 module Obs = Fetch_obs.Trace
 
 type func = {
@@ -14,7 +14,7 @@ type view = {
   insn_at : int -> (Insn.t * int) option;
   in_text : int -> bool;
   funcs : func list;
-  insn_spans : unit IM.t;
+  insn_spans : Insn_index.t;
   fdes : (int * int) list;
   complete_cfi : (int * int) list;
   oracle_height : int -> int option;
@@ -46,8 +46,8 @@ let rule_jump_mid_insn v emit =
         (fun (site, target) ->
           if (not (Hashtbl.mem seen (site, target))) && v.in_text target then begin
             Hashtbl.replace seen (site, target) ();
-            match IM.find v.insn_spans target with
-            | Some (lo, _, ()) when lo <> target ->
+            match Insn_index.find v.insn_spans target with
+            | Some (lo, _) when lo <> target ->
                 emit
                   {
                     Finding.rule = "jump-mid-insn";
@@ -176,17 +176,17 @@ let rule_fde_unreached v emit =
       if hi > lo then begin
         let covered = ref 0 in
         let rec scan from =
-          match IM.next_from v.insn_spans from with
-          | Some (slo, shi, ()) when slo < hi ->
+          match Insn_index.next_from v.insn_spans from with
+          | Some (slo, shi) when slo < hi ->
               let ilo = max slo lo and ihi = min shi hi in
               if ihi > ilo then covered := !covered + (ihi - ilo);
               scan shi
           | _ -> ()
         in
-        (* [next_from] skips intervals beginning before [lo]; back up so a
-           span straddling the range start still counts. *)
-        (match IM.find v.insn_spans lo with
-        | Some (_, shi, ()) ->
+        (* [next_from] skips instructions beginning before [lo]; back up
+           so a span straddling the range start still counts. *)
+        (match Insn_index.find v.insn_spans lo with
+        | Some (_, shi) ->
             covered := min shi hi - lo;
             scan shi
         | None -> scan lo);

@@ -44,7 +44,7 @@ type view = {
   insn_at : int -> (Insn.t * int) option;
   in_text : int -> bool;
   funcs : func list;  (** final detected functions *)
-  insn_spans : unit Fetch_util.Interval_map.t;
+  insn_spans : Fetch_util.Insn_index.t;
       (** committed instruction extents of the whole run *)
   fdes : (int * int) list;  (** every FDE's [pc_begin, pc_begin+range) *)
   complete_cfi : (int * int) list;

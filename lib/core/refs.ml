@@ -118,9 +118,9 @@ let insn_constants ~addr ~len insn =
 
 (* Scan one committed span [\[lo, hi)] for code-constant refs.  A [None]
    from the memoized decoder mid-span means the decode cache disagrees
-   with the span map; the rest of the span used to be silently abandoned
-   (dropping refs) — now the event is counted and the scan resyncs one
-   byte forward. *)
+   with the instruction table; the rest of the span used to be silently
+   abandoned (dropping refs) — now the event is counted and the scan
+   resyncs one byte forward. *)
 let scan_span loaded t ~lo ~hi =
   let rec go addr =
     if addr < hi then
@@ -139,7 +139,7 @@ let scan_span loaded t ~lo ~hi =
 
 (* Walk every decoded instruction of the recursive result. *)
 let scan_code loaded t (res : Recursive.result) =
-  Fetch_util.Interval_map.iter res.insn_spans (fun ~lo ~hi () ->
+  Fetch_util.Insn_index.iter res.insn_spans (fun ~lo ~hi ->
       scan_span loaded t ~lo ~hi)
 
 (* Call / jump / jump-table refs contributed by one function. *)
@@ -201,11 +201,11 @@ let incr_create loaded =
     which is exactly what [Recursive.extend] guarantees; under that
     precondition the returned table equals [collect loaded res]. *)
 let incr_refresh inc (res : Recursive.result) =
-  let n_spans = Fetch_util.Interval_map.cardinal res.insn_spans in
+  let n_spans = Fetch_util.Insn_index.cardinal res.insn_spans in
   let n_funcs = Hashtbl.length res.funcs in
   if n_spans <> inc.n_spans then begin
     inc.n_spans <- n_spans;
-    Fetch_util.Interval_map.iter res.insn_spans (fun ~lo ~hi () ->
+    Fetch_util.Insn_index.iter res.insn_spans (fun ~lo ~hi ->
         if not (Hashtbl.mem inc.scanned lo) then begin
           Hashtbl.replace inc.scanned lo ();
           scan_span inc.loaded inc.table ~lo ~hi

@@ -53,19 +53,18 @@ let c_budget = Obs.counter "xref.budget_exhausted"
 let h_rounds = Obs.histogram "xref.rounds"
 let h_round_cost_ms = Obs.histogram "xref.round_cost_ms"
 
-(* Instruction-boundary test against the committed disassembly.  The span
-   map holds one interval per decoded instruction, so it already *is* a
-   memoized boundary index: an address is mid-instruction iff its
-   containing interval does not start there.  (The previous
+(* Instruction-boundary test against the committed disassembly.  The
+   instruction table is a memoized boundary index: an address is
+   mid-instruction iff its containing instruction does not start there.  (The previous
    implementation re-walked the span through the decoder — O(span
    length) — and was vacuous besides: the walk started at the containing
    instruction and could never stop strictly below [addr], so error (ii)
    never fired and mid-instruction pointers were only caught later as
    transfers into function bodies.) *)
 let mid_instruction (res : Recursive.result) addr =
-  match Fetch_util.Interval_map.find res.insn_spans addr with
+  match Fetch_util.Insn_index.find res.insn_spans addr with
   | None -> false
-  | Some (lo, _, ()) -> addr <> lo
+  | Some (lo, _) -> addr <> lo
 
 (* Function-extent map: committed blocks of every detected function.
    Overlapping blocks (shared code) resolve byte-wise to the highest

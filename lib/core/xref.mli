@@ -44,8 +44,8 @@ val extents_create : unit -> extents
 val extents_refresh :
   extents -> Fetch_analysis.Recursive.result -> int Fetch_util.Interval_map.t
 
-(** Is the address strictly inside a committed instruction?  O(log n)
-    against the per-instruction span map. *)
+(** Is the address strictly inside a committed instruction?  O(1)
+    against the instruction-boundary table. *)
 val mid_instruction : Fetch_analysis.Recursive.result -> int -> bool
 
 type verdict =

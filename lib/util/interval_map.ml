@@ -1,9 +1,6 @@
-(** Map from disjoint half-open address intervals [\[lo, hi)] to values.
-
-    Backbone of the disassembly bookkeeping: instruction spans, function
-    bodies and section extents are all interval maps, and the conservative
-    validation passes of the paper ("control transfer into the middle of a
-    previously detected function / instruction") are [find] queries here. *)
+(** Map from disjoint half-open address intervals [\[lo, hi)] to values
+    (FDE ranges, function extents; instruction spans live in
+    {!Insn_index}). *)
 
 module Imap = Map.Make (Int)
 
@@ -11,12 +8,6 @@ type 'a t = { mutable m : (int * 'a) Imap.t }
 (* key = lo, payload = (hi, value) *)
 
 let create () = { m = Imap.empty }
-
-(** O(1) snapshot: the backing map is persistent, so a copy shares all
-    existing bindings and diverges only on subsequent mutation.  This is
-    what lets the incremental engine fork a round's span map without
-    paying for its size. *)
-let copy t = { m = t.m }
 
 let is_empty t = Imap.is_empty t.m
 let cardinal t = Imap.cardinal t.m

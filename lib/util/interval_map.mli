@@ -1,18 +1,14 @@
 (** Map from disjoint half-open address intervals [\[lo, hi)] to values.
 
-    Backbone of the disassembly bookkeeping: instruction spans, function
-    bodies and section extents are all interval maps, and the conservative
-    validation passes of the paper ("control transfer into the middle of a
-    previously disassembled instruction / detected function") are [find]
-    queries here. *)
+    Holds the CFI height oracle's FDE ranges and the xref function
+    extents, so the paper's "control transfer into the middle of a
+    previously detected function" check is a [find] query here.
+    Instruction spans are not interval maps: they live in the flat
+    {!Insn_index}. *)
 
 type 'a t
 
 val create : unit -> 'a t
-
-(** O(1) independent snapshot (the backing map is persistent): mutations
-    of either the copy or the original are invisible to the other. *)
-val copy : 'a t -> 'a t
 
 val is_empty : 'a t -> bool
 val cardinal : 'a t -> int

@@ -200,6 +200,31 @@ let test_overlap_shapes () =
   in
   check Alcotest.bool "ranges overlap" true (overlapping sorted)
 
+(* [Loaded.fde_starting_at] answers for every FDE, including the
+   overlapping and lying ones the height oracle drops: it must agree with
+   the list definition it replaced at every FDE start and its neighbours. *)
+let test_fde_starting_at () =
+  List.iter
+    (fun id ->
+      let loaded = Fetch_analysis.Loaded.load (built id).image in
+      let by_list addr =
+        List.exists
+          (fun (f : Fetch_dwarf.Eh_frame.fde) -> f.pc_begin = addr)
+          loaded.fdes
+      in
+      check Alcotest.bool (id ^ ": has FDEs") true (loaded.fdes <> []);
+      List.iter
+        (fun (f : Fetch_dwarf.Eh_frame.fde) ->
+          List.iter
+            (fun a ->
+              check Alcotest.bool
+                (Printf.sprintf "%s: fde_starting_at %#x" id a)
+                (by_list a)
+                (Fetch_analysis.Loaded.fde_starting_at loaded a))
+            [ f.pc_begin - 1; f.pc_begin; f.pc_begin + 1 ])
+        loaded.fdes)
+    [ "fde-overlap"; "cfi-broken" ]
+
 (* ---- the pipeline on adversarial binaries ---- *)
 
 (* FETCH must never report a start inside a pool (pools are unreferenced
@@ -354,6 +379,8 @@ let suite =
         test_no_hdr_shapes;
       Alcotest.test_case "fde-overlap: duplicated overlapping ranges" `Quick
         test_overlap_shapes;
+      Alcotest.test_case "fde_starting_at agrees with the FDE list" `Quick
+        test_fde_starting_at;
       Alcotest.test_case "FETCH ignores pools on every scenario" `Quick
         test_fetch_on_scenarios;
       Alcotest.test_case "harness: FETCH drop below pattern tools" `Slow

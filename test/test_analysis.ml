@@ -144,7 +144,7 @@ let test_rec_intra_jump_extends () =
 let result_signature (res : Recursive.result) =
   let keys tbl = List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) tbl []) in
   ( Recursive.starts res,
-    Fetch_util.Interval_map.to_list res.insn_spans,
+    Fetch_util.Insn_index.to_list res.insn_spans,
     keys res.noreturn,
     keys res.cond_noreturn )
 

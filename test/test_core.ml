@@ -617,7 +617,7 @@ let test_xref_extents_deterministic () =
       funcs;
       noreturn = Hashtbl.create 1;
       cond_noreturn = Hashtbl.create 1;
-      insn_spans = Fetch_util.Interval_map.create ();
+      insn_spans = Fetch_util.Insn_index.create [];
     }
   in
   let f1 = mk 0x1000 [ (0x1000, 0x1020) ]
@@ -715,8 +715,8 @@ let prop_xref_strategy_differential =
       in
       seeds_i = seeds_r
       && An.Recursive.starts res_i = An.Recursive.starts res_r
-      && Fetch_util.Interval_map.to_list res_i.An.Recursive.insn_spans
-         = Fetch_util.Interval_map.to_list res_r.An.Recursive.insn_spans
+      && Fetch_util.Insn_index.to_list res_i.An.Recursive.insn_spans
+         = Fetch_util.Insn_index.to_list res_r.An.Recursive.insn_spans
       && keys res_i.An.Recursive.noreturn = keys res_r.An.Recursive.noreturn
       && keys res_i.An.Recursive.cond_noreturn
          = keys res_r.An.Recursive.cond_noreturn

@@ -448,7 +448,7 @@ let test_landing_pads_unreachable_by_cfg () =
               incr checked;
               let lp = fde.pc_begin + cs.landing_pad in
               check Alcotest.bool "landing pad not disassembled" false
-                (Fetch_util.Interval_map.mem res.insn_spans lp);
+                (Fetch_util.Insn_index.mem res.insn_spans lp);
               (* but it is real code *)
               check Alcotest.bool "landing pad decodes" true
                 (Fetch_analysis.Loaded.insn_at loaded lp <> None))

@@ -1,4 +1,5 @@
-(* Tests for fetch.util: byte buffers/cursors, LEB128, intervals, PRNG. *)
+(* Tests for fetch.util: byte buffers/cursors, LEB128, intervals, the
+   instruction-boundary table, PRNG. *)
 
 open Fetch_util
 
@@ -122,19 +123,6 @@ let prop_interval_add_max_order_independent =
       let sorted = List.sort compare iv in
       build iv = build (List.rev iv) && build iv = build sorted)
 
-let test_interval_copy () =
-  (* copies are independent in both directions: the incremental engine
-     forks a round's span map and mutates only the fork *)
-  let m = Interval_map.create () in
-  Interval_map.add m ~lo:0 ~hi:10 "a";
-  let c = Interval_map.copy m in
-  Interval_map.add c ~lo:10 ~hi:20 "b";
-  Interval_map.remove m 0;
-  check Alcotest.int "copy kept a and gained b" 2 (Interval_map.cardinal c);
-  check Alcotest.int "original lost a and never saw b" 0 (Interval_map.cardinal m);
-  check Alcotest.bool "copy still finds a" true (Interval_map.mem c 5);
-  check Alcotest.bool "original does not see b" false (Interval_map.mem m 15)
-
 let test_interval_next_from () =
   let m = Interval_map.create () in
   Interval_map.add m ~lo:100 ~hi:110 ();
@@ -142,6 +130,136 @@ let test_interval_next_from () =
   check Alcotest.bool "next from 150" true
     (match Interval_map.next_from m 150 with Some (200, 210, ()) -> true | _ -> false);
   check Alcotest.bool "none past end" true (Interval_map.next_from m 300 = None)
+
+(* Two sections with a gap between them; the second spans ten pages. *)
+let insn_ranges = [ (0x1000, 0x1100); (0x2000, 0x2a00) ]
+let span_opt = Alcotest.(option (pair int int))
+
+let test_insn_index_find () =
+  let t = Insn_index.create insn_ranges in
+  Insn_index.add t ~lo:0x1010 ~hi:0x1015;
+  check span_opt "find at the start" (Some (0x1010, 0x1015)) (Insn_index.find t 0x1010);
+  check span_opt "find mid-instruction" (Some (0x1010, 0x1015))
+    (Insn_index.find t 0x1014);
+  check span_opt "end is exclusive" None (Insn_index.find t 0x1015);
+  List.iter
+    (fun a ->
+      check span_opt (Printf.sprintf "%#x is outside every section" a) None
+        (Insn_index.find t a);
+      check Alcotest.bool "not mem" false (Insn_index.mem t a))
+    [ -1; 0; 0xfff; 0x1100; 0x1800; 0x2a00; max_int ];
+  check Alcotest.bool "mem mid-instruction" true (Insn_index.mem t 0x1012);
+  check Alcotest.int "cardinal" 1 (Insn_index.cardinal t)
+
+let test_insn_index_next_from () =
+  let t = Insn_index.create insn_ranges in
+  Insn_index.add t ~lo:0x10f0 ~hi:0x10f3;
+  Insn_index.add t ~lo:0x2900 ~hi:0x2902;
+  check span_opt "from the table start" (Some (0x10f0, 0x10f3))
+    (Insn_index.next_from t 0);
+  check span_opt "from mid-instruction, across the section gap and empty pages"
+    (Some (0x2900, 0x2902)) (Insn_index.next_from t 0x10f1);
+  check span_opt "from inside the gap" (Some (0x2900, 0x2902))
+    (Insn_index.next_from t 0x1800);
+  check span_opt "none past the last start" None (Insn_index.next_from t 0x2901);
+  check Alcotest.(list (pair int int)) "to_list ascending"
+    [ (0x10f0, 0x10f3); (0x2900, 0x2902) ]
+    (Insn_index.to_list t)
+
+let test_insn_index_first_writer () =
+  let t = Insn_index.create insn_ranges in
+  Insn_index.add t ~lo:0x1000 ~hi:0x1004;
+  Insn_index.add t ~lo:0x1002 ~hi:0x1008;
+  Insn_index.add t ~lo:0x1004 ~hi:0x1008;
+  Insn_index.add t ~lo:0x1003 ~hi:0x1004;
+  check Alcotest.(list (pair int int)) "overlapping adds lose to the first writer"
+    [ (0x1000, 0x1004); (0x1004, 0x1008) ]
+    (Insn_index.to_list t);
+  check Alcotest.int "cardinal counts kept adds" 2 (Insn_index.cardinal t)
+
+let test_insn_index_invalid () =
+  let t = Insn_index.create insn_ranges in
+  let outside t ~lo ~hi =
+    Alcotest.check_raises
+      (Printf.sprintf "[%#x, %#x) is outside" lo hi)
+      (Invalid_argument "Insn_index.add: outside the table")
+      (fun () -> Insn_index.add t ~lo ~hi)
+  in
+  outside t ~lo:0x1800 ~hi:0x1802;
+  outside t ~lo:0x10fe ~hi:0x1102;
+  outside t ~lo:0x0ffe ~hi:0x1002;
+  outside (Insn_index.create []) ~lo:0 ~hi:1;
+  Alcotest.check_raises "empty instruction"
+    (Invalid_argument "Insn_index.add: bad length") (fun () ->
+      Insn_index.add t ~lo:0x1000 ~hi:0x1000);
+  Alcotest.check_raises "longer than max_len"
+    (Invalid_argument "Insn_index.add: bad length") (fun () ->
+      Insn_index.add t ~lo:0x2000 ~hi:(0x2001 + Insn_index.max_len));
+  check Alcotest.int "nothing recorded" 0 (Insn_index.cardinal t)
+
+(* The reference semantics: the interval map the table replaced, fed
+   instructions first-writer-wins. *)
+let model_add m ~lo ~hi =
+  if not (Interval_map.overlaps m ~lo ~hi) then Interval_map.add m ~lo ~hi ()
+
+let model_list m = List.map (fun (lo, hi, ()) -> (lo, hi)) (Interval_map.to_list m)
+
+(* Small ranges so random instructions overlap, straddle section ends and
+   land in the gap. *)
+let qc_ranges = [ (0, 600); (700, 1300); (1300, 1400) ]
+let in_qc_ranges lo hi = lo >= 0 && ((hi <= 600) || (lo >= 700 && hi <= 1400))
+
+let prop_insn_index_model =
+  QCheck.Test.make ~name:"insn index agrees with the interval-map model" ~count:300
+    QCheck.(list (pair (int_bound 1410) (int_range 1 15)))
+    (fun inserts ->
+      let t = Insn_index.create qc_ranges and m = Interval_map.create () in
+      List.iter
+        (fun (lo, len) ->
+          let hi = lo + len in
+          if in_qc_ranges lo hi then begin
+            Insn_index.add t ~lo ~hi;
+            model_add m ~lo ~hi
+          end
+          else
+            match Insn_index.add t ~lo ~hi with
+            | () -> QCheck.Test.fail_reportf "accepted [%d, %d)" lo hi
+            | exception Invalid_argument _ -> ())
+        inserts;
+      let span = Option.map (fun (lo, hi, ()) -> (lo, hi)) in
+      Insn_index.to_list t = model_list m
+      && Insn_index.cardinal t = Interval_map.cardinal m
+      && List.for_all
+           (fun a ->
+             Insn_index.find t a = span (Interval_map.find m a)
+             && Insn_index.next_from t a = span (Interval_map.next_from m a))
+           (List.init 1420 (fun a -> a - 5)))
+
+(* Forks of forks, each written afterwards: every table must keep
+   exactly its own history (modelled as a list of kept spans), whichever
+   side of a [copy] is mutated. *)
+let prop_insn_index_copy =
+  QCheck.Test.make ~name:"insn index copies are independent" ~count:300
+    QCheck.(list (quad (int_bound 3) (int_bound 7) (int_bound 1390) (int_range 1 10)))
+    (fun ops ->
+      let tables = ref [| (Insn_index.create qc_ranges, []) |] in
+      List.iter
+        (fun (kind, which, lo, len) ->
+          let i = which mod Array.length !tables in
+          let t, kept = !tables.(i) in
+          let hi = lo + len in
+          if kind = 0 then tables := Array.append !tables [| (Insn_index.copy t, kept) |]
+          else if in_qc_ranges lo hi then begin
+            Insn_index.add t ~lo ~hi;
+            if not (List.exists (fun (l, h) -> l < hi && lo < h) kept) then
+              !tables.(i) <- (t, (lo, hi) :: kept)
+          end)
+        ops;
+      Array.for_all
+        (fun (t, kept) ->
+          Insn_index.to_list t = List.sort compare kept
+          && Insn_index.cardinal t = List.length kept)
+        !tables)
 
 let prop_interval_find_consistent =
   QCheck.Test.make ~name:"interval find agrees with naive scan" ~count:200
@@ -292,8 +410,14 @@ let suite =
     Alcotest.test_case "interval map basics" `Quick test_interval_basic;
     Alcotest.test_case "interval map override" `Quick test_interval_override;
     Alcotest.test_case "interval map add_max" `Quick test_interval_add_max;
-    Alcotest.test_case "interval map copy independence" `Quick test_interval_copy;
     Alcotest.test_case "interval map next_from" `Quick test_interval_next_from;
+    Alcotest.test_case "insn index find" `Quick test_insn_index_find;
+    Alcotest.test_case "insn index next_from" `Quick test_insn_index_next_from;
+    Alcotest.test_case "insn index first writer wins" `Quick
+      test_insn_index_first_writer;
+    Alcotest.test_case "insn index rejects bad adds" `Quick test_insn_index_invalid;
+    qcheck prop_insn_index_model;
+    qcheck prop_insn_index_copy;
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
     Alcotest.test_case "prng bounds" `Quick test_prng_bounds;
     Alcotest.test_case "prng weighted" `Quick test_prng_weighted;
