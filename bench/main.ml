@@ -133,7 +133,11 @@ let perf () =
       Fetch_obs.Trace.with_run (fun () ->
           let stripped = Fetch_elf.Image.strip bin.built.image in
           let loaded = Fetch_analysis.Loaded.load stripped in
-          Fetch_core.Pipeline.run_loaded loaded)
+          let r = Fetch_core.Pipeline.run_loaded loaded in
+          (* lint every answer, as batch and serve do; its spans sit
+             beside [pipeline], so the gate's speed factor ignores them *)
+          ignore (Fetch_core.Lint.run r);
+          r)
     in
     (bin.id, r.Fetch_core.Pipeline.starts, report)
   in

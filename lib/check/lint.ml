@@ -32,8 +32,6 @@ type view = {
 let in_blocks f addr =
   List.exists (fun (lo, hi) -> addr >= lo && addr < hi) f.blocks
 
-let is_block_start f addr = List.exists (fun (lo, _) -> lo = addr) f.blocks
-
 (* ---- jump-mid-insn: a direct/cond jump target strictly inside a
    committed instruction.  The committed span table is the run's ground
    truth of instruction boundaries; a jump that lands between [lo] and the
@@ -63,6 +61,56 @@ let rule_jump_mid_insn v emit =
         f.jumps)
     v.funcs
 
+(* ---- the block index, built once per run for [func-overlap] and
+   [jump-mid-func].  Blocks are numbered function by function in [funcs]
+   order, each function's in list order, so of two blocks of the same
+   function the lower number comes first in its [blocks].  [lo], [hi]
+   and [fn] (the owner's position in [owners], the view's [funcs]) are
+   indexed by block number; [order] lists the block numbers sorted by
+   [lo], and [run_max.(i)] is the largest [hi] of [order.(0..i)], so a
+   backward walk for the blocks containing [t] stops at the first
+   position whose running maximum is [<= t].  Empty blocks are kept:
+   they contain nothing, but they still count as block starts. *)
+type index = {
+  owners : func array;
+  lo : int array;
+  hi : int array;
+  fn : int array;
+  order : int array;
+  run_max : int array;
+}
+
+let index_of v =
+  let owners = Array.of_list v.funcs in
+  let n = Array.fold_left (fun n f -> n + List.length f.blocks) 0 owners in
+  let lo = Array.make n 0 and hi = Array.make n 0 and fn = Array.make n 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i f ->
+      List.iter
+        (fun (l, h) ->
+          lo.(!k) <- l;
+          hi.(!k) <- h;
+          fn.(!k) <- i;
+          incr k)
+        f.blocks)
+    owners;
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare lo.(a) lo.(b)) order;
+  let run_max = Array.map (fun b -> hi.(b)) order in
+  for i = 1 to n - 1 do
+    run_max.(i) <- max run_max.(i) run_max.(i - 1)
+  done;
+  { owners; lo; hi; fn; order; run_max }
+
+(* first position in [order], within [a, b), whose block has [lo >= t] *)
+let rec lower_bound ix t a b =
+  if a >= b then a
+  else
+    let m = (a + b) / 2 in
+    if ix.lo.(ix.order.(m)) < t then lower_bound ix t (m + 1) b
+    else lower_bound ix t a m
+
 (* ---- func-overlap: two detected functions decode the same bytes.
    Re-walk each function's instruction boundaries through the shared
    range: agreeing boundaries are legitimate code sharing (Info),
@@ -78,93 +126,130 @@ let boundaries_in v ~from ~lo ~hi =
   in
   walk from []
 
-let rule_func_overlap v emit =
-  let rec pairs = function
-    | [] -> ()
-    | f :: rest ->
-        List.iter
-          (fun g ->
-            (* one finding per pair: the first overlapping block range *)
-            let found = ref false in
-            List.iter
-              (fun (flo, fhi) ->
-                List.iter
-                  (fun (glo, ghi) ->
-                    if not !found then begin
-                      let olo = max flo glo and ohi = min fhi ghi in
-                      if olo < ohi then begin
-                        found := true;
-                        let bf = boundaries_in v ~from:flo ~lo:olo ~hi:ohi in
-                        let bg = boundaries_in v ~from:glo ~lo:olo ~hi:ohi in
-                        if bf = bg then
-                          emit
-                            {
-                              Finding.rule = "func-overlap";
-                              severity = Finding.Info;
-                              addr = olo;
-                              related = Some g.entry;
-                              message =
-                                Printf.sprintf
-                                  "functions %#x and %#x share code (agreeing \
-                                   instruction boundaries)"
-                                  f.entry g.entry;
-                            }
-                        else
-                          emit
-                            {
-                              Finding.rule = "func-overlap";
-                              severity = Finding.Error;
-                              addr = olo;
-                              related = Some g.entry;
-                              message =
-                                Printf.sprintf
-                                  "functions %#x and %#x decode overlapping \
-                                   bytes with different instruction boundaries"
-                                  f.entry g.entry;
-                            }
-                      end
-                    end)
-                  g.blocks)
-              f.blocks)
-          rest;
-        pairs rest
+(* Drop the open blocks that end by the time [c] starts; each one left
+   overlaps [c]. *)
+let rec sweep_open ix note c = function
+  | [] -> []
+  | a :: rest when ix.hi.(a) > ix.lo.(c) ->
+      if ix.fn.(a) <> ix.fn.(c) then note a c;
+      a :: sweep_open ix note c rest
+  | _ :: rest -> sweep_open ix note c rest
+
+(* One finding per function pair [f] before [g], from the pair's first
+   overlapping blocks in [f.blocks] x [g.blocks] order.  A sweep over the
+   blocks in [lo] order keeps those still open at the current [lo]: each
+   one overlaps the current block, and a closed one is dropped for good,
+   so the sweep costs O(B + overlapping pairs) after the sort. *)
+let rule_func_overlap v ix emit =
+  let n = Array.length ix.lo and nf = Array.length ix.owners in
+  (* function pair -> its first overlapping block pair [a * n + c], [a]
+     in [f] and [c] in [g]; block numbers make that the smallest *)
+  let first = Hashtbl.create 8 in
+  let note a c =
+    let a = min a c and c = max a c in
+    let pair = (ix.fn.(a) * nf) + ix.fn.(c) and ac = (a * n) + c in
+    match Hashtbl.find_opt first pair with
+    | Some earlier when earlier <= ac -> ()
+    | _ -> Hashtbl.replace first pair ac
   in
-  pairs v.funcs
+  let open_ = ref [] in
+  for i = 0 to n - 1 do
+    let c = ix.order.(i) in
+    if ix.hi.(c) > ix.lo.(c) then open_ := c :: sweep_open ix note c !open_
+  done;
+  Hashtbl.iter
+    (fun _ ac ->
+      let a = ac / n and c = ac mod n in
+      let f = ix.owners.(ix.fn.(a)) and g = ix.owners.(ix.fn.(c)) in
+      let flo = ix.lo.(a) and glo = ix.lo.(c) in
+      let olo = max flo glo and ohi = min ix.hi.(a) ix.hi.(c) in
+      let agree =
+        boundaries_in v ~from:flo ~lo:olo ~hi:ohi
+        = boundaries_in v ~from:glo ~lo:olo ~hi:ohi
+      in
+      emit
+        {
+          Finding.rule = "func-overlap";
+          severity = (if agree then Finding.Info else Finding.Error);
+          addr = olo;
+          related = Some g.entry;
+          message =
+            (if agree then
+               Printf.sprintf
+                 "functions %#x and %#x share code (agreeing instruction \
+                  boundaries)"
+                 f.entry g.entry
+             else
+               Printf.sprintf
+                 "functions %#x and %#x decode overlapping bytes with \
+                  different instruction boundaries"
+                 f.entry g.entry);
+        })
+    first
 
 (* ---- jump-mid-func: a jump from one function into another's body at an
    address the target function never treats as a block start — the
    paper's error class (iii), a control transfer into the middle of a
    detected function. *)
-let rule_jump_mid_func v emit =
+
+(* [order] positions from [i] on whose block starts at [t] end here *)
+let rec past_starts ix t i =
+  if i < Array.length ix.order && ix.lo.(ix.order.(i)) = t then
+    past_starts ix t (i + 1)
+  else i
+
+(* does function [g] own a block at [order] positions [i, last)? *)
+let rec owns_in ix g i last =
+  i < last && (ix.fn.(ix.order.(i)) = g || owns_in ix g (i + 1) last)
+
+(* The first function in [owners] order, other than the jumping function
+   [fi] (entry [entry]), that [t] lands in mid-body: inside one of its
+   blocks, at none of its block starts ([order] positions [first, last)),
+   not at its entry.  [max_int] when there is none or [t] is inside a
+   block of [fi] itself.  Walks down from position [i] until the running
+   maximum says no earlier block reaches [t]. *)
+let rec mid_owner ix ~fi ~entry t ~first ~last i best =
+  if i < 0 || ix.run_max.(i) <= t then best
+  else
+    let b = ix.order.(i) in
+    let g = ix.fn.(b) in
+    if ix.hi.(b) <= t then mid_owner ix ~fi ~entry t ~first ~last (i - 1) best
+    else if g = fi then max_int
+    else
+      let e = ix.owners.(g).entry in
+      mid_owner ix ~fi ~entry t ~first ~last (i - 1)
+        (if g < best && e <> entry && e <> t && not (owns_in ix g first last)
+         then g
+         else best)
+
+let mid_func_owner ix ~fi ~entry t =
+  let first = lower_bound ix t 0 (Array.length ix.order) in
+  let last = past_starts ix t first in
+  let g = mid_owner ix ~fi ~entry t ~first ~last (last - 1) max_int in
+  if g = max_int then None else Some ix.owners.(g)
+
+let rule_jump_mid_func _v ix emit =
   let seen = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
+  Array.iteri
+    (fun fi f ->
       List.iter
         (fun (site, target) ->
-          List.iter
-            (fun g ->
-              if
-                g.entry <> f.entry && target <> g.entry
-                && in_blocks g target
-                && (not (is_block_start g target))
-                && (not (in_blocks f target))
-                && not (Hashtbl.mem seen (site, target))
-              then begin
-                Hashtbl.replace seen (site, target) ();
-                emit
-                  {
-                    Finding.rule = "jump-mid-func";
-                    severity = Finding.Warning;
-                    addr = site;
-                    related = Some target;
-                    message =
-                      Printf.sprintf
-                        "jump into the middle of detected function %#x" g.entry;
-                  }
-              end)
-            v.funcs)
+          match mid_func_owner ix ~fi ~entry:f.entry target with
+          | Some g when not (Hashtbl.mem seen (site, target)) ->
+              Hashtbl.replace seen (site, target) ();
+              emit
+                {
+                  Finding.rule = "jump-mid-func";
+                  severity = Finding.Warning;
+                  addr = site;
+                  related = Some target;
+                  message =
+                    Printf.sprintf
+                      "jump into the middle of detected function %#x" g.entry;
+                }
+          | _ -> ())
         f.jumps)
-    v.funcs
+    ix.owners
 
 (* ---- fde-unreached: the unwinder claims [lo, hi) is a function, the
    disassembly never decoded (all of) it.  Fully undecoded ranges are
@@ -372,13 +457,13 @@ let rule_split_fn_fde v emit =
 
 let rules =
   [
-    ("jump-mid-insn", rule_jump_mid_insn);
+    ("jump-mid-insn", fun v _ -> rule_jump_mid_insn v);
     ("func-overlap", rule_func_overlap);
     ("jump-mid-func", rule_jump_mid_func);
-    ("fde-unreached", rule_fde_unreached);
-    ("start-callconv", rule_start_callconv);
-    ("height-mismatch", rule_height_mismatch);
-    ("split-fn-fde", rule_split_fn_fde);
+    ("fde-unreached", fun v _ -> rule_fde_unreached v);
+    ("start-callconv", fun v _ -> rule_start_callconv v);
+    ("height-mismatch", fun v _ -> rule_height_mismatch v);
+    ("split-fn-fde", fun v _ -> rule_split_fn_fde v);
   ]
 
 let counters =
@@ -387,10 +472,11 @@ let counters =
 let run v =
   Obs.span "lint" (fun () ->
       let acc = ref [] in
+      let ix = index_of v in
       List.iter
         (fun (name, rule) ->
           Obs.span ("lint." ^ name) (fun () ->
-              rule v (fun f ->
+              rule v ix (fun f ->
                   Obs.incr (List.assoc name counters);
                   acc := f :: !acc)))
         rules;

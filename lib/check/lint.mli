@@ -3,29 +3,41 @@
     The pipeline's layers — the [.eh_frame] CFA tables, the recursive
     disassembly, the §IV-E checks, Algorithm 1 — each make claims about
     the same bytes.  The linter cross-examines those claims after a run
-    and emits a {!Finding.t} per disagreement.  Rule catalogue:
+    and emits a {!Finding.t} per disagreement.  Rule catalogue, with each
+    rule's cost in [B] blocks, [J] jumps and [D] FDEs:
 
     - [func-overlap] — two detected functions decode the same bytes with
       disagreeing instruction boundaries ([Error]); agreeing boundaries
-      (shared code) are reported as [Info].
+      (shared code) are reported as [Info].  At most one finding per
+      function pair, from its first overlapping block pair in block-list
+      order.  A sweep over a block index sorted by start:
+      O(B log B + overlapping block pairs), plus one boundary walk per
+      finding.
     - [jump-mid-insn] — a direct/conditional jump lands strictly inside a
-      committed instruction ([Error]).
+      committed instruction ([Error]).  O(J).
     - [jump-mid-func] — a jump from one function lands inside another
       detected function's body at an address that function never treats
-      as a block start ([Warning]; the paper's error class iii).
+      as a block start ([Warning]; the paper's error class iii).  At most
+      one finding per (site, target), naming the first such function.
+      One stabbing query on the same index per jump: O(J log B), plus
+      the blocks that contain the target.
     - [fde-unreached] — an FDE-covered byte range the recursive
       disassembly never decoded at all ([Warning]); partially decoded
-      ranges (e.g. landing pads outside the CFG) are [Info].
+      ranges (e.g. landing pads outside the CFG) are [Info].  A walk over
+      the committed instructions of each FDE range.
     - [start-callconv] — a kept function start that fails the §IV-E
-      register-initialization lattice ([Warning]).
+      register-initialization lattice ([Warning]).  One §IV-E dataflow
+      solve per function.
     - [height-mismatch] — a sound join-based stack-height dataflow (run on
       {!Dataflow.Join_fixpoint}) disagrees with the CFI height oracle
-      inside rsp-complete CFI coverage ([Warning]).
+      inside rsp-complete CFI coverage ([Warning]).  One solve per
+      function whose entry has complete CFI.
     - [split-fn-fde] — a kept function jumps out of its blocks to an FDE
       start that nothing but its own jumps references, and that FDE
       begins at the jump site's nonzero CFI height: the FDE describes a
       split-off fragment of the function, not a function ([Warning];
       Fig. 6b's non-contiguous case, the one Algorithm 1 merges).
+      O(D + J) table lookups plus one reference query per candidate.
 
     The linter consumes a {!view} — plain data plus closures — so it
     depends on no particular pipeline; [Fetch_core.Lint] adapts a

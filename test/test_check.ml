@@ -1,8 +1,9 @@
 (* Tests for fetch.check: the shared worklist dataflow engine (merge
    disciplines, fuel, fatal verdicts, edge hooks) and the cross-layer
    consistency linter (each rule against a fabricated inconsistency, the
-   split-function rule against synth ground truth, and the whole report
-   against golden files). *)
+   indexed rules against their pairwise model, the split-function rule
+   against synth ground truth, and the whole report against golden
+   files). *)
 
 open Fetch_x86
 open Fetch_analysis
@@ -358,6 +359,257 @@ let test_lint_jump_mid_func () =
       check (Alcotest.option Alcotest.int) "target recorded" (Some gm) f.related
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
+(* --- func-overlap and jump-mid-func against their pairwise definitions ---
+   The reference model is the rules' pairwise definition: every
+   function pair compared block by block, every jump checked against
+   every function.  The indexed rules must reproduce it finding for
+   finding, messages included. *)
+
+(* A view over fabricated functions only: every address starts an
+   instruction of 1 to 3 bytes (none at [a mod 23 = 22]), so walks from
+   two block starts sometimes fall into step and sometimes not.  No text,
+   FDEs or CFI, so every other rule stays silent. *)
+let fabricated_view funcs =
+  {
+    Lint.insn_at =
+      (fun a ->
+        if a mod 23 = 22 then None
+        else
+          let len = 1 + (a * a mod 3) in
+          Some (I.Nop len, len));
+    in_text = (fun _ -> false);
+    funcs;
+    insn_spans = Fetch_util.Insn_index.create [];
+    fdes = [];
+    complete_cfi = [];
+    oracle_height = (fun _ -> None);
+    entry_height = (fun _ -> None);
+    callconv_ok = (fun _ -> true);
+    call_returns = (fun ~site:_ ~target:_ -> true);
+    referenced_outside_jumps_of = (fun ~entry:_ _ -> false);
+    resolve_indirect = (fun ~site:_ ~window:_ _ -> None);
+  }
+
+let model_boundaries (v : Lint.view) ~from ~lo ~hi =
+  let rec walk addr acc =
+    if addr >= hi then List.rev acc
+    else
+      match v.insn_at addr with
+      | Some (_, len) ->
+          walk (addr + len) (if addr >= lo then addr :: acc else acc)
+      | None -> List.rev acc
+  in
+  walk from []
+
+let model_func_overlap (v : Lint.view) =
+  let first_overlap (f : Lint.func) (g : Lint.func) =
+    List.find_map
+      (fun (flo, fhi) ->
+        List.find_map
+          (fun (glo, ghi) ->
+            let olo = max flo glo and ohi = min fhi ghi in
+            if olo < ohi then Some (flo, glo, olo, ohi) else None)
+          g.blocks)
+      f.blocks
+  in
+  let rec pairs acc = function
+    | [] -> acc
+    | (f : Lint.func) :: rest ->
+        let found =
+          List.filter_map
+            (fun (g : Lint.func) ->
+              Option.map
+                (fun (flo, glo, olo, ohi) ->
+                  let agree =
+                    model_boundaries v ~from:flo ~lo:olo ~hi:ohi
+                    = model_boundaries v ~from:glo ~lo:olo ~hi:ohi
+                  in
+                  {
+                    Finding.rule = "func-overlap";
+                    severity = (if agree then Finding.Info else Finding.Error);
+                    addr = olo;
+                    related = Some g.entry;
+                    message =
+                      (if agree then
+                         Printf.sprintf
+                           "functions %#x and %#x share code (agreeing \
+                            instruction boundaries)"
+                           f.entry g.entry
+                       else
+                         Printf.sprintf
+                           "functions %#x and %#x decode overlapping bytes \
+                            with different instruction boundaries"
+                           f.entry g.entry);
+                  })
+                (first_overlap f g))
+            rest
+        in
+        pairs (found @ acc) rest
+  in
+  pairs [] v.funcs
+
+let model_jump_mid_func (v : Lint.view) =
+  let in_blocks (f : Lint.func) a =
+    List.exists (fun (lo, hi) -> a >= lo && a < hi) f.blocks
+  in
+  let is_block_start (f : Lint.func) a =
+    List.exists (fun (lo, _) -> lo = a) f.blocks
+  in
+  let seen = Hashtbl.create 16 and out = ref [] in
+  List.iter
+    (fun (f : Lint.func) ->
+      List.iter
+        (fun (site, target) ->
+          List.iter
+            (fun (g : Lint.func) ->
+              if
+                g.entry <> f.entry && target <> g.entry && in_blocks g target
+                && (not (is_block_start g target))
+                && (not (in_blocks f target))
+                && not (Hashtbl.mem seen (site, target))
+              then begin
+                Hashtbl.replace seen (site, target) ();
+                out :=
+                  {
+                    Finding.rule = "jump-mid-func";
+                    severity = Finding.Warning;
+                    addr = site;
+                    related = Some target;
+                    message =
+                      Printf.sprintf
+                        "jump into the middle of detected function %#x" g.entry;
+                  }
+                  :: !out
+              end)
+            v.funcs)
+        f.jumps)
+    v.funcs;
+  !out
+
+(* Random functions over a small address space, so blocks collide often:
+   fresh, empty, nested in, adjacent to and duplicates of earlier blocks.
+   Jumps land on entries, block starts, mid-block and outside every
+   block, and some repeat an earlier function's (site, target). *)
+let gen_funcs st =
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let blocks = ref [] in
+  let block () =
+    let b =
+      match (int 0 4, !blocks) with
+      | 1, _ ->
+          let lo = int 0 60 in
+          (lo, lo)
+      | 2, (_ :: _ as bs) ->
+          let lo, hi = pick bs in
+          let a = int lo (max lo (hi - 1)) in
+          (a, int a hi)
+      | 3, (_ :: _ as bs) ->
+          let _, hi = pick bs in
+          (hi, hi + int 1 8)
+      | 4, (_ :: _ as bs) -> pick bs
+      | _ ->
+          let lo = int 0 60 in
+          (lo, lo + int 1 12)
+    in
+    blocks := b :: !blocks;
+    b
+  in
+  let shells =
+    List.init (int 0 6) (fun _ ->
+        let bs = List.init (int 0 4) (fun _ -> block ()) in
+        let entry =
+          match bs with (lo, _) :: _ when int 0 2 > 0 -> lo | _ -> int 0 64
+        in
+        (entry, bs))
+  in
+  let jumps = ref [] in
+  let target () =
+    match (int 0 3, !blocks) with
+    | 0, _ when shells <> [] -> fst (pick shells)
+    | 1, (_ :: _ as bs) -> fst (pick bs)
+    | 2, (_ :: _ as bs) ->
+        let lo, hi = pick bs in
+        if hi - lo >= 2 then int (lo + 1) (hi - 1) else lo
+    | _ -> int 80 90
+  in
+  let jump () =
+    let j =
+      match !jumps with
+      | _ :: _ as js when int 0 3 = 0 -> pick js
+      | _ -> (int 0 70, target ())
+    in
+    jumps := j :: !jumps;
+    j
+  in
+  List.map
+    (fun (entry, blocks) ->
+      { Lint.entry; blocks; jumps = List.init (int 0 4) (fun _ -> jump ()) })
+    shells
+
+let print_funcs funcs =
+  let pairs l =
+    String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "(%d, %d)" a b) l)
+  in
+  String.concat "\n"
+    (List.map
+       (fun (f : Lint.func) ->
+         Printf.sprintf "entry %d blocks [%s] jumps [%s]" f.entry
+           (pairs f.blocks) (pairs f.jumps))
+       funcs)
+
+let prop_indexed_rules_match_model =
+  QCheck.Test.make ~name:"lint: indexed rules == pairwise model" ~count:2000
+    (QCheck.make ~print:print_funcs gen_funcs)
+    (fun funcs ->
+      let v = fabricated_view funcs in
+      let want =
+        List.sort Finding.compare (model_func_overlap v @ model_jump_mid_func v)
+      in
+      let got = Lint.run v in
+      if got <> want then
+        QCheck.Test.fail_reportf "indexed:\n%s\nmodel:\n%s"
+          (String.concat "\n" (List.map Finding.to_string got))
+          (String.concat "\n" (List.map Finding.to_string want));
+      true)
+
+(* The finding comes from the first overlapping pair in [f.blocks] order,
+   even when a later pair overlaps at a lower address. *)
+let test_lint_func_overlap_first_pair () =
+  let funcs =
+    [
+      { Lint.entry = 0x40; blocks = [ (0x40, 0x48); (0x10, 0x18) ]; jumps = [] };
+      { Lint.entry = 0x10; blocks = [ (0x10, 0x18); (0x44, 0x50) ]; jumps = [] };
+    ]
+  in
+  match findings_of "func-overlap" (Lint.run (fabricated_view funcs)) with
+  | [ f ] ->
+      check Alcotest.int "at the first pair's overlap" 0x44 f.addr;
+      check (Alcotest.option Alcotest.int) "names g" (Some 0x10) f.related
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
+(* Two functions share one (site, target) into a third body: one finding,
+   naming the first function that qualifies.  The function at 0x30 comes
+   earlier but starts a block at the target, so 0x20 is named. *)
+let test_lint_jump_mid_func_shared_jump () =
+  let jump = (0x5, 0x24) in
+  let funcs =
+    [
+      { Lint.entry = 0x0; blocks = [ (0x0, 0x8) ]; jumps = [ jump ] };
+      { Lint.entry = 0x8; blocks = [ (0x8, 0x10) ]; jumps = [ jump ] };
+      { Lint.entry = 0x30; blocks = [ (0x20, 0x28); (0x24, 0x26) ]; jumps = [] };
+      { Lint.entry = 0x20; blocks = [ (0x20, 0x2c) ]; jumps = [] };
+      { Lint.entry = 0x22; blocks = [ (0x22, 0x28) ]; jumps = [] };
+    ]
+  in
+  match findings_of "jump-mid-func" (Lint.run (fabricated_view funcs)) with
+  | [ f ] ->
+      check Alcotest.int "at the site" 0x5 f.addr;
+      check (Alcotest.option Alcotest.int) "target" (Some 0x24) f.related;
+      check Alcotest.string "names the first qualifying function"
+        "jump into the middle of detected function 0x20" f.message
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
 let test_lint_fde_unreached () =
   let loaded, asm =
     loaded_of
@@ -704,6 +956,11 @@ let suite =
     Alcotest.test_case "lint: func-overlap (disagreeing)" `Quick test_lint_func_overlap_disagreeing;
     Alcotest.test_case "lint: func-overlap (agreeing)" `Quick test_lint_func_overlap_agreeing;
     Alcotest.test_case "lint: jump-mid-func" `Quick test_lint_jump_mid_func;
+    Alcotest.test_case "lint: func-overlap names the first block pair" `Quick
+      test_lint_func_overlap_first_pair;
+    Alcotest.test_case "lint: jump-mid-func, one finding per shared jump"
+      `Quick test_lint_jump_mid_func_shared_jump;
+    QCheck_alcotest.to_alcotest prop_indexed_rules_match_model;
     Alcotest.test_case "lint: fde-unreached" `Quick test_lint_fde_unreached;
     Alcotest.test_case "lint: fde partially reached" `Quick test_lint_fde_partially_reached;
     Alcotest.test_case "lint: start-callconv" `Quick test_lint_start_callconv;
