@@ -31,12 +31,11 @@ type t = {
   cache : (int, (Fetch_x86.Insn.t * int) option) Hashtbl.t;
 }
 
-(* [eh] short-circuits the [.eh_frame] decode with an already-decoded
-   section (the serve cache's second-level hit: a re-linked binary whose
-   CFI bytes are unchanged).  The caller owns the equivalence claim —
-   the record must be exactly what [Eh_frame.of_image image] would
-   return; parse-health counters are replayed from it either way so a
-   cached load meters identically to a fresh one. *)
+(* [eh] short-circuits the [.eh_frame] decode with a section the caller
+   decoded itself (to time that stage apart).  The caller owns the
+   equivalence claim — the record must be exactly what
+   [Eh_frame.of_image image] returns; parse-health counters are replayed
+   from it either way so such a load meters identically to a plain one. *)
 let load ?eh image =
   let exec = Image.exec_sections image in
   let eh =
@@ -115,8 +114,8 @@ let text_bounds t =
            (lo, hi) rest)
 
 (** Does an FDE begin exactly at [addr]?  Binary search over the sorted
-    starts of {e every} FDE — not [Height_oracle.fde_starting_at], which
-    drops FDEs with unsupported CFI, empty ranges or overridden
+    starts of {e every} FDE — not the height oracle's entries, which
+    drop FDEs with unsupported CFI, empty ranges or overridden
     overlaps. *)
 let fde_starting_at t addr =
   let a = t.fde_start_array in

@@ -17,12 +17,10 @@ type t = {
 }
 
 (** [load ?eh image] builds the analysis view.  [eh] substitutes an
-    already-decoded [.eh_frame] for the decode stage (the serve cache's
-    second-level hit); it must be exactly what [Eh_frame.of_image image]
-    would return — decodes that followed [DW_EH_PE_indirect] pointers
-    ([indirect_derefs > 0]) read other sections and are not safe to
-    substitute across binaries.  Parse-health counters are replayed
-    from the record either way. *)
+    already-decoded [.eh_frame] for the decode stage, so a caller can
+    time that decode as a layer of its own; it must be exactly what
+    [Eh_frame.of_image image] returns.  Parse-health counters are
+    replayed from the record either way. *)
 val load : ?eh:Fetch_dwarf.Eh_frame.decoded -> Fetch_elf.Image.t -> t
 
 (** Decode (memoized) the instruction at a virtual address. *)

@@ -27,15 +27,7 @@ let item_of_file path =
    batch report carries the cross-binary distribution (p50/p90/p99). *)
 let h_binary_wall_ms = Obs.histogram "batch.binary_wall_ms"
 
-type analysis = {
-  starts : int list;
-  n_seeds : int;
-  records_ok : int;
-  records_skipped : int;
-  diags : string list;
-  findings : Fetch_check.Finding.t list;
-  report : Obs.report;
-}
+type analysis = { summary : Summary.t; report : Obs.report }
 
 type outcome = (analysis, Pool.failure) result
 
@@ -49,27 +41,17 @@ type t = {
 }
 
 let analyze ?config ~lint item =
-  let (r, findings), report =
+  let summary, report =
     Obs.with_run (fun () ->
-        let out, secs =
+        let summary, secs =
           Fetch_obs.Clock.time_s (fun () ->
-              let loaded = item.load () in
-              let r = Pipeline.run_loaded ?config loaded in
-              let findings = if lint then Lint.run r else [] in
-              (r, findings))
+              Summary.of_result ~lint
+                (Pipeline.run_loaded ?config (item.load ())))
         in
         Obs.observe h_binary_wall_ms (int_of_float (secs *. 1e3));
-        out)
+        summary)
   in
-  {
-    starts = r.Pipeline.starts;
-    n_seeds = List.length r.Pipeline.final_seeds;
-    records_ok = r.Pipeline.eh_frame.records_ok;
-    records_skipped = r.Pipeline.eh_frame.records_skipped;
-    diags = List.map Fetch_dwarf.Diag.to_string r.Pipeline.eh_frame.diags;
-    findings;
-    report;
-  }
+  { summary; report }
 
 let run ?domains ?config ?(lint = true) items =
   Pool.with_pool ?domains @@ fun pool ->
@@ -106,7 +88,7 @@ let text t =
   List.iter
     (fun (id, outcome) ->
       match outcome with
-      | Ok a ->
+      | Ok { summary = a; _ } ->
           Buffer.add_string buf
             (Printf.sprintf
                "%-40s %5d starts  eh_frame %d ok/%d skipped  %d finding%s\n" id
@@ -148,7 +130,7 @@ let json_lines ?(timings = true) t =
   List.iter
     (fun (id, outcome) ->
       match outcome with
-      | Ok a ->
+      | Ok { summary = a; _ } ->
           Buffer.add_string buf
             (Printf.sprintf
                "{\"type\":\"binary\",\"id\":%s,\"status\":\"ok\",\"starts\":[%s],\"seeds\":%d,\"records_ok\":%d,\"records_skipped\":%d,\"diags\":[%s],\"findings\":[%s]}\n"

@@ -22,14 +22,10 @@ val item_of_raw : string -> string -> item
 (** Item that reads and decodes [path] when the task runs. *)
 val item_of_file : string -> item
 
-(** One binary's successful analysis. *)
+(** One binary's successful analysis: the same answer record the serve
+    daemon renders, plus this binary's trace. *)
 type analysis = {
-  starts : int list;  (** final detected function starts, ascending *)
-  n_seeds : int;  (** size of the final seed set *)
-  records_ok : int;  (** [.eh_frame] records decoded *)
-  records_skipped : int;  (** [.eh_frame] records dropped by recovery *)
-  diags : string list;  (** rendered parse diagnostics *)
-  findings : Fetch_check.Finding.t list;  (** lint findings (if enabled) *)
+  summary : Summary.t;  (** findings are empty when lint is off *)
   report : Fetch_obs.Trace.report;  (** this binary's spans and counters *)
 }
 

@@ -24,9 +24,6 @@ type config = {
       (** stack-height source for Algorithm 1 (CFI oracle in the paper;
           a static analysis for the §V-B ablation) *)
   engine : Recursive.config;
-  xref_strategy : Xref.strategy;
-      (** incremental per-round extension (default) or the from-scratch
-          rescan it is differentially tested against *)
 }
 
 let default_config =
@@ -37,7 +34,6 @@ let default_config =
     fix_fde_errors = true;
     alg1_heights = Tailcall.Cfi_oracle;
     engine = Recursive.safe_config;
-    xref_strategy = Xref.Incremental;
   }
 
 (* The seed set both detection passes start from: FDE starts plus
@@ -97,8 +93,7 @@ let run_loaded ?(config = default_config) loaded =
   let res, seeds =
     if config.recursive then
       if config.xref then
-        Xref.detect ~config:config.engine ~strategy:config.xref_strategy loaded
-          ~seeds
+        Xref.detect ~config:config.engine loaded ~seeds
       else (Recursive.run ~config:config.engine loaded ~seeds, seeds)
     else
       (* degenerate engine run that only registers the seed entries *)
@@ -184,8 +179,7 @@ let run_loaded ?(config = default_config) loaded =
         in
         let res', seeds' =
           if config.xref then
-            Xref.detect ~config:config.engine ~strategy:config.xref_strategy
-              loaded ~seeds:seeds'
+            Xref.detect ~config:config.engine loaded ~seeds:seeds'
           else (Recursive.run ~config:config.engine loaded ~seeds:seeds', seeds')
         in
         (res', seeds', Refs.collect loaded res')

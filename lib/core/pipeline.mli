@@ -13,9 +13,6 @@ type config = {
   alg1_heights : Tailcall.height_source;
       (** stack-height source for Algorithm 1 (CFI oracle in the paper) *)
   engine : Fetch_analysis.Recursive.config;
-  xref_strategy : Xref.strategy;
-      (** incremental per-round extension (default) or the from-scratch
-          rescan it is differentially tested against *)
 }
 
 val default_config : config

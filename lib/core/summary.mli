@@ -1,11 +1,12 @@
-(** Serialization of a finished pipeline run for the serve cache.
+(** The answer record of a finished pipeline run, shared by
+    {!Batch} and the serve daemon.
 
-    A {!t} is the part of {!Pipeline.result} a client of the analysis
-    service gets back: the detected starts, the seed census, [.eh_frame]
-    parse health, rendered diagnostics and (optionally) the cross-layer
-    lint findings.  {!to_json} is deterministic — same run, same bytes —
-    which is what lets the serve daemon cache the serialized form and
-    hand back byte-identical responses on cache hits. *)
+    A {!t} is the part of {!Pipeline.result} a client gets back: the
+    detected starts, the seed census, [.eh_frame] parse health, rendered
+    diagnostics and (optionally) the cross-layer lint findings.
+    {!to_json} is deterministic — same run, same bytes — which is what
+    lets the serve daemon cache the serialized form and hand back
+    byte-identical responses on cache hits. *)
 
 type t = {
   starts : int list;  (** final detected function starts, ascending *)

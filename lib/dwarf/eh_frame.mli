@@ -54,9 +54,8 @@ type decoded = {
   records_skipped : int;
   indirect_derefs : int;
       (** how many DW_EH_PE_indirect pointers were resolved: a decode
-          that followed none is a pure function of the section's
-          (address, bytes) pair, which is what lets the serve cache
-          share it between binaries whose [.eh_frame] is identical *)
+          that followed any read other sections too, so it is not a pure
+          function of the section's (address, bytes) pair *)
 }
 
 (** Inverse of {!encode} — and **total**: no input byte string makes it

@@ -63,8 +63,3 @@ let height_at_unchecked t addr =
     test — the ranges where {!height_at} answers. *)
 let iter_complete t f =
   Interval_map.iter t.map (fun ~lo ~hi e -> if e.complete then f ~lo ~hi)
-
-let fde_starting_at t addr =
-  match Interval_map.starts_at t.map addr with
-  | Some (_, e) -> Some e.fde
-  | None -> None

@@ -35,6 +35,3 @@ val height_at_unchecked : t -> int -> int option
 (** Iterate every FDE-covered range [\[lo, hi)] whose CFI passes the
     completeness test — the ranges where {!height_at} answers. *)
 val iter_complete : t -> (lo:int -> hi:int -> unit) -> unit
-
-(** The FDE beginning exactly at [addr], if any. *)
-val fde_starting_at : t -> int -> Eh_frame.fde option

@@ -1,4 +1,4 @@
-(** Two-level content-addressed LRU cache — semantics in the mli. *)
+(** Content-addressed LRU cache — semantics in the mli. *)
 
 module Obs = Fetch_obs.Trace
 
@@ -8,27 +8,17 @@ module Obs = Fetch_obs.Trace
    it into instrumented runs. *)
 let c_hit = Obs.counter "serve.cache.hit"
 let c_miss = Obs.counter "serve.cache.miss"
-let c_eh_hit = Obs.counter "serve.cache.eh_hit"
 let c_evict = Obs.counter "serve.cache.evictions"
 
 type key = string
 
 let binary_key bytes = Digest.to_hex (Digest.string bytes)
 
-let eh_key img =
-  match Fetch_elf.Image.section img ".eh_frame" with
-  | None -> None
-  | Some s ->
-      Some (Digest.to_hex (Digest.string (string_of_int s.addr ^ ":" ^ s.data)))
-
-type value = Payload of string | Eh of Fetch_dwarf.Eh_frame.decoded
-
 (* Intrusive doubly-linked LRU list, most-recent at [head].  [prev]
    points toward the head. *)
 type node = {
   nkey : string;
-  value : value;
-  size : int;
+  payload : string;
   mutable prev : node option;
   mutable next : node option;
 }
@@ -41,7 +31,6 @@ type t = {
   mutable bytes : int;
   mutable hits : int;
   mutable misses : int;
-  mutable eh_hits : int;
   mutable evictions : int;
   mutable rejected_oversize : int;
 }
@@ -55,7 +44,6 @@ let create ~max_bytes =
     bytes = 0;
     hits = 0;
     misses = 0;
-    eh_hits = 0;
     evictions = 0;
     rejected_oversize = 0;
   }
@@ -84,60 +72,40 @@ let evict_lru t =
   | Some n ->
       unlink t n;
       Hashtbl.remove t.tbl n.nkey;
-      t.bytes <- t.bytes - n.size;
+      t.bytes <- t.bytes - String.length n.payload;
       t.evictions <- t.evictions + 1;
       Obs.incr c_evict
 
-(* The two levels share the key space via a tag prefix, so a binary
-   digest and an eh digest can never collide. *)
-let bin_tag k = "bin:" ^ k
-let eh_tag k = "eh:" ^ k
-
-let insert t key value size =
+let add t key payload =
+  let size = String.length payload in
   if size > t.max_bytes then t.rejected_oversize <- t.rejected_oversize + 1
   else begin
     (match Hashtbl.find_opt t.tbl key with
     | Some old ->
         unlink t old;
         Hashtbl.remove t.tbl key;
-        t.bytes <- t.bytes - old.size
+        t.bytes <- t.bytes - String.length old.payload
     | None -> ());
     while t.bytes + size > t.max_bytes do
       evict_lru t
     done;
-    let n = { nkey = key; value; size; prev = None; next = None } in
+    let n = { nkey = key; payload; prev = None; next = None } in
     Hashtbl.replace t.tbl key n;
     push_front t n;
     t.bytes <- t.bytes + size
   end
 
 let find t key =
-  match Hashtbl.find_opt t.tbl (bin_tag key) with
-  | Some ({ value = Payload p; _ } as n) ->
+  match Hashtbl.find_opt t.tbl key with
+  | Some n ->
       touch t n;
       t.hits <- t.hits + 1;
       Obs.incr c_hit;
-      Some p
-  | _ ->
+      Some n.payload
+  | None ->
       t.misses <- t.misses + 1;
       Obs.incr c_miss;
       None
-
-let add t key payload = insert t (bin_tag key) (Payload payload) (String.length payload)
-
-let find_eh t key =
-  match Hashtbl.find_opt t.tbl (eh_tag key) with
-  | Some ({ value = Eh eh; _ } as n) ->
-      touch t n;
-      t.eh_hits <- t.eh_hits + 1;
-      Obs.incr c_eh_hit;
-      Some eh
-  | _ -> None
-
-let add_eh t key ~size (eh : Fetch_dwarf.Eh_frame.decoded) =
-  (* an indirect pointer was read through other sections: this decode is
-     not a function of the .eh_frame bytes alone and must not be shared *)
-  if eh.indirect_derefs = 0 then insert t (eh_tag key) (Eh eh) (max 1 size)
 
 type stats = {
   entries : int;
@@ -145,7 +113,6 @@ type stats = {
   max_bytes : int;
   hits : int;
   misses : int;
-  eh_hits : int;
   evictions : int;
   rejected_oversize : int;
 }
@@ -157,7 +124,6 @@ let stats t =
     max_bytes = t.max_bytes;
     hits = t.hits;
     misses = t.misses;
-    eh_hits = t.eh_hits;
     evictions = t.evictions;
     rejected_oversize = t.rejected_oversize;
   }
@@ -165,6 +131,6 @@ let stats t =
 let stats_json t =
   let s = stats t in
   Printf.sprintf
-    "{\"entries\":%d,\"bytes\":%d,\"max_bytes\":%d,\"hits\":%d,\"misses\":%d,\"eh_hits\":%d,\"evictions\":%d,\"rejected_oversize\":%d}"
-    s.entries s.bytes s.max_bytes s.hits s.misses s.eh_hits s.evictions
+    "{\"entries\":%d,\"bytes\":%d,\"max_bytes\":%d,\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"rejected_oversize\":%d}"
+    s.entries s.bytes s.max_bytes s.hits s.misses s.evictions
     s.rejected_oversize

@@ -1,66 +1,38 @@
 (** Content-addressed analysis cache with an LRU byte budget.
 
-    Two levels, one budget:
+    One level: entries are keyed by the digest of the whole binary's
+    bytes and hold the serialized {!Fetch_core.Summary} payload.  A hit
+    answers the request without touching the pipeline at all; a miss
+    runs the whole pipeline, [.eh_frame] decode included.
 
-    - {e result} entries — keyed by the digest of the whole binary's
-      bytes, holding the serialized {!Fetch_core.Summary} payload.  A
-      hit answers the request without touching the pipeline at all.
-    - {e eh} entries — keyed by the digest of the [.eh_frame] section's
-      (virtual address, bytes) pair, holding the decoded section.  A
-      re-linked binary with unchanged CFI misses the result level but
-      hits here and skips the [.eh_frame] decode stage.  Only decodes
-      with [indirect_derefs = 0] are stored: an indirect pointer reads
-      {e other} sections, so such a decode is not a function of the
-      [.eh_frame] bytes alone.
-
-    Both levels share one LRU list and one byte budget; inserting past
-    the budget evicts least-recently-used entries (of either kind)
-    until the new entry fits.  An entry larger than the whole budget is
-    not stored.  Sizes are the payload's string length for result
-    entries and the section's byte length for eh entries (the decoded
-    structure is proportional to it).
+    Inserting past the budget evicts least-recently-used entries until
+    the new entry fits.  An entry larger than the whole budget is not
+    stored.  An entry is charged its payload's string length, which is
+    all the entry holds, so the budget bounds the cached bytes.
 
     Not thread-safe: the serve engine confines every access to its
     dispatch thread. *)
 
 type t
 
-(** Cache keys are hex digests — derive them with {!binary_key} /
-    {!eh_key}. *)
+(** Cache keys are hex digests — derive them with {!binary_key}. *)
 type key = string
 
 (** Digest of a whole binary's bytes. *)
 val binary_key : string -> key
 
-(** Digest of the [.eh_frame] section's (address, bytes) pair; [None]
-    when the image has no [.eh_frame] section (nothing to share). *)
-val eh_key : Fetch_elf.Image.t -> key option
-
 val create : max_bytes:int -> t
-
-(** {2 Result level} *)
-
 val find : t -> key -> string option
 val add : t -> key -> string -> unit
-
-(** {2 eh level} *)
-
-val find_eh : t -> key -> Fetch_dwarf.Eh_frame.decoded option
-
-(** [add_eh t k ~size eh] stores the decode; no-op when
-    [eh.indirect_derefs > 0] (see above) — callers don't need to
-    check. *)
-val add_eh : t -> key -> size:int -> Fetch_dwarf.Eh_frame.decoded -> unit
 
 (** {2 Introspection} *)
 
 type stats = {
-  entries : int;  (** live entries, both levels *)
-  bytes : int;  (** charged bytes, both levels *)
+  entries : int;  (** live entries *)
+  bytes : int;  (** charged bytes *)
   max_bytes : int;
-  hits : int;  (** result-level hits *)
-  misses : int;  (** result-level misses *)
-  eh_hits : int;
+  hits : int;
+  misses : int;
   evictions : int;  (** entries evicted by the byte budget *)
   rejected_oversize : int;  (** inserts skipped: entry alone > budget *)
 }

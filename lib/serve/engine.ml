@@ -37,19 +37,15 @@ let default_config =
     worker_gate = None;
   }
 
-(* What a pool task hands back: the serialized summary plus the decoded
-   .eh_frame (for the eh cache level), or a cooperative timeout. *)
-type task_out =
-  | Done of { payload : string; eh : Fetch_dwarf.Eh_frame.decoded }
-  | Timed_out
+(* What a pool task hands back: the serialized summary, or a
+   cooperative timeout. *)
+type task_out = Done of string | Timed_out
 
 type slot_state =
   | Ready of string  (* rendered response *)
   | Running of {
       fut : (task_out * Obs.report option) Pool.future;
       bin_key : Cache.key;
-      eh_store : (Cache.key * int) option;
-          (* eh level missed at submit: store the decode on completion *)
     }
 
 type slot = {
@@ -147,14 +143,11 @@ let observe_latency t (s : slot) =
 (* Resolve a Running slot from its task outcome: render the response,
    bump the right counter, and write back into the cache.  Dispatch
    thread only. *)
-let finalize t (s : slot) bin_key eh_store outcome =
+let finalize t (s : slot) bin_key outcome =
   let response =
     match outcome with
-    | Pool.Value (Done { payload; eh }, report) ->
+    | Pool.Value (Done payload, report) ->
         Cache.add t.cache bin_key payload;
-        (match eh_store with
-        | Some (k, size) -> Cache.add_eh t.cache k ~size eh
-        | None -> ());
         (match report with
         | Some r -> t.reports <- r :: t.reports
         | None -> ());
@@ -191,9 +184,9 @@ let refresh t =
     (fun s ->
       match s.s_state with
       | Ready _ -> ()
-      | Running { fut; bin_key; eh_store } -> (
+      | Running { fut; bin_key } -> (
           match Pool.poll fut with
-          | Some outcome -> finalize t s bin_key eh_store outcome
+          | Some outcome -> finalize t s bin_key outcome
           | None -> incr in_flight))
     t.slots;
   !in_flight
@@ -274,38 +267,21 @@ let submit_analyze t id (a : P.analyze) =
                   | None -> false
                   | Some d -> Clock.now_ns () >= d
                 in
-                let eh, eh_store =
-                  match Cache.eh_key image with
-                  | None -> (None, None)
-                  | Some k -> (
-                      match Cache.find_eh t.cache k with
-                      | Some d -> (Some d, None)
-                      | None ->
-                          let size =
-                            match Fetch_elf.Image.section image ".eh_frame" with
-                            | Some s -> String.length s.data
-                            | None -> 0
-                          in
-                          (None, Some (k, size)))
-                in
                 let gate = t.cfg.worker_gate in
                 let capture = t.cfg.capture_reports in
                 let body () =
                   (match gate with Some g -> g () | None -> ());
                   if expired () then Timed_out
                   else
-                    let loaded = Fetch_analysis.Loaded.load ?eh image in
+                    let loaded = Fetch_analysis.Loaded.load image in
                     if expired () then Timed_out
                     else
                       let r = Fetch_core.Pipeline.run_loaded loaded in
                       if expired () then Timed_out
                       else
-                        let summary = Fetch_core.Summary.of_result r in
                         Done
-                          {
-                            payload = Fetch_core.Summary.to_json summary;
-                            eh = r.eh_frame;
-                          }
+                          (Fetch_core.Summary.to_json
+                             (Fetch_core.Summary.of_result r))
                 in
                 let task () =
                   if capture then
@@ -321,7 +297,7 @@ let submit_analyze t id (a : P.analyze) =
                     s_id = id;
                     s_want = a.want;
                     s_start = start;
-                    s_state = Running { fut; bin_key; eh_store };
+                    s_state = Running { fut; bin_key };
                   }
                   t.slots))
 
@@ -364,8 +340,7 @@ let flush t =
     | Some s ->
         (match s.s_state with
         | Ready _ -> ()
-        | Running { fut; bin_key; eh_store } ->
-            finalize t s bin_key eh_store (Pool.await fut));
+        | Running { fut; bin_key } -> finalize t s bin_key (Pool.await fut));
         (match s.s_state with
         | Ready r ->
             ignore (Queue.pop t.slots);

@@ -20,13 +20,6 @@ let find t addr =
 
 let mem t addr = Option.is_some (find t addr)
 
-(** [starts_at t addr] is the value of the interval beginning exactly at
-    [addr], if any. *)
-let starts_at t addr =
-  match Imap.find_opt addr t.m with
-  | Some (hi, v) -> Some (hi, v)
-  | None -> None
-
 (** [overlaps t ~lo ~hi] is true when [\[lo, hi)] intersects any interval. *)
 let overlaps t ~lo ~hi =
   if hi <= lo then false

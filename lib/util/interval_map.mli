@@ -19,9 +19,6 @@ val find : 'a t -> int -> (int * int * 'a) option
 
 val mem : 'a t -> int -> bool
 
-(** Value of the interval beginning exactly at [addr], with its end. *)
-val starts_at : 'a t -> int -> (int * 'a) option
-
 (** Does [\[lo, hi)] intersect any stored interval? *)
 val overlaps : 'a t -> lo:int -> hi:int -> bool
 

@@ -503,6 +503,46 @@ let test_callconv_branch_violation () =
   in
   check Alcotest.bool "branch violation caught" true (v = Callconv.Invalid)
 
+(* The residual class of the "FETCH invariants on random corpora"
+   property: synth code keeps a value in r11 across a call inside a loop.
+   The first iteration reads the value; the back edge arrives with r11
+   clobbered by the call, so the second read is a real violation.  A
+   forwarder that tail-jumps into such a function inherits it. *)
+let test_callconv_loop_call_clobbers_r11 () =
+  let items =
+    [
+      Asm.Label "thunk";
+      Asm.I (I.Jmp (I.To_label "f"));
+      Asm.Label "f";
+      Asm.I (I.Push Reg.Rbx);
+      Asm.I (I.Mov (I.W64, I.Reg Reg.R11, I.Reg Reg.Rdi));
+      Asm.I (I.Mov (I.W32, I.Reg Reg.Rbx, I.Imm 3));
+      Asm.Label "loop";
+      Asm.I (I.Mov (I.W64, I.Reg Reg.Rdi, I.Reg Reg.R11));
+      Asm.I (I.Call (I.To_label "g"));
+      Asm.I (I.Dec Reg.Rbx);
+      Asm.I (I.Jcc (I.Ne, I.To_label "loop"));
+      Asm.I (I.Pop Reg.Rbx);
+      Asm.I I.Ret;
+      Asm.Label "g";
+      Asm.I I.Ret;
+    ]
+  in
+  let img, asm = image_of items in
+  let loaded = Loaded.load img in
+  let expect entry =
+    match Callconv.validate_diag loaded (label asm entry) with
+    | Error { at; reg = Some r } ->
+        check Alcotest.int (entry ^ ": violation at the loop head")
+          (label asm "loop") at;
+        check Alcotest.string (entry ^ ": clobbered register") "r11"
+          (Reg.name64 r)
+    | Error { reg = None; _ } -> Alcotest.failf "%s: undecodable" entry
+    | Ok () -> Alcotest.failf "%s: clobbered r11 read accepted" entry
+  in
+  expect "f";
+  expect "thunk"
+
 (* --- stack height --- *)
 
 let test_stack_height_basic () =
@@ -621,6 +661,8 @@ let suite =
     Alcotest.test_case "callconv: write-then-read" `Quick test_callconv_write_then_read;
     Alcotest.test_case "callconv: call defines rax" `Quick test_callconv_call_defines_rax;
     Alcotest.test_case "callconv: branch violations caught" `Quick test_callconv_branch_violation;
+    Alcotest.test_case "callconv: r11 across a loop's call is clobbered" `Quick
+      test_callconv_loop_call_clobbers_r11;
     Alcotest.test_case "stack height: push/sub/add/pop" `Quick test_stack_height_basic;
     Alcotest.test_case "stack height: untrackable writes" `Quick test_stack_height_untrackable;
     Alcotest.test_case "linear sweep resynchronizes" `Quick test_linear_sweep_resync;

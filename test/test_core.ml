@@ -745,6 +745,22 @@ let suite =
     Alcotest.test_case "all profiles: no FPs" `Slow test_all_profiles_no_fp;
   ]
 
+(* One draw of the property below: the binary and FETCH's result on it. *)
+let run_draw (seed, compiler, opt, n_funcs, cxx, tailonly, pointer, unreachable)
+    =
+  let b =
+    Link.build_random ~profile:(Profile.make compiler opt) ~seed
+      {
+        Gen.default_spec with
+        n_funcs;
+        cxx;
+        n_asm_tailonly = tailonly;
+        n_asm_pointer = pointer;
+        n_asm_unreachable = unreachable;
+      }
+  in
+  (b, Pipeline.run b.image)
+
 (* Property: on arbitrary generator configurations, FETCH never reports a
    false positive and never misses a function outside the documented
    harmless classes. *)
@@ -766,27 +782,62 @@ let prop_fetch_invariants =
        ~print:(fun (seed, c, o, n, cxx, t, p, u) ->
          Printf.sprintf "seed=%d %s-%s n=%d cxx=%b t=%d p=%d u=%d" seed
            (Profile.compiler_name c) (Profile.opt_name o) n cxx t p u))
-    (fun (seed, compiler, opt, n_funcs, cxx, tailonly, pointer, unreachable) ->
-      let profile = Profile.make compiler opt in
-      let spec' =
-        {
-          Gen.default_spec with
-          n_funcs;
-          cxx;
-          n_asm_tailonly = tailonly;
-          n_asm_pointer = pointer;
-          n_asm_unreachable = unreachable;
-        }
-      in
-      let b = Link.build_random ~profile ~seed spec' in
-      let r = Pipeline.run b.image in
+    (fun draw ->
+      let b, r = run_draw draw in
       let fp, fn = metrics b.truth r.starts in
       List.for_all (acceptable_residual_fp r b.truth) fp
       && List.for_all (acceptable_miss r b.truth) fn)
 
+(* Draws on which the property above has failed.  Each miss outside the
+   harmless classes was one class: a compiler function (an exported-API
+   orphan, or a thunk nothing calls) with a correct FDE and no reference,
+   that the Fig. 6b check drops because synth code keeps a value in r10
+   or r11 across a call inside a loop (see "callconv: r11 across a
+   loop's call is clobbered").  The check is right; the generator breaks
+   the ABI.  Pin that no miss on these draws falls outside the class. *)
+let test_fetch_invariants_residual () =
+  List.iter
+    (fun ((seed, _, _, _, _, _, _, _) as draw) ->
+      let case = Printf.sprintf "seed=%d" seed in
+      let b, r = run_draw draw in
+      let fp, fn = metrics b.truth r.starts in
+      check (Alcotest.list Alcotest.int) (case ^ ": no false positive") []
+        (List.filter (fun a -> not (acceptable_residual_fp r b.truth a)) fp);
+      let res = r.rec_result in
+      let noreturn t = Hashtbl.mem res.noreturn t in
+      let cond_noreturn t = Hashtbl.mem res.cond_noreturn t in
+      List.iter
+        (fun m ->
+          let f = Option.get (Truth.find_by_addr b.truth m) in
+          let what = Printf.sprintf "%s: %s" case f.name in
+          check Alcotest.bool (what ^ " is a compiler function with an FDE")
+            true (f.has_fde && not f.is_assembly);
+          check Alcotest.bool (what ^ " dropped by the Fig. 6b check") true
+            (List.mem m r.invalid_fde_starts
+            && Refs.refs_to (Option.get r.refs) m = []);
+          match
+            Fetch_analysis.Callconv.validate_diag ~noreturn ~cond_noreturn
+              r.loaded m
+          with
+          | Error { reg = Some reg; _ } ->
+              check Alcotest.bool (what ^ " reads a clobbered r10/r11") true
+                (List.mem reg Fetch_x86.Reg.[ R10; R11 ])
+          | Error { reg = None; _ } | Ok () ->
+              Alcotest.failf "%s: not the r10/r11 class" what)
+        (List.filter (fun a -> not (acceptable_miss r b.truth a)) fn))
+    Profile.
+      [
+        (203756, Synthllvm, Ofast, 70, false, 2, 1, 0);
+        (569195, Synthllvm, O2, 38, false, 2, 0, 1);
+        (552791, Synthllvm, O2, 56, false, 1, 0, 0);
+        (397847, Synthllvm, Ofast, 69, true, 0, 2, 0);
+      ]
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "FETCH invariants: residual draws pinned" `Quick
+        test_fetch_invariants_residual;
       QCheck_alcotest.to_alcotest prop_fetch_invariants;
       QCheck_alcotest.to_alcotest prop_xref_strategy_differential;
     ]

@@ -188,9 +188,9 @@ let test_height_oracle () =
   check Alcotest.bool "complete" true (Height_oracle.complete_at oracle 0xb0);
   check (Alcotest.option Alcotest.int) "outside" None
     (Height_oracle.height_at oracle 0x500);
-  match Height_oracle.fde_starting_at oracle 0xb0 with
-  | Some f -> check Alcotest.int "fde lookup" 56 f.pc_range
-  | None -> Alcotest.fail "fde_starting_at"
+  match Height_oracle.entry_at oracle 0xb0 with
+  | Some e -> check Alcotest.int "fde lookup" 56 e.fde.pc_range
+  | None -> Alcotest.fail "entry_at"
 
 (* Unwinder: simulate the Figure 4 function mid-body and unwind one frame.
    Stack layout at offset 0x20 (height 24): [rsp] pad, [rsp+8] rbx,

@@ -155,7 +155,7 @@ let test_batch_determinism () =
   (match List.assoc "bin-103" r1.Batch.results with
   | Ok a ->
       check Alcotest.bool "starts detected after failing neighbours" true
-        (List.length a.Batch.starts > 0)
+        (a.Batch.summary.starts <> [])
   | Error f -> Alcotest.failf "bin-103 failed: %s" (Pool.failure_to_string f))
 
 let test_batch_merged_invariants () =

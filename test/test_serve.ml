@@ -1,5 +1,5 @@
 (* Tests for the serve daemon: wire-protocol parsing and rendering, the
-   two-level content-addressed LRU cache, the ordered request engine
+   content-addressed LRU cache, the ordered request engine
    (cold/warm byte-identity, shedding, deadlines, failure isolation),
    the bounded line reader, and a socket round trip with cache reuse
    across connections. *)
@@ -151,32 +151,6 @@ let test_cache_lru () =
   check Alcotest.int "oversize rejection counted" 1
     (Cache.stats c).rejected_oversize
 
-let test_cache_eh_level () =
-  let raw = binary 41 in
-  let img =
-    match Fetch_elf.Decode.decode raw with
-    | Ok i -> i
-    | Error e -> Alcotest.failf "decode: %s" e
-  in
-  let eh = Fetch_dwarf.Eh_frame.of_image img in
-  let key =
-    match Cache.eh_key img with
-    | Some k -> k
-    | None -> Alcotest.fail "synthetic binary has .eh_frame"
-  in
-  let c = Cache.create ~max_bytes:(1024 * 1024) in
-  check Alcotest.bool "eh miss" true (Cache.find_eh c key = None);
-  Cache.add_eh c key ~size:64 eh;
-  check Alcotest.bool "eh hit after add" true (Cache.find_eh c key <> None);
-  check Alcotest.int "eh hits counted" 1 (Cache.stats c).eh_hits;
-  (* a decode that followed indirect pointers is not a pure function of
-     the section bytes: the cache must refuse it *)
-  let tainted = { eh with Fetch_dwarf.Eh_frame.indirect_derefs = 1 } in
-  let c2 = Cache.create ~max_bytes:1024 in
-  Cache.add_eh c2 key ~size:64 tainted;
-  check Alcotest.bool "indirect decode never cached" true
-    (Cache.find_eh c2 key = None)
-
 (* ---- engine: cold/warm byte identity ---- *)
 
 let test_engine_warm_hit () =
@@ -216,7 +190,7 @@ let test_engine_warm_hit () =
         (cache_int "misses"))
 
 (* a re-linked binary: different bytes, identical .eh_frame *)
-let test_engine_eh_partial_hit () =
+let test_engine_relinked_cold () =
   let raw1 = binary 43 in
   let img =
     match Fetch_elf.Decode.decode raw1 with
@@ -245,11 +219,21 @@ let test_engine_eh_partial_hit () =
   check Alcotest.bool "variant differs as a whole binary" true (raw1 <> raw2);
   with_engine ~config:small_config (fun e ->
       Engine.submit_line e (analyze_line ~id:"1" raw1);
-      check Alcotest.int "first response" 1 (List.length (Engine.flush e));
+      let original =
+        match Engine.flush e with [ r ] -> r | _ -> Alcotest.fail "1 response"
+      in
       Engine.submit_line e (analyze_line ~id:"2" raw2);
-      (match Engine.flush e with
-      | [ r ] -> check Alcotest.string "re-linked binary analyzes ok" "ok" (status r)
-      | _ -> Alcotest.fail "1 response");
+      let relinked =
+        match Engine.flush e with [ r ] -> r | _ -> Alcotest.fail "1 response"
+      in
+      check Alcotest.string "re-linked binary analyzes ok" "ok" (status relinked);
+      let starts r =
+        match response_field r "starts" with
+        | Some j -> Json.to_string j
+        | None -> Alcotest.failf "response without starts: %s" r
+      in
+      check Alcotest.string "same starts as the original" (starts original)
+        (starts relinked);
       let s = Engine.stats_json e in
       let j = match Json.parse s with Ok j -> j | Error e -> Alcotest.failf "%s" e in
       let cache_int k =
@@ -257,11 +241,10 @@ let test_engine_eh_partial_hit () =
         |> Fun.flip Option.bind Json.to_int
       in
       check (Alcotest.option Alcotest.int)
-        "result level missed twice (different binaries)" (Some 2)
+        "both analyzed cold (different binaries)" (Some 2)
         (cache_int "misses");
-      check (Alcotest.option Alcotest.int)
-        "decode stage reused through the eh level" (Some 1)
-        (cache_int "eh_hits"))
+      check (Alcotest.option Alcotest.int) "no hits" (Some 0)
+        (cache_int "hits"))
 
 (* ---- engine: shedding and deadlines ---- *)
 
@@ -513,12 +496,10 @@ let suite =
     Alcotest.test_case "protocol: request parsing" `Quick test_protocol_parse;
     Alcotest.test_case "protocol: response rendering" `Quick test_protocol_render;
     Alcotest.test_case "cache: LRU byte budget" `Quick test_cache_lru;
-    Alcotest.test_case "cache: eh level and indirect taint" `Quick
-      test_cache_eh_level;
     Alcotest.test_case "engine: warm hit is byte-identical" `Quick
       test_engine_warm_hit;
-    Alcotest.test_case "engine: re-linked binary reuses the eh decode" `Quick
-      test_engine_eh_partial_hit;
+    Alcotest.test_case "engine: re-linked binary is analyzed cold" `Quick
+      test_engine_relinked_cold;
     Alcotest.test_case "engine: queue overflow sheds as overloaded" `Quick
       test_engine_shed;
     Alcotest.test_case "engine: deadlines cancel cleanly" `Quick
