@@ -371,20 +371,11 @@ let micro () =
                    (Fetch_rop.Gadget.in_range loaded ~depth:3 ~lo
                       ~hi:(min hi (lo + 512))))
                (Fetch_analysis.Loaded.text_ranges loaded)));
-      (* §IV-E kernel, both substrates: the incremental driver
-         (extend + persistent refs) against the from-scratch rescan it
-         replaced, with half the FDE seeds withheld so pointer rounds
-         actually iterate *)
-      Test.make ~name:"xref/incremental"
+      (* §IV-E kernel, with half the FDE seeds withheld so pointer
+         rounds actually iterate *)
+      Test.make ~name:"xref/detect"
         (Staged.stage (fun () ->
-             ignore
-               (Fetch_core.Xref.detect ~strategy:Fetch_core.Xref.Incremental
-                  loaded ~seeds:xref_seeds)));
-      Test.make ~name:"xref/rescan"
-        (Staged.stage (fun () ->
-             ignore
-               (Fetch_core.Xref.detect ~strategy:Fetch_core.Xref.Rescan loaded
-                  ~seeds:xref_seeds)));
+             ignore (Fetch_core.Xref.detect loaded ~seeds:xref_seeds)));
       (* Table V kernel: synthetic compiler end-to-end *)
       Test.make ~name:"table5/synth_build"
         (Staged.stage (fun () ->

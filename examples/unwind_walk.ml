@@ -107,7 +107,8 @@ let () =
         name_of f.return_address = "_start")
   with
   | Error (_, frames) ->
-      Printf.printf "unwind stopped after %d frames\n" (List.length frames)
+      Printf.eprintf "unwind stopped after %d frames\n" (List.length frames);
+      exit 1
   | Ok frames ->
       List.iteri
         (fun i (f : Fetch_dwarf.Unwind.frame) ->

@@ -23,12 +23,7 @@ module Dataflow = Fetch_check.Dataflow
 let max_insns = 64
 let max_blocks = 12
 
-type verdict =
-  | Valid
-  | Invalid
-  | Unknown
-
-(** Diagnostic form: where and which register violated the rule. *)
+(** Where and which register violated the rule. *)
 type violation = { at : int; reg : Reg.t option }
 
 module RS = Set.Make (Reg)
@@ -86,10 +81,10 @@ end
 
 module Solver = Dataflow.Make (Lattice)
 
-(** Validate [start] as a function entry, with a diagnostic on failure.
+(** Validate [start] as a function entry, with the violation on failure.
     [noreturn] (optional) tells the walk which call targets never return;
     fuel exhaustion means "assume fine". *)
-let validate_diag ?(noreturn = fun _ -> false)
+let validate ?(noreturn = fun _ -> false)
     ?(cond_noreturn = fun _ -> false) loaded start =
   if not (Loaded.in_text loaded start) then Error { at = start; reg = None }
   else begin
@@ -122,13 +117,10 @@ let validate_diag ?(noreturn = fun _ -> false)
     match sol.Solver.fatal with Some v -> Error v | None -> Ok ()
   end
 
-(** Validate [start] as a function entry. *)
-let validate ?noreturn ?cond_noreturn loaded start =
-  match validate_diag ?noreturn ?cond_noreturn loaded start with
-  | Ok () -> Valid
-  | Error _ -> Invalid
-
-(** [meets_call_conv loaded addr] — the predicate Algorithm 1 calls
-    [MeetCallConv]. *)
-let meets_call_conv ?noreturn ?cond_noreturn loaded addr =
-  validate ?noreturn ?cond_noreturn loaded addr = Valid
+let ledger_fields v =
+  [
+    ("viol_at", Fetch_obs.Provenance.I v.at);
+    ( "viol_reg",
+      Fetch_obs.Provenance.S
+        (match v.reg with Some r -> Reg.name64 r | None -> "undecodable") );
+  ]

@@ -2,6 +2,12 @@
     plausible only if no non-argument register is read before it is
     written.
 
+    This is the one calling-convention check: §IV-E's error (iv) in
+    [Xref], the Fig. 6b broken-FDE check in [Pipeline], Algorithm 1's
+    [MeetCallConv] in [Tailcall] and the linter's [start-callconv] rule
+    all call {!validate}, and a rejection's evidence comes from that same
+    walk.
+
     The check walks the CFG from the candidate start with bounded depth.
     Arguments (rdi, rsi, rdx, rcx, r8, r9) and rsp start initialized; a
     [push] is a save, not a use; a call defines rax.  Any explored path
@@ -9,33 +15,20 @@
     candidate; exhausting the exploration budget validates it
     (conservative towards acceptance, as real functions must pass). *)
 
-type verdict = Valid | Invalid | Unknown
-
 (** Where and which register violated the rule ([reg = None] means an
-    undecodable instruction was reached). *)
+    undecodable instruction, or a start outside text, was reached). *)
 type violation = { at : int; reg : Fetch_x86.Reg.t option }
 
-(** Validate a candidate entry, with a diagnostic on failure.  [noreturn]
-    and [cond_noreturn] (optional) stop the walk after calls known not to
-    return, so it cannot run off a function's end into data. *)
-val validate_diag :
+(** Validate a candidate entry.  [noreturn] and [cond_noreturn]
+    (optional) stop the walk after calls known not to return, so it
+    cannot run off a function's end into data. *)
+val validate :
   ?noreturn:(int -> bool) ->
   ?cond_noreturn:(int -> bool) ->
   Loaded.t ->
   int ->
   (unit, violation) result
 
-val validate :
-  ?noreturn:(int -> bool) ->
-  ?cond_noreturn:(int -> bool) ->
-  Loaded.t ->
-  int ->
-  verdict
-
-(** The predicate Algorithm 1 calls [MeetCallConv]. *)
-val meets_call_conv :
-  ?noreturn:(int -> bool) ->
-  ?cond_noreturn:(int -> bool) ->
-  Loaded.t ->
-  int ->
-  bool
+(** The violation as decision-ledger operands: [viol_at] and [viol_reg]
+    (the register's 64-bit name, or ["undecodable"]). *)
+val ledger_fields : violation -> (string * Fetch_obs.Provenance.value) list

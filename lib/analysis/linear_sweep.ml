@@ -41,21 +41,6 @@ let gaps loaded ~covered =
       walk lo [])
     ranges
 
-(** Is the range all padding (NOPs / int3 / zero bytes)? *)
-let all_padding loaded ~lo ~hi =
-  let rec go addr =
-    if addr >= hi then true
-    else
-      match Loaded.insn_at loaded addr with
-      | Some (Fetch_x86.Insn.Nop n, _) -> go (addr + n)
-      | Some (Fetch_x86.Insn.Int3, _) -> go (addr + 1)
-      | _ -> (
-          match Fetch_elf.Image.read loaded.Loaded.image ~addr ~len:1 with
-          | Some "\x00" -> go (addr + 1)
-          | _ -> false)
-  in
-  go lo
-
 (** Leading padding length at [lo] (for angr's alignment-function
     heuristic). *)
 let leading_padding loaded ~lo ~hi =

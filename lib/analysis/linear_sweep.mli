@@ -13,9 +13,6 @@ val decode_range :
     bytes are the bytes of its instructions). *)
 val gaps : Loaded.t -> covered:Fetch_util.Insn_index.t -> (int * int) list
 
-(** Is the range all padding (NOPs / int3 / zero bytes)? *)
-val all_padding : Loaded.t -> lo:int -> hi:int -> bool
-
 (** Length of the leading padding run at [lo] (for angr's
     alignment-function heuristic). *)
 val leading_padding : Loaded.t -> lo:int -> hi:int -> int

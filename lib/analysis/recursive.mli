@@ -49,10 +49,6 @@ type result = {
       (** every decoded instruction extent *)
 }
 
-(** Detect [error]-style conditionally-noreturn entries: the entry tests
-    the first argument and the nonzero path provably never returns. *)
-val detect_cond_noreturn : Loaded.t -> int -> bool
-
 (** Run the engine from the given seed entries. *)
 val run : ?config:config -> Loaded.t -> seeds:int list -> result
 

@@ -49,8 +49,7 @@ let view_of (r : Pipeline.result) =
       Fetch_dwarf.Height_oracle.height_at_unchecked loaded.Loaded.oracle;
     callconv_ok =
       (fun s ->
-        Callconv.validate ~noreturn ~cond_noreturn loaded s
-        <> Callconv.Invalid);
+        Result.is_ok (Callconv.validate ~noreturn ~cond_noreturn loaded s));
     call_returns =
       (fun ~site:_ ~target ->
         (* conditionally-noreturn callees may return: falling through is

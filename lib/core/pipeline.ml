@@ -132,40 +132,31 @@ let run_loaded ?(config = default_config) loaded =
        they are always referenced by a jump from their hot part — an FDE
        start that both violates the convention and is referenced by nothing
        at all cannot be a real function or a function part. *)
-    let invalid, refs0 =
+    let violations, refs0 =
       Obs.span "fde_callconv_check" @@ fun () ->
       let refs0 = Refs.collect loaded res in
       let noreturn t = Hashtbl.mem res.Recursive.noreturn t in
       let cond_noreturn t = Hashtbl.mem res.Recursive.cond_noreturn t in
-      ( List.filter
+      ( List.filter_map
           (fun s ->
-            Refs.refs_to refs0 s = []
-            && Callconv.validate ~noreturn ~cond_noreturn loaded s
-               = Callconv.Invalid)
+            if Refs.refs_to refs0 s <> [] then None
+            else
+              match Callconv.validate ~noreturn ~cond_noreturn loaded s with
+              | Ok () -> None
+              | Error v -> Some (s, v))
           loaded.Loaded.fde_starts,
         refs0 )
     in
-    Obs.add c_invalid_fde (List.length invalid);
+    Obs.add c_invalid_fde (List.length violations);
     if Prov.enabled () then
       List.iter
-        (fun s ->
-          (* Fig. 6b: unreferenced + callconv-invalid FDE start; the
-             evidence costs a diagnostic walk, paid only here *)
-          let noreturn t = Hashtbl.mem res.Recursive.noreturn t in
-          let cond_noreturn t = Hashtbl.mem res.Recursive.cond_noreturn t in
-          let fields =
-            match Callconv.validate_diag ~noreturn ~cond_noreturn loaded s with
-            | Error (v : Callconv.violation) ->
-                ("viol_at", Prov.I v.at)
-                ::
-                (match v.reg with
-                | Some r -> [ ("viol_reg", Prov.S (Fetch_x86.Reg.name64 r)) ]
-                | None -> [ ("viol_reg", Prov.S "undecodable") ])
-            | Ok () -> []
-          in
+        (fun (s, v) ->
+          (* Fig. 6b: unreferenced + callconv-invalid FDE start *)
           Prov.emit ~ev:"fde.invalid" ~addr:s
-            (("why", Prov.S "unreferenced_callconv_violation") :: fields))
-        invalid;
+            (("why", Prov.S "unreferenced_callconv_violation")
+            :: Callconv.ledger_fields v))
+        violations;
+    let invalid = List.map fst violations in
     (* the census stays valid only when the detection result does *)
     let res, seeds, refs =
       if invalid = [] then (res, seeds, refs0)

@@ -247,6 +247,3 @@ let referenced_outside_jumps_of t ~entry target =
       | Jump_target (_, owner) -> owner <> entry
       | Data_pointer _ | Code_constant _ | Call_target _ -> true)
     (refs_to t target)
-
-(** Is [target] referenced at all (HasRefTo)? *)
-let has_ref t target = refs_to t target <> []

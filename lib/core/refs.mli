@@ -44,6 +44,3 @@ val pointer_candidates : t -> int list
 (** Is [target] referenced by anything other than jumps from [entry]?
     (Criterion 3 of Algorithm 1.) *)
 val referenced_outside_jumps_of : t -> entry:int -> int -> bool
-
-(** Is [target] referenced at all ([HasRefTo])? *)
-val has_ref : t -> int -> bool

@@ -122,18 +122,18 @@ let run ?(heights = Cfi_oracle) ~refs loaded (res : Recursive.result) =
                           reject "jump_only_refs" [];
                           false
                         end
-                        else if
-                          not
-                            (Callconv.meets_call_conv
-                               ~noreturn:(Hashtbl.mem res.noreturn)
-                               ~cond_noreturn:(Hashtbl.mem res.cond_noreturn)
-                               loaded t)
-                        then begin
-                          Obs.incr c_rej_callconv;
-                          reject "callconv" [];
-                          false
-                        end
-                        else true
+                        else
+                          match
+                            Callconv.validate
+                              ~noreturn:(Hashtbl.mem res.noreturn)
+                              ~cond_noreturn:(Hashtbl.mem res.cond_noreturn)
+                              loaded t
+                          with
+                          | Error v ->
+                              Obs.incr c_rej_callconv;
+                              reject "callconv" (Callconv.ledger_fields v);
+                              false
+                          | Ok () -> true
                       in
                       if is_tail then begin
                         Obs.incr c_tail_calls;

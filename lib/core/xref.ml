@@ -13,14 +13,14 @@
     Survivors become new function starts; the pointer collection is then
     refreshed from the enlarged disassembly and the process repeats.
 
-    The iteration is incremental by default ({!Incremental}): each
-    accepted pointer extends the committed disassembly via
-    {!Fetch_analysis.Recursive.extend} instead of re-running every seed,
-    the ref table is folded forward via {!Refs.incr_refresh} instead of
-    re-collected, and rejection verdicts that cannot change while the
-    committed state only grows are cached.  {!Rescan} re-runs everything
-    from scratch each round — kept as the executable specification the
-    differential property test checks the incremental engine against. *)
+    The iteration is incremental: each accepted pointer extends the
+    committed disassembly via {!Fetch_analysis.Recursive.extend} instead
+    of re-running every seed, the ref table is folded forward via
+    {!Refs.incr_refresh} instead of re-collected, and rejection verdicts
+    that cannot change while the committed state only grows are cached.
+    The test suite keeps a from-scratch reference model built on
+    {!validate} (no cache, every candidate re-validated every round) and
+    holds [detect] equal to it. *)
 
 open Fetch_x86
 open Fetch_analysis
@@ -78,11 +78,6 @@ let extents_add m entry (f : Recursive.func) =
       if hi > lo then Fetch_util.Interval_map.add_max m ~lo ~hi entry)
     f.blocks
 
-let function_extents (res : Recursive.result) =
-  let m = Fetch_util.Interval_map.create () in
-  Hashtbl.iter (fun entry f -> extents_add m entry f) res.funcs;
-  m
-
 type extents = {
   ext_map : int Fetch_util.Interval_map.t;
   ext_seen : (int, unit) Hashtbl.t;
@@ -107,6 +102,7 @@ type reject =
   | Transfer_into_function
   | Bad_call_conv
 
+(* the stable rejection id used in ledger events *)
 let reject_name = function
   | Invalid_opcode -> "invalid_opcode"
   | Mid_instruction -> "mid_instruction"
@@ -115,7 +111,6 @@ let reject_name = function
 
 type verdict =
   | Accept
-  | Known_function
   | Rejected of {
       reason : reject;
       fields : (string * Prov.value) list;
@@ -130,7 +125,9 @@ type verdict =
     the shallow rejections (outside text, candidate itself mid-instruction
     or inside a committed body) can never flip while the committed state
     only grows, whereas speculative-walk and calling-convention verdicts
-    can (a newly detected function can stop the walk earlier). *)
+    can (a newly detected function can stop the walk earlier).
+    [cand] must not be a detected entry: those are not §IV-E validation
+    subjects. *)
 let validate loaded (res : Recursive.result) ~extents cand : verdict =
   if not (Loaded.in_text loaded cand) then
     Rejected
@@ -139,9 +136,6 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
         fields = [ ("why", Prov.S "outside_text") ];
         permanent = true;
       }
-  else if Hashtbl.mem res.funcs cand then
-    (* an already-detected entry is not a §IV-E validation subject *)
-    Known_function
   else if mid_instruction res cand then
     Rejected { reason = Mid_instruction; fields = []; permanent = true }
   else
@@ -217,35 +211,18 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
           bfs max_spec_blocks [ cand ];
           let noreturn t = Hashtbl.mem res.noreturn t in
           let cond_noreturn t = Hashtbl.mem res.cond_noreturn t in
-          if
-            Callconv.validate ~noreturn ~cond_noreturn loaded cand
-            = Callconv.Invalid
-          then
-            (* the evidence costs a second (diagnostic) walk; gather it
-               only when the ledger is recording *)
-            let fields =
-              if not (Prov.enabled ()) then []
-              else
-                match
-                  Callconv.validate_diag ~noreturn ~cond_noreturn loaded cand
-                with
-                | Error (v : Callconv.violation) ->
-                    ("viol_at", Prov.I v.at)
-                    ::
-                    (match v.reg with
-                    | Some r -> [ ("viol_reg", Prov.S (Reg.name64 r)) ]
-                    | None -> [ ("viol_reg", Prov.S "undecodable") ])
-                | Ok () -> []
-            in
-            Rejected { reason = Bad_call_conv; fields; permanent = false }
-          else Accept
+          match Callconv.validate ~noreturn ~cond_noreturn loaded cand with
+          | Ok () -> Accept
+          | Error v ->
+              Rejected
+                {
+                  reason = Bad_call_conv;
+                  fields = Callconv.ledger_fields v;
+                  permanent = false;
+                }
         with Reject (reason, fields) ->
           Rejected { reason; fields; permanent = false }
       end
-
-type strategy = Incremental | Rescan
-
-let strategy_name = function Incremental -> "incremental" | Rescan -> "rescan"
 
 (** Iterated detection (§IV-E): accept one legitimate pointer at a time and
     immediately refresh the disassembly and the pointer collection with it,
@@ -255,54 +232,27 @@ let strategy_name = function Incremental -> "incremental" | Rescan -> "rescan"
     index and (when one is found) the accepted pointer, inside a ledger
     scope adding [round] to every §IV-E event, and is observed into the
     [xref.round_cost_ms] histogram; the per-binary round count goes to
-    the [xref.rounds] histogram.
-
-    Validation, counting and the permanent-reject cache are shared
-    between the two strategies — only the substrate differs (extend +
-    incremental refs vs full re-run + re-collect) — so the §IV-E
-    counters and the accept/reject event stream are strategy-invariant
-    by construction. *)
-let detect ?(config = Recursive.safe_config) ?(strategy = Incremental)
-    ?(max_rounds = 64) ?on_commit loaded ~seeds =
+    the [xref.rounds] histogram. *)
+let detect ?(config = Recursive.safe_config) ?(max_rounds = 64) ?on_commit
+    loaded ~seeds =
   (* the initial seed disassembly is stage-2 work and reports under its
      own "recursive" span; the "xref" stage below times §IV-E pointer
      detection only, so its mean is the cost of the rounds, not of the
      base disassembly they extend *)
   let res0 = Recursive.run ~config loaded ~seeds in
-  Obs.span ~args:[ ("strategy", strategy_name strategy) ] "xref" @@ fun () ->
-  let incr_refs =
-    match strategy with
-    | Incremental -> Some (Refs.incr_create loaded)
-    | Rescan -> None
-  in
-  let refresh res =
-    match incr_refs with
-    | Some inc -> Refs.incr_refresh inc res
-    | None -> Refs.collect loaded res
-  in
-  (* Incremental rounds only ever add functions (and never mutate
-     committed records), so the extent map can be grown in place.
-     Rescan rebuilds the whole result each round — prior records are not
-     stable — so its extents are rebuilt too; [add_max] makes the two
-     byte-identical, which the differential property test relies on. *)
-  let ext_state =
-    match strategy with
-    | Incremental -> Some (extents_create ())
-    | Rescan -> None
-  in
-  let extents_of res =
-    match ext_state with
-    | Some st -> extents_refresh st res
-    | None -> function_extents res
-  in
+  Obs.span "xref" @@ fun () ->
+  let incr_refs = Refs.incr_create loaded in
+  (* rounds only ever add functions (and never mutate committed
+     records), so the extent map can be grown in place *)
+  let ext_state = extents_create () in
   (* permanent rejections survive rounds: the committed state only grows,
      so these candidates can never flip to acceptable (they can still
      become detected *entries* via recursion — which is why the
      known-function check precedes the cache lookup) *)
   let reject_cache : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let accept_one res =
-    let refs = refresh res in
-    let extents = extents_of res in
+    let refs = Refs.incr_refresh incr_refs res in
+    let extents = extents_refresh ext_state res in
     let rec go = function
       | [] -> None
       | cand :: rest ->
@@ -317,10 +267,6 @@ let detect ?(config = Recursive.safe_config) ?(strategy = Incremental)
           else begin
             Obs.incr c_candidates;
             match validate loaded res ~extents cand with
-            | Known_function ->
-                (* unreachable: filtered above before counting *)
-                Obs.incr c_known;
-                go rest
             | Accept ->
                 if Prov.enabled () then begin
                   let origin =
@@ -364,7 +310,7 @@ let detect ?(config = Recursive.safe_config) ?(strategy = Incremental)
       (* the budget ran out right after an acceptance, so candidates we
          never re-examined may still be acceptable: detection is being
          truncated, not finished.  Say so instead of stopping silently. *)
-      let refs = refresh res in
+      let refs = Refs.incr_refresh incr_refs res in
       let pending =
         List.filter
           (fun c ->
@@ -399,10 +345,7 @@ let detect ?(config = Recursive.safe_config) ?(strategy = Incremental)
               Obs.set_arg "accepted" (Printf.sprintf "%#x" cand);
               let seeds' = List.sort_uniq compare (cand :: seeds) in
               let res' =
-                match strategy with
-                | Incremental ->
-                    Recursive.extend ~config loaded ~prior:res ~seeds:[ cand ]
-                | Rescan -> Recursive.run ~config loaded ~seeds:seeds'
+                Recursive.extend ~config loaded ~prior:res ~seeds:[ cand ]
               in
               (match on_commit with
               | Some f -> f ~cand res'

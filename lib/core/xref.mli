@@ -6,10 +6,13 @@
     and the pointer collection (so later candidates are judged against
     the updated function extents, as the paper specifies).
 
-    By default the iteration is incremental: accepted pointers extend
-    the committed disassembly ({!Fetch_analysis.Recursive.extend}), the
-    ref table is folded forward ({!Refs.incr_refresh}), and permanent
-    rejection verdicts are cached across rounds. *)
+    The iteration is incremental: accepted pointers extend the committed
+    disassembly ({!Fetch_analysis.Recursive.extend}), the ref table is
+    folded forward ({!Refs.incr_refresh}), and permanent rejection
+    verdicts are cached across rounds.  {!validate} and the extent map
+    are exported as the shared primitive of the suite's from-scratch
+    reference model, which re-runs disassembly and ref collection every
+    round, keeps no cache, and must reach the same result. *)
 
 type reject =
   | Invalid_opcode  (** error (i) *)
@@ -17,20 +20,12 @@ type reject =
   | Transfer_into_function  (** error (iii) *)
   | Bad_call_conv  (** error (iv) *)
 
-(** The stable rejection id used in counters and ledger events
-    ([invalid_opcode], [mid_instruction], [into_function], [callconv]). *)
-val reject_name : reject -> string
-
-(** Interval map from committed block bytes to their owning entry.
-    Overlapping blocks (shared code) resolve byte-wise to the highest
-    owning entry ({!Fetch_util.Interval_map.add_max}), so the result is
-    independent of fold order and an incrementally grown map equals the
-    from-scratch rebuild. *)
-val function_extents :
-  Fetch_analysis.Recursive.result -> int Fetch_util.Interval_map.t
-
-(** Incrementally maintained function-extent map: persists across
-    detection rounds, folding in only functions not yet seen. *)
+(** Incrementally maintained function-extent map: committed block bytes
+    to their owning entry, persisting across detection rounds and folding
+    in only functions not yet seen.  Overlapping blocks (shared code)
+    resolve byte-wise to the highest owning entry
+    ({!Fetch_util.Interval_map.add_max}), so the map is independent of
+    fold order. *)
 type extents
 
 val extents_create : unit -> extents
@@ -39,20 +34,14 @@ val extents_create : unit -> extents
     it.  Sound only when successive results only add functions and
     never mutate committed records — what
     {!Fetch_analysis.Recursive.extend} guarantees; then the result
-    equals [function_extents res].  (The differential test in the suite
-    holds the two equal after every accepted pointer.) *)
+    equals a fresh map's [extents_refresh] of [res].  (The differential
+    test in the suite holds the two equal after every accepted
+    pointer.) *)
 val extents_refresh :
   extents -> Fetch_analysis.Recursive.result -> int Fetch_util.Interval_map.t
 
-(** Is the address strictly inside a committed instruction?  O(1)
-    against the instruction-boundary table. *)
-val mid_instruction : Fetch_analysis.Recursive.result -> int -> bool
-
 type verdict =
   | Accept
-  | Known_function
-      (** already a detected entry — not a §IV-E validation subject and
-          not counted as one *)
   | Rejected of {
       reason : reject;
       fields : (string * Fetch_obs.Provenance.value) list;
@@ -65,23 +54,15 @@ type verdict =
               calling-convention rejections are not permanent *)
     }
 
-(** Validate one candidate against the committed results. *)
+(** Validate one candidate against the committed results.  [cand] must
+    not be a detected entry of the result: those are not §IV-E
+    validation subjects. *)
 val validate :
   Fetch_analysis.Loaded.t ->
   Fetch_analysis.Recursive.result ->
   extents:int Fetch_util.Interval_map.t ->
   int ->
   verdict
-
-(** [Incremental] extends the committed state per accepted pointer;
-    [Rescan] re-runs disassembly and ref collection from scratch each
-    round.  Both share the validation / counting / caching driver, so
-    detection results and §IV-E counters are strategy-invariant — the
-    differential property test in the suite holds the two against each
-    other. *)
-type strategy = Incremental | Rescan
-
-val strategy_name : strategy -> string
 
 (** Iterated detection: run the engine from [seeds], accept legitimate
     pointers one at a time until none remains (or [max_rounds] is
@@ -94,7 +75,6 @@ val strategy_name : strategy -> string
     detection state grow one commit at a time. *)
 val detect :
   ?config:Fetch_analysis.Recursive.config ->
-  ?strategy:strategy ->
   ?max_rounds:int ->
   ?on_commit:(cand:int -> Fetch_analysis.Recursive.result -> unit) ->
   Fetch_analysis.Loaded.t ->

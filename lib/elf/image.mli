@@ -59,9 +59,6 @@ val alloc : section -> bool
 (** All executable sections, lowest address first. *)
 val exec_sections : t -> section list
 
-(** The allocated section whose address range contains [addr]. *)
-val section_at : t -> int -> section option
-
 (** [read t ~addr ~len] reads loaded image content at a virtual address. *)
 val read : t -> addr:int -> len:int -> string option
 

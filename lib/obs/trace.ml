@@ -232,19 +232,6 @@ let value c =
   let t = ctx () in
   if c.c_id < Array.length t.counts then t.counts.(c.c_id) else 0
 
-let hist_value h =
-  let t = ctx () in
-  if h.h_id < Array.length t.hists then
-    let c = t.hists.(h.h_id) in
-    {
-      count = c.hc_count;
-      sum = c.hc_sum;
-      min = c.hc_min;
-      max = c.hc_max;
-      buckets = Array.copy c.hc_buckets;
-    }
-  else empty_hist_stats
-
 let observe h v =
   let t = ctx () in
   if t.live then begin

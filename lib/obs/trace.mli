@@ -118,12 +118,6 @@ val histogram : string -> histogram
     run. *)
 val observe : histogram -> int -> unit
 
-(** Snapshot of the histogram's current stats in the calling domain's
-    context, mid-run ({!empty_hist_stats} when never observed) — the
-    serve daemon's [stats] request reads latency percentiles from a run
-    that is still recording. *)
-val hist_value : histogram -> hist_stats
-
 (** Is a run currently being recorded on the calling domain? *)
 val enabled : unit -> bool
 

@@ -426,8 +426,19 @@ and lower_stmt t (c : fnctx) = function
       mark_init c counter;
       let l_top = fresh t "loop" in
       push_item c (Asm.Label l_top);
+      let init_top = c.init in
       let falls = lower_stmts t c body in
       if falls then begin
+        (* the back edge re-enters a body lowered as if every register of
+           [init_top] held a value; re-define each scratch register a call
+           in the body clobbered, or the next iteration reads garbage *)
+        List.iter
+          (fun r ->
+            if List.mem r init_top && not (List.mem r c.init) then begin
+              ins c (I.Arith (I.Xor, I.W32, I.Reg r, I.Reg r));
+              mark_init c r
+            end)
+          caller_saved;
         mark_init c counter;
         ins c (I.Dec counter);
         ins c (I.Jcc (I.Ne, I.To_label l_top))

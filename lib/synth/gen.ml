@@ -505,25 +505,35 @@ let program rng (p : Profile.t) (spec : spec) =
     make_func ~name:"_start" ~params:0 ~frame:Frameless ~align:16 ~endbr:p.endbr
       [ Call "main"; Call_noreturn "fatal_exit" ]
   in
-  let clang_terminate =
-    (* only some C++ objects pull in the statically-linked handler *)
+  let clang_caller =
+    (* only some C++ objects pull in the statically-linked handler; its
+       caller is the first regular lowered from its body (entry-jump and
+       conditionally-noreturn functions have fixed bodies, which would
+       drop the call and leave the handler unreferenced) *)
     if spec.cxx && p.compiler = Profile.Synthllvm && Prng.chance rng 0.3 then
-      [
-        (* statically linked by clang without an FDE; called directly *)
-        make_func ~name:"__clang_call_terminate" ~params:1 ~emit_fde:false
-          ~noreturn:true [ Compute 1; Call_noreturn "abort_like" ];
-      ]
-    else []
+      List.find_opt
+        (fun (f : Ir.func) -> not (f.entry_jump || f.conditional_noreturn))
+        regulars
+    else None
+  in
+  let clang_terminate =
+    match clang_caller with
+    | Some _ ->
+        [
+          (* statically linked by clang without an FDE; called directly *)
+          make_func ~name:"__clang_call_terminate" ~params:1 ~emit_fde:false
+            ~noreturn:true [ Compute 1; Call_noreturn "abort_like" ];
+        ]
+    | None -> []
   in
   let regulars =
-    if clang_terminate <> [] then
-      List.mapi
-        (fun i f ->
-          if i = 0 then
+    List.map
+      (fun (f : Ir.func) ->
+        match clang_caller with
+        | Some g when g.name = f.name ->
             { f with body = If ([ Call_noreturn "__clang_call_terminate" ], []) :: f.body }
-          else f)
-        regulars
-    else regulars
+        | _ -> f)
+      regulars
   in
   (* Pointer slot initialization: regular functions + pointer-referenced
      asm functions. *)

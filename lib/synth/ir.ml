@@ -107,8 +107,6 @@ let rec stmts_have_cold stmts =
           false)
     stmts
 
-let has_cold_part f = stmts_have_cold f.body
-
 (** Does the statement list contain a call of any form (one that returns
     control, so a register live across it must be callee-saved)? *)
 let rec stmts_have_call stmts =

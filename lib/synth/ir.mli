@@ -88,8 +88,6 @@ type program = {
 (** Does the body contain a cold part? *)
 val stmts_have_cold : stmt list -> bool
 
-val has_cold_part : func -> bool
-
 (** Does the statement list contain a call of any form (one that returns
     control, so a register live across it must be callee-saved)? *)
 val stmts_have_call : stmt list -> bool

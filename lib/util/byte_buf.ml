@@ -78,10 +78,6 @@ let pad_to t ~align ~byte =
   let rem = t.len mod align in
   if rem <> 0 then fill t ~count:(align - rem) ~byte
 
-let patch_u8 t ~at v =
-  if at < 0 || at >= t.len then invalid_arg "Byte_buf.patch_u8";
-  Bytes.set t.data at (Char.chr (v land 0xff))
-
 let patch_u32 t ~at v =
   if at < 0 || at + 4 > t.len then invalid_arg "Byte_buf.patch_u32";
   Bytes.set_int32_le t.data at (Int32.of_int (v land 0xffffffff))

@@ -41,7 +41,6 @@ val pad_to : t -> align:int -> byte:int -> unit
     All patch functions raise [Invalid_argument] when the target range is
     not already written. *)
 
-val patch_u8 : t -> at:int -> int -> unit
 val patch_u32 : t -> at:int -> int -> unit
 val patch_u64 : t -> at:int -> int -> unit
 

@@ -104,4 +104,3 @@ let is_callee_saved r = List.mem r callee_saved
 
 let equal (a : t) b = a = b
 let compare (a : t) b = compare (number a) (number b)
-let pp fmt r = Format.pp_print_string fmt (name64 r)

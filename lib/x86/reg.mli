@@ -45,4 +45,3 @@ val callee_saved : t list
 val is_callee_saved : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -432,7 +432,7 @@ let test_callconv_accepts_args () =
         Asm.I I.Ret;
       ]
   in
-  check Alcotest.bool "args ok" true (v = Callconv.Valid)
+  check Alcotest.bool "args ok" true (Result.is_ok v)
 
 let test_callconv_rejects_uninit_read () =
   let v, _ =
@@ -444,7 +444,7 @@ let test_callconv_rejects_uninit_read () =
         Asm.I I.Ret;
       ]
   in
-  check Alcotest.bool "uninit rbx rejected" true (v = Callconv.Invalid)
+  check Alcotest.bool "uninit rbx rejected" true (Result.is_error v)
 
 let test_callconv_push_is_save_not_use () =
   let v, _ =
@@ -459,7 +459,7 @@ let test_callconv_push_is_save_not_use () =
         Asm.I I.Ret;
       ]
   in
-  check Alcotest.bool "standard prologue valid" true (v = Callconv.Valid)
+  check Alcotest.bool "standard prologue valid" true (Result.is_ok v)
 
 let test_callconv_write_then_read () =
   let v, _ =
@@ -471,7 +471,7 @@ let test_callconv_write_then_read () =
         Asm.I I.Ret;
       ]
   in
-  check Alcotest.bool "write-then-read valid" true (v = Callconv.Valid)
+  check Alcotest.bool "write-then-read valid" true (Result.is_ok v)
 
 let test_callconv_call_defines_rax () =
   let v, _ =
@@ -485,7 +485,7 @@ let test_callconv_call_defines_rax () =
         Asm.I I.Ret;
       ]
   in
-  check Alcotest.bool "rax defined by call" true (v = Callconv.Valid)
+  check Alcotest.bool "rax defined by call" true (Result.is_ok v)
 
 let test_callconv_branch_violation () =
   (* violation hides behind a branch: still caught *)
@@ -501,7 +501,7 @@ let test_callconv_branch_violation () =
         Asm.I I.Ret;
       ]
   in
-  check Alcotest.bool "branch violation caught" true (v = Callconv.Invalid)
+  check Alcotest.bool "branch violation caught" true (Result.is_error v)
 
 (* The residual class of the "FETCH invariants on random corpora"
    property: synth code keeps a value in r11 across a call inside a loop.
@@ -531,7 +531,7 @@ let test_callconv_loop_call_clobbers_r11 () =
   let img, asm = image_of items in
   let loaded = Loaded.load img in
   let expect entry =
-    match Callconv.validate_diag loaded (label asm entry) with
+    match Callconv.validate loaded (label asm entry) with
     | Error { at; reg = Some r } ->
         check Alcotest.int (entry ^ ": violation at the loop head")
           (label asm "loop") at;

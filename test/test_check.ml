@@ -203,7 +203,7 @@ let test_callconv_call_clobbers_caller_saved () =
         Asm.I I.Ret;
       ]
   in
-  check Alcotest.bool "stale r10 read rejected" true (v = Callconv.Invalid)
+  check Alcotest.bool "stale r10 read rejected" true (Result.is_error v)
 
 let test_callconv_callee_saved_survives_call () =
   let v, _ =
@@ -218,7 +218,7 @@ let test_callconv_callee_saved_survives_call () =
         Asm.I I.Ret;
       ]
   in
-  check Alcotest.bool "rbx survives the call" true (v = Callconv.Valid)
+  check Alcotest.bool "rbx survives the call" true (Result.is_ok v)
 
 (* --- the linter, rule by rule, against fabricated views --- *)
 
@@ -837,7 +837,10 @@ let test_split_fn_fde_outside_ref_silences () =
    One exception: on fde-overlap the engine also reported 15 "partial"
    FDEs with every byte decoded ("19 of 19 bytes").  It keyed coverage
    gaps on the FDE start, which overlapping FDEs share.  Those findings
-   are left out. *)
+   are left out.  When the generator stopped reading scratch registers
+   a loop's call clobbered, ci-11..13 and cfi-broken were re-captured
+   from [Lint.run]: the findings moved with the code, and ci-11 lost an
+   fde-unreached finding on the function that bug had broken. *)
 let generated ~seed compiler opt ~cxx () =
   let profile = Fetch_synth.Profile.make compiler opt in
   (Fetch_synth.Link.build_random ~profile ~seed

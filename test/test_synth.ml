@@ -456,10 +456,61 @@ let test_landing_pads_unreachable_by_cfg () =
     (Fetch_dwarf.Eh_frame.all_fdes cies);
   check Alcotest.bool "checked landing pads" true (!checked > 0)
 
+(* Compiled functions keep the calling convention: walked from its entry,
+   no compiler function reads a register that is neither an argument nor
+   written on every path to the read — in particular not a scratch
+   register that a call earlier in a loop body clobbered on the back
+   edge.  FETCH's Fig. 6b check rejects an unreferenced FDE that breaks
+   this, so a generator that breaks it makes ground truth FETCH cannot
+   meet.  Drawn over every profile, C and C++. *)
+let test_compiled_functions_keep_abi () =
+  let violations = ref [] in
+  List.iter
+    (fun profile ->
+      List.iter
+        (fun (seed, cxx) ->
+          let b =
+            Link.build_random ~profile ~seed
+              { Gen.default_spec with n_funcs = 60; cxx }
+          in
+          let loaded = Fetch_analysis.Loaded.load b.image in
+          let res =
+            Fetch_analysis.Recursive.run loaded
+              ~seeds:(Truth.starts b.truth)
+          in
+          List.iter
+            (fun (f : Truth.fn_truth) ->
+              if f.has_fde && not f.is_assembly then
+                match
+                  Fetch_analysis.Callconv.validate
+                    ~noreturn:(Hashtbl.mem res.noreturn)
+                    ~cond_noreturn:(Hashtbl.mem res.cond_noreturn)
+                    loaded f.start
+                with
+                | Ok () -> ()
+                | Error v ->
+                    violations :=
+                      Printf.sprintf "%s seed %d: %s reads %s at %#x"
+                        (Profile.name profile) seed f.name
+                        (match v.reg with
+                        | Some r -> Fetch_x86.Reg.name64 r
+                        | None -> "?")
+                        v.at
+                      :: !violations)
+            b.truth.fns)
+        [ (1, false); (2, true); (3, false); (4, true) ])
+    (List.concat_map
+       (fun c -> List.map (Profile.make c) Profile.all_opts)
+       Profile.[ Synthgcc; Synthllvm ]);
+  check (Alcotest.list Alcotest.string) "no ABI violation" []
+    (List.rev !violations)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "LSDA call sites well-formed" `Quick test_lsda_call_sites;
       Alcotest.test_case "landing pads outside the CFG" `Quick
         test_landing_pads_unreachable_by_cfg;
+      Alcotest.test_case "compiled functions keep the ABI" `Quick
+        test_compiled_functions_keep_abi;
     ]
