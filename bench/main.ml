@@ -360,7 +360,7 @@ let micro () =
                (fun s ->
                  ignore
                    (Fetch_analysis.Stack_height.analyze loaded
-                      ~style:Fetch_analysis.Stack_height.dyninst_style s))
+                      ~style:Fetch_analysis.Stack_height.Dyninst s))
                loaded.Fetch_analysis.Loaded.fde_starts));
       (* SV-A kernel: ROP gadget scan *)
       Test.make ~name:"errors/rop_scan"

@@ -1,15 +1,16 @@
-(** Recursive-descent disassembly engine (the "safe recursive disassembly"
-    of §IV-C, and the substrate every baseline model reuses with different
-    knobs).
+(** Recursive-descent disassembly engine: the "safe recursive disassembly"
+    of §IV-C, which FETCH and the GHIDRA, ANGR and pattern-tool models all
+    start from.
 
     Starting from a seed set of function entries (FDE starts, symbols), the
     engine follows intra-procedural control flow per function, adds targets
     of direct calls as new function entries, resolves bounds-checked jump
-    tables (optionally), skips indirect calls, performs no tail-call
-    guessing — a direct jump to a known function entry ends the block and is
-    recorded as an outgoing jump — and iterates a non-returning-function
-    analysis to fixpoint so no block is placed after a call that cannot
-    return. *)
+    tables, skips indirect calls, performs no tail-call guessing — a direct
+    jump to a known function entry ends the block and is recorded as an
+    outgoing jump — and iterates a non-returning-function analysis so no
+    block is placed after a call that cannot return.  [run ~safe:false]
+    drops both the table resolution and the noreturn analysis: the weaker
+    engine of the BAP model. *)
 
 open Fetch_x86
 module Obs = Fetch_obs.Trace
@@ -26,24 +27,11 @@ let c_extend_runs = Obs.counter "recursive.extend_runs"
 let c_extend_funcs = Obs.counter "recursive.extend_funcs"
 let h_block_insns = Obs.histogram "recursive.block_insns"
 
-type config = {
-  resolve_jump_tables : bool;
-  noreturn_aware : bool;
-      (** iterate the non-returning analysis; when off, calls always fall
-          through (the unsafe behaviour of simpler tools) *)
-  stop_at_known_starts : bool;
-      (** direct jumps to known function entries end the block instead of
-          being followed intra-procedurally *)
-  max_noreturn_iters : int;
-}
-
-let safe_config =
-  {
-    resolve_jump_tables = true;
-    noreturn_aware = true;
-    stop_at_known_starts = true;
-    max_noreturn_iters = 5;
-  }
+(* Budget of noreturn re-walks per engine run.  A chain of N functions,
+   each calling the next, needs N full re-walks to converge, and the serve
+   deadline is only checked between stages, so on hostile input this
+   constant is what bounds the fixpoint's cost. *)
+let max_noreturn_iters = 5
 
 type func = {
   entry : int;
@@ -141,9 +129,9 @@ type block_end =
   | End_fallthrough of int  (** ran into a known block/function start *)
   | End_error
 
-let rec decode_block loaded (cfg : config) ~noreturn ~cond_noreturn ~f
-    ~is_start ~block_known addr acc =
-  if addr <> f.entry && is_start addr && cfg.stop_at_known_starts then
+let rec decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
+    ~block_known addr acc =
+  if addr <> f.entry && is_start addr then
     (List.rev acc, End_fallthrough addr)
   else if block_known addr && acc <> [] then (List.rev acc, End_fallthrough addr)
   else
@@ -154,7 +142,7 @@ let rec decode_block loaded (cfg : config) ~noreturn ~cond_noreturn ~f
         let acc' = (addr, len, insn) :: acc in
         match Semantics.flow insn with
         | Semantics.Fall ->
-            decode_block loaded cfg ~noreturn ~cond_noreturn ~f ~is_start
+            decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
               ~block_known (addr + len) acc'
         | Semantics.Ret ->
             f.has_ret <- true;
@@ -168,26 +156,26 @@ let rec decode_block loaded (cfg : config) ~noreturn ~cond_noreturn ~f
         | Semantics.Callf (Semantics.Direct t) ->
             f.calls <- (addr, t) :: f.calls;
             let returns =
-              if not cfg.noreturn_aware then true
+              if not safe then true
               else if Hashtbl.mem noreturn t then false
               else if Hashtbl.mem cond_noreturn t then
                 call_error_returns acc (* prior, excluding the call itself *)
               else true
             in
             if returns then
-              decode_block loaded cfg ~noreturn ~cond_noreturn ~f ~is_start
+              decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
                 ~block_known (addr + len) acc'
             else (List.rev acc', End_call_noreturn)
         | Semantics.Callf (Semantics.Indirect _) ->
             f.has_indirect_call <- true;
-            decode_block loaded cfg ~noreturn ~cond_noreturn ~f ~is_start
+            decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
               ~block_known (addr + len) acc')
 
 (* Disassemble one function from [entry], updating global state.  Pending
    blocks carry the reversed instruction window of their fallthrough
    predecessor so jump-table slicing can look across block boundaries (the
    bounds check `cmp/ja` ends the block before the dispatch jump). *)
-let disasm_function loaded cfg ~noreturn ~cond_noreturn ~is_start ~spans
+let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~spans
     ~new_entries entry =
   Obs.incr c_funcs_disassembled;
   let f = new_func entry in
@@ -201,7 +189,7 @@ let disasm_function loaded cfg ~noreturn ~cond_noreturn ~is_start ~spans
       Itbl.replace visited b ();
       let calls_before = f.calls in
       let insns, ending =
-        decode_block loaded cfg ~noreturn ~cond_noreturn ~f ~is_start
+        decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
           ~block_known b []
       in
       if Obs.enabled () then Obs.observe h_block_insns (List.length insns);
@@ -234,26 +222,24 @@ let disasm_function loaded cfg ~noreturn ~cond_noreturn ~is_start ~spans
       | End_fallthrough t ->
           (* ran into an existing block of this function: fine; into another
              function's entry: record nothing (no tail-call guessing) *)
-          if not (is_start t) || not cfg.stop_at_known_starts then
-            add_block ~window t
+          if not (is_start t) then add_block ~window t
       | End_jump (insn, t) ->
           let site = match rev_insns with (a, _, _) :: _ -> a | [] -> b in
           f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
-          if cfg.stop_at_known_starts && is_start t && t <> entry then
+          if is_start t && t <> entry then
             f.out_jumps <- (site, insn, t) :: f.out_jumps
           else if Loaded.in_text loaded t then add_block t
           else f.out_jumps <- (site, insn, t) :: f.out_jumps
       | End_cond (insn, t, fall) ->
           let site = match rev_insns with (a, _, _) :: _ -> a | [] -> b in
           f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
-          (if cfg.stop_at_known_starts && is_start t && t <> entry then
+          (if is_start t && t <> entry then
              f.out_jumps <- (site, insn, t) :: f.out_jumps
            else if Loaded.in_text loaded t then add_block t);
           (* the fallthrough block inherits the window across the branch *)
           add_block ~window fall
       | End_indirect (op, rev_window) -> (
-          if not cfg.resolve_jump_tables then
-            f.unresolved_indirect_jump <- true
+          if not safe then f.unresolved_indirect_jump <- true
           else
             let prior =
               match rev_window @ inherited with
@@ -299,13 +285,13 @@ let compute_returns funcs =
 
 (* Noreturn fixpoint driver shared by [run] and [extend]: re-run [iterate]
    until the noreturn / cond-noreturn fact tables stop growing or the
-   iteration budget runs out.  [iterate] must rebuild (funcs, spans) from
-   its own starting state on every call — newly learned facts can shrink
-   blocks, so stale spans cannot be patched in place. *)
-let solve (config : config) loaded ~noreturn ~cond_noreturn iterate =
+   iteration budget runs out; the weak engine ([safe = false]) walks
+   once.  [iterate] must rebuild (funcs, spans) from its own starting
+   state on every call — newly learned facts can shrink blocks, so stale
+   spans cannot be patched in place. *)
+let solve ~safe loaded ~noreturn ~cond_noreturn iterate =
   let rec fixpoint i (funcs, spans) =
-    if (not config.noreturn_aware) || i >= config.max_noreturn_iters then
-      (funcs, spans)
+    if (not safe) || i >= max_noreturn_iters then (funcs, spans)
     else begin
       Obs.incr c_noreturn_iters;
       let returns = compute_returns funcs in
@@ -357,7 +343,7 @@ let make_discover loaded ~already_known =
         end
 
 (** Run the engine from the given seed entries. *)
-let run ?(config = safe_config) loaded ~seeds =
+let run ?(safe = true) loaded ~seeds =
   Obs.span "recursive" @@ fun () ->
   let noreturn = Hashtbl.create 16 in
   let cond_noreturn = Hashtbl.create 4 in
@@ -383,7 +369,7 @@ let run ?(config = safe_config) loaded ~seeds =
       let e = Queue.pop queue in
       if not (Hashtbl.mem funcs e) then begin
         let f =
-          disasm_function loaded config ~noreturn ~cond_noreturn ~is_start
+          disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start
             ~spans ~new_entries e
         in
         Hashtbl.replace funcs e f
@@ -391,7 +377,7 @@ let run ?(config = safe_config) loaded ~seeds =
     done;
     (funcs, spans)
   in
-  solve config loaded ~noreturn ~cond_noreturn iterate
+  solve ~safe loaded ~noreturn ~cond_noreturn iterate
 
 (** Resume a prior result with extra seed entries, disassembling only the
     delta reachable from the fresh seeds.
@@ -407,7 +393,7 @@ let run ?(config = safe_config) loaded ~seeds =
     copy per page the delta first writes) — and only the delta is
     re-decoded when a noreturn fact learned about a *new* function
     shrinks its blocks. *)
-let extend ?(config = safe_config) loaded ~prior ~seeds =
+let extend loaded ~prior ~seeds =
   Obs.span "recursive.extend" @@ fun () ->
   Obs.incr c_extend_runs;
   let noreturn = Hashtbl.copy prior.noreturn in
@@ -436,7 +422,7 @@ let extend ?(config = safe_config) loaded ~prior ~seeds =
       let e = Queue.pop queue in
       if not (Hashtbl.mem funcs e) then begin
         let f =
-          disasm_function loaded config ~noreturn ~cond_noreturn ~is_start
+          disasm_function loaded ~safe:true ~noreturn ~cond_noreturn ~is_start
             ~spans ~new_entries e
         in
         Hashtbl.replace funcs e f;
@@ -445,7 +431,7 @@ let extend ?(config = safe_config) loaded ~prior ~seeds =
     done;
     (funcs, spans)
   in
-  solve config loaded ~noreturn ~cond_noreturn iterate
+  solve ~safe:true loaded ~noreturn ~cond_noreturn iterate
 
 (** Detected function starts, ascending. *)
 let starts result =

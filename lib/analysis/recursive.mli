@@ -1,30 +1,18 @@
-(** Recursive-descent disassembly engine (the "safe recursive disassembly"
-    of §IV-C, and the substrate every baseline model reuses with different
-    knobs).
+(** Recursive-descent disassembly engine: the "safe recursive disassembly"
+    of §IV-C, which FETCH and the GHIDRA, ANGR and pattern-tool models all
+    start from.
 
     Starting from a seed set of function entries (FDE starts, symbols),
     the engine follows intra-procedural control flow per function, adds
     targets of direct calls as new function entries, resolves
-    bounds-checked jump tables (optionally), skips indirect calls,
-    performs no tail-call guessing — a direct jump to a known function
-    entry ends the block and is recorded as an outgoing jump — and
-    iterates a non-returning-function analysis to fixpoint so no block is
-    placed after a call that cannot return. *)
-
-type config = {
-  resolve_jump_tables : bool;
-  noreturn_aware : bool;
-      (** iterate the non-returning analysis; when off, calls always fall
-          through (the unsafe behaviour of simpler tools) *)
-  stop_at_known_starts : bool;
-      (** direct jumps to known function entries end the block instead of
-          being followed intra-procedurally *)
-  max_noreturn_iters : int;
-}
-
-(** The paper's conservative configuration: tables on, noreturn analysis
-    on, no tail-call guessing. *)
-val safe_config : config
+    bounds-checked jump tables, skips indirect calls, performs no
+    tail-call guessing — a direct jump to a known function entry ends the
+    block and is recorded as an outgoing jump — and iterates a
+    non-returning-function analysis so no block is placed after a call
+    that cannot return.  Each run re-walks for new noreturn facts at most
+    5 times: a chain of N functions, each calling the next, needs N
+    re-walks to converge, and nothing else bounds that cost on hostile
+    input. *)
 
 type func = {
   entry : int;
@@ -49,8 +37,11 @@ type result = {
       (** every decoded instruction extent *)
 }
 
-(** Run the engine from the given seed entries. *)
-val run : ?config:config -> Loaded.t -> seeds:int list -> result
+(** Run the engine from the given seed entries.  [safe] (default [true])
+    is the paper's engine.  [~safe:false] is the weaker engine of the BAP
+    model: indirect jumps stay unresolved ([unresolved_indirect_jump]) and
+    there is no noreturn analysis, so every call falls through. *)
+val run : ?safe:bool -> Loaded.t -> seeds:int list -> result
 
 (** [extend loaded ~prior ~seeds] resumes [prior] with extra seeds,
     disassembling only the delta reachable from them; [prior] is not
@@ -60,8 +51,8 @@ val run : ?config:config -> Loaded.t -> seeds:int list -> result
     transfers control to a fresh seed and no fresh function transfers
     into the committed extents except at a committed entry — exactly
     what xref validation guarantees for accepted function pointers
-    (§IV-E). *)
-val extend : ?config:config -> Loaded.t -> prior:result -> seeds:int list -> result
+    (§IV-E).  Always runs the safe engine. *)
+val extend : Loaded.t -> prior:result -> seeds:int list -> result
 
 (** Detected function starts, ascending. *)
 val starts : result -> int list

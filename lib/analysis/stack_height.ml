@@ -4,52 +4,28 @@
     The analysis is a {!Fetch_check.Dataflow} instance: the state is the
     stack height (bytes pushed since function entry), first write wins —
     the arrival-order sensitivity is part of the model — and each tool's
-    behavioural quirks are edge-policy knobs.  Model fidelity notes:
+    behavioural quirks are edge-policy settings.  Model fidelity notes:
 
     - Both tools decode function ranges partly linearly; we reproduce this
-      with [linear_fallthrough]: after an unconditional jump the walker also
-      continues at the next address with the current height.  When that
-      straight-line guess reaches a block before the semantically correct
-      path does, the block keeps the wrong height — the "side effects of
-      other errors" the paper blames for inaccuracy (§V-B).
-    - The models differ in jump-table power: the DYNINST-style analysis
-      resolves all three table shapes, the ANGR-style one misses the
-      register-load form ([mov r, \[table+idx*8\]; jmp r]); unresolved
-      dispatches leave case blocks unvisited (recall loss).
+      with the solver's [linear_fallthrough]: after an unconditional jump
+      the walker also continues at the next address with the current
+      height.  When that straight-line guess reaches a block before the
+      semantically correct path does, the block keeps the wrong height —
+      the "side effects of other errors" the paper blames for inaccuracy
+      (§V-B).
+    - The two styles differ in one thing, jump-table power: [Dyninst]
+      resolves all three table shapes and keeps decoding straight past an
+      indirect jump it cannot resolve; [Angr] misses the register-load form
+      ([mov r, \[table+idx*8\]; jmp r]) and stops there, so those case
+      blocks stay unvisited (recall loss).
+    - Both assume an unknown (indirect) callee preserves rsp.
     - Heights become unknown at instructions whose stack effect is not
       statically trackable ([leave], [mov rsp, r]). *)
 
 open Fetch_x86
 module Dataflow = Fetch_check.Dataflow
 
-type style = {
-  resolve_pic_tables : bool;
-  resolve_load_tables : bool;  (** the [mov r, \[table+idx*8\]; jmp r] form *)
-  linear_fallthrough : bool;
-  linear_after_indirect : bool;
-      (** keep decoding straight past an unresolved indirect jump *)
-  track_through_indirect_calls : bool;
-      (** assume an unknown callee preserves rsp; when false, tracking is
-          abandoned after indirect call sites *)
-}
-
-let angr_style =
-  {
-    resolve_pic_tables = true;
-    resolve_load_tables = false;
-    linear_fallthrough = true;
-    linear_after_indirect = false;
-    track_through_indirect_calls = true;
-  }
-
-let dyninst_style =
-  {
-    resolve_pic_tables = true;
-    resolve_load_tables = true;
-    linear_fallthrough = true;
-    linear_after_indirect = true;
-    track_through_indirect_calls = true;
-  }
+type style = Angr | Dyninst
 
 module Lattice = struct
   type state = int  (** bytes pushed since entry *)
@@ -75,11 +51,11 @@ module Solver = Dataflow.Make (Lattice)
 
 (** Heights at every address reached from [entry]; first write wins (the
     arrival-order sensitivity is part of the model). *)
-let analyze loaded ~(style : style) entry =
+let analyze loaded ~style entry =
   let table_allowed op prior =
     match Jump_table.resolve loaded.Loaded.image ~prior op with
     | Some { Jump_table.targets; _ } -> (
-        (* classify the shape to apply the style's power *)
+        (* classify the shape: only [Dyninst] resolves the load form *)
         match op with
         | Insn.Mem _ -> Some targets (* direct absolute form *)
         | Insn.Reg _ ->
@@ -90,9 +66,7 @@ let analyze loaded ~(style : style) entry =
                   match i with Insn.Movsxd _ -> true | _ -> false)
                 prior
             in
-            if is_pic then if style.resolve_pic_tables then Some targets else None
-            else if style.resolve_load_tables then Some targets
-            else None
+            if is_pic || style = Dyninst then Some targets else None
         | Insn.Imm _ -> None)
     | None -> None
   in
@@ -106,15 +80,10 @@ let analyze loaded ~(style : style) entry =
     {
       Solver.default_policy with
       resolve_indirect = (fun ~site:_ ~window op -> table_allowed op window);
-      call_falls_through =
-        (fun ~site:_ ~target _ ->
-          match target with
-          | None -> style.track_through_indirect_calls
-          | Some _ -> true);
       filter_succs_in_text = false;
       stop_outside_text = true;
-      linear_fallthrough = style.linear_fallthrough;
-      linear_after_indirect = style.linear_after_indirect;
+      linear_fallthrough = true;
+      linear_after_indirect = style = Dyninst;
       (* both tools know FDE boundaries: the linear guess never crosses
          into another FDE-covered function *)
       stop_linear_at = Loaded.fde_starting_at loaded;

@@ -1,25 +1,18 @@
 (** Static stack-height analysis, modelling the analyses shipped by ANGR
-    and DYNINST that Table IV compares against the CFI oracle.
+    and DYNINST that Table IV compares against the CFI oracle and the
+    §V-B ablation feeds to Algorithm 1.
 
     The walker propagates the stack height (bytes pushed since function
-    entry) across the CFG it can recover; model defects (linear-decode
-    arrival races, per-style jump-table power) reproduce the error modes
-    the paper attributes to the real implementations. *)
+    entry) across the CFG it can recover.  Both styles share the
+    linear-decode defect: after an unconditional jump they keep decoding
+    straight on, and first write wins, so the straight-line guess can
+    plant wrong heights.  Both assume an unknown callee preserves rsp. *)
 
-type style = {
-  resolve_pic_tables : bool;
-  resolve_load_tables : bool;  (** the [mov r, \[table+idx*8\]; jmp r] form *)
-  linear_fallthrough : bool;
-      (** keep decoding straight past unconditional jumps; first-write
-          wins, so the straight-line guess can plant wrong heights *)
-  linear_after_indirect : bool;
-      (** keep decoding straight past an unresolved indirect jump *)
-  track_through_indirect_calls : bool;
-      (** assume an unknown callee preserves rsp *)
-}
-
-val angr_style : style
-val dyninst_style : style
+(** The two tools differ only in jump-table power.  [Dyninst] resolves the
+    register-load form ([mov r, \[table+idx*8\]; jmp r]) and keeps
+    decoding straight past an indirect jump it cannot resolve; [Angr]
+    resolves neither, so those case blocks stay unvisited. *)
+type style = Angr | Dyninst
 
 (** [analyze loaded ~style entry] returns heights (bytes grown since
     entry) at every address reached from [entry]; first write wins. *)

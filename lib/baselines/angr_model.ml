@@ -9,7 +9,6 @@
 open Fetch_analysis
 
 type config = {
-  recursive : bool;
   merge : bool;
   alignment : bool;
   fsig : bool;
@@ -18,48 +17,43 @@ type config = {
 }
 
 let default =
-  {
-    recursive = true;
-    merge = true;
-    alignment = true;
-    fsig = true;
-    tcall = false;
-    scan = false;
-  }
+  { merge = true; alignment = true; fsig = true; tcall = false; scan = false }
 
 let detect ?(config = default) loaded =
   let seeds =
     loaded.Loaded.fde_starts @ loaded.Loaded.symbol_starts
     |> List.sort_uniq compare
   in
-  if not config.recursive then seeds
-  else begin
-    let res = Recursive.run loaded ~seeds in
-    let starts = Recursive.starts res in
-    let starts =
-      if config.merge then
-        let removed = Heuristics.angr_merge_removals res in
-        List.filter (fun s -> not (List.mem s removed)) starts
-      else starts
-    in
-    let starts =
-      if config.alignment then Heuristics.alignment_starts loaded res @ starts
-      else starts
-    in
-    let starts =
-      if config.fsig then
-        Heuristics.prologue_starts loaded res ~strictness:Prologue.Loose
-          ~every_byte:true
-        @ starts
-      else starts
-    in
-    let starts =
-      if config.tcall then Heuristics.tcall_starts_angr res @ starts
-      else starts
-    in
-    let starts =
-      if config.scan then Heuristics.scan_starts loaded res @ starts
-      else starts
-    in
-    List.sort_uniq compare starts
-  end
+  let res = Recursive.run loaded ~seeds in
+  let starts = Recursive.starts res in
+  let starts =
+    if config.merge then begin
+      (* a hash set keeps the filter linear in starts + removals *)
+      let removed = Hashtbl.create 16 in
+      List.iter
+        (fun s -> Hashtbl.replace removed s ())
+        (Heuristics.angr_merge_removals res);
+      List.filter (fun s -> not (Hashtbl.mem removed s)) starts
+    end
+    else starts
+  in
+  let starts =
+    if config.alignment then Heuristics.alignment_starts loaded res @ starts
+    else starts
+  in
+  let starts =
+    if config.fsig then
+      Heuristics.prologue_starts loaded res ~strictness:Prologue.Loose
+        ~every_byte:true
+      @ starts
+    else starts
+  in
+  let starts =
+    if config.tcall then Heuristics.tcall_starts_angr res @ starts
+    else starts
+  in
+  let starts =
+    if config.scan then Heuristics.scan_starts loaded res @ starts
+    else starts
+  in
+  List.sort_uniq compare starts

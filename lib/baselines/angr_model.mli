@@ -7,7 +7,6 @@
     detection → optional linear gap scan. *)
 
 type config = {
-  recursive : bool;
   merge : bool;
   alignment : bool;
   fsig : bool;

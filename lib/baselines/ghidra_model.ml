@@ -9,14 +9,13 @@
 open Fetch_analysis
 
 type config = {
-  recursive : bool;
   cfr : bool;
   thunks : bool;
   fsig : bool;
   tcall : bool;
 }
 
-let default = { recursive = true; cfr = true; thunks = true; fsig = true; tcall = false }
+let default = { cfr = true; thunks = true; fsig = true; tcall = false }
 
 (* Ghidra's noreturn view over-approximates: conditionally-noreturn
    functions count as plain noreturn. *)
@@ -28,33 +27,30 @@ let detect ?(config = default) loaded =
     loaded.Loaded.fde_starts @ loaded.Loaded.symbol_starts
     |> List.sort_uniq compare
   in
-  if not config.recursive then seeds
-  else begin
-    let res = Recursive.run loaded ~seeds in
-    let starts = Recursive.starts res in
-    let starts =
-      if config.cfr then
-        Heuristics.control_flow_repair loaded res
-          ~noreturn:(ghidra_noreturn res) starts
-      else starts
-    in
-    let starts =
-      if config.thunks then Heuristics.thunk_targets loaded res @ starts
-      else starts
-    in
-    let starts =
-      if config.fsig then
-        let found =
-          Heuristics.prologue_starts loaded res ~strictness:Prologue.Strict
-            ~every_byte:false
-        in
-        found @ starts
-      else starts
-    in
-    let starts =
-      if config.tcall then
-        Heuristics.tcall_starts_ghidra res ~threshold:48 @ starts
-      else starts
-    in
-    List.sort_uniq compare starts
-  end
+  let res = Recursive.run loaded ~seeds in
+  let starts = Recursive.starts res in
+  let starts =
+    if config.cfr then
+      Heuristics.control_flow_repair loaded res ~noreturn:(ghidra_noreturn res)
+        starts
+    else starts
+  in
+  let starts =
+    if config.thunks then Heuristics.thunk_targets loaded res @ starts
+    else starts
+  in
+  let starts =
+    if config.fsig then
+      let found =
+        Heuristics.prologue_starts loaded res ~strictness:Prologue.Strict
+          ~every_byte:false
+      in
+      found @ starts
+    else starts
+  in
+  let starts =
+    if config.tcall then
+      Heuristics.tcall_starts_ghidra res ~threshold:48 @ starts
+    else starts
+  in
+  List.sort_uniq compare starts

@@ -7,7 +7,6 @@
     heuristic tail-call detection (off by default, as in the product). *)
 
 type config = {
-  recursive : bool;
   cfr : bool;
   thunks : bool;
   fsig : bool;

@@ -11,8 +11,7 @@ let seeds loaded =
 
 (* Iterate: scan for prologues in the remaining gaps, recursively
    disassemble from matches, repeat. *)
-let rec_plus_patterns ?(engine = Recursive.safe_config) ~strictness ~every_byte
-    ~iterations loaded =
+let rec_plus_patterns ?safe ~strictness ~every_byte ~iterations loaded =
   let rec loop i seed_set res =
     if i >= iterations then res
     else
@@ -26,10 +25,10 @@ let rec_plus_patterns ?(engine = Recursive.safe_config) ~strictness ~every_byte
       if fresh = [] then res
       else
         let seed_set = List.sort_uniq compare (fresh @ seed_set) in
-        loop (i + 1) seed_set (Recursive.run ~config:engine loaded ~seeds:seed_set)
+        loop (i + 1) seed_set (Recursive.run ?safe loaded ~seeds:seed_set)
   in
   let s = seeds loaded in
-  loop 0 s (Recursive.run ~config:engine loaded ~seeds:s)
+  loop 0 s (Recursive.run ?safe loaded ~seeds:s)
 
 (** DYNINST: capable recursive disassembly (jump tables, accurate noreturn)
     plus iterated strict prologue matching over every gap byte. *)
@@ -46,16 +45,9 @@ end
     analysis) plus a BYTEWEIGHT-style loose matcher over every gap byte —
     high coverage of patterns, very many false positives. *)
 module Bap = struct
-  let engine =
-    {
-      Recursive.safe_config with
-      resolve_jump_tables = false;
-      noreturn_aware = false;
-    }
-
   let detect loaded =
     let res =
-      rec_plus_patterns ~engine ~strictness:Prologue.Loose ~every_byte:true
+      rec_plus_patterns ~safe:false ~strictness:Prologue.Loose ~every_byte:true
         ~iterations:2 loaded
     in
     Recursive.starts res

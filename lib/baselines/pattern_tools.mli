@@ -1,9 +1,9 @@
 (** Models of the six non-FDE tools in Table III.  On stripped binaries
     these seed from the program entry point (plus surviving symbols) and
     grow coverage with pattern matching — the fundamental limitation
-    §II-B describes.  Each model is a named composition of engine
-    configuration + heuristic passes; see the module comments in the
-    implementation for the per-tool stack. *)
+    §II-B describes.  Each model is a named composition of a safe (or,
+    for BAP, weak) engine run + heuristic passes; see the module comments
+    in the implementation for the per-tool stack. *)
 
 (** Capable recursion + iterated strict prologue matching. *)
 module Dyninst : sig

@@ -12,12 +12,7 @@ type t = {
 val fetch : t
 val ghidra : t
 val angr : t
-val dyninst : t
-val bap : t
-val radare2 : t
 val nucleus : t
-val ida : t
-val binja : t
 
 (** All nine, in Table III column order. *)
 val all : t list

@@ -40,26 +40,25 @@ type t = {
   n_failed : int;
 }
 
-let analyze ?config ~lint item =
+let analyze ~lint item =
   let summary, report =
     Obs.with_run (fun () ->
         let summary, secs =
           Fetch_obs.Clock.time_s (fun () ->
-              Summary.of_result ~lint
-                (Pipeline.run_loaded ?config (item.load ())))
+              Summary.of_result ~lint (Pipeline.run_loaded (item.load ())))
         in
         Obs.observe h_binary_wall_ms (int_of_float (secs *. 1e3));
         summary)
   in
   { summary; report }
 
-let run ?domains ?config ?(lint = true) items =
+let run ?domains ?(lint = true) items =
   Pool.with_pool ?domains @@ fun pool ->
   let (results, wall_s) =
     Fetch_obs.Clock.time_s (fun () ->
         Pool.map pool
           ~label:(fun _ it -> it.id)
-          (analyze ?config ~lint)
+          (analyze ~lint)
           items)
   in
   let results = List.map2 (fun it r -> (it.id, r)) items results in

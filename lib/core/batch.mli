@@ -42,11 +42,11 @@ type t = {
   n_failed : int;
 }
 
-(** [run ~domains ~config ~lint items] analyzes every item on a fresh
-    pool ([domains] defaults to {!Fetch_par.Pool.default_domains}).
-    [lint] (default [true]) also runs {!Lint.run} per binary. *)
-val run :
-  ?domains:int -> ?config:Pipeline.config -> ?lint:bool -> item list -> t
+(** [run ~domains ~lint items] runs the default FETCH pipeline on every
+    item on a fresh pool ([domains] defaults to
+    {!Fetch_par.Pool.default_domains}).  [lint] (default [true]) also runs
+    {!Lint.run} per binary. *)
+val run : ?domains:int -> ?lint:bool -> item list -> t
 
 (** Human-readable report: one line per binary (with diagnostics and
     findings indented under it), the merged stage/counter tables, and a

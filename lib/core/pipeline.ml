@@ -1,8 +1,9 @@
 (** The FETCH pipeline (§VI): FDE extraction → safe recursive disassembly →
     function-pointer detection → FDE error fixing.
 
-    Each stage can be switched off so the evaluation can measure every
-    prefix of the pipeline (Figure 5's strategy stacks). *)
+    Pointer detection and the fix stage can be switched off, so the
+    evaluation can measure each prefix of the pipeline (Figure 5's FETCH
+    stack); Algorithm 1's height source is the §V-B ablation's switch. *)
 
 open Fetch_analysis
 module Obs = Fetch_obs.Trace
@@ -16,40 +17,35 @@ let c_seeds_final = Obs.counter "pipeline.seeds.final"
 let c_invalid_fde = Obs.counter "pipeline.invalid_fde_rejected"
 
 type config = {
-  use_symbols : bool;  (** seed from surviving symbols too *)
-  recursive : bool;  (** run safe recursive disassembly *)
   xref : bool;  (** §IV-E pointer detection *)
   fix_fde_errors : bool;  (** Algorithm 1 + broken-FDE calling-convention check *)
   alg1_heights : Tailcall.height_source;
       (** stack-height source for Algorithm 1 (CFI oracle in the paper;
           a static analysis for the §V-B ablation) *)
-  engine : Recursive.config;
 }
 
 let default_config =
-  {
-    use_symbols = true;
-    recursive = true;
-    xref = true;
-    fix_fde_errors = true;
-    alg1_heights = Tailcall.Cfi_oracle;
-    engine = Recursive.safe_config;
-  }
+  { xref = true; fix_fde_errors = true; alg1_heights = Tailcall.Cfi_oracle }
 
-(* The seed set both detection passes start from: FDE starts plus
-   (optionally) symbol starts, minus [excluding], deduped and sorted.
-   [excluding] membership goes through a hash set — the callconv check
-   can reject many starts and [List.mem] made this quadratic. *)
-let seed_set ?(excluding = []) ~use_symbols loaded =
+(* The seed set both detection passes start from: FDE starts plus symbol
+   starts, minus [excluding], deduped and sorted.  [excluding] membership
+   goes through a hash set — the callconv check can reject many starts
+   and [List.mem] made this quadratic. *)
+let seed_set ?(excluding = []) loaded =
   let excluded =
     let tbl = Hashtbl.create (List.length excluding) in
     List.iter (fun s -> Hashtbl.replace tbl s ()) excluding;
     tbl
   in
-  loaded.Loaded.fde_starts
-  @ (if use_symbols then loaded.Loaded.symbol_starts else [])
+  loaded.Loaded.fde_starts @ loaded.Loaded.symbol_starts
   |> List.filter (fun s -> not (Hashtbl.mem excluded s))
   |> List.sort_uniq compare
+
+(* Stages 2-3: safe recursive disassembly, with pointer detection
+   iterating on top when it is on; returns the result and its seeds. *)
+let detect config loaded ~seeds =
+  if config.xref then Xref.detect loaded ~seeds
+  else (Recursive.run loaded ~seeds, seeds)
 
 type result = {
   starts : int list;  (** final detected function starts, ascending *)
@@ -76,33 +72,18 @@ let run_loaded ?(config = default_config) loaded =
   let seeds =
     Obs.span "seeds" @@ fun () ->
     Obs.add c_seeds_fde (List.length loaded.Loaded.fde_starts);
-    if config.use_symbols then
-      Obs.add c_seeds_symbol (List.length loaded.Loaded.symbol_starts);
+    Obs.add c_seeds_symbol (List.length loaded.Loaded.symbol_starts);
     if Prov.enabled () then begin
       List.iter
         (fun s -> Prov.emit ~ev:"seed.fde" ~addr:s [])
         loaded.Loaded.fde_starts;
-      if config.use_symbols then
-        List.iter
-          (fun s -> Prov.emit ~ev:"seed.symbol" ~addr:s [])
-          loaded.Loaded.symbol_starts
+      List.iter
+        (fun s -> Prov.emit ~ev:"seed.symbol" ~addr:s [])
+        loaded.Loaded.symbol_starts
     end;
-    seed_set ~use_symbols:config.use_symbols loaded
+    seed_set loaded
   in
-  (* 2-3. safe recursive disassembly, with pointer detection iterating *)
-  let res, seeds =
-    if config.recursive then
-      if config.xref then
-        Xref.detect ~config:config.engine loaded ~seeds
-      else (Recursive.run ~config:config.engine loaded ~seeds, seeds)
-    else
-      (* degenerate engine run that only registers the seed entries *)
-      ( Recursive.run
-          ~config:
-            { config.engine with resolve_jump_tables = false; max_noreturn_iters = 0 }
-          loaded ~seeds,
-        seeds )
-  in
+  let res, seeds = detect config loaded ~seeds in
   (* 4. fix FDE-introduced errors *)
   (* one [verdict.start] per kept start closes every surviving subject's
      chain in the ledger *)
@@ -165,13 +146,8 @@ let run_loaded ?(config = default_config) loaded =
         if Prov.enabled () then
           Prov.emit ~ev:"pipeline.reseed" ~addr:0
             [ ("dropped", Prov.I (List.length invalid)) ];
-        let seeds' =
-          seed_set ~excluding:invalid ~use_symbols:config.use_symbols loaded
-        in
         let res', seeds' =
-          if config.xref then
-            Xref.detect ~config:config.engine loaded ~seeds:seeds'
-          else (Recursive.run ~config:config.engine loaded ~seeds:seeds', seeds')
+          detect config loaded ~seeds:(seed_set ~excluding:invalid loaded)
         in
         (res', seeds', Refs.collect loaded res')
       end

@@ -1,18 +1,17 @@
 (** The FETCH pipeline (§VI): FDE extraction → safe recursive disassembly
     → function-pointer detection → FDE error fixing.
 
-    Each stage can be switched off so the evaluation can measure every
-    prefix of the pipeline (Figure 5's strategy stacks). *)
+    FDE starts and any surviving symbols always seed the safe engine.
+    Pointer detection and the fix stage can be switched off, so the
+    evaluation can measure each prefix of the pipeline (Figure 5's FETCH
+    stack); Algorithm 1's height source is the §V-B ablation's switch. *)
 
 type config = {
-  use_symbols : bool;  (** seed from surviving symbols too *)
-  recursive : bool;  (** run safe recursive disassembly *)
   xref : bool;  (** §IV-E pointer detection *)
   fix_fde_errors : bool;
       (** Algorithm 1 + the broken-FDE calling-convention check *)
   alg1_heights : Tailcall.height_source;
       (** stack-height source for Algorithm 1 (CFI oracle in the paper) *)
-  engine : Fetch_analysis.Recursive.config;
 }
 
 val default_config : config

@@ -50,7 +50,7 @@ type height_source =
 
 (** Run Algorithm 1 over the current detection result.  [refs] must be
     the reference census of exactly this [res]. *)
-let run ?(heights = Cfi_oracle) ~refs loaded (res : Recursive.result) =
+let run ~heights ~refs loaded (res : Recursive.result) =
   Obs.span "tailcall" @@ fun () ->
   let jump_only_refs ~entry t =
     not (Refs.referenced_outside_jumps_of refs ~entry t)

@@ -31,7 +31,7 @@ type height_source =
 (** Run Algorithm 1 over the current detection result.  [refs] must be
     the reference census of exactly this result. *)
 val run :
-  ?heights:height_source ->
+  heights:height_source ->
   refs:Refs.t ->
   Fetch_analysis.Loaded.t ->
   Fetch_analysis.Recursive.result ->

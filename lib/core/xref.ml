@@ -233,13 +233,12 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
     scope adding [round] to every §IV-E event, and is observed into the
     [xref.round_cost_ms] histogram; the per-binary round count goes to
     the [xref.rounds] histogram. *)
-let detect ?(config = Recursive.safe_config) ?(max_rounds = 64) ?on_commit
-    loaded ~seeds =
+let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
   (* the initial seed disassembly is stage-2 work and reports under its
      own "recursive" span; the "xref" stage below times §IV-E pointer
      detection only, so its mean is the cost of the rounds, not of the
      base disassembly they extend *)
-  let res0 = Recursive.run ~config loaded ~seeds in
+  let res0 = Recursive.run loaded ~seeds in
   Obs.span "xref" @@ fun () ->
   let incr_refs = Refs.incr_create loaded in
   (* rounds only ever add functions (and never mutate committed
@@ -344,9 +343,7 @@ let detect ?(config = Recursive.safe_config) ?(max_rounds = 64) ?on_commit
               Obs.incr c_accepted;
               Obs.set_arg "accepted" (Printf.sprintf "%#x" cand);
               let seeds' = List.sort_uniq compare (cand :: seeds) in
-              let res' =
-                Recursive.extend ~config loaded ~prior:res ~seeds:[ cand ]
-              in
+              let res' = Recursive.extend loaded ~prior:res ~seeds:[ cand ] in
               (match on_commit with
               | Some f -> f ~cand res'
               | None -> ());

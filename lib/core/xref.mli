@@ -74,7 +74,6 @@ val validate :
     and the already-extended result — a test seam for watching the
     detection state grow one commit at a time. *)
 val detect :
-  ?config:Fetch_analysis.Recursive.config ->
   ?max_rounds:int ->
   ?on_commit:(cand:int -> Fetch_analysis.Recursive.result -> unit) ->
   Fetch_analysis.Loaded.t ->

@@ -28,8 +28,6 @@ type binary = {
   built : Fetch_synth.Link.built;
 }
 
-val master_seed : int
-
 (** One deterministic build job: [build] derives the binary from the
     job's own sub-seed, so jobs run in any order — or on any domain —
     and produce identical binaries. *)

@@ -26,7 +26,7 @@ let variants =
         {
           Fetch_core.Pipeline.default_config with
           alg1_heights =
-            Fetch_core.Tailcall.Static Fetch_analysis.Stack_height.dyninst_style;
+            Fetch_core.Tailcall.Static Fetch_analysis.Stack_height.Dyninst;
         };
     };
     {
@@ -35,7 +35,7 @@ let variants =
         {
           Fetch_core.Pipeline.default_config with
           alg1_heights =
-            Fetch_core.Tailcall.Static Fetch_analysis.Stack_height.angr_style;
+            Fetch_core.Tailcall.Static Fetch_analysis.Stack_height.Angr;
         };
     };
   ]

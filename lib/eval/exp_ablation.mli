@@ -8,8 +8,6 @@ type variant = {
   config : Fetch_core.Pipeline.config;
 }
 
-val variants : variant list
-
 type cell = {
   mutable fp : int;
   mutable fn : int;

@@ -50,8 +50,8 @@ let run ?(scale = 1.0) () =
   in
   let styles =
     [
-      ("ANGR", Fetch_analysis.Stack_height.angr_style);
-      ("DYNINST", Fetch_analysis.Stack_height.dyninst_style);
+      ("ANGR", Fetch_analysis.Stack_height.Angr);
+      ("DYNINST", Fetch_analysis.Stack_height.Dyninst);
     ]
   in
   Corpus.fold_selfbuilt ~scale ~init:() (fun () (bin : Corpus.binary) ->

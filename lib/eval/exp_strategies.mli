@@ -10,9 +10,6 @@ type strategy = {
 (** Figure 5a stacks: FDE; +Rec+CFR; +Rec; +Fsig; +Tcall. *)
 val ghidra_stacks : strategy list
 
-(** Figure 5b stacks: FDE; +Rec+Fmerg; +Rec; +Fsig; +Tcall; +Scan. *)
-val angr_stacks : strategy list
-
 (** Figure 5c stacks: FDE; +Rec (safe); +Xref; +Fix (full FETCH). *)
 val fetch_stacks : strategy list
 

@@ -65,9 +65,6 @@ val n_buckets : int
 (** The bucket an observation lands in. *)
 val bucket_of : int -> int
 
-(** Inclusive value range of a bucket. *)
-val bucket_bounds : int -> int * int
-
 type hist_stats = {
   count : int;
   sum : int;

@@ -7,10 +7,4 @@
 
 val image_base : int
 
-(** Unwind codes equivalent to a function's prologue shape. *)
-val unwind_info_of : Fetch_synth.Ir.func -> Unwind_info.t
-
-(** Does the ABI require unwind data for this function? *)
-val needs_pdata : Fetch_synth.Truth.fn_truth -> bool
-
 val of_built : Fetch_synth.Link.built -> Image.t

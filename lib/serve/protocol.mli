@@ -31,8 +31,6 @@ type error_code =
   | Deadline_exceeded  (** [deadline_ms] elapsed before completion *)
   | Analysis_failed  (** the pipeline raised or the bytes are not ELF *)
 
-val error_code_label : error_code -> string
-
 (** Which field groups of the summary a response carries. *)
 type want = { w_starts : bool; w_eh : bool; w_diags : bool; w_findings : bool }
 

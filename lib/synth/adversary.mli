@@ -20,12 +20,6 @@ type t = {
           scenario, with a safety margin below observed values *)
 }
 
-(** The base profile/spec every scenario perturbs ("clean" runs them
-    unchanged), exposed so tests can diff a scenario against its control. *)
-val base_profile : Profile.t
-
-val base_spec : Gen.spec
-
 (** All scenarios; first is the ["clean"] control. *)
 val all : t list
 

@@ -93,20 +93,6 @@ type program = {
   object_size : int;  (** functions per synthetic object file (one CIE each) *)
 }
 
-(** Does the function's body contain a cold part? *)
-let rec stmts_have_cold stmts =
-  List.exists
-    (function
-      | Cold_jump _ -> true
-      | If (a, b) -> stmts_have_cold a || stmts_have_cold b
-      | Loop (_, s) -> stmts_have_cold s
-      | Try (a, b) -> stmts_have_cold a || stmts_have_cold b
-      | Switch (_, cases) -> Array.exists stmts_have_cold cases
-      | Compute _ | Call _ | Call_pointer _ | Call_reg_pointer _ | Store _
-      | Call_noreturn _ | Call_error _ | Tail_call _ | Return ->
-          false)
-    stmts
-
 (** Does the statement list contain a call of any form (one that returns
     control, so a register live across it must be callee-saved)? *)
 let rec stmts_have_call stmts =

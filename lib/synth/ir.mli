@@ -85,9 +85,6 @@ type program = {
   object_size : int;  (** functions per synthetic object file (one CIE) *)
 }
 
-(** Does the body contain a cold part? *)
-val stmts_have_cold : stmt list -> bool
-
 (** Does the statement list contain a call of any form (one that returns
     control, so a register live across it must be callee-saved)? *)
 val stmts_have_call : stmt list -> bool

@@ -2,12 +2,10 @@
     with [.text], [.rodata], [.data], [.eh_frame] and (optionally)
     symbols, together with the ground-truth manifest. *)
 
-val text_base : int
 val rodata_base : int
 val data_base : int
 val eh_frame_hdr_base : int
 val eh_frame_base : int
-val except_table_base : int
 
 type built = {
   image : Fetch_elf.Image.t;

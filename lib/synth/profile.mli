@@ -50,9 +50,6 @@ val make : compiler -> opt -> t
 (** e.g. ["gcc-O2"]. *)
 val name : t -> string
 
-(** Every [p_*] knob paired with its field name (for diagnostics). *)
-val probability_knobs : t -> (string * float) list
-
 (** Profile invariant: every [p_*] knob in [[0,1]], [align] a power of
     two, [body_scale] positive, [junk_scale >= 1].  Holds for every
     {!make} output and must hold for derived (adversarial) profiles. *)

@@ -85,20 +85,12 @@ type t =
 
 (** {1 Condition codes} *)
 
-val cond_name : cond -> string
-
 (** The 4-bit [tttn] field of the 0F 8x / 7x opcodes. *)
 val cond_code : cond -> int
 
 val cond_of_code : int -> cond
 
 (** {1 Printing} *)
-
-val arith_name : arith -> string
-val reg_name : width -> Reg.t -> string
-val mem_to_string : mem -> string
-val operand_to_string : width -> operand -> string
-val target_to_string : target -> string
 
 (** Intel-ish rendering, e.g. ["mov rax, [rbp-0x8]"]. *)
 val to_string : t -> string

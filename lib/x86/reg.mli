@@ -39,9 +39,7 @@ val args : t list
 
 val is_arg : t -> bool
 
-(** Callee-saved registers under the System-V ABI. *)
-val callee_saved : t list
-
+(** Is this register callee-saved under the System-V ABI? *)
 val is_callee_saved : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int

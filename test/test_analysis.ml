@@ -95,7 +95,14 @@ let test_rec_stops_at_noreturn_call () =
   let a = Hashtbl.find res.funcs (label asm "a") in
   check Alcotest.bool "no decode error (stopped at call)" false a.decode_error;
   check Alcotest.bool "dead is noreturn" true
-    (Hashtbl.mem res.noreturn (label asm "dead"))
+    (Hashtbl.mem res.noreturn (label asm "dead"));
+  (* the weak engine has no noreturn analysis: the call falls through and
+     the junk after it is decoded *)
+  let weak = Recursive.run ~safe:false loaded ~seeds:[ label asm "a" ] in
+  let a = Hashtbl.find weak.funcs (label asm "a") in
+  check Alcotest.bool "weak: decodes past the call" true a.decode_error;
+  check Alcotest.bool "weak: no noreturn facts" false
+    (Hashtbl.mem weak.noreturn (label asm "dead"))
 
 let test_rec_no_tail_guessing () =
   (* a ends with jmp b where b is a known start: recorded, not traversed *)
@@ -277,6 +284,11 @@ let test_jump_table_absolute () =
   let _, asm0 = image_of abs_table_items in
   let img, asm = image_of ~rodata:(abs_table_rodata asm0) abs_table_items in
   let loaded = Loaded.load img in
+  (* the weak engine leaves even a bounds-checked table unresolved *)
+  let weak = Recursive.run ~safe:false loaded ~seeds:[ label asm "f" ] in
+  let f = Hashtbl.find weak.funcs (label asm "f") in
+  check Alcotest.bool "weak: unresolved" true f.unresolved_indirect_jump;
+  check Alcotest.int "weak: no tables" 0 (List.length f.table_targets);
   let res = Recursive.run loaded ~seeds:[ label asm "f" ] in
   let f = Hashtbl.find res.funcs (label asm "f") in
   check Alcotest.bool "no unresolved" false f.unresolved_indirect_jump;
@@ -342,6 +354,20 @@ let test_jump_table_register_load () =
   in
   let img, asm = image_of ~rodata items in
   let loaded = Loaded.load img in
+  (* the stack-height styles differ exactly here: only [Dyninst] resolves
+     the load form, so only it reaches the case blocks *)
+  let case_heights style =
+    let h = Stack_height.analyze loaded ~style (label asm "f") in
+    List.map (fun c -> Hashtbl.find_opt h (label asm c)) [ "c0"; "c1"; "c2" ]
+  in
+  check
+    (Alcotest.list (Alcotest.option Alcotest.int))
+    "dyninst reaches the cases" [ Some 0; Some 0; Some 0 ]
+    (case_heights Stack_height.Dyninst);
+  check
+    (Alcotest.list (Alcotest.option Alcotest.int))
+    "angr does not" [ None; None; None ]
+    (case_heights Stack_height.Angr);
   let res = Recursive.run loaded ~seeds:[ label asm "f" ] in
   let f = Hashtbl.find res.funcs (label asm "f") in
   check Alcotest.bool "no unresolved" false f.unresolved_indirect_jump;
@@ -562,7 +588,7 @@ let test_stack_height_basic () =
   let img, asm = image_of items in
   let loaded = Loaded.load img in
   let h =
-    Stack_height.analyze loaded ~style:Stack_height.dyninst_style (label asm "f")
+    Stack_height.analyze loaded ~style:Stack_height.Dyninst (label asm "f")
   in
   check (Alcotest.option Alcotest.int) "entry" (Some 0)
     (Hashtbl.find_opt h (label asm "f"));
@@ -583,7 +609,7 @@ let test_stack_height_untrackable () =
   let img, asm = image_of items in
   let loaded = Loaded.load img in
   let h =
-    Stack_height.analyze loaded ~style:Stack_height.dyninst_style (label asm "f")
+    Stack_height.analyze loaded ~style:Stack_height.Dyninst (label asm "f")
   in
   check (Alcotest.option Alcotest.int) "abandoned after mov rsp" None
     (Hashtbl.find_opt h (label asm "after"))

@@ -143,7 +143,7 @@ let test_heights_driver_on_subset () =
             let expected = Exp_heights.expected_heights loaded f in
             let heights =
               Fetch_analysis.Stack_height.analyze loaded
-                ~style:Fetch_analysis.Stack_height.dyninst_style f.start
+                ~style:Fetch_analysis.Stack_height.Dyninst f.start
             in
             List.iter
               (fun (addr, h, _) ->
