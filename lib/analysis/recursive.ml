@@ -27,10 +27,6 @@ let c_extend_runs = Obs.counter "recursive.extend_runs"
 let c_extend_funcs = Obs.counter "recursive.extend_funcs"
 let h_block_insns = Obs.histogram "recursive.block_insns"
 
-(* Budget of noreturn re-walks per engine run.  A chain of N functions,
-   each calling the next, needs N full re-walks to converge, and the serve
-   deadline is only checked between stages, so on hostile input this
-   constant is what bounds the fixpoint's cost. *)
 let max_noreturn_iters = 5
 
 type func = {

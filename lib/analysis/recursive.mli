@@ -10,9 +10,7 @@
     block and is recorded as an outgoing jump — and iterates a
     non-returning-function analysis so no block is placed after a call
     that cannot return.  Each run re-walks for new noreturn facts at most
-    5 times: a chain of N functions, each calling the next, needs N
-    re-walks to converge, and nothing else bounds that cost on hostile
-    input. *)
+    [max_noreturn_iters] times. *)
 
 type func = {
   entry : int;
@@ -36,6 +34,13 @@ type result = {
   insn_spans : Fetch_util.Insn_index.t;
       (** every decoded instruction extent *)
 }
+
+(** Budget of noreturn re-walks per [run] or [extend] call.  The fixpoint
+    is not run to convergence: a chain of N functions, each calling the
+    next, needs N full re-walks, and the serve deadline is only checked
+    between stages, so on hostile input this constant is what bounds the
+    engine's cost. *)
+val max_noreturn_iters : int
 
 (** Run the engine from the given seed entries.  [safe] (default [true])
     is the paper's engine.  [~safe:false] is the weaker engine of the BAP

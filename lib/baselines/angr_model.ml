@@ -10,14 +10,13 @@ open Fetch_analysis
 
 type config = {
   merge : bool;
-  alignment : bool;
   fsig : bool;
   tcall : bool;
   scan : bool;
 }
 
 let default =
-  { merge = true; alignment = true; fsig = true; tcall = false; scan = false }
+  { merge = true; fsig = true; tcall = false; scan = false }
 
 let detect ?(config = default) loaded =
   let seeds =
@@ -27,20 +26,12 @@ let detect ?(config = default) loaded =
   let res = Recursive.run loaded ~seeds in
   let starts = Recursive.starts res in
   let starts =
-    if config.merge then begin
-      (* a hash set keeps the filter linear in starts + removals *)
-      let removed = Hashtbl.create 16 in
-      List.iter
-        (fun s -> Hashtbl.replace removed s ())
-        (Heuristics.angr_merge_removals res);
-      List.filter (fun s -> not (Hashtbl.mem removed s)) starts
-    end
+    if config.merge then
+      let removed = Heuristics.angr_merge_removals res in
+      List.filter (fun s -> not (List.mem s removed)) starts
     else starts
   in
-  let starts =
-    if config.alignment then Heuristics.alignment_starts loaded res @ starts
-    else starts
-  in
+  let starts = Heuristics.alignment_starts loaded res @ starts in
   let starts =
     if config.fsig then
       Heuristics.prologue_starts loaded res ~strictness:Prologue.Loose

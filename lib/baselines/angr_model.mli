@@ -8,7 +8,6 @@
 
 type config = {
   merge : bool;
-  alignment : bool;
   fsig : bool;
   tcall : bool;
   scan : bool;

@@ -2,20 +2,19 @@
 
     FDE starts + symbols → recursive disassembly → control-flow repairing
     (default on; removes unreferenced starts after non-returning functions,
-    using its over-approximate noreturn knowledge) → thunk splitting
-    (default on) → prologue matching (strict patterns, gap starts) →
-    optional heuristic tail-call detection (off by default). *)
+    using its over-approximate noreturn knowledge) → thunk splitting →
+    prologue matching (strict patterns, gap starts) → optional heuristic
+    tail-call detection (off by default). *)
 
 open Fetch_analysis
 
 type config = {
   cfr : bool;
-  thunks : bool;
   fsig : bool;
   tcall : bool;
 }
 
-let default = { cfr = true; thunks = true; fsig = true; tcall = false }
+let default = { cfr = true; fsig = true; tcall = false }
 
 (* Ghidra's noreturn view over-approximates: conditionally-noreturn
    functions count as plain noreturn. *)
@@ -35,10 +34,7 @@ let detect ?(config = default) loaded =
         starts
     else starts
   in
-  let starts =
-    if config.thunks then Heuristics.thunk_targets loaded res @ starts
-    else starts
-  in
+  let starts = Heuristics.thunk_targets loaded res @ starts in
   let starts =
     if config.fsig then
       let found =

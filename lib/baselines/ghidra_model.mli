@@ -3,12 +3,11 @@
     FDE starts + symbols → recursive disassembly → control-flow repairing
     (default on; removes byte-adjacent unreferenced starts after
     non-returning functions, with over-approximate noreturn knowledge) →
-    thunk splitting (default on) → strict prologue matching → optional
+    thunk splitting → strict prologue matching → optional
     heuristic tail-call detection (off by default, as in the product). *)
 
 type config = {
   cfr : bool;
-  thunks : bool;
   fsig : bool;
   tcall : bool;
 }

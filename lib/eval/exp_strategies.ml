@@ -19,25 +19,25 @@ let ghidra_stacks =
       sname = "FDE+Rec+CFR";
       run =
         Ghidra_model.detect
-          ~config:{ cfr = true; thunks = true; fsig = false; tcall = false };
+          ~config:{ cfr = true; fsig = false; tcall = false };
     };
     {
       sname = "FDE+Rec";
       run =
         Ghidra_model.detect
-          ~config:{ cfr = false; thunks = true; fsig = false; tcall = false };
+          ~config:{ cfr = false; fsig = false; tcall = false };
     };
     {
       sname = "FDE+Rec+Fsig";
       run =
         Ghidra_model.detect
-          ~config:{ cfr = false; thunks = true; fsig = true; tcall = false };
+          ~config:{ cfr = false; fsig = true; tcall = false };
     };
     {
       sname = "FDE+Rec+Fsig+Tcall";
       run =
         Ghidra_model.detect
-          ~config:{ cfr = false; thunks = true; fsig = true; tcall = true };
+          ~config:{ cfr = false; fsig = true; tcall = true };
     };
   ]
 
@@ -49,35 +49,35 @@ let angr_stacks =
       run =
         Angr_model.detect
           ~config:
-            { merge = true; alignment = true; fsig = false; tcall = false; scan = false };
+            { merge = true; fsig = false; tcall = false; scan = false };
     };
     {
       sname = "FDE+Rec";
       run =
         Angr_model.detect
           ~config:
-            { merge = false; alignment = true; fsig = false; tcall = false; scan = false };
+            { merge = false; fsig = false; tcall = false; scan = false };
     };
     {
       sname = "FDE+Rec+Fsig";
       run =
         Angr_model.detect
           ~config:
-            { merge = false; alignment = true; fsig = true; tcall = false; scan = false };
+            { merge = false; fsig = true; tcall = false; scan = false };
     };
     {
       sname = "FDE+Rec+Fsig+Tcall";
       run =
         Angr_model.detect
           ~config:
-            { merge = false; alignment = true; fsig = true; tcall = true; scan = false };
+            { merge = false; fsig = true; tcall = true; scan = false };
     };
     {
       sname = "FDE+Rec+Fsig+Tcall+Scan";
       run =
         Angr_model.detect
           ~config:
-            { merge = false; alignment = true; fsig = true; tcall = true; scan = true };
+            { merge = false; fsig = true; tcall = true; scan = true };
     };
   ]
 

@@ -191,10 +191,8 @@ let with_dispatch_run engine cfg f =
       finally_dump report;
       raise e
 
-let create_engine { engine; _ } = Engine.create ~config:engine ()
-
 let run_stdin ?(config = default_config) rd wr =
-  let engine = create_engine config in
+  let engine = Engine.create ~config:config.engine () in
   with_dispatch_run engine config (fun () -> ignore (session engine config rd wr))
 
 let run_socket ?(config = default_config) ?(should_stop = fun () -> false) path =
@@ -206,7 +204,7 @@ let run_socket ?(config = default_config) ?(should_stop = fun () -> false) path 
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Unix.bind srv (Unix.ADDR_UNIX path);
   Unix.listen srv 8;
-  let engine = create_engine config in
+  let engine = Engine.create ~config:config.engine () in
   let cleanup () =
     (try Unix.close srv with Unix.Unix_error _ -> ());
     try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()

@@ -67,16 +67,17 @@ let test_ghidra_thunk_heuristic_fp () =
     (fun seed ->
       if not !found then begin
         let b, loaded = build ~seed () in
+        let seeds =
+          loaded.Fetch_analysis.Loaded.fde_starts
+          @ loaded.Fetch_analysis.Loaded.symbol_starts
+          |> List.sort_uniq compare
+        in
         let no_thunk =
-          Ghidra_model.detect
-            ~config:
-              { cfr = false; thunks = false; fsig = false; tcall = false }
-            loaded
+          Fetch_analysis.Recursive.(starts (run loaded ~seeds))
         in
         let with_thunk =
           Ghidra_model.detect
-            ~config:
-              { cfr = false; thunks = true; fsig = false; tcall = false }
+            ~config:{ cfr = false; fsig = false; tcall = false }
             loaded
         in
         let fp_no, _ = score b no_thunk in
@@ -96,12 +97,12 @@ let test_ghidra_cfr_loses_coverage () =
       let loaded = Fetch_analysis.Loaded.load (Fetch_elf.Image.strip b.image) in
       let with_cfr =
         Ghidra_model.detect
-          ~config:{ cfr = true; thunks = false; fsig = false; tcall = false }
+          ~config:{ cfr = true; fsig = false; tcall = false }
           loaded
       in
       let without =
         Ghidra_model.detect
-          ~config:{ cfr = false; thunks = false; fsig = false; tcall = false }
+          ~config:{ cfr = false; fsig = false; tcall = false }
           loaded
       in
       let _, fn_with = score b with_cfr in
@@ -120,7 +121,7 @@ let test_ghidra_tcall_floods_fps () =
       let loaded = Fetch_analysis.Loaded.load (Fetch_elf.Image.strip b.image) in
       let run tcall =
         Ghidra_model.detect
-          ~config:{ cfr = false; thunks = true; fsig = true; tcall }
+          ~config:{ cfr = false; fsig = true; tcall }
           loaded
       in
       let f0, _ = score b (run false) in
@@ -136,7 +137,7 @@ let test_angr_scan_kills_accuracy () =
   let scan =
     Angr_model.detect
       ~config:
-        { merge = true; alignment = true; fsig = true;
+        { merge = true; fsig = true;
           tcall = false; scan = true }
       loaded
   in
@@ -155,7 +156,7 @@ let test_angr_tcall_finds_tail_only () =
       let tc =
         Angr_model.detect
           ~config:
-            { merge = true; alignment = true; fsig = true;
+            { merge = true; fsig = true;
               tcall = true; scan = false }
           loaded
       in
