@@ -21,8 +21,8 @@ let window = 12
 type resolved = { table_addr : int; targets : int list }
 
 (* Find the most recent [cmp idx, imm] guarded by [ja] in the window.
-   [prior] is the reversed list of instructions decoded before the jump. *)
-let find_bound ~prior idx =
+   [preceding] is the reversed list of instructions decoded before the jump. *)
+let find_bound ~preceding idx =
   let rec scan saw_ja = function
     | [] -> None
     | insn :: rest -> (
@@ -35,7 +35,7 @@ let find_bound ~prior idx =
         | Insn.Mov (_, Insn.Reg r, _) when Reg.equal r idx -> None
         | _ -> scan saw_ja rest)
   in
-  scan false prior
+  scan false preceding
 
 let read_abs_table image ~table_addr ~count =
   let rec go i acc =
@@ -65,8 +65,8 @@ let validate image targets =
   else None
 
 (* Trace how register [r] got its value: a table load or a PIC add. *)
-let rec resolve_reg image ~prior r =
-  match prior with
+let rec resolve_reg image ~preceding r =
+  match preceding with
   | [] -> None
   | insn :: rest -> (
       match insn with
@@ -74,7 +74,7 @@ let rec resolve_reg image ~prior r =
           (* mov r, [table + idx*8] *)
           match (m.base, m.index, m.rip_rel) with
           | None, Some (idx, 8), false -> (
-              match find_bound ~prior:rest idx with
+              match find_bound ~preceding:rest idx with
               | Some count -> (
                   match read_abs_table image ~table_addr:m.disp ~count with
                   | Some targets ->
@@ -87,12 +87,12 @@ let rec resolve_reg image ~prior r =
       | Insn.Arith (Insn.Add, Insn.W64, Insn.Reg d, Insn.Reg base)
         when Reg.equal d r ->
           (* add rx, rt: PIC pattern; keep looking for the movsxd *)
-          resolve_pic image ~prior:rest ~rx:r ~rt:base
+          resolve_pic image ~preceding:rest ~rx:r ~rt:base
       | Insn.Mov (_, Insn.Reg d, _) when Reg.equal d r -> None
       | Insn.Lea (d, _) when Reg.equal d r -> None
-      | _ -> resolve_reg image ~prior:rest r)
+      | _ -> resolve_reg image ~preceding:rest r)
 
-and resolve_pic image ~prior ~rx ~rt =
+and resolve_pic image ~preceding ~rx ~rt =
   (* expect: movsxd rx, [rt + idx*4]  ...  lea rt, [rip+table] *)
   let rec find_movsxd = function
     | [] -> None
@@ -102,7 +102,7 @@ and resolve_pic image ~prior ~rx ~rt =
         | _ -> None)
     | _ :: rest -> find_movsxd rest
   in
-  match find_movsxd prior with
+  match find_movsxd preceding with
   | None -> None
   | Some (idx, rest) -> (
       (* [rest] is the reversed stream before the movsxd: the lea that
@@ -119,7 +119,7 @@ and resolve_pic image ~prior ~rx ~rt =
       match find_lea rest with
       | None -> None
       | Some table_addr -> (
-          match find_bound ~prior:rest idx with
+          match find_bound ~preceding:rest idx with
           | Some count -> (
               match read_pic_table image ~table_addr ~count with
               | Some targets ->
@@ -132,10 +132,10 @@ and resolve_pic image ~prior ~rx ~rt =
 (** Try to resolve the indirect jump [jmp_insn] located at [addr], given the
     reversed window of instructions preceding it in the same block, as
     (address, instruction) pairs. *)
-let resolve (image : Fetch_elf.Image.t) ~prior (operand : Insn.operand) =
-  let prior =
+let resolve (image : Fetch_elf.Image.t) ~preceding (operand : Insn.operand) =
+  let preceding =
     (* absolutize rip-relative displacements using each insn's end addr *)
-    List.filteri (fun i _ -> i < window) prior
+    List.filteri (fun i _ -> i < window) preceding
     |> List.map (fun (addr, len, insn) ->
            Insn.map_mem
              (fun m ->
@@ -148,7 +148,7 @@ let resolve (image : Fetch_elf.Image.t) ~prior (operand : Insn.operand) =
       (* jmp [table + idx*8] *)
       match (m.base, m.index) with
       | None, Some (idx, 8) -> (
-          match find_bound ~prior idx with
+          match find_bound ~preceding idx with
           | Some count -> (
               match read_abs_table image ~table_addr:m.disp ~count with
               | Some targets ->
@@ -158,5 +158,5 @@ let resolve (image : Fetch_elf.Image.t) ~prior (operand : Insn.operand) =
               | None -> None)
           | None -> None)
       | _ -> None)
-  | Insn.Reg r -> resolve_reg image ~prior r
+  | Insn.Reg r -> resolve_reg image ~preceding r
   | Insn.Mem _ | Insn.Imm _ -> None

@@ -15,12 +15,12 @@
 
 type resolved = { table_addr : int; targets : int list }
 
-(** [resolve image ~prior operand] slices backwards through [prior] (the
-    reversed (addr, len, insn) window preceding the dispatch jump, across
-    block boundaries) and reads the table from the image.  Every entry
+(** [resolve image ~preceding operand] slices backwards through
+    [preceding] (the reversed (addr, len, insn) window before the dispatch
+    jump, across block boundaries) and reads the table from the image.  Every entry
     must land in executable memory or the whole dispatch is rejected. *)
 val resolve :
   Fetch_elf.Image.t ->
-  prior:(int * int * Fetch_x86.Insn.t) list ->
+  preceding:(int * int * Fetch_x86.Insn.t) list ->
   Fetch_x86.Insn.operand ->
   resolved option

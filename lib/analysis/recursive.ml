@@ -167,11 +167,28 @@ let rec decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
             decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
               ~block_known (addr + len) acc')
 
-(* Disassemble one function from [entry], updating global state.  Pending
-   blocks carry the reversed instruction window of their fallthrough
-   predecessor so jump-table slicing can look across block boundaries (the
-   bounds check `cmp/ja` ends the block before the dispatch jump). *)
-let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~spans
+(* The instructions one walk decoded, in decode order, each packed as
+   [lo lsl 8 lor len] (lengths are at most [Insn_index.max_len]), so
+   holding them until the pass commits keeps no block per instruction
+   alive. *)
+type decoded = { mutable packed : int array; mutable n : int }
+
+let push d lo len =
+  if d.n = Array.length d.packed then begin
+    let bigger = Array.make (max 256 (2 * d.n)) 0 in
+    Array.blit d.packed 0 bigger 0 d.n;
+    d.packed <- bigger
+  end;
+  d.packed.(d.n) <- (lo lsl 8) lor len;
+  d.n <- d.n + 1
+
+(* Disassemble one function from [entry].  Each decoded block's
+   instructions are pushed onto [decoded]; they reach the instruction
+   table only when the pass is committed.  Pending blocks carry the
+   reversed instruction window of their fallthrough predecessor so
+   jump-table slicing can look across block boundaries (the bounds check
+   `cmp/ja` ends the block before the dispatch jump). *)
+let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~decoded
     ~new_entries entry =
   Obs.incr c_funcs_disassembled;
   let f = new_func entry in
@@ -193,9 +210,7 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~spans
       (match (insns, rev_insns) with
       | (lo, _, _) :: _, (last_addr, last_len, _) :: _ ->
           f.blocks <- (lo, last_addr + last_len) :: f.blocks;
-          (* per-instruction spans: overlapping decodes of the same bytes
-             must never evict earlier coverage *)
-          List.iter (fun (a, l, _) -> Insn_index.add spans ~lo:a ~hi:(a + l)) insns
+          List.iter (fun (a, l, _) -> push decoded a l) insns
       | _ -> ());
       (* register the callees this block discovered, newest first — the
          calls of earlier blocks are already known *)
@@ -237,12 +252,12 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~spans
       | End_indirect (op, rev_window) -> (
           if not safe then f.unresolved_indirect_jump <- true
           else
-            let prior =
+            let preceding =
               match rev_window @ inherited with
-              | _jmp :: prior -> prior
+              | _jmp :: preceding -> preceding
               | [] -> []
             in
-            match Jump_table.resolve loaded.Loaded.image ~prior op with
+            match Jump_table.resolve loaded.Loaded.image ~preceding op with
             | Some { Jump_table.table_addr; targets } ->
                 Obs.incr c_tables_resolved;
                 f.table_targets <- (table_addr, targets) :: f.table_targets;
@@ -279,155 +294,138 @@ let compute_returns funcs =
   done;
   returns
 
-(* Noreturn fixpoint driver shared by [run] and [extend]: re-run [iterate]
-   until the noreturn / cond-noreturn fact tables stop growing or the
-   iteration budget runs out; the weak engine ([safe = false]) walks
-   once.  [iterate] must rebuild (funcs, spans) from its own starting
-   state on every call — newly learned facts can shrink blocks, so stale
-   spans cannot be patched in place. *)
-let solve ~safe loaded ~noreturn ~cond_noreturn iterate =
-  let rec fixpoint i (funcs, spans) =
-    if (not safe) || i >= max_noreturn_iters then (funcs, spans)
-    else begin
-      Obs.incr c_noreturn_iters;
-      let returns = compute_returns funcs in
-      let changed = ref false in
-      Hashtbl.iter
-        (fun e _ ->
-          if not (Hashtbl.mem returns e) then
-            if detect_cond_noreturn loaded e then begin
-              (* cannot happen: cond-noreturn fns have a ret *) ()
-            end
-            else if not (Hashtbl.mem noreturn e) then begin
-              Hashtbl.replace noreturn e ();
-              changed := true
-            end)
-        funcs;
-      Hashtbl.iter
-        (fun e _ ->
-          if
-            Hashtbl.mem returns e
-            && (not (Hashtbl.mem cond_noreturn e))
-            && detect_cond_noreturn loaded e
-          then begin
-            Hashtbl.replace cond_noreturn e ();
-            changed := true
-          end)
-        funcs;
-      if !changed then fixpoint (i + 1) (iterate ()) else (funcs, spans)
-    end
-  in
-  let funcs, spans = fixpoint 0 (iterate ()) in
-  { funcs; noreturn; cond_noreturn; insn_spans = spans }
-
-(* Ledger helper: one [recursive.discover] per callee per engine run (the
-   noreturn fixpoint re-walks everything, so dedup lives outside the
-   iteration); seeds are not "discovered" — their origin events come from
-   the caller (FDE/symbol/xref). *)
-let make_discover loaded ~already_known =
-  let prov_seen = if Prov.enabled () then Some (Hashtbl.create 64) else None in
-  (match prov_seen with
-  | Some tbl -> List.iter (fun e -> Hashtbl.replace tbl e ()) already_known
-  | None -> ());
-  fun ~site t ->
-    match prov_seen with
-    | None -> ()
-    | Some tbl ->
-        if (not (Hashtbl.mem tbl t)) && Loaded.in_text loaded t then begin
-          Hashtbl.replace tbl t ();
-          Prov.emit ~ev:"recursive.discover" ~addr:t [ ("site", Prov.I site) ]
+(* One noreturn fixpoint pass's verdicts: mark the functions that cannot
+   return and the [error]-style ones.  [detect_cond_noreturn] decodes
+   through the memo, so it runs before the membership tests, in this
+   order.  True when a fact was learned. *)
+let learn_noreturn loaded res =
+  let returns = compute_returns res.funcs in
+  let changed = ref false in
+  Hashtbl.iter
+    (fun e _ ->
+      if not (Hashtbl.mem returns e) then
+        if detect_cond_noreturn loaded e then begin
+          (* cannot happen: cond-noreturn fns have a ret *) ()
         end
+        else if not (Hashtbl.mem res.noreturn e) then begin
+          Hashtbl.replace res.noreturn e ();
+          changed := true
+        end)
+    res.funcs;
+  Hashtbl.iter
+    (fun e _ ->
+      if
+        Hashtbl.mem returns e
+        && (not (Hashtbl.mem res.cond_noreturn e))
+        && detect_cond_noreturn loaded e
+      then begin
+        Hashtbl.replace res.cond_noreturn e ();
+        changed := true
+      end)
+    res.funcs;
+  !changed
 
-(** Run the engine from the given seed entries. *)
+type delta = { new_funcs : func list; new_spans : (int * int) list }
+
+(* The one engine loop behind [run] and [extend]: walk every function
+   reachable from [seeds] that [res] does not hold yet, re-walk that pass
+   while the noreturn fixpoint learns facts (they can shrink its blocks,
+   never the committed ones), then commit the last pass's instructions to
+   [res.insn_spans] in decode order.  A walk never reads the table, so
+   committing late gives the table a per-instruction walk would.  One
+   [recursive.discover] per callee per call, none for a committed entry:
+   one in [res.funcs] that the current pass did not register (earlier
+   passes' entries were removed).  Seeds are not "discovered" (their
+   origin events come from the caller).  Only [extend] lists the
+   committed spans in its delta. *)
+let grow ~safe ~extending loaded res ~seeds =
+  let prov_seen = if Prov.enabled () then Some (Itbl.create 64) else None in
+  (* the walk asks at every instruction; [run] has nothing committed *)
+  let any_committed = Hashtbl.length res.funcs > 0 in
+  let decoded = { packed = [||]; n = 0 } in
+  let walk () =
+    let queue = Queue.create () in
+    let registered = Itbl.create 64 in
+    let is_start a =
+      Itbl.mem registered a || (any_committed && Hashtbl.mem res.funcs a)
+    in
+    let register t =
+      if (not (is_start t)) && Loaded.in_text loaded t then begin
+        Itbl.replace registered t ();
+        Queue.add t queue
+      end
+    in
+    let committed t = Hashtbl.mem res.funcs t && not (Itbl.mem registered t) in
+    let new_entries ~site t =
+      (match prov_seen with
+      | Some seen
+        when Loaded.in_text loaded t && (not (Itbl.mem seen t)) && not (committed t)
+        ->
+          Itbl.replace seen t ();
+          Prov.emit ~ev:"recursive.discover" ~addr:t [ ("site", Prov.I site) ]
+      | _ -> ());
+      register t
+    in
+    List.iter register seeds;
+    decoded.n <- 0;
+    let fresh = ref [] in
+    while not (Queue.is_empty queue) do
+      let e = Queue.pop queue in
+      let f =
+        disasm_function loaded ~safe ~noreturn:res.noreturn
+          ~cond_noreturn:res.cond_noreturn ~is_start ~decoded ~new_entries e
+      in
+      Hashtbl.replace res.funcs e f;
+      if extending then Obs.incr c_extend_funcs;
+      fresh := f :: !fresh
+    done;
+    List.rev !fresh
+  in
+  let rec fixpoint i =
+    let fresh = walk () in
+    if
+      safe && i < max_noreturn_iters
+      && (Obs.incr c_noreturn_iters;
+          learn_noreturn loaded res)
+    then begin
+      List.iter (fun f -> Hashtbl.remove res.funcs f.entry) fresh;
+      fixpoint (i + 1)
+    end
+    else fresh
+  in
+  let new_funcs = fixpoint 0 in
+  let new_spans = ref [] in
+  for i = 0 to decoded.n - 1 do
+    let p = decoded.packed.(i) in
+    let lo = p lsr 8 and hi = (p lsr 8) + (p land 0xff) in
+    if Insn_index.add res.insn_spans ~lo ~hi && extending then
+      new_spans := (lo, hi) :: !new_spans
+  done;
+  { new_funcs; new_spans = List.rev !new_spans }
+
 let run ?(safe = true) loaded ~seeds =
   Obs.span "recursive" @@ fun () ->
-  let noreturn = Hashtbl.create 16 in
-  let cond_noreturn = Hashtbl.create 4 in
-  let discover = make_discover loaded ~already_known:[] in
-  let iterate () =
-    let funcs = Hashtbl.create 256 in
-    let spans = Insn_index.create (Loaded.text_ranges loaded) in
-    let queue = Queue.create () in
-    let known = Itbl.create 256 in
-    let register t =
-      if (not (Itbl.mem known t)) && Loaded.in_text loaded t then begin
-        Itbl.replace known t ();
-        Queue.add t queue
-      end
-    in
-    let new_entries ~site t =
-      discover ~site t;
-      register t
-    in
-    List.iter register seeds;
-    let is_start a = Itbl.mem known a in
-    while not (Queue.is_empty queue) do
-      let e = Queue.pop queue in
-      if not (Hashtbl.mem funcs e) then begin
-        let f =
-          disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start
-            ~spans ~new_entries e
-        in
-        Hashtbl.replace funcs e f
-      end
-    done;
-    (funcs, spans)
+  let res =
+    {
+      funcs = Hashtbl.create 256;
+      noreturn = Hashtbl.create 16;
+      cond_noreturn = Hashtbl.create 4;
+      insn_spans = Insn_index.create (Loaded.text_ranges loaded);
+    }
   in
-  solve ~safe loaded ~noreturn ~cond_noreturn iterate
+  ignore (grow ~safe ~extending:false loaded res ~seeds);
+  res
 
-(** Resume a prior result with extra seed entries, disassembling only the
-    delta reachable from the fresh seeds.
-
-    Soundness precondition (guaranteed by xref validation for accepted
-    pointers, see DESIGN.md "Incremental xref"): no committed function
-    transfers control to a fresh seed, and no fresh function transfers
-    into the committed extents other than by calling / tail-jumping a
-    committed *entry*.  Under that precondition the committed funcs,
-    spans and noreturn facts are stable, so every (re-)iteration forks
-    them — [Hashtbl.copy] for funcs and facts, the copy-on-write page
-    fork [Insn_index.copy] for spans (O(pages), plus one 256-byte page
-    copy per page the delta first writes) — and only the delta is
-    re-decoded when a noreturn fact learned about a *new* function
-    shrinks its blocks. *)
-let extend loaded ~prior ~seeds =
+(* Soundness precondition (guaranteed by xref validation for accepted
+   pointers, see DESIGN.md "Incremental xref"): no committed function
+   transfers control to a fresh seed, and no fresh function transfers
+   into the committed extents other than by calling / tail-jumping a
+   committed *entry*.  Under it the committed funcs, spans and noreturn
+   facts are stable, so a re-walk only removes the pass's own entries. *)
+let extend loaded res ~seeds =
   Obs.span "recursive.extend" @@ fun () ->
   Obs.incr c_extend_runs;
-  let noreturn = Hashtbl.copy prior.noreturn in
-  let cond_noreturn = Hashtbl.copy prior.cond_noreturn in
-  let already_known = Hashtbl.fold (fun e _ acc -> e :: acc) prior.funcs [] in
-  let discover = make_discover loaded ~already_known in
-  let iterate () =
-    let funcs = Hashtbl.copy prior.funcs in
-    let spans = Insn_index.copy prior.insn_spans in
-    let queue = Queue.create () in
-    let known = Itbl.create 64 in
-    Hashtbl.iter (fun e _ -> Itbl.replace known e ()) prior.funcs;
-    let register t =
-      if (not (Itbl.mem known t)) && Loaded.in_text loaded t then begin
-        Itbl.replace known t ();
-        Queue.add t queue
-      end
-    in
-    let new_entries ~site t =
-      discover ~site t;
-      register t
-    in
-    List.iter register seeds;
-    let is_start a = Itbl.mem known a in
-    while not (Queue.is_empty queue) do
-      let e = Queue.pop queue in
-      if not (Hashtbl.mem funcs e) then begin
-        let f =
-          disasm_function loaded ~safe:true ~noreturn ~cond_noreturn ~is_start
-            ~spans ~new_entries e
-        in
-        Hashtbl.replace funcs e f;
-        Obs.incr c_extend_funcs
-      end
-    done;
-    (funcs, spans)
-  in
-  solve ~safe:true loaded ~noreturn ~cond_noreturn iterate
+  grow ~safe:true ~extending:true loaded res ~seeds
 
 (** Detected function starts, ascending. *)
 let starts result =

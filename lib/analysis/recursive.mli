@@ -10,7 +10,11 @@
     block and is recorded as an outgoing jump — and iterates a
     non-returning-function analysis so no block is placed after a call
     that cannot return.  Each run re-walks for new noreturn facts at most
-    [max_noreturn_iters] times. *)
+    [max_noreturn_iters] times.
+
+    A result only grows: {!extend} adds functions and instructions to it
+    in place and reports them as a {!delta}, which is all an incremental
+    consumer (the §IV-E rounds of [Xref]) has to fold. *)
 
 type func = {
   entry : int;
@@ -35,6 +39,13 @@ type result = {
       (** every decoded instruction extent *)
 }
 
+(** What one {!extend} call added to its result. *)
+type delta = {
+  new_funcs : func list;  (** the functions added, in walk order *)
+  new_spans : (int * int) list;
+      (** the instructions added to [insn_spans], in decode order *)
+}
+
 (** Budget of noreturn re-walks per [run] or [extend] call.  The fixpoint
     is not run to convergence: a chain of N functions, each calling the
     next, needs N full re-walks, and the serve deadline is only checked
@@ -42,22 +53,23 @@ type result = {
     engine's cost. *)
 val max_noreturn_iters : int
 
-(** Run the engine from the given seed entries.  [safe] (default [true])
-    is the paper's engine.  [~safe:false] is the weaker engine of the BAP
-    model: indirect jumps stay unresolved ([unresolved_indirect_jump]) and
-    there is no noreturn analysis, so every call falls through. *)
+(** Run the engine from the given seed entries: {!extend}'s loop,
+    started from an empty result.  [safe] (default [true]) is the
+    paper's engine.  [~safe:false] is the weaker engine of the BAP model:
+    indirect jumps stay unresolved ([unresolved_indirect_jump]) and there
+    is no noreturn analysis, so every call falls through. *)
 val run : ?safe:bool -> Loaded.t -> seeds:int list -> result
 
-(** [extend loaded ~prior ~seeds] resumes [prior] with extra seeds,
-    disassembling only the delta reachable from them; [prior] is not
-    mutated: its instruction table is forked page-wise copy-on-write, so
-    the fork costs O(pages + delta).  Equivalent to re-running from
-    scratch with the union of seeds *provided* no committed function
-    transfers control to a fresh seed and no fresh function transfers
-    into the committed extents except at a committed entry — exactly
-    what xref validation guarantees for accepted function pointers
-    (§IV-E).  Always runs the safe engine. *)
-val extend : Loaded.t -> prior:result -> seeds:int list -> result
+(** [extend loaded res ~seeds] grows [res] in place with extra seeds,
+    disassembling only what is reachable from them, and returns exactly
+    what it added.  A noreturn fact learned on the way re-walks only the
+    new functions.  Equivalent to re-running from scratch with the union
+    of seeds *provided* no committed function transfers control to a
+    fresh seed and no fresh function transfers into the committed
+    extents except at a committed entry — exactly what xref validation
+    guarantees for accepted function pointers (§IV-E).  Always runs the
+    safe engine. *)
+val extend : Loaded.t -> result -> seeds:int list -> delta
 
 (** Detected function starts, ascending. *)
 val starts : result -> int list

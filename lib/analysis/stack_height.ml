@@ -52,8 +52,8 @@ module Solver = Dataflow.Make (Lattice)
 (** Heights at every address reached from [entry]; first write wins (the
     arrival-order sensitivity is part of the model). *)
 let analyze loaded ~style entry =
-  let table_allowed op prior =
-    match Jump_table.resolve loaded.Loaded.image ~prior op with
+  let table_allowed op preceding =
+    match Jump_table.resolve loaded.Loaded.image ~preceding op with
     | Some { Jump_table.targets; _ } -> (
         (* classify the shape: only [Dyninst] resolves the load form *)
         match op with
@@ -64,7 +64,7 @@ let analyze loaded ~style entry =
               List.exists
                 (fun (_, _, i) ->
                   match i with Insn.Movsxd _ -> true | _ -> false)
-                prior
+                preceding
             in
             if is_pic || style = Dyninst then Some targets else None
         | Insn.Imm _ -> None)

@@ -60,7 +60,7 @@ let view_of (r : Pipeline.result) =
         Refs.referenced_outside_jumps_of (Lazy.force refs) ~entry t);
     resolve_indirect =
       (fun ~site:_ ~window op ->
-        match Jump_table.resolve loaded.Loaded.image ~prior:window op with
+        match Jump_table.resolve loaded.Loaded.image ~preceding:window op with
         | Some { Jump_table.targets; _ } -> Some targets
         | None -> None);
   }

@@ -2,9 +2,11 @@
     function pointers, and the reference census Algorithm 1 needs.
 
     Pointer candidates come from two sources: every consecutive 8-byte
-    window in the data sections (and, optionally, non-disassembled code
-    regions), and every constant operand in the disassembled code
-    (immediates, absolute displacements, resolved RIP-relative targets). *)
+    window in the data sections, and every constant operand in the
+    disassembled code (immediates, absolute displacements, resolved
+    RIP-relative targets).  {!collect} builds the table from a whole
+    result; the §IV-E rounds then fold each delta into it with
+    {!add_delta}. *)
 
 open Fetch_x86
 open Fetch_analysis
@@ -137,11 +139,6 @@ let scan_span loaded t ~lo ~hi =
   in
   go lo
 
-(* Walk every decoded instruction of the recursive result. *)
-let scan_code loaded t (res : Recursive.result) =
-  Fetch_util.Insn_index.iter res.insn_spans (fun ~lo ~hi ->
-      scan_span loaded t ~lo ~hi)
-
 (* Call / jump / jump-table refs contributed by one function. *)
 let scan_func t entry (f : Recursive.func) =
   List.iter (fun (site, target) -> add t target (Call_target site)) f.calls;
@@ -153,75 +150,29 @@ let scan_func t entry (f : Recursive.func) =
       List.iter (fun tg -> add t tg (Jump_target (entry, entry))) targets)
     f.table_targets
 
-let scan_calls_and_jumps t (res : Recursive.result) =
-  Hashtbl.iter (fun entry f -> scan_func t entry f) res.funcs
-
-(** Collect all references in the binary given the current disassembly. *)
+(** Collect all references in the binary given the current disassembly.
+    The data-section window refs never change as the disassembly grows,
+    so {!add_delta} never rescans them. *)
 let collect loaded (res : Recursive.result) =
   let t = { by_target = Hashtbl.create 1024 } in
   List.iter
     (fun (s : Fetch_elf.Image.section) ->
       if is_data_section s then scan_section_windows loaded t s)
     loaded.Loaded.image.sections;
-  scan_code loaded t res;
-  scan_calls_and_jumps t res;
+  Fetch_util.Insn_index.iter res.insn_spans (fun ~lo ~hi ->
+      scan_span loaded t ~lo ~hi);
+  Hashtbl.iter (fun entry f -> scan_func t entry f) res.funcs;
   t
 
-(* ------------------------------------------------------------------ *)
-(* Incremental collection across xref rounds.                          *)
-
-type incr = {
-  loaded : Loaded.t;
-  table : t;
-  scanned : (int, unit) Hashtbl.t;  (** span lo addresses already scanned *)
-  seen_funcs : (int, unit) Hashtbl.t;
-  mutable n_spans : int;  (** span count at last refresh (skip shortcut) *)
-  mutable n_funcs : int;
-}
-
-let incr_create loaded =
-  let table = { by_target = Hashtbl.create 1024 } in
-  (* the data-section window refs never change across rounds: scan once,
-     keep forever *)
+(** Fold what one engine call added: its instructions, then its
+    functions.  The instructions go in address order, as a scan of the
+    whole table meets them, so the newest code ref to a target (the
+    origin [xref.accept] records) does not depend on decode order. *)
+let add_delta loaded t (d : Recursive.delta) =
   List.iter
-    (fun s -> if is_data_section s then scan_section_windows loaded table s)
-    loaded.Loaded.image.sections;
-  {
-    loaded;
-    table;
-    scanned = Hashtbl.create 4096;
-    seen_funcs = Hashtbl.create 256;
-    n_spans = -1;
-    n_funcs = -1;
-  }
-
-(** Fold the refs of [res] into the accumulated table and return it.
-    Sound only when successive results grow monotonically — spans are
-    never removed and previously seen function records are unchanged —
-    which is exactly what [Recursive.extend] guarantees; under that
-    precondition the returned table equals [collect loaded res]. *)
-let incr_refresh inc (res : Recursive.result) =
-  let n_spans = Fetch_util.Insn_index.cardinal res.insn_spans in
-  let n_funcs = Hashtbl.length res.funcs in
-  if n_spans <> inc.n_spans then begin
-    inc.n_spans <- n_spans;
-    Fetch_util.Insn_index.iter res.insn_spans (fun ~lo ~hi ->
-        if not (Hashtbl.mem inc.scanned lo) then begin
-          Hashtbl.replace inc.scanned lo ();
-          scan_span inc.loaded inc.table ~lo ~hi
-        end)
-  end;
-  if n_funcs <> inc.n_funcs then begin
-    inc.n_funcs <- n_funcs;
-    Hashtbl.iter
-      (fun entry f ->
-        if not (Hashtbl.mem inc.seen_funcs entry) then begin
-          Hashtbl.replace inc.seen_funcs entry ();
-          scan_func inc.table entry f
-        end)
-      res.funcs
-  end;
-  inc.table
+    (fun (lo, hi) -> scan_span loaded t ~lo ~hi)
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) d.new_spans);
+  List.iter (fun (f : Recursive.func) -> scan_func t f.entry f) d.new_funcs
 
 (** Candidate pointers for §IV-E: data pointers and code constants (not
     call/jump targets — those are already handled by recursion). *)

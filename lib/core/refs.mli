@@ -5,7 +5,8 @@
     window of the data sections ([.eh_frame] excluded — unwinding
     metadata is not program data), and every constant operand of the
     disassembled code (immediates, absolute displacements, resolved
-    RIP-relative targets). *)
+    RIP-relative targets).  {!collect} builds a table from a whole
+    result, and §IV-E's rounds grow it with {!add_delta}. *)
 
 type kind =
   | Data_pointer of int  (** found at this data address *)
@@ -21,20 +22,13 @@ val refs_to : t -> int -> kind list
 (** Collect all references in the binary given the current disassembly. *)
 val collect : Fetch_analysis.Loaded.t -> Fetch_analysis.Recursive.result -> t
 
-(** Accumulator for incremental collection across xref rounds: the
-    data-section window refs (computed once, with a rolling unsafe-read
-    prefilter) plus the code refs of every span / function seen so far. *)
-type incr
-
-(** Create the accumulator and run the one-time data-section window
-    scan. *)
-val incr_create : Fetch_analysis.Loaded.t -> incr
-
-(** Fold the refs of a (monotonically grown) result into the accumulated
-    table and return it.  Sound only when successive results only add
-    spans and functions — what {!Fetch_analysis.Recursive.extend}
-    guarantees; then the result equals [collect loaded res]. *)
-val incr_refresh : incr -> Fetch_analysis.Recursive.result -> t
+(** [add_delta loaded t d] folds in the code refs of what one
+    {!Fetch_analysis.Recursive.extend} call added.  Starting from
+    [collect loaded res] and folding every delta that grows [res] gives
+    the refs [collect] finds on the grown result, each [refs_to] list
+    possibly in another order. *)
+val add_delta :
+  Fetch_analysis.Loaded.t -> t -> Fetch_analysis.Recursive.delta -> unit
 
 (** Candidate pointers for §IV-E validation: data pointers and code
     constants only (call/jump targets are already handled by the

@@ -13,14 +13,14 @@
     Survivors become new function starts; the pointer collection is then
     refreshed from the enlarged disassembly and the process repeats.
 
-    The iteration is incremental: each accepted pointer extends the
-    committed disassembly via {!Fetch_analysis.Recursive.extend} instead
-    of re-running every seed, the ref table is folded forward via
-    {!Refs.incr_refresh} instead of re-collected, and rejection verdicts
-    that cannot change while the committed state only grows are cached.
-    The test suite keeps a from-scratch reference model built on
-    {!validate} (no cache, every candidate re-validated every round) and
-    holds [detect] equal to it. *)
+    The iteration is incremental: each accepted pointer grows the
+    committed disassembly in place via {!Fetch_analysis.Recursive.extend}
+    instead of re-running every seed, the ref table and the extent map
+    fold exactly the delta it returns, and rejection verdicts that cannot
+    change while the committed state only grows are cached.  The test
+    suite keeps a from-scratch reference model built on {!validate} (no
+    cache, every candidate re-validated every round) and holds [detect]
+    equal to it. *)
 
 open Fetch_x86
 open Fetch_analysis
@@ -69,32 +69,14 @@ let mid_instruction (res : Recursive.result) addr =
 (* Function-extent map: committed blocks of every detected function.
    Overlapping blocks (shared code) resolve byte-wise to the highest
    owning entry via [add_max], whose result is independent of insertion
-   order — so the map can be grown incrementally across rounds (only new
-   functions folded in) and still equal a from-scratch rebuild, and the
+   order — so the map can be grown round by round (only each delta's
+   functions folded in) and still equal a from-scratch build, and the
    recorded [into] attribution cannot depend on hash iteration order. *)
-let extents_add m entry (f : Recursive.func) =
+let add_extents m (f : Recursive.func) =
   List.iter
     (fun (lo, hi) ->
-      if hi > lo then Fetch_util.Interval_map.add_max m ~lo ~hi entry)
+      if hi > lo then Fetch_util.Interval_map.add_max m ~lo ~hi f.entry)
     f.blocks
-
-type extents = {
-  ext_map : int Fetch_util.Interval_map.t;
-  ext_seen : (int, unit) Hashtbl.t;
-}
-
-let extents_create () =
-  { ext_map = Fetch_util.Interval_map.create (); ext_seen = Hashtbl.create 256 }
-
-let extents_refresh st (res : Recursive.result) =
-  Hashtbl.iter
-    (fun entry f ->
-      if not (Hashtbl.mem st.ext_seen entry) then begin
-        Hashtbl.replace st.ext_seen entry ();
-        extents_add st.ext_map entry f
-      end)
-    res.funcs;
-  st.ext_map
 
 type reject =
   | Invalid_opcode
@@ -238,20 +220,20 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
      own "recursive" span; the "xref" stage below times §IV-E pointer
      detection only, so its mean is the cost of the rounds, not of the
      base disassembly they extend *)
-  let res0 = Recursive.run loaded ~seeds in
+  let res = Recursive.run loaded ~seeds in
   Obs.span "xref" @@ fun () ->
-  let incr_refs = Refs.incr_create loaded in
-  (* rounds only ever add functions (and never mutate committed
-     records), so the extent map can be grown in place *)
-  let ext_state = extents_create () in
+  (* rounds only ever add functions and instructions (and never mutate
+     committed records), so the ref table and the extent map, built once
+     from the seed disassembly, fold each round's delta in place *)
+  let refs = Refs.collect loaded res in
+  let extents = Fetch_util.Interval_map.create () in
+  Hashtbl.iter (fun _ f -> add_extents extents f) res.funcs;
   (* permanent rejections survive rounds: the committed state only grows,
      so these candidates can never flip to acceptable (they can still
      become detected *entries* via recursion — which is why the
      known-function check precedes the cache lookup) *)
   let reject_cache : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let accept_one res =
-    let refs = Refs.incr_refresh incr_refs res in
-    let extents = extents_refresh ext_state res in
+  let accept_one () =
     let rec go = function
       | [] -> None
       | cand :: rest ->
@@ -304,12 +286,11 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
     go (Refs.pointer_candidates refs)
   in
   let rounds = ref 0 in
-  let rec loop budget seeds res =
+  let rec loop budget seeds =
     if budget <= 0 then begin
       (* the budget ran out right after an acceptance, so candidates we
          never re-examined may still be acceptable: detection is being
          truncated, not finished.  Say so instead of stopping silently. *)
-      let refs = Refs.incr_refresh incr_refs res in
       let pending =
         List.filter
           (fun c ->
@@ -337,17 +318,18 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
         Obs.span ~args:[ ("round", string_of_int k) ] "xref.round" @@ fun () ->
         let t0 = if Obs.enabled () then Fetch_obs.Clock.now_ns () else 0L in
         let r =
-          match accept_one res with
+          match accept_one () with
           | None -> None
           | Some cand ->
               Obs.incr c_accepted;
               Obs.set_arg "accepted" (Printf.sprintf "%#x" cand);
-              let seeds' = List.sort_uniq compare (cand :: seeds) in
-              let res' = Recursive.extend loaded ~prior:res ~seeds:[ cand ] in
+              let delta = Recursive.extend loaded res ~seeds:[ cand ] in
+              Refs.add_delta loaded refs delta;
+              List.iter (add_extents extents) delta.new_funcs;
               (match on_commit with
-              | Some f -> f ~cand res'
+              | Some f -> f ~cand res delta
               | None -> ());
-              Some (seeds', res')
+              Some (List.sort_uniq compare (cand :: seeds))
         in
         if Obs.enabled () then
           Obs.observe h_round_cost_ms
@@ -359,9 +341,9 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
       in
       match outcome with
       | None -> (res, seeds)
-      | Some (seeds', res') -> loop (budget - 1) seeds' res'
+      | Some seeds' -> loop (budget - 1) seeds'
     end
   in
-  let result = loop max_rounds seeds res0 in
+  let result = loop max_rounds seeds in
   if Obs.enabled () then Obs.observe h_rounds !rounds;
   result

@@ -6,13 +6,14 @@
     and the pointer collection (so later candidates are judged against
     the updated function extents, as the paper specifies).
 
-    The iteration is incremental: accepted pointers extend the committed
-    disassembly ({!Fetch_analysis.Recursive.extend}), the ref table is
-    folded forward ({!Refs.incr_refresh}), and permanent rejection
-    verdicts are cached across rounds.  {!validate} and the extent map
-    are exported as the shared primitive of the suite's from-scratch
-    reference model, which re-runs disassembly and ref collection every
-    round, keeps no cache, and must reach the same result. *)
+    The iteration is incremental: an accepted pointer grows the committed
+    disassembly in place ({!Fetch_analysis.Recursive.extend}), the ref
+    table ({!Refs.add_delta}) and the function-extent map fold exactly
+    the delta that call returns, and permanent rejection verdicts are
+    cached across rounds.  {!validate} is exported as the shared
+    primitive of the suite's from-scratch reference model, which re-runs
+    disassembly and ref collection every round, keeps no cache, and must
+    reach the same result. *)
 
 type reject =
   | Invalid_opcode  (** error (i) *)
@@ -20,25 +21,13 @@ type reject =
   | Transfer_into_function  (** error (iii) *)
   | Bad_call_conv  (** error (iv) *)
 
-(** Incrementally maintained function-extent map: committed block bytes
-    to their owning entry, persisting across detection rounds and folding
-    in only functions not yet seen.  Overlapping blocks (shared code)
+(** [add_extents m f] maps the bytes of [f]'s blocks to [f.entry] in
+    the function-extent map [m].  Overlapping blocks (shared code)
     resolve byte-wise to the highest owning entry
-    ({!Fetch_util.Interval_map.add_max}), so the map is independent of
-    fold order. *)
-type extents
-
-val extents_create : unit -> extents
-
-(** Fold the not-yet-seen functions of [res] into the map and return
-    it.  Sound only when successive results only add functions and
-    never mutate committed records — what
-    {!Fetch_analysis.Recursive.extend} guarantees; then the result
-    equals a fresh map's [extents_refresh] of [res].  (The differential
-    test in the suite holds the two equal after every accepted
-    pointer.) *)
-val extents_refresh :
-  extents -> Fetch_analysis.Recursive.result -> int Fetch_util.Interval_map.t
+    ({!Fetch_util.Interval_map.add_max}), so the map does not depend on
+    the order functions are added in: folding each round's new
+    functions gives the map of the whole result. *)
+val add_extents : int Fetch_util.Interval_map.t -> Fetch_analysis.Recursive.func -> unit
 
 type verdict =
   | Accept
@@ -54,9 +43,9 @@ type verdict =
               calling-convention rejections are not permanent *)
     }
 
-(** Validate one candidate against the committed results.  [cand] must
-    not be a detected entry of the result: those are not §IV-E
-    validation subjects. *)
+(** Validate one candidate against the committed results and their
+    function-extent map.  [cand] must not be a detected entry of the
+    result: those are not §IV-E validation subjects. *)
 val validate :
   Fetch_analysis.Loaded.t ->
   Fetch_analysis.Recursive.result ->
@@ -70,12 +59,18 @@ val validate :
     ledger event when candidates are still pending); returns the final
     engine result and the enlarged seed set.
 
-    [on_commit] fires after every accepted pointer with the candidate
-    and the already-extended result — a test seam for watching the
-    detection state grow one commit at a time. *)
+    [on_commit] fires after every accepted pointer with the candidate,
+    the already-extended result and the delta the extension added — a
+    test seam for watching the detection state grow one commit at a
+    time.  The result is grown in place, so the one passed is the one
+    returned. *)
 val detect :
   ?max_rounds:int ->
-  ?on_commit:(cand:int -> Fetch_analysis.Recursive.result -> unit) ->
+  ?on_commit:
+    (cand:int ->
+    Fetch_analysis.Recursive.result ->
+    Fetch_analysis.Recursive.delta ->
+    unit) ->
   Fetch_analysis.Loaded.t ->
   seeds:int list ->
   Fetch_analysis.Recursive.result * int list

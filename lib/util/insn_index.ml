@@ -1,5 +1,4 @@
-(** Flat instruction-boundary table — layout and fork semantics in the
-    interface. *)
+(** Flat instruction-boundary table — layout in the interface. *)
 
 let page_bits = 8
 let page_size = 1 lsl page_bits
@@ -8,25 +7,15 @@ let max_len = 0x7f
 let start_bit = 0x80
 
 (* Every untouched page of every table is this one.  It is never written:
-   a page is written in place only by the table whose generation stamps
-   it, and no generation is 0. *)
+   the first write to a page replaces it with a page of its own. *)
 let zero_page = Bytes.make page_size '\000'
 
-type section = {
-  lo : int;
-  hi : int;
-  pages : Bytes.t array;
-  stamps : int array;  (** generation owning each page; 0 = nobody *)
-}
+type section = { lo : int; hi : int; pages : Bytes.t array }
 
 type t = {
   secs : section array;  (** disjoint, ascending *)
-  mutable gen : int;
   mutable count : int;
 }
-
-let next_gen = Atomic.make 1
-let fresh_gen () = Atomic.fetch_and_add next_gen 1
 
 let merge ranges =
   List.filter (fun (lo, hi) -> hi > lo) ranges
@@ -40,21 +29,11 @@ let merge ranges =
   |> List.rev
 
 let section lo hi =
-  let n = (hi - lo + page_mask) lsr page_bits in
-  { lo; hi; pages = Array.make n zero_page; stamps = Array.make n 0 }
+  { lo; hi; pages = Array.make ((hi - lo + page_mask) lsr page_bits) zero_page }
 
 let create ranges =
   let secs = Array.of_list (List.map (fun (lo, hi) -> section lo hi) (merge ranges)) in
-  { secs; gen = fresh_gen (); count = 0 }
-
-(* Both sides get a fresh generation, so neither owns a page any more and
-   the first write to a shared page copies it. *)
-let copy t =
-  t.gen <- fresh_gen ();
-  let fork s =
-    { s with pages = Array.copy s.pages; stamps = Array.make (Array.length s.stamps) 0 }
-  in
-  { secs = Array.map fork t.secs; gen = fresh_gen (); count = t.count }
+  { secs; count = 0 }
 
 (* Index of the section containing [addr], or -1. *)
 let sec_index t addr =
@@ -74,15 +53,14 @@ let get s addr =
   Char.code
     (Bytes.unsafe_get (Array.unsafe_get s.pages (off lsr page_bits)) (off land page_mask))
 
-let set t s addr v =
+let set s addr v =
   let off = addr - s.lo in
   let i = off lsr page_bits in
   let page =
-    if s.stamps.(i) = t.gen then s.pages.(i)
+    if s.pages.(i) != zero_page then s.pages.(i)
     else begin
-      let p = Bytes.copy s.pages.(i) in
+      let p = Bytes.make page_size '\000' in
       s.pages.(i) <- p;
-      s.stamps.(i) <- t.gen;
       p
     end
   in
@@ -95,13 +73,15 @@ let add t ~lo ~hi =
   if i < 0 || hi > t.secs.(i).hi then invalid_arg "Insn_index.add: outside the table";
   let s = t.secs.(i) in
   let rec free a = a >= hi || (get s a = 0 && free (a + 1)) in
-  if free lo then begin
-    set t s lo (start_bit lor len);
-    for k = 1 to len - 1 do
-      set t s (lo + k) k
-    done;
-    t.count <- t.count + 1
-  end
+  free lo
+  && begin
+       set s lo (start_bit lor len);
+       for k = 1 to len - 1 do
+         set s (lo + k) k
+       done;
+       t.count <- t.count + 1;
+       true
+     end
 
 (* [(lo, hi)] of the instruction starting at [lo] in [s]. *)
 let span s lo = (lo, lo + (get s lo land max_len))

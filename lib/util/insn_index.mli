@@ -7,10 +7,9 @@
     {!find} is O(1), the "is any byte already covered?" test of {!add}
     reads at most [len] bytes, and {!cardinal} is a counter.
 
-    The bytes live in 256-byte copy-on-write pages; untouched pages share
-    one zero page.  {!copy} copies only the page-pointer arrays, and a
-    write to a page the writer does not own copies that page first, so a
-    fork costs O(pages + delta) and never disturbs the other side. *)
+    The bytes live in 256-byte pages; untouched pages share one zero
+    page, which {!next_from} and {!iter} skip whole.  The table only
+    grows: an instruction, once recorded, stays. *)
 
 type t
 
@@ -19,18 +18,15 @@ type t
     ranges are merged. *)
 val create : (int * int) list -> t
 
-(** Independent fork: mutations of either side are invisible to the
-    other. *)
-val copy : t -> t
-
 (** Longest instruction {!add} accepts. *)
 val max_len : int
 
 (** [add t ~lo ~hi] records the instruction [\[lo, hi)] unless one of its
-    bytes is already covered (first writer wins).  Raises
-    [Invalid_argument] when the length is outside [1 .. max_len] or the
-    instruction is not inside one range of the table. *)
-val add : t -> lo:int -> hi:int -> unit
+    bytes is already covered (first writer wins), and says whether it
+    did.  Raises [Invalid_argument] when the length is outside
+    [1 .. max_len] or the instruction is not inside one range of the
+    table. *)
+val add : t -> lo:int -> hi:int -> bool
 
 (** [find t addr] is the [(lo, hi)] of the instruction covering [addr]. *)
 val find : t -> int -> (int * int) option

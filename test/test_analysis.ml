@@ -155,6 +155,20 @@ let result_signature (res : Recursive.result) =
     keys res.noreturn,
     keys res.cond_noreturn )
 
+(* [extend] grew [res] from [before] (a signature taken just ahead of the
+   call) by exactly [delta]: its functions are the new starts, its spans
+   the new instructions, and each of its records is the one [res] holds. *)
+let delta_exact before (res : Recursive.result) (d : Recursive.delta) =
+  let starts0, spans0, _, _ = before in
+  let gained now was = List.filter (fun x -> not (List.mem x was)) now in
+  List.sort compare (List.map (fun (f : Recursive.func) -> f.entry) d.new_funcs)
+  = gained (Recursive.starts res) starts0
+  && List.sort compare d.new_spans
+     = gained (Fetch_util.Insn_index.to_list res.insn_spans) spans0
+  && List.for_all
+       (fun (f : Recursive.func) -> Hashtbl.find res.funcs f.entry == f)
+       d.new_funcs
+
 let extend_items =
   [
     Asm.Label "a";
@@ -174,27 +188,30 @@ let extend_items =
 
 let test_extend_equals_run () =
   (* g/h are unreachable from a: extending the a-run with seed g must
-     equal running both seeds from scratch, and must leave prior alone *)
+     equal running both seeds from scratch, and its delta must be exactly
+     what the result gained *)
   let img, asm = image_of extend_items in
   let loaded = Loaded.load img in
-  let prior = Recursive.run loaded ~seeds:[ label asm "a" ] in
-  let prior_sig = result_signature prior in
-  let ext = Recursive.extend loaded ~prior ~seeds:[ label asm "g" ] in
+  let res = Recursive.run loaded ~seeds:[ label asm "a" ] in
+  let before = result_signature res in
+  let d = Recursive.extend loaded res ~seeds:[ label asm "g" ] in
   let scratch = Recursive.run loaded ~seeds:[ label asm "a"; label asm "g" ] in
   check Alcotest.bool "extend == from-scratch" true
-    (result_signature ext = result_signature scratch);
+    (result_signature res = result_signature scratch);
   check Alcotest.bool "callee h discovered by the delta" true
-    (Hashtbl.mem ext.funcs (label asm "h"));
-  check Alcotest.bool "prior untouched" true
-    (result_signature prior = prior_sig)
+    (Hashtbl.mem res.funcs (label asm "h"));
+  check Alcotest.bool "delta is exactly what the result gained" true
+    (delta_exact before res d)
 
 let test_extend_known_seed_noop () =
   let img, asm = image_of extend_items in
   let loaded = Loaded.load img in
-  let prior = Recursive.run loaded ~seeds:[ label asm "a" ] in
-  let ext = Recursive.extend loaded ~prior ~seeds:[ label asm "a"; label asm "b" ] in
+  let res = Recursive.run loaded ~seeds:[ label asm "a" ] in
+  let before = result_signature res in
+  let d = Recursive.extend loaded res ~seeds:[ label asm "a"; label asm "b" ] in
   check Alcotest.bool "already-known seeds change nothing" true
-    (result_signature ext = result_signature prior)
+    (result_signature res = before);
+  check Alcotest.bool "empty delta" true (d.new_funcs = [] && d.new_spans = [])
 
 let test_extend_uses_noreturn_facts () =
   (* the prior run learns dead is noreturn; the delta function calls it
@@ -216,20 +233,25 @@ let test_extend_uses_noreturn_facts () =
   in
   let img, asm = image_of items in
   let loaded = Loaded.load img in
-  let prior = Recursive.run loaded ~seeds:[ label asm "a" ] in
+  let res = Recursive.run loaded ~seeds:[ label asm "a" ] in
   check Alcotest.bool "prior learned dead is noreturn" true
-    (Hashtbl.mem prior.noreturn (label asm "dead"));
-  let ext = Recursive.extend loaded ~prior ~seeds:[ label asm "g" ] in
-  let g = Hashtbl.find ext.funcs (label asm "g") in
+    (Hashtbl.mem res.noreturn (label asm "dead"));
+  let before = result_signature res in
+  let d = Recursive.extend loaded res ~seeds:[ label asm "g" ] in
+  let g = Hashtbl.find res.funcs (label asm "g") in
   check Alcotest.bool "delta stopped at the noreturn call" false g.decode_error;
   let scratch = Recursive.run loaded ~seeds:[ label asm "a"; label asm "g" ] in
   check Alcotest.bool "extend == from-scratch" true
-    (result_signature ext = result_signature scratch)
+    (result_signature res = result_signature scratch);
+  check Alcotest.bool "delta is exactly what the result gained" true
+    (delta_exact before res d)
 
 let test_extend_refixpoints_delta_noreturn () =
   (* the delta itself introduces a new noreturn function: g calls k
      (both fresh), k never returns, so the fixpoint inside extend must
-     re-iterate and shrink g past the call *)
+     re-iterate and shrink g past the call.  The first pass decodes the
+     mov and ret after the call; the re-walk must not leave their spans
+     behind. *)
   let items =
     [
       Asm.Label "a";
@@ -237,7 +259,9 @@ let test_extend_refixpoints_delta_noreturn () =
       Asm.Align 16;
       Asm.Label "g";
       Asm.I (I.Call (I.To_label "k"));
-      Asm.Raw "\xff\xff\xff\xff";
+      Asm.Label "after";
+      Asm.I (I.Mov (I.W64, I.Reg Reg.Rax, I.Imm 1));
+      Asm.I I.Ret;
       Asm.Align 16;
       Asm.Label "k";
       Asm.I I.Ud2;
@@ -245,16 +269,21 @@ let test_extend_refixpoints_delta_noreturn () =
   in
   let img, asm = image_of items in
   let loaded = Loaded.load img in
-  let prior = Recursive.run loaded ~seeds:[ label asm "a" ] in
-  let ext = Recursive.extend loaded ~prior ~seeds:[ label asm "g" ] in
+  let res = Recursive.run loaded ~seeds:[ label asm "a" ] in
+  let before = result_signature res in
+  let d = Recursive.extend loaded res ~seeds:[ label asm "g" ] in
   check Alcotest.bool "k classified noreturn inside extend" true
-    (Hashtbl.mem ext.noreturn (label asm "k"));
-  let g = Hashtbl.find ext.funcs (label asm "g") in
-  check Alcotest.bool "g stopped at the call after re-iteration" false
-    g.decode_error;
+    (Hashtbl.mem res.noreturn (label asm "k"));
+  let g = Hashtbl.find res.funcs (label asm "g") in
+  check Alcotest.bool "g stopped at the call after re-iteration" true
+    (g.blocks = [ (label asm "g", label asm "after") ]);
+  check Alcotest.bool "no span after the noreturn call" false
+    (Fetch_util.Insn_index.mem res.insn_spans (label asm "after"));
   let scratch = Recursive.run loaded ~seeds:[ label asm "a"; label asm "g" ] in
   check Alcotest.bool "extend == from-scratch" true
-    (result_signature ext = result_signature scratch)
+    (result_signature res = result_signature scratch);
+  check Alcotest.bool "delta is exactly what the result gained" true
+    (delta_exact before res d)
 
 (* --- jump tables --- *)
 

@@ -499,8 +499,11 @@ let u64s vs =
 let counter (rep : Obs.report) n =
   Option.value ~default:0 (List.assoc_opt n rep.Obs.counters)
 
-(* The extent map a from-scratch rebuild gives for [res]. *)
-let fresh_extents res = Xref.extents_refresh (Xref.extents_create ()) res
+(* The extent map a from-scratch build gives for [res]. *)
+let fresh_extents (res : An.Recursive.result) =
+  let m = Fetch_util.Interval_map.create () in
+  Hashtbl.iter (fun _ f -> Xref.add_extents m f) res.funcs;
+  m
 
 (* Reference model of §IV-E detection, built on [Xref.validate]: every
    round re-runs disassembly and ref collection from scratch, builds a
@@ -696,23 +699,104 @@ let test_xref_extents_deterministic () =
         (0x1040, 0x1050, 0x1040);
       ])
 
-(* The incremental extent map grown across Xref commits must equal the
-   from-scratch rebuild after every commit — this is what lets the
-   [Xref.detect] skip the per-round O(funcs) rebuild. *)
+(* Each commit's delta is exactly what the result gained, and the extent
+   map folded from the deltas equals the from-scratch build after every
+   commit — this is what lets [Xref.detect] skip the per-round O(funcs)
+   rebuild. *)
 let test_xref_extents_incremental () =
   let b = Lazy.force built in
   let loaded = An.Loaded.load (Fetch_elf.Image.strip b.image) in
   let seeds = loaded.An.Loaded.fde_starts in
-  let ext = Xref.extents_create () in
+  let snapshot (res : An.Recursive.result) =
+    (An.Recursive.starts res, Fetch_util.Insn_index.to_list res.insn_spans)
+  in
+  let start = An.Recursive.run loaded ~seeds in
+  let ext = fresh_extents start in
+  let prev = ref (snapshot start) in
   let commits = ref 0 in
+  let gained now was = List.filter (fun x -> not (List.mem x was)) now in
   let _res, _seeds =
-    Xref.detect loaded ~seeds ~on_commit:(fun ~cand:_ res ->
+    Xref.detect loaded ~seeds ~on_commit:(fun ~cand:_ res d ->
         incr commits;
-        let inc = Fetch_util.Interval_map.to_list (Xref.extents_refresh ext res) in
-        if inc <> Fetch_util.Interval_map.to_list (fresh_extents res) then
-          Alcotest.failf "commit %d: incremental extents diverge" !commits)
+        let starts, spans = snapshot res in
+        let starts0, spans0 = !prev in
+        let entries =
+          List.map (fun (f : An.Recursive.func) -> f.entry) d.new_funcs
+        in
+        if List.sort compare entries <> gained starts starts0 then
+          Alcotest.failf "commit %d: delta functions differ from the gain" !commits;
+        if List.sort compare d.new_spans <> gained spans spans0 then
+          Alcotest.failf "commit %d: delta spans differ from the gain" !commits;
+        prev := (starts, spans);
+        List.iter (Xref.add_extents ext) d.new_funcs;
+        if
+          Fetch_util.Interval_map.to_list ext
+          <> Fetch_util.Interval_map.to_list (fresh_extents res)
+        then Alcotest.failf "commit %d: incremental extents diverge" !commits)
   in
   check Alcotest.bool "detection committed candidates" true (!commits > 0)
+
+(* The census contract on a chained pointer: [.rodata] points at [p1];
+   [p1] holds [p2]'s address as an immediate and calls [q].  [p2] is a
+   candidate only once [p1]'s code is folded, so it is accepted in round
+   2; [q] is a call target only once [p1]'s function is folded.  After
+   every commit, a census grown with [Refs.add_delta] has the candidates
+   and, at every label, the refs of [Refs.collect]. *)
+let test_refs_delta_census () =
+  let items =
+    [
+      X86.Asm.Label "a";
+      X86.Asm.I XI.Ret;
+      X86.Asm.Align 16;
+      X86.Asm.Label "p1";
+      X86.Asm.I (XI.Mov (XI.W64, XI.Reg X86.Reg.Rax, XI.Imm 0x1020));
+      X86.Asm.Label "p1_call";
+      X86.Asm.I (XI.Call (XI.To_label "q"));
+      X86.Asm.I XI.Ret;
+      X86.Asm.Align 16;
+      X86.Asm.Label "p2";
+      X86.Asm.I XI.Ret;
+      X86.Asm.Align 16;
+      X86.Asm.Label "q";
+      X86.Asm.I XI.Ret;
+    ]
+  in
+  let loaded, asm = xref_image ~rodata:(u64s [ 0x1010 ]) items in
+  let l = X86.Asm.label_addr asm in
+  check Alcotest.(list int) "fixture layout" [ 0x1010; 0x1020 ] [ l "p1"; l "p2" ];
+  let seeds = [ l "a" ] in
+  let census = Refs.collect loaded (An.Recursive.run loaded ~seeds) in
+  let sorted_refs t a = List.sort compare (Refs.refs_to t a) in
+  let commits = ref 0 in
+  let (res, _), events =
+    Prov.with_run (fun () ->
+        Xref.detect loaded ~seeds ~on_commit:(fun ~cand:_ res d ->
+            incr commits;
+            Refs.add_delta loaded census d;
+            let whole = Refs.collect loaded res in
+            if Refs.pointer_candidates census <> Refs.pointer_candidates whole
+            then Alcotest.failf "commit %d: candidates differ" !commits;
+            List.iter
+              (fun name ->
+                if sorted_refs census (l name) <> sorted_refs whole (l name) then
+                  Alcotest.failf "commit %d: refs to %s differ" !commits name)
+              [ "a"; "p1"; "p2"; "q" ]))
+  in
+  let accepted_in name =
+    List.filter_map
+      (fun (e : Prov.event) ->
+        if e.Prov.ev = "xref.accept" && e.Prov.addr = l name then
+          List.assoc_opt "round" e.Prov.fields
+        else None)
+      events
+  in
+  check Alcotest.bool "p1 accepted in round 1" true (accepted_in "p1" = [ Prov.I 1 ]);
+  check Alcotest.bool "p2 accepted in round 2" true (accepted_in "p2" = [ Prov.I 2 ]);
+  check Alcotest.int "two commits" 2 !commits;
+  check Alcotest.bool "q is called by p1" true
+    (List.mem (Refs.Call_target (l "p1_call")) (Refs.refs_to census (l "q")));
+  check (Alcotest.list Alcotest.int) "all four detected"
+    [ l "a"; l "p1"; l "p2"; l "q" ] (An.Recursive.starts res)
 
 (* Does [Xref.detect] reach the reference model's result? *)
 let xref_agrees_with_reference loaded ~seeds =
@@ -1019,4 +1103,6 @@ let suite =
         test_fetch_invariants_residual;
       QCheck_alcotest.to_alcotest prop_fetch_invariants;
       QCheck_alcotest.to_alcotest prop_xref_reference;
+      Alcotest.test_case "refs: delta census == collect" `Quick
+        test_refs_delta_census;
     ]
