@@ -46,14 +46,14 @@ let to_json f =
   let b = Buffer.create 128 in
   Buffer.add_string b
     (Printf.sprintf {|{"rule":%s,"severity":"%s","addr":%d|}
-       (Fetch_obs.Report.json_string f.rule)
+       (Fetch_util.Json.escape f.rule)
        (severity_label f.severity) f.addr);
   (match f.related with
   | Some r -> Buffer.add_string b (Printf.sprintf {|,"related":%d|} r)
   | None -> ());
   Buffer.add_string b
     (Printf.sprintf {|,"message":%s}|}
-       (Fetch_obs.Report.json_string f.message));
+       (Fetch_util.Json.escape f.message));
   Buffer.contents b
 
 let count sev = List.fold_left (fun n f -> if f.severity = sev then n + 1 else n) 0

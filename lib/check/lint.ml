@@ -16,7 +16,7 @@ type view = {
   funcs : func list;
   insn_spans : Insn_index.t;
   fdes : (int * int) list;
-  complete_cfi : (int * int) list;
+  complete_at : int -> bool;
   oracle_height : int -> int option;
   entry_height : int -> int option;
   callconv_ok : int -> bool;
@@ -349,13 +349,10 @@ end
 module Height_solver = Dataflow.Make (Height)
 
 let rule_height_mismatch v emit =
-  let in_complete addr =
-    List.exists (fun (lo, hi) -> addr >= lo && addr < hi) v.complete_cfi
-  in
   List.iter
     (fun f ->
       (* only solve where the oracle can answer at all *)
-      if in_complete f.entry then begin
+      if v.complete_at f.entry then begin
       let prog = { Dataflow.insn_at = v.insn_at; in_text = v.in_text } in
       (* walk only the function's own blocks: the oracle's heights are
          per-FDE, so following a tail call would compare the caller's

@@ -59,8 +59,9 @@ type view = {
   insn_spans : Fetch_util.Insn_index.t;
       (** committed instruction extents of the whole run *)
   fdes : (int * int) list;  (** every FDE's [pc_begin, pc_begin+range) *)
-  complete_cfi : (int * int) list;
-      (** ranges whose CFI passes the §V-B rsp-completeness test *)
+  complete_at : int -> bool;
+      (** is the address inside an FDE whose CFI passes the §V-B
+          rsp-completeness test? *)
   oracle_height : int -> int option;  (** CFI stack height, complete only *)
   entry_height : int -> int option;
       (** CFI stack height without the completeness test — a fragment's

@@ -125,7 +125,7 @@ let text t =
    domain counts can be diffed for equality. *)
 let json_lines ?(timings = true) t =
   let buf = Buffer.create 4096 in
-  let str = Report.json_string in
+  let str = Fetch_util.Json.escape in
   List.iter
     (fun (id, outcome) ->
       match outcome with

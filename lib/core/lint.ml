@@ -30,9 +30,6 @@ let view_of (r : Pipeline.result) =
     | Some refs -> Lazy.from_val refs
     | None -> lazy (Refs.collect loaded res)
   in
-  let complete_cfi = ref [] in
-  Fetch_dwarf.Height_oracle.iter_complete loaded.Loaded.oracle
-    (fun ~lo ~hi -> complete_cfi := (lo, hi) :: !complete_cfi);
   {
     Fetch_check.Lint.insn_at = Loaded.insn_at loaded;
     in_text = Loaded.in_text loaded;
@@ -43,7 +40,7 @@ let view_of (r : Pipeline.result) =
         (fun (f : Fetch_dwarf.Eh_frame.fde) ->
           (f.pc_begin, f.pc_begin + f.pc_range))
         loaded.Loaded.fdes;
-    complete_cfi = List.rev !complete_cfi;
+    complete_at = Fetch_dwarf.Height_oracle.complete_at loaded.Loaded.oracle;
     oracle_height = Fetch_dwarf.Height_oracle.height_at loaded.Loaded.oracle;
     entry_height =
       Fetch_dwarf.Height_oracle.height_at_unchecked loaded.Loaded.oracle;

@@ -58,8 +58,3 @@ let height_at_unchecked t addr =
   match entry_at t addr with
   | Some e -> Cfa_table.height_at e.rows (addr - e.fde.pc_begin)
   | None -> None
-
-(** Iterate every FDE-covered range whose CFI passes the completeness
-    test — the ranges where {!height_at} answers. *)
-let iter_complete t f =
-  Interval_map.iter t.map (fun ~lo ~hi e -> if e.complete then f ~lo ~hi)

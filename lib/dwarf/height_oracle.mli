@@ -31,7 +31,3 @@ val height_at : t -> int -> int option
     [split-fn-fde] reads at a fragment's FDE start, which lies mid-frame
     and so never passes the test. *)
 val height_at_unchecked : t -> int -> int option
-
-(** Iterate every FDE-covered range [\[lo, hi)] whose CFI passes the
-    completeness test — the ranges where {!height_at} answers. *)
-val iter_complete : t -> (lo:int -> hi:int -> unit) -> unit

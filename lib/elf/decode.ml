@@ -34,11 +34,12 @@ let read_sh c =
   let rs_entsize = Byte_cursor.u64 c in
   { rs_name; rs_kind; rs_flags; rs_addr; rs_off; rs_size; rs_link; rs_entsize; rs_align }
 
-let kind_of_code = function
+let kind_of rs =
+  match rs.rs_kind with
   | 1 -> Image.Progbits
   | 2 -> Image.Symtab
   | 3 -> Image.Strtab
-  | 8 -> Image.Nobits
+  | 8 -> Image.Nobits rs.rs_size
   | n -> Image.Other n
 
 let strtab_get data off =
@@ -105,8 +106,10 @@ let decode (raw : string) : (Image.t, error) result =
           Byte_cursor.seek c (shoff + (i * 64));
           read_sh c)
     in
+    (* a NOBITS section occupies no file bytes, and its declared size
+       comes from the input: it must not size an allocation *)
     let body rs =
-      if rs.rs_kind = 8 (* NOBITS *) then String.make rs.rs_size '\000'
+      if rs.rs_kind = 8 then ""
       else if rs.rs_off + rs.rs_size > len then
         invalid_arg "section body out of range"
       else String.sub raw rs.rs_off rs.rs_size
@@ -119,7 +122,7 @@ let decode (raw : string) : (Image.t, error) result =
       (fun i rs ->
         if i = 0 || i = shstrndx then ()
         else
-          match kind_of_code rs.rs_kind with
+          match kind_of rs with
           | Image.Symtab ->
               let strtab_data =
                 if rs.rs_link < shnum then body shs.(rs.rs_link) else ""

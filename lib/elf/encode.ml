@@ -22,7 +22,7 @@ let sht_nobits = 8
 
 let kind_code = function
   | Image.Progbits -> sht_progbits
-  | Image.Nobits -> sht_nobits
+  | Image.Nobits _ -> sht_nobits
   | Image.Symtab -> sht_symtab
   | Image.Strtab -> sht_strtab
   | Image.Other n -> n
@@ -117,7 +117,7 @@ let encode (img : Image.t) =
           if
             s.flags land Image.shf_alloc <> 0
             && addr >= s.addr
-            && addr <= s.addr + String.length s.data
+            && addr <= s.addr + Image.size s
           then i
           else go (i + 1) rest
     in
@@ -147,8 +147,8 @@ let encode (img : Image.t) =
         let c = !cursor in
         if c mod align = 0 then c else c + (align - (c mod align))
     in
-    let size = String.length s.data in
-    let consumed = match s.kind with Image.Nobits -> 0 | _ -> size in
+    let size = Image.size s in
+    let consumed = String.length s.data in
     cursor := off + consumed;
     {
       p_name = s.sec_name;
@@ -161,7 +161,7 @@ let encode (img : Image.t) =
       p_info = 0;
       p_align = align;
       p_entsize = s.entsize;
-      p_data = (match s.kind with Image.Nobits -> None | _ -> Some s.data);
+      p_data = (match s.kind with Image.Nobits _ -> None | _ -> Some s.data);
     }
   in
   let placed_user = List.map place user in

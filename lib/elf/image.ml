@@ -12,7 +12,7 @@ let shf_execinstr = 0x4
 
 type section_kind =
   | Progbits
-  | Nobits
+  | Nobits of int  (** declared [sh_size]; the section has no contents *)
   | Symtab
   | Strtab
   | Other of int
@@ -22,7 +22,7 @@ type section = {
   kind : section_kind;
   flags : int;
   addr : int;  (** virtual address; 0 for non-alloc sections *)
-  data : string;  (** contents; for [Nobits] only the length is meaningful *)
+  data : string;  (** contents; empty for [Nobits] *)
   addralign : int;
   entsize : int;
 }
@@ -53,6 +53,8 @@ let has_section t name = Option.is_some (section t name)
 let executable s = s.flags land shf_execinstr <> 0
 
 let alloc s = s.flags land shf_alloc <> 0
+
+let size s = match s.kind with Nobits n -> n | _ -> String.length s.data
 
 (** All executable sections, lowest address first. *)
 let exec_sections t =

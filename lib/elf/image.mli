@@ -13,7 +13,7 @@ val shf_execinstr : int
 
 type section_kind =
   | Progbits
-  | Nobits
+  | Nobits of int  (** declared [sh_size]; the section has no contents *)
   | Symtab
   | Strtab
   | Other of int
@@ -23,7 +23,7 @@ type section = {
   kind : section_kind;
   flags : int;
   addr : int;  (** virtual address; 0 for non-alloc sections *)
-  data : string;  (** contents; for [Nobits] only the length is meaningful *)
+  data : string;  (** contents; empty for [Nobits] *)
   addralign : int;
   entsize : int;
 }
@@ -55,6 +55,11 @@ val section : t -> string -> section option
 val has_section : t -> string -> bool
 val executable : section -> bool
 val alloc : section -> bool
+
+(** Size in memory: the declared size of a [Nobits] section, the
+    content length of any other.  Queries below read contents only, so
+    they never answer inside a [Nobits] section. *)
+val size : section -> int
 
 (** All executable sections, lowest address first. *)
 val exec_sections : t -> section list

@@ -1,4 +1,6 @@
-(** Renderers and sinks for trace reports (see mli). *)
+(** Renderers for trace reports (see mli). *)
+
+module Json = Fetch_util.Json
 
 type agg = {
   agg_name : string;
@@ -99,8 +101,6 @@ let text (r : Trace.report) =
   end;
   Buffer.contents buf
 
-let json_string = Fetch_util.Json.escape
-
 (* Sparse bucket rendering: [[bucket, count], ...] for occupied buckets
    only, so empty histograms stay one short line. *)
 let buckets_json (h : Trace.hist_stats) =
@@ -124,14 +124,14 @@ let span_args_json args =
     Printf.sprintf ",\"args\":{%s}"
       (String.concat ","
          (List.map
-            (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) (json_string v))
+            (fun (k, v) -> Printf.sprintf "%s:%s" (Json.escape k) (Json.escape v))
             args))
 
 let histogram_json name (h : Trace.hist_stats) =
   let pct p = Trace.percentile h p in
   Printf.sprintf
     "{\"type\":\"histogram\",\"name\":%s,\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"buckets\":%s}"
-    (json_string name) h.count h.sum h.min h.max (pct 50.0) (pct 90.0)
+    (Json.escape name) h.count h.sum h.min h.max (pct 50.0) (pct 90.0)
     (pct 99.0) (buckets_json h)
 
 let json_lines (r : Trace.report) =
@@ -141,14 +141,14 @@ let json_lines (r : Trace.report) =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"type\":\"span\",\"name\":%s,\"depth\":%d,\"start_ns\":%Ld,\"dur_ns\":%Ld,\"run\":%d%s}\n"
-           (json_string s.name) s.depth s.start_ns s.dur_ns s.run
+           (Json.escape s.name) s.depth s.start_ns s.dur_ns s.run
            (span_args_json s.args)))
     r.spans;
   List.iter
     (fun (n, v) ->
       Buffer.add_string buf
         (Printf.sprintf "{\"type\":\"counter\",\"name\":%s,\"value\":%d}\n"
-           (json_string n) v))
+           (Json.escape n) v))
     r.counters;
   List.iter
     (fun (n, (h : Trace.hist_stats)) ->
@@ -185,20 +185,20 @@ let chrome_trace (r : Trace.report) =
               (String.concat ","
                  (List.map
                     (fun (k, v) ->
-                      Printf.sprintf "%s:%s" (json_string k) (json_string v))
+                      Printf.sprintf "%s:%s" (Json.escape k) (Json.escape v))
                     args))
       in
       event
         (Printf.sprintf
            "{\"name\":%s,\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d%s}"
-           (json_string s.name) (us s.start_ns) (us s.dur_ns) s.run args))
+           (Json.escape s.name) (us s.start_ns) (us s.dur_ns) s.run args))
     r.spans;
   List.iter
     (fun (n, v) ->
       event
         (Printf.sprintf
            "{\"name\":%s,\"ph\":\"C\",\"ts\":0,\"pid\":0,\"tid\":0,\"args\":{\"value\":%d}}"
-           (json_string n) v))
+           (Json.escape n) v))
     r.counters;
   List.iter
     (fun (n, (h : Trace.hist_stats)) ->
@@ -206,37 +206,8 @@ let chrome_trace (r : Trace.report) =
       event
         (Printf.sprintf
            "{\"name\":%s,\"ph\":\"i\",\"ts\":0,\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d}}"
-           (json_string n) h.count h.sum h.min h.max (pct 50.0) (pct 90.0)
+           (Json.escape n) h.count h.sum h.min h.max (pct 50.0) (pct 90.0)
            (pct 99.0)))
     r.histograms;
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
-
-type sink =
-  | Noop
-  | Text of out_channel
-  | Json_lines of out_channel
-  | Chrome of out_channel
-  | Multi of sink list
-
-let rec emit sink report =
-  match sink with
-  | Noop -> ()
-  | Text oc ->
-      output_string oc (text report);
-      flush oc
-  | Json_lines oc ->
-      output_string oc (json_lines report);
-      flush oc
-  | Chrome oc ->
-      output_string oc (chrome_trace report);
-      flush oc
-  | Multi sinks -> List.iter (fun s -> emit s report) sinks
-
-let run ?(sink = Noop) f =
-  match sink with
-  | Noop -> f ()
-  | sink ->
-      let v, report = Trace.with_run f in
-      emit sink report;
-      v

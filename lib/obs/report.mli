@@ -1,9 +1,6 @@
-(** Rendering and sinks for {!Trace.report}s.
-
-    Two renderers — a human-readable per-stage text table (built on
-    [Fetch_util.Text_table]) and JSON lines for machines — plus a
-    pluggable sink abstraction whose default is a no-op, so an
-    uninstrumented run never pays for rendering either. *)
+(** Rendering for {!Trace.report}s: a human-readable per-stage text
+    table (built on [Fetch_util.Text_table]), JSON lines for machines,
+    and the Chrome trace-event format. *)
 
 (** One row of the per-stage aggregation: spans sharing a name are
     folded into call count and total duration.  [agg_depth] is the
@@ -38,10 +35,6 @@ val json_lines : Trace.report -> string
     {!json_lines} line), shared with the batch report writer. *)
 val histogram_json : string -> Trace.hist_stats -> string
 
-(** JSON string escaping (quotes included), shared with the bench
-    snapshot writer. *)
-val json_string : string -> string
-
 (** Chrome trace-event JSON (the [trace_event] format Perfetto and
     [chrome://tracing] load directly): every span is a complete event
     ([ph:"X"], microsecond timestamps) on the track of its recording
@@ -50,18 +43,3 @@ val json_string : string -> string
     [ph:"C"] counter events and histograms [ph:"i"] instant events
     carrying count/sum/min/max/p50/p90/p99. *)
 val chrome_trace : Trace.report -> string
-
-(** Where a finished run's report goes. *)
-type sink =
-  | Noop  (** drop it (the default everywhere) *)
-  | Text of out_channel
-  | Json_lines of out_channel
-  | Chrome of out_channel  (** {!chrome_trace} format *)
-  | Multi of sink list
-
-val emit : sink -> Trace.report -> unit
-
-(** [run ~sink f] instruments [f] and sends the report to [sink].  With
-    the default [Noop] sink the recorder is never even enabled — [f]
-    runs at full speed. *)
-val run : ?sink:sink -> (unit -> 'a) -> 'a

@@ -53,19 +53,42 @@ type hist_stats = {
 let empty_hist_stats =
   { count = 0; sum = 0; min = 0; max = 0; buckets = Array.make n_buckets 0 }
 
+(* A mutable log-2 histogram cell: what a run keeps per registered
+   histogram, and what a long-lived meter keeps outside any run. *)
+module Hist = struct
+  type t = {
+    mutable count : int;
+    mutable sum : int;
+    mutable min : int;
+    mutable max : int;
+    buckets : int array;
+  }
+
+  let create () =
+    { count = 0; sum = 0; min = 0; max = 0; buckets = Array.make n_buckets 0 }
+
+  let observe h v =
+    if h.count = 0 || v < h.min then h.min <- v;
+    if h.count = 0 || v > h.max then h.max <- v;
+    h.count <- h.count + 1;
+    h.sum <- h.sum + v;
+    let b = bucket_of v in
+    h.buckets.(b) <- h.buckets.(b) + 1
+
+  let stats h : hist_stats =
+    {
+      count = h.count;
+      sum = h.sum;
+      min = h.min;
+      max = h.max;
+      buckets = Array.copy h.buckets;
+    }
+end
+
 let hist_stats_of_values vs =
-  List.fold_left
-    (fun h v ->
-      let buckets = Array.copy h.buckets in
-      buckets.(bucket_of v) <- buckets.(bucket_of v) + 1;
-      {
-        count = h.count + 1;
-        sum = h.sum + v;
-        min = (if h.count = 0 || v < h.min then v else h.min);
-        max = (if h.count = 0 || v > h.max then v else h.max);
-        buckets;
-      })
-    empty_hist_stats vs
+  let h = Hist.create () in
+  List.iter (Hist.observe h) vs;
+  Hist.stats h
 
 (* Nearest-rank percentile estimated from the buckets: find the bucket
    holding the rank-th observation, interpolate linearly inside its
@@ -139,14 +162,6 @@ let histogram name =
 
 (* ---- per-domain run state ---- *)
 
-type hcell = {
-  mutable hc_count : int;
-  mutable hc_sum : int;
-  mutable hc_min : int;
-  mutable hc_max : int;
-  hc_buckets : int array;
-}
-
 (* An open (not yet completed) span: args can still be attached to it
    through [set_arg] until it closes. *)
 type open_span = {
@@ -167,7 +182,7 @@ type ctx = {
   mutable open_spans : open_span list;  (** innermost first *)
   mutable completed : span list;
   mutable counts : int array;  (** indexed by [c_id] *)
-  mutable hists : hcell array;  (** indexed by [h_id] *)
+  mutable hists : Hist.t array;  (** indexed by [h_id] *)
 }
 
 let ctx_key =
@@ -185,15 +200,6 @@ let ctx_key =
 
 let ctx () = Domain.DLS.get ctx_key
 
-let fresh_hcell () =
-  {
-    hc_count = 0;
-    hc_sum = 0;
-    hc_min = 0;
-    hc_max = 0;
-    hc_buckets = Array.make n_buckets 0;
-  }
-
 (* Lazily size the context's value arrays to the registry: a handle
    registered after this domain's [start] still records correctly. *)
 let count_slot t (c : counter) =
@@ -206,7 +212,7 @@ let count_slot t (c : counter) =
 
 let hist_slot t (h : histogram) =
   if h.h_id >= Array.length t.hists then begin
-    let a = Array.init (h.h_id + 1) (fun _ -> fresh_hcell ()) in
+    let a = Array.init (h.h_id + 1) (fun _ -> Hist.create ()) in
     Array.blit t.hists 0 a 0 (Array.length t.hists);
     t.hists <- a
   end;
@@ -234,15 +240,7 @@ let value c =
 
 let observe h v =
   let t = ctx () in
-  if t.live then begin
-    let cell = hist_slot t h in
-    if cell.hc_count = 0 || v < cell.hc_min then cell.hc_min <- v;
-    if cell.hc_count = 0 || v > cell.hc_max then cell.hc_max <- v;
-    cell.hc_count <- cell.hc_count + 1;
-    cell.hc_sum <- cell.hc_sum + v;
-    let b = bucket_of v in
-    cell.hc_buckets.(b) <- cell.hc_buckets.(b) + 1
-  end
+  if t.live then Hist.observe (hist_slot t h) v
 
 let registered_sizes () =
   with_registry @@ fun () ->
@@ -260,7 +258,7 @@ let start () =
   let t = ctx () in
   let n_counters, _, n_hists, _ = registered_sizes () in
   t.counts <- Array.make (max 1 n_counters) 0;
-  t.hists <- Array.init (max 1 n_hists) (fun _ -> fresh_hcell ());
+  t.hists <- Array.init (max 1 n_hists) (fun _ -> Hist.create ());
   t.completed <- [];
   t.open_spans <- [];
   t.depth <- 0;
@@ -286,15 +284,7 @@ let stop () =
   let _, counter_names, _, histogram_names = registered_sizes () in
   let nth_count i = if i < Array.length t.counts then t.counts.(i) else 0 in
   let nth_hist i =
-    if i < Array.length t.hists then
-      let c = t.hists.(i) in
-      {
-        count = c.hc_count;
-        sum = c.hc_sum;
-        min = c.hc_min;
-        max = c.hc_max;
-        buckets = Array.copy c.hc_buckets;
-      }
+    if i < Array.length t.hists then Hist.stats t.hists.(i)
     else empty_hist_stats
   in
   {

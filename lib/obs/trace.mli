@@ -1,6 +1,8 @@
 (** Pipeline instrumentation: hierarchical timing spans over the
     monotonic clock, plus named counters and histograms registered by the
-    pipeline stages.
+    pipeline stages.  There is one histogram implementation, {!Hist}: a
+    run keeps one cell per registered histogram, and a meter that must
+    answer outside any run keeps its own.
 
     The design is ambient and zero-cost-when-disabled: counters and
     spans are module-level handles created once at module initialisation
@@ -62,9 +64,6 @@ type histogram
     bucket is a catch-all up to [max_int]. *)
 val n_buckets : int
 
-(** The bucket an observation lands in. *)
-val bucket_of : int -> int
-
 type hist_stats = {
   count : int;
   sum : int;
@@ -75,6 +74,19 @@ type hist_stats = {
 
 (** All-zero stats (the snapshot of a never-observed histogram). *)
 val empty_hist_stats : hist_stats
+
+(** A mutable log-2 histogram cell.  Every run keeps one per registered
+    {!histogram}; a meter that must answer outside any run (the serve
+    engine's latency) keeps its own.  Not synchronised: one owner. *)
+module Hist : sig
+  type t
+
+  val create : unit -> t
+  val observe : t -> int -> unit
+
+  (** A snapshot; later observations do not alter it. *)
+  val stats : t -> hist_stats
+end
 
 (** Build stats from raw observations (for tests and goldens). *)
 val hist_stats_of_values : int list -> hist_stats

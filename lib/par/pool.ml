@@ -24,7 +24,7 @@ let size t = Array.length t.workers
 let default_domains () = max 1 (Domain.recommended_domain_count ())
 
 (* Workers loop pulling closures off the queue until shutdown drains it.
-   Task closures capture their own failures (see [submit]/[map]), so a
+   Task closures capture their own failures (see [submit]), so a
    raise escaping one here would be a pool bug; swallowing it keeps one
    broken task from killing the worker and hanging every later map. *)
 let worker pool () =
@@ -148,51 +148,14 @@ let submit t ?(cancel = fun () -> false) ?(label = "task") f =
   enqueue t job;
   fut
 
-(* ---- batch maps, built on the same queue ---- *)
+(* ---- batch maps: one future per element, awaited in order ---- *)
 
 let map t ?(label = fun i _ -> string_of_int i) f xs =
-  let xs = Array.of_list xs in
-  let n = Array.length xs in
-  if n = 0 then []
-  else begin
-    let results = Array.make n None in
-    let pending = ref n in
-    let batch_mu = Mutex.create () in
-    let batch_done = Condition.create () in
-    let task i () =
-      let r =
-        match f xs.(i) with
-        | v -> Ok v
-        | exception e ->
-            let bt = Printexc.get_backtrace () in
-            Error
-              {
-                f_index = i;
-                f_label = label i xs.(i);
-                f_exn = Printexc.to_string e;
-                f_backtrace = bt;
-              }
-      in
-      Mutex.lock batch_mu;
-      results.(i) <- Some r;
-      Stdlib.decr pending;
-      if !pending = 0 then Condition.broadcast batch_done;
-      Mutex.unlock batch_mu
-    in
-    Mutex.lock t.mu;
-    if t.stopping then begin
-      Mutex.unlock t.mu;
-      invalid_arg "Pool.map: pool is shut down"
-    end;
-    for i = 0 to n - 1 do
-      Queue.add (task i) t.queue
-    done;
-    Condition.broadcast t.work_available;
-    Mutex.unlock t.mu;
-    Mutex.lock batch_mu;
-    while !pending > 0 do
-      Condition.wait batch_done batch_mu
-    done;
-    Mutex.unlock batch_mu;
-    Array.to_list (Array.map Option.get results)
-  end
+  let futs = List.map (fun x -> (x, submit t (fun () -> f x))) xs in
+  List.mapi
+    (fun i (x, fut) ->
+      match await fut with
+      | Value v -> Ok v
+      | Fail fl -> Error { fl with f_index = i; f_label = label i x }
+      | Cancelled -> assert false (* no [cancel] hook was given *))
+    futs

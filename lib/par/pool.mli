@@ -7,12 +7,12 @@
     order}, so a parallel run is a drop-in replacement for the
     sequential loop it speeds up.
 
-    Two entry points share the queue: {!map} (batch style — submit a
-    list, block for all results) and {!submit} (streaming style — one
-    task, a {!future} to poll or await, and an optional cooperative
-    cancellation hook checked before the task runs, which is how the
-    serve daemon sheds queued requests whose deadline already passed
-    without poisoning a worker).
+    One mechanism runs every task: {!submit} enqueues one task and
+    returns a {!future} to poll or await, with an optional cooperative
+    cancellation hook checked before the task runs (how the serve
+    daemon sheds queued requests whose deadline already passed without
+    poisoning a worker).  {!map} is [submit] per element plus [await]
+    in order.
 
     Tasks must not share mutable state: the observability layer is
     per-domain ({!Fetch_obs.Trace}'s domain-safety contract), and each
@@ -47,8 +47,8 @@ val size : t -> int
 val default_domains : unit -> int
 
 (** Drain the queue, then stop and join every worker.  Idempotent.
-    Outstanding [map] calls finish first (their tasks are already
-    queued); new [map]/[submit] calls after shutdown raise. *)
+    Queued tasks finish first; new [map]/[submit] calls after shutdown
+    raise. *)
 val shutdown : t -> unit
 
 (** [with_pool ~domains f] is [f (create ~domains ())] with a guaranteed
@@ -86,8 +86,8 @@ val await : 'a future -> 'a outcome
 
 (** {2 Batch maps} *)
 
-(** [map t ~label f xs] runs [f x] for every element on the pool and
-    blocks until all complete.  The result list is in the order of [xs]
+(** [map t ~label f xs] submits [f x] for every element and awaits the
+    futures in order.  The result list is in the order of [xs]
     regardless of scheduling, one entry per element: [Ok (f x)], or
     [Error failure] when [f x] raised — a raising task never affects the
     others.  [label i x] names task [i] in its failure record. *)

@@ -5,17 +5,40 @@ module Clock = Fetch_obs.Clock
 module Pool = Fetch_par.Pool
 module P = Protocol
 
-(* serve.* meters.  Like the cache, the engine's own [stats] record is
-   the live source of truth (stats must answer outside any trace run);
-   these handles mirror it into instrumented runs on the dispatch
-   domain. *)
+(* Every request line resolves as exactly one outcome, so
+   [requests = Σ outcomes + in flight].  The engine's own tally is the
+   live source of truth (stats must answer outside any trace run);
+   [record] mirrors it into the serve.* counters of an instrumented
+   run on the dispatch domain. *)
+type outcome = Ok_response | Error_response of P.error_code | Stats_request
+
+(* Tally order is the stats JSON key order. *)
+let outcomes =
+  [|
+    Ok_response;
+    Error_response P.Bad_request;
+    Error_response P.Overloaded;
+    Error_response P.Deadline_exceeded;
+    Error_response P.Analysis_failed;
+    Stats_request;
+  |]
+
+let outcome_label = function
+  | Ok_response -> "ok"
+  | Error_response code -> P.error_code_label code
+  | Stats_request -> "stats_requests"
+
+let outcome_index = function
+  | Ok_response -> 0
+  | Error_response P.Bad_request -> 1
+  | Error_response P.Overloaded -> 2
+  | Error_response P.Deadline_exceeded -> 3
+  | Error_response P.Analysis_failed -> 4
+  | Stats_request -> 5
+
 let c_requests = Obs.counter "serve.requests"
-let c_ok = Obs.counter "serve.ok"
-let c_bad = Obs.counter "serve.bad_request"
-let c_overloaded = Obs.counter "serve.overloaded"
-let c_deadline = Obs.counter "serve.deadline_exceeded"
-let c_failed = Obs.counter "serve.analysis_failed"
-let c_stats = Obs.counter "serve.stats_requests"
+let c_outcomes =
+  Array.map (fun o -> Obs.counter ("serve." ^ outcome_label o)) outcomes
 let h_latency = Obs.histogram "serve.latency_ms"
 let h_depth = Obs.histogram "serve.queue_depth"
 let h_req_bytes = Obs.histogram "serve.request_bytes"
@@ -55,61 +78,14 @@ type slot = {
   mutable s_state : slot_state;
 }
 
-(* A plain mutable log-2 histogram over Trace's bucket scheme, so the
-   stats request can report percentiles without a live trace run. *)
-type plain_hist = {
-  mutable ph_count : int;
-  mutable ph_sum : int;
-  mutable ph_min : int;
-  mutable ph_max : int;
-  ph_buckets : int array;
-}
-
-let plain_hist () =
-  {
-    ph_count = 0;
-    ph_sum = 0;
-    ph_min = max_int;
-    ph_max = 0;
-    ph_buckets = Array.make Obs.n_buckets 0;
-  }
-
-let ph_observe h v =
-  h.ph_count <- h.ph_count + 1;
-  h.ph_sum <- h.ph_sum + v;
-  if v < h.ph_min then h.ph_min <- v;
-  if v > h.ph_max then h.ph_max <- v;
-  let b = Obs.bucket_of v in
-  h.ph_buckets.(b) <- h.ph_buckets.(b) + 1
-
-let ph_stats h : Obs.hist_stats =
-  if h.ph_count = 0 then Obs.empty_hist_stats
-  else
-    {
-      count = h.ph_count;
-      sum = h.ph_sum;
-      min = h.ph_min;
-      max = h.ph_max;
-      buckets = Array.copy h.ph_buckets;
-    }
-
-type stats = {
-  mutable requests : int;
-  mutable ok : int;
-  mutable bad_request : int;
-  mutable overloaded : int;
-  mutable deadline_exceeded : int;
-  mutable analysis_failed : int;
-  mutable stats_requests : int;
-}
-
 type t = {
   cfg : config;
   pool : Pool.t;
   cache : Cache.t;
   slots : slot Queue.t;
-  st : stats;
-  latency : plain_hist;
+  mutable requests : int;
+  tally : int array;  (* indexed by [outcome_index] *)
+  latency : Obs.Hist.t;
   mutable reports : Obs.report list;  (* newest first *)
 }
 
@@ -119,17 +95,9 @@ let create ?(config = default_config) () =
     pool = Pool.create ~domains:(max 1 config.domains) ();
     cache = Cache.create ~max_bytes:config.cache_bytes;
     slots = Queue.create ();
-    st =
-      {
-        requests = 0;
-        ok = 0;
-        bad_request = 0;
-        overloaded = 0;
-        deadline_exceeded = 0;
-        analysis_failed = 0;
-        stats_requests = 0;
-      };
-    latency = plain_hist ();
+    requests = 0;
+    tally = Array.make (Array.length outcomes) 0;
+    latency = Obs.Hist.create ();
     reports = [];
   }
 
@@ -137,11 +105,16 @@ let ns_to_ms ns = Int64.to_int (Int64.div ns 1_000_000L)
 
 let observe_latency t (s : slot) =
   let ms = ns_to_ms (Clock.elapsed_ns s.s_start) in
-  ph_observe t.latency ms;
+  Obs.Hist.observe t.latency ms;
   Obs.observe h_latency ms
 
+let record t o =
+  let i = outcome_index o in
+  t.tally.(i) <- t.tally.(i) + 1;
+  Obs.incr c_outcomes.(i)
+
 (* Resolve a Running slot from its task outcome: render the response,
-   bump the right counter, and write back into the cache.  Dispatch
+   record its outcome, and write back into the cache.  Dispatch
    thread only. *)
 let finalize t (s : slot) bin_key outcome =
   let response =
@@ -151,25 +124,21 @@ let finalize t (s : slot) bin_key outcome =
         (match report with
         | Some r -> t.reports <- r :: t.reports
         | None -> ());
-        t.st.ok <- t.st.ok + 1;
-        Obs.incr c_ok;
+        record t Ok_response;
         P.ok_response ~id:s.s_id ~want:s.s_want payload
     | Pool.Value (Timed_out, report) ->
         (match report with
         | Some r -> t.reports <- r :: t.reports
         | None -> ());
-        t.st.deadline_exceeded <- t.st.deadline_exceeded + 1;
-        Obs.incr c_deadline;
+        record t (Error_response P.Deadline_exceeded);
         P.error_response ~id:s.s_id ~code:P.Deadline_exceeded
           ~message:"deadline exceeded"
     | Pool.Cancelled ->
-        t.st.deadline_exceeded <- t.st.deadline_exceeded + 1;
-        Obs.incr c_deadline;
+        record t (Error_response P.Deadline_exceeded);
         P.error_response ~id:s.s_id ~code:P.Deadline_exceeded
           ~message:"deadline exceeded before the task started"
     | Pool.Fail f ->
-        t.st.analysis_failed <- t.st.analysis_failed + 1;
-        Obs.incr c_failed;
+        record t (Error_response P.Analysis_failed);
         P.error_response ~id:s.s_id ~code:P.Analysis_failed ~message:f.f_exn
   in
   observe_latency t s;
@@ -191,37 +160,30 @@ let refresh t =
     t.slots;
   !in_flight
 
-let push_ready t ?(latency = true) id want response =
+let push_ready t id want response =
   let s = { s_id = id; s_want = want; s_start = Clock.now_ns (); s_state = Ready response } in
-  if latency then observe_latency t s;
+  observe_latency t s;
   Queue.add s t.slots
 
 let resolve_error t id code message =
-  (match (code : P.error_code) with
-  | P.Bad_request ->
-      t.st.bad_request <- t.st.bad_request + 1;
-      Obs.incr c_bad
-  | P.Overloaded ->
-      t.st.overloaded <- t.st.overloaded + 1;
-      Obs.incr c_overloaded
-  | P.Deadline_exceeded ->
-      t.st.deadline_exceeded <- t.st.deadline_exceeded + 1;
-      Obs.incr c_deadline
-  | P.Analysis_failed ->
-      t.st.analysis_failed <- t.st.analysis_failed + 1;
-      Obs.incr c_failed);
+  record t (Error_response code);
   push_ready t id P.want_all (P.error_response ~id ~code ~message)
 
 let stats_json t =
   let in_flight = refresh t in
-  let lat = ph_stats t.latency in
+  let lat = Obs.Hist.stats t.latency in
   let pct p = Obs.percentile lat p in
+  let tally =
+    String.concat ""
+      (Array.to_list
+         (Array.mapi
+            (fun i o -> Printf.sprintf ",\"%s\":%d" (outcome_label o) t.tally.(i))
+            outcomes))
+  in
   Printf.sprintf
-    "{\"requests\":%d,\"ok\":%d,\"bad_request\":%d,\"overloaded\":%d,\"deadline_exceeded\":%d,\"analysis_failed\":%d,\"stats_requests\":%d,\"queue\":{\"bound\":%d,\"in_flight\":%d},\"latency_ms\":{\"count\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"max\":%d},\"cache\":%s}"
-    t.st.requests t.st.ok t.st.bad_request t.st.overloaded
-    t.st.deadline_exceeded t.st.analysis_failed t.st.stats_requests
-    t.cfg.queue_bound in_flight lat.count (pct 50.) (pct 90.) (pct 99.)
-    lat.max
+    "{\"requests\":%d%s,\"queue\":{\"bound\":%d,\"in_flight\":%d},\"latency_ms\":{\"count\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"max\":%d},\"cache\":%s}"
+    t.requests tally t.cfg.queue_bound in_flight lat.count (pct 50.) (pct 90.)
+    (pct 99.) lat.max
     (Cache.stats_json t.cache)
 
 let read_file path =
@@ -241,8 +203,7 @@ let submit_analyze t id (a : P.analyze) =
       | Some payload ->
           (* warm path: same renderer, same payload bytes as the cold
              response — byte-identical by construction *)
-          t.st.ok <- t.st.ok + 1;
-          Obs.incr c_ok;
+          record t Ok_response;
           push_ready t id a.want (P.ok_response ~id ~want:a.want payload)
       | None -> (
           let in_flight = refresh t in
@@ -302,19 +263,18 @@ let submit_analyze t id (a : P.analyze) =
                   t.slots))
 
 let submit_line t line =
-  t.st.requests <- t.st.requests + 1;
+  t.requests <- t.requests + 1;
   Obs.incr c_requests;
   Obs.observe h_req_bytes (String.length line);
   match P.parse_request line with
   | Error (id, msg) -> resolve_error t id P.Bad_request msg
   | Ok { id; op = P.Stats } ->
-      t.st.stats_requests <- t.st.stats_requests + 1;
-      Obs.incr c_stats;
+      record t Stats_request;
       push_ready t id P.want_all (P.stats_response ~id (stats_json t))
   | Ok { id; op = P.Analyze a } -> submit_analyze t id a
 
 let submit_bad t message =
-  t.st.requests <- t.st.requests + 1;
+  t.requests <- t.requests + 1;
   Obs.incr c_requests;
   resolve_error t None P.Bad_request message
 

@@ -31,6 +31,10 @@ type error_code =
   | Deadline_exceeded  (** [deadline_ms] elapsed before completion *)
   | Analysis_failed  (** the pipeline raised or the bytes are not ELF *)
 
+(** The wire name of a code: ["bad_request"], ["overloaded"],
+    ["deadline_exceeded"], ["analysis_failed"]. *)
+val error_code_label : error_code -> string
+
 (** Which field groups of the summary a response carries. *)
 type want = { w_starts : bool; w_eh : bool; w_diags : bool; w_findings : bool }
 

@@ -222,7 +222,7 @@ let test_callconv_callee_saved_survives_call () =
 
 (* --- the linter, rule by rule, against fabricated views --- *)
 
-let lint_view ?(funcs = []) ?(fdes = []) ?(complete_cfi = [])
+let lint_view ?(funcs = []) ?(fdes = []) ?(complete = [])
     ?(oracle_height = fun _ -> None) ?(entry_height = fun _ -> None)
     ?(callconv_ok = fun _ -> true)
     ?(referenced_outside_jumps_of = fun ~entry:_ _ -> false) loaded
@@ -233,7 +233,8 @@ let lint_view ?(funcs = []) ?(fdes = []) ?(complete_cfi = [])
     funcs;
     insn_spans = res.Recursive.insn_spans;
     fdes;
-    complete_cfi;
+    complete_at =
+      (fun a -> List.exists (fun (lo, hi) -> a >= lo && a < hi) complete);
     oracle_height;
     entry_height;
     callconv_ok;
@@ -381,7 +382,7 @@ let fabricated_view funcs =
     funcs;
     insn_spans = Fetch_util.Insn_index.create [];
     fdes = [];
-    complete_cfi = [];
+    complete_at = (fun _ -> false);
     oracle_height = (fun _ -> None);
     entry_height = (fun _ -> None);
     callconv_ok = (fun _ -> true);
@@ -676,7 +677,7 @@ let test_lint_height_mismatch () =
   (* a lying oracle: claims height 0 after the push (statically 8) *)
   let oracle a = if a = body then Some 0 else None in
   let view =
-    lint_view ~funcs ~complete_cfi:[ (fa, hi) ] ~oracle_height:oracle loaded res
+    lint_view ~funcs ~complete:[ (fa, hi) ] ~oracle_height:oracle loaded res
   in
   match findings_of "height-mismatch" (Lint.run view) with
   | [ f ] ->
@@ -705,7 +706,7 @@ let test_lint_truthful_oracle_quiet () =
   let funcs = [ { Lint.entry = fa; blocks = [ (fa, hi) ]; jumps = [] } ] in
   let oracle a = if a = body then Some 8 else None in
   let view =
-    lint_view ~funcs ~complete_cfi:[ (fa, hi) ] ~oracle_height:oracle loaded res
+    lint_view ~funcs ~complete:[ (fa, hi) ] ~oracle_height:oracle loaded res
   in
   check Alcotest.int "no findings" 0 (List.length (Lint.run view))
 

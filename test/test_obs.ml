@@ -221,22 +221,6 @@ let prop_merge_preserves_histograms =
       in
       buckets_equal && counts_ok && percentiles_ok)
 
-let test_sinks () =
-  (* the default sink records nothing and the recorder stays off *)
-  let v = Report.run (fun () -> check Alcotest.bool "noop sink leaves recorder off" false (Obs.enabled ()); 3) in
-  check Alcotest.int "noop sink passes the result through" 3 v;
-  let file = Filename.temp_file "fetch_obs" ".jsonl" in
-  let oc = open_out file in
-  let v = Report.run ~sink:(Report.Json_lines oc) (fun () -> Obs.span "s" (fun () -> 5)) in
-  close_out oc;
-  check Alcotest.int "json sink passes the result through" 5 v;
-  let ic = open_in file in
-  let line = input_line ic in
-  close_in ic;
-  Sys.remove file;
-  check Alcotest.bool "json sink wrote the span" true
-    (String.length line > 0 && line.[0] = '{')
-
 (* Instrumented end-to-end pipeline run: the same corpus shape as
    test_core, asserting the stage spans exist and the key counters are
    populated. *)
@@ -521,7 +505,6 @@ let suite =
     Alcotest.test_case "histogram percentiles" `Quick test_percentiles;
     Alcotest.test_case "span args and set_arg" `Quick test_span_args;
     QCheck_alcotest.to_alcotest prop_merge_preserves_histograms;
-    Alcotest.test_case "sinks" `Quick test_sinks;
     Alcotest.test_case "bench snapshot JSON roundtrip" `Quick test_bench_gate_roundtrip;
     Alcotest.test_case "bench regression gate" `Quick test_bench_gate_check;
     Alcotest.test_case "provenance recorder and queries" `Quick test_provenance_recorder;

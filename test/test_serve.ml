@@ -370,6 +370,154 @@ let test_engine_want_and_stats () =
             "stats snapshot counts both requests" (Some 2) requests
       | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
 
+(* ---- engine: hostile section headers ---- *)
+
+(* A synth binary whose first PROGBITS section header is rewritten to
+   NOBITS with a declared size of 2^40: the file is unchanged in length,
+   but a decoder that sized a buffer by [sh_size] would ask for 1 TiB. *)
+let huge_nobits_fixture () =
+  let raw = Bytes.of_string (binary 41) in
+  let shoff = Int64.to_int (Bytes.get_int64_le raw 0x28) in
+  let shnum = Bytes.get_uint16_le raw 0x3c in
+  let rec patch i =
+    if i >= shnum then Alcotest.fail "fixture: no PROGBITS section"
+    else
+      let sh = shoff + (i * 64) in
+      if Bytes.get_int32_le raw (sh + 4) = 1l then begin
+        Bytes.set_int32_le raw (sh + 4) 8l;
+        Bytes.set_int64_le raw (sh + 32) (Int64.shift_left 1L 40)
+      end
+      else patch (i + 1)
+  in
+  patch 1;
+  Bytes.to_string raw
+
+let test_engine_huge_nobits () =
+  let raw = huge_nobits_fixture () in
+  (* a minor collection on each side brings the allocation counters up
+     to date (OCaml 5 folds minor-heap words in only when it runs) *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let decoded = Fetch_elf.Decode.decode raw in
+  Gc.minor ();
+  let allocated = Gc.allocated_bytes () -. before in
+  (match decoded with
+  | Ok img ->
+      check Alcotest.bool "the declared size stays observable" true
+        (List.exists
+           (fun (s : Fetch_elf.Image.section) ->
+             s.kind = Fetch_elf.Image.Nobits (1 lsl 40))
+           img.sections)
+  | Error e -> Alcotest.failf "fixture should decode: %s" e);
+  let bound = 8 * String.length raw in
+  if allocated > float_of_int bound then
+    Alcotest.failf "decode allocated %.0f bytes for a %d-byte input (bound %d)"
+      allocated (String.length raw) bound;
+  (* the daemon decodes on its dispatch thread: the fixture must not take
+     down the engine, so the request after it is still answered *)
+  with_engine ~config:small_config (fun e ->
+      Engine.submit_line e (analyze_line ~id:"1" raw);
+      Engine.submit_line e (analyze_line ~id:"2" (binary 42));
+      match Engine.flush e with
+      | [ hostile; ok ] ->
+          check Alcotest.bool "the fixture is answered" true
+            (List.mem (status hostile) [ "ok"; "error" ]);
+          check Alcotest.string "the next request analyzes" "ok" (status ok)
+      | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
+
+(* ---- engine: accounting laws ---- *)
+
+(* Each request kind of the property below: analyze one of three
+   binaries (with repeats), analyze non-ELF bytes, an already-expired
+   deadline, a malformed line, the IO layer's oversized-line path, a
+   missing path and an in-band stats request. *)
+type mix_op =
+  | Analyze of int
+  | Not_elf
+  | Expired of int
+  | Malformed
+  | Oversized
+  | Missing_path
+  | Stats
+
+let mix_op_of_int n =
+  match n mod 9 with
+  | 0 | 1 | 2 -> Analyze (n mod 3)
+  | 3 -> Not_elf
+  | 4 -> Expired (n mod 3)
+  | 5 -> Malformed
+  | 6 -> Oversized
+  | 7 -> Missing_path
+  | _ -> Stats
+
+let mix_binaries = lazy (Array.init 3 (fun i -> binary ~n_funcs:6 (300 + i)))
+
+(* Does the engine read bytes (and so consult the cache) for this op? *)
+let reads_bytes = function
+  | Analyze _ | Not_elf | Expired _ -> true
+  | Malformed | Oversized | Missing_path | Stats -> false
+
+let prop_serve_accounting =
+  QCheck.Test.make ~name:"serve: requests = Σ outcomes, lookups = reads"
+    ~count:12
+    QCheck.(list_of_size Gen.(int_range 1 14) (int_bound 1000))
+    (fun ns ->
+      let ops = List.map mix_op_of_int ns in
+      let bins = Lazy.force mix_binaries in
+      let config = { small_config with domains = 1; queue_bound = 2 } in
+      with_engine ~config (fun e ->
+          List.iteri
+            (fun i op ->
+              let id = string_of_int i in
+              match op with
+              | Analyze b -> Engine.submit_line e (analyze_line ~id bins.(b))
+              | Not_elf -> Engine.submit_line e (analyze_line ~id "not an elf")
+              | Expired b ->
+                  Engine.submit_line e
+                    (analyze_line ~id ~deadline_ms:0 bins.(b))
+              | Malformed -> Engine.submit_line e "{not json"
+              | Oversized -> Engine.submit_bad e "line too long"
+              | Missing_path ->
+                  Engine.submit_line e
+                    {|{"path":"/nonexistent/fetch-serve-accounting"}|}
+              | Stats -> Engine.submit_line e {|{"op":"stats"}|})
+            ops;
+          let responses = Engine.flush e in
+          let stats =
+            match Json.parse (Engine.stats_json e) with
+            | Ok j -> j
+            | Error msg -> Alcotest.failf "stats JSON: %s" msg
+          in
+          let int_at path =
+            match
+              List.fold_left
+                (fun j k -> Option.bind j (Json.member k))
+                (Some stats) path
+              |> Fun.flip Option.bind Json.to_int
+            with
+            | Some n -> n
+            | None -> Alcotest.failf "stats lacks %s" (String.concat "." path)
+          in
+          let outcomes =
+            List.fold_left
+              (fun acc k -> acc + int_at [ k ])
+              0
+              [
+                "ok";
+                "bad_request";
+                "overloaded";
+                "deadline_exceeded";
+                "analysis_failed";
+                "stats_requests";
+              ]
+          in
+          let reads = List.length (List.filter reads_bytes ops) in
+          List.length responses = List.length ops
+          && int_at [ "requests" ] = List.length ops
+          && int_at [ "requests" ] = outcomes
+          && int_at [ "queue"; "in_flight" ] = 0
+          && int_at [ "cache"; "hits" ] + int_at [ "cache"; "misses" ] = reads))
+
 (* cached responses are byte-identical to a fresh engine's analysis of
    the same bytes — over random binaries *)
 let prop_warm_equals_fresh =
@@ -508,6 +656,9 @@ let suite =
       test_engine_isolation;
     Alcotest.test_case "engine: want filtering and in-band stats" `Quick
       test_engine_want_and_stats;
+    Alcotest.test_case "engine: a huge NOBITS section costs no memory" `Quick
+      test_engine_huge_nobits;
+    QCheck_alcotest.to_alcotest prop_serve_accounting;
     QCheck_alcotest.to_alcotest prop_warm_equals_fresh;
     Alcotest.test_case "line reader: bounds and reassembly" `Quick
       test_line_reader;
