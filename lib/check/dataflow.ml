@@ -13,6 +13,9 @@ let c_fatals = Obs.counter "check.dataflow.fatals"
 let c_exhausted = Obs.counter "check.dataflow.fuel_exhausted"
 let h_blocks = Obs.histogram "check.dataflow.blocks_per_solve"
 
+(* In-state changes of one block before [Join_fixpoint] widens it. *)
+let max_joins = 8
+
 type program = {
   insn_at : int -> (Insn.t * int) option;
   in_text : int -> bool;
@@ -82,8 +85,8 @@ module Make (L : LATTICE) = struct
 
   exception Fatal_stop of L.fatal
 
-  let solve ?(max_block_insns = 4096) ?(max_blocks = 4096) ?(max_joins = 8)
-      ?(record = true) prog policy ~merge ~entry ~init () =
+  let solve ?(max_block_insns = 4096) ?(max_blocks = 4096) ?(record = true) prog
+      policy ~merge ~entry ~init () =
     Obs.incr c_solves;
     let states = Hashtbl.create (if record then 64 else 1) in
     (* block-entry in-states (Join_fixpoint) / visited marks (First) *)

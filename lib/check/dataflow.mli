@@ -18,7 +18,7 @@
       arrival-order sensitivity is part of the model.
     - {!Join_fixpoint} — classical dataflow: in-states are joined at block
       entries, changed blocks are re-enqueued, and {!LATTICE.widen} is
-      applied after [max_joins] updates of the same block so solving
+      applied after 8 updates of the same block so solving
       terminates on lattices of unbounded height.
 
     Fuel accounting ([max_block_insns], [max_blocks]) bounds every solve;
@@ -50,7 +50,7 @@ module type LATTICE = sig
   val join : state -> state -> state
 
   val widen : old:state -> state -> state
-  (** applied to a block's joined in-state after [max_joins] changes *)
+  (** applied to a block's joined in-state after 8 changes *)
 
   val transfer : addr:int -> len:int -> Insn.t -> state -> (state, fatal) step
 end
@@ -126,7 +126,6 @@ module Make (L : LATTICE) : sig
   val solve :
     ?max_block_insns:int ->
     ?max_blocks:int ->
-    ?max_joins:int ->
     ?record:bool ->
     program ->
     policy ->
@@ -137,5 +136,5 @@ module Make (L : LATTICE) : sig
     solution
   (** [solve prog policy ~merge ~entry ~init ()] runs the analysis to
       quiescence (or fuel exhaustion).  Defaults: [max_block_insns] and
-      [max_blocks] 4096, [max_joins] 8, [record] true. *)
+      [max_blocks] 4096, [record] true. *)
 end

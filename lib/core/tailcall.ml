@@ -25,10 +25,6 @@ let c_rej_height = Obs.counter "tailcall.reject.cfa_height"
 let c_rej_refs = Obs.counter "tailcall.reject.jump_only_refs"
 let c_rej_callconv = Obs.counter "tailcall.reject.callconv"
 
-type decision =
-  | Tail_call of { site : int; target : int }
-  | Merged of { site : int; target : int; into : int }
-
 type outcome = {
   kept_starts : int list;
   tail_calls : (int * int) list;  (** site, target *)

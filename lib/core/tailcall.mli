@@ -10,10 +10,6 @@
     function, connects two parts of one non-contiguous function: the
     parts are merged and the target removed from the start list. *)
 
-type decision =
-  | Tail_call of { site : int; target : int }
-  | Merged of { site : int; target : int; into : int }
-
 type outcome = {
   kept_starts : int list;
   tail_calls : (int * int) list;  (** site, target *)

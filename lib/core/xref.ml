@@ -15,7 +15,7 @@
 
     The iteration is incremental: each accepted pointer grows the
     committed disassembly in place via {!Fetch_analysis.Recursive.extend}
-    instead of re-running every seed, the ref table and the extent map
+    instead of re-running every seed, the ref table and the extent set
     fold exactly the delta it returns, and rejection verdicts that cannot
     change while the committed state only grows are cached.  The test
     suite keeps a from-scratch reference model built on {!validate} (no
@@ -66,17 +66,61 @@ let mid_instruction (res : Recursive.result) addr =
   | None -> false
   | Some (lo, _) -> addr <> lo
 
-(* Function-extent map: committed blocks of every detected function.
-   Overlapping blocks (shared code) resolve byte-wise to the highest
-   owning entry via [add_max], whose result is independent of insertion
-   order — so the map can be grown round by round (only each delta's
-   functions folded in) and still equal a from-scratch build, and the
-   recorded [into] attribution cannot depend on hash iteration order. *)
-let add_extents m (f : Recursive.func) =
+(* Function-extent set: one bit per text byte, set for every byte of a
+   committed block of a detected function.  Error (iii) only asks
+   whether a byte is covered; which function covers it is a ledger
+   operand, folded from [res.funcs] on demand ([into]).  Bits, not
+   bytes: the set is allocated once per binary over the whole text. *)
+type extents = (int * int * Bytes.t) list
+
+let add_extents (m : extents) (f : Recursive.func) =
   List.iter
     (fun (lo, hi) ->
-      if hi > lo then Fetch_util.Interval_map.add_max m ~lo ~hi f.entry)
+      List.iter
+        (fun (rlo, rhi, bits) ->
+          for a = max lo rlo - rlo to min hi rhi - rlo - 1 do
+            let i = a lsr 3 in
+            Bytes.unsafe_set bits i
+              (Char.unsafe_chr
+                 (Char.code (Bytes.unsafe_get bits i) lor (1 lsl (a land 7))))
+          done)
+        m)
     f.blocks
+
+let extents loaded (res : Recursive.result) =
+  let m =
+    List.map
+      (fun (lo, hi) -> (lo, hi, Bytes.make ((hi - lo + 7) lsr 3) '\000'))
+      (Loaded.text_ranges loaded)
+  in
+  Hashtbl.iter (fun _ f -> add_extents m f) res.funcs;
+  m
+
+let covered (m : extents) addr =
+  List.exists
+    (fun (lo, hi, bits) ->
+      addr >= lo && addr < hi
+      &&
+      let a = addr - lo in
+      Char.code (Bytes.unsafe_get bits (a lsr 3)) land (1 lsl (a land 7)) <> 0)
+    m
+
+(* The ledger's [into] operand: the highest entry among the functions
+   whose blocks hold [addr], so the attribution of shared code depends
+   on the result alone, never on hash iteration order.  Folded only
+   when the ledger is recording. *)
+let into (res : Recursive.result) addr =
+  if not (Prov.enabled ()) then []
+  else
+    let owner =
+      Hashtbl.fold
+        (fun _ (f : Recursive.func) acc ->
+          if List.exists (fun (lo, hi) -> lo <= addr && addr < hi) f.blocks
+          then max acc f.entry
+          else acc)
+        res.funcs min_int
+    in
+    [ ("into", Prov.I owner) ]
 
 type reject =
   | Invalid_opcode
@@ -120,91 +164,80 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
       }
   else if mid_instruction res cand then
     Rejected { reason = Mid_instruction; fields = []; permanent = true }
-  else
-    match Fetch_util.Interval_map.find extents cand with
-    | Some (_, _, entry) when entry <> cand ->
-        (* a pointer into the body of a previously detected function is a
-           control transfer into its middle (error iii) — jump-table
-           entries land here, for example *)
-        Rejected
-          {
-            reason = Transfer_into_function;
-            fields = [ ("into", Prov.I entry) ];
-            permanent = true;
-          }
-    | Some _ | None -> begin
-        (* speculative conservative disassembly *)
-        let visited = Hashtbl.create 16 in
-        let exception Reject of reject * (string * Prov.value) list in
-        let check_target t =
-          if Hashtbl.mem res.funcs t then ()
-          else begin
-            if mid_instruction res t then
-              raise (Reject (Mid_instruction, [ ("at", Prov.I t) ]));
-            match Fetch_util.Interval_map.find extents t with
-            | Some (_, _, entry) when entry <> t ->
-                raise
-                  (Reject
-                     ( Transfer_into_function,
-                       [ ("at", Prov.I t); ("into", Prov.I entry) ] ))
-            | Some _ | None -> ()
-          end
-        in
-        let rec walk_block fuel addr frontier =
-          if fuel <= 0 then frontier
-          else if Hashtbl.mem res.funcs addr then frontier
-          else
-            match Loaded.insn_at loaded addr with
-            | None -> raise (Reject (Invalid_opcode, [ ("at", Prov.I addr) ]))
-            | Some (insn, len) -> (
-                if mid_instruction res addr then
-                  raise (Reject (Mid_instruction, [ ("at", Prov.I addr) ]));
-                match Semantics.flow insn with
-                | Semantics.Fall -> walk_block (fuel - 1) (addr + len) frontier
-                | Semantics.Ret | Semantics.Halt -> frontier
-                | Semantics.Jump (Semantics.Direct t) ->
-                    check_target t;
-                    if Loaded.in_text loaded t then t :: frontier else frontier
-                | Semantics.Cond t ->
-                    check_target t;
-                    walk_block (fuel - 1) (addr + len)
-                      (if Loaded.in_text loaded t then t :: frontier
-                       else frontier)
-                | Semantics.Jump (Semantics.Indirect _) -> frontier
-                | Semantics.Callf (Semantics.Direct t) ->
-                    check_target t;
-                    walk_block (fuel - 1) (addr + len) frontier
-                | Semantics.Callf (Semantics.Indirect _) ->
-                    walk_block (fuel - 1) (addr + len) frontier)
-        in
-        try
-          let rec bfs blocks frontier =
-            match frontier with
-            | [] -> ()
-            | addr :: rest ->
-                if blocks <= 0 then ()
-                else if Hashtbl.mem visited addr then bfs blocks rest
-                else begin
-                  Hashtbl.replace visited addr ();
-                  let extra = walk_block max_spec_insns addr [] in
-                  bfs (blocks - 1) (extra @ rest)
-                end
-          in
-          bfs max_spec_blocks [ cand ];
-          let noreturn t = Hashtbl.mem res.noreturn t in
-          let cond_noreturn t = Hashtbl.mem res.cond_noreturn t in
-          match Callconv.validate ~noreturn ~cond_noreturn loaded cand with
-          | Ok () -> Accept
-          | Error v ->
-              Rejected
-                {
-                  reason = Bad_call_conv;
-                  fields = Callconv.ledger_fields v;
-                  permanent = false;
-                }
-        with Reject (reason, fields) ->
-          Rejected { reason; fields; permanent = false }
+  else if covered extents cand then
+    (* a pointer into the body of a previously detected function is a
+       control transfer into its middle (error iii) — jump-table entries
+       land here, for example *)
+    Rejected
+      { reason = Transfer_into_function; fields = into res cand; permanent = true }
+  else begin
+    (* speculative conservative disassembly *)
+    let visited = Hashtbl.create 16 in
+    let exception Reject of reject * (string * Prov.value) list in
+    let check_target t =
+      if Hashtbl.mem res.funcs t then ()
+      else begin
+        if mid_instruction res t then
+          raise (Reject (Mid_instruction, [ ("at", Prov.I t) ]));
+        if covered extents t then
+          raise (Reject (Transfer_into_function, ("at", Prov.I t) :: into res t))
       end
+    in
+    let rec walk_block fuel addr frontier =
+      if fuel <= 0 then frontier
+      else if Hashtbl.mem res.funcs addr then frontier
+      else
+        match Loaded.insn_at loaded addr with
+        | None -> raise (Reject (Invalid_opcode, [ ("at", Prov.I addr) ]))
+        | Some (insn, len) -> (
+            if mid_instruction res addr then
+              raise (Reject (Mid_instruction, [ ("at", Prov.I addr) ]));
+            match Semantics.flow insn with
+            | Semantics.Fall -> walk_block (fuel - 1) (addr + len) frontier
+            | Semantics.Ret | Semantics.Halt -> frontier
+            | Semantics.Jump (Semantics.Direct t) ->
+                check_target t;
+                if Loaded.in_text loaded t then t :: frontier else frontier
+            | Semantics.Cond t ->
+                check_target t;
+                walk_block (fuel - 1) (addr + len)
+                  (if Loaded.in_text loaded t then t :: frontier
+                   else frontier)
+            | Semantics.Jump (Semantics.Indirect _) -> frontier
+            | Semantics.Callf (Semantics.Direct t) ->
+                check_target t;
+                walk_block (fuel - 1) (addr + len) frontier
+            | Semantics.Callf (Semantics.Indirect _) ->
+                walk_block (fuel - 1) (addr + len) frontier)
+    in
+    try
+      let rec bfs blocks frontier =
+        match frontier with
+        | [] -> ()
+        | addr :: rest ->
+            if blocks <= 0 then ()
+            else if Hashtbl.mem visited addr then bfs blocks rest
+            else begin
+              Hashtbl.replace visited addr ();
+              let extra = walk_block max_spec_insns addr [] in
+              bfs (blocks - 1) (extra @ rest)
+            end
+      in
+      bfs max_spec_blocks [ cand ];
+      let noreturn t = Hashtbl.mem res.noreturn t in
+      let cond_noreturn t = Hashtbl.mem res.cond_noreturn t in
+      match Callconv.validate ~noreturn ~cond_noreturn loaded cand with
+      | Ok () -> Accept
+      | Error v ->
+          Rejected
+            {
+              reason = Bad_call_conv;
+              fields = Callconv.ledger_fields v;
+              permanent = false;
+            }
+    with Reject (reason, fields) ->
+      Rejected { reason; fields; permanent = false }
+  end
 
 (** Iterated detection (§IV-E): accept one legitimate pointer at a time and
     immediately refresh the disassembly and the pointer collection with it,
@@ -223,11 +256,10 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
   let res = Recursive.run loaded ~seeds in
   Obs.span "xref" @@ fun () ->
   (* rounds only ever add functions and instructions (and never mutate
-     committed records), so the ref table and the extent map, built once
+     committed records), so the ref table and the extent set, built once
      from the seed disassembly, fold each round's delta in place *)
   let refs = Refs.collect loaded res in
-  let extents = Fetch_util.Interval_map.create () in
-  Hashtbl.iter (fun _ f -> add_extents extents f) res.funcs;
+  let extents = extents loaded res in
   (* permanent rejections survive rounds: the committed state only grows,
      so these candidates can never flip to acceptable (they can still
      become detected *entries* via recursion — which is why the

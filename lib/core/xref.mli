@@ -8,7 +8,7 @@
 
     The iteration is incremental: an accepted pointer grows the committed
     disassembly in place ({!Fetch_analysis.Recursive.extend}), the ref
-    table ({!Refs.add_delta}) and the function-extent map fold exactly
+    table ({!Refs.add_delta}) and the function-extent set fold exactly
     the delta that call returns, and permanent rejection verdicts are
     cached across rounds.  {!validate} is exported as the shared
     primitive of the suite's from-scratch reference model, which re-runs
@@ -21,13 +21,18 @@ type reject =
   | Transfer_into_function  (** error (iii) *)
   | Bad_call_conv  (** error (iv) *)
 
-(** [add_extents m f] maps the bytes of [f]'s blocks to [f.entry] in
-    the function-extent map [m].  Overlapping blocks (shared code)
-    resolve byte-wise to the highest owning entry
-    ({!Fetch_util.Interval_map.add_max}), so the map does not depend on
-    the order functions are added in: folding each round's new
-    functions gives the map of the whole result. *)
-val add_extents : int Fetch_util.Interval_map.t -> Fetch_analysis.Recursive.func -> unit
+(** The function-extent set: the bytes of every committed block of a
+    detected function, one bit per text byte.  Two sets over the same
+    binary compare with [(=)]. *)
+type extents
+
+(** [extents loaded res] is the set of every function of [res]. *)
+val extents : Fetch_analysis.Loaded.t -> Fetch_analysis.Recursive.result -> extents
+
+(** [add_extents m f] adds the bytes of [f]'s blocks to [m].  A set
+    does not depend on the order functions are added in, so folding each
+    round's new functions gives the set of the whole result. *)
+val add_extents : extents -> Fetch_analysis.Recursive.func -> unit
 
 type verdict =
   | Accept
@@ -35,7 +40,9 @@ type verdict =
       reason : reject;
       fields : (string * Fetch_obs.Provenance.value) list;
           (** evidence operands for the decision ledger: violation site,
-              entered function, call-convention violation register *)
+              entered function (the highest entry whose blocks hold the
+              byte, only while the ledger records), call-convention
+              violation register *)
       permanent : bool;
           (** can never flip while the committed state only grows (the
               candidate itself is outside text, mid-instruction, or
@@ -44,12 +51,12 @@ type verdict =
     }
 
 (** Validate one candidate against the committed results and their
-    function-extent map.  [cand] must not be a detected entry of the
+    function-extent set.  [cand] must not be a detected entry of the
     result: those are not §IV-E validation subjects. *)
 val validate :
   Fetch_analysis.Loaded.t ->
   Fetch_analysis.Recursive.result ->
-  extents:int Fetch_util.Interval_map.t ->
+  extents:extents ->
   int ->
   verdict
 

@@ -17,13 +17,12 @@ type instr =
   | Expression of int * string  (** reg rule is a DWARF expression *)
   | Nop
 
-let to_string ?(code_align = 1) ?(data_align = -8) i =
-  match i with
-  | Advance_loc d -> Printf.sprintf "DW_CFA_advance_loc: %d" (d * code_align)
+let to_string = function
+  | Advance_loc d -> Printf.sprintf "DW_CFA_advance_loc: %d" d
   | Def_cfa (r, o) -> Printf.sprintf "DW_CFA_def_cfa: r%d ofs %d" r o
   | Def_cfa_register r -> Printf.sprintf "DW_CFA_def_cfa_register: r%d" r
   | Def_cfa_offset o -> Printf.sprintf "DW_CFA_def_cfa_offset: %d" o
-  | Offset (r, o) -> Printf.sprintf "DW_CFA_offset: r%d at cfa%d" r (o * data_align)
+  | Offset (r, o) -> Printf.sprintf "DW_CFA_offset: r%d at cfa%d" r (o * -8)
   | Restore r -> Printf.sprintf "DW_CFA_restore: r%d" r
   | Same_value r -> Printf.sprintf "DW_CFA_same_value: r%d" r
   | Undefined r -> Printf.sprintf "DW_CFA_undefined: r%d" r

@@ -18,9 +18,9 @@ type instr =
   | Expression of int * string  (** reg rule is a DWARF expression *)
   | Nop
 
-(** Readable rendering in readelf style; alignment factors default to the
-    x86-64 CIE's (1, -8). *)
-val to_string : ?code_align:int -> ?data_align:int -> instr -> string
+(** Readable rendering in readelf style, with the x86-64 CIE's
+    alignment factors (code 1, data -8). *)
+val to_string : instr -> string
 
 (** Append the encoding of one instruction. *)
 val encode : Fetch_util.Byte_buf.t -> instr -> unit

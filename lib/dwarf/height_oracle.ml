@@ -6,38 +6,50 @@
     §V-B — other functions are skipped, which is exactly the paper's
     conservative implementation choice. *)
 
-open Fetch_util
-
 type entry = {
   fde : Eh_frame.fde;
   rows : Cfa_table.row list;
   complete : bool;
 }
 
-type t = { map : entry Interval_map.t }
+module Imap = Map.Make (Int)
+
+(* FDE ranges keyed by [lo], payload [(hi, entry)]; pairwise disjoint. *)
+type t = { map : (int * entry) Imap.t }
+
+(* A later FDE evicts every earlier FDE it overlaps, even partly: the
+   last FDE of an overlapping run is the one that describes its bytes. *)
+let add_override m ~lo ~hi e =
+  let rec clear m =
+    match Imap.find_last_opt (fun k -> k < hi) m with
+    | Some (k, (h, _)) when h > lo -> clear (Imap.remove k m)
+    | Some _ | None -> m
+  in
+  Imap.add lo (hi, e) (clear m)
 
 let create cies =
-  let map = Interval_map.create () in
-  List.iter
-    (fun (cie : Eh_frame.cie) ->
-      List.iter
-        (fun (fde : Eh_frame.fde) ->
-          match Cfa_table.rows ~cie fde with
-          | rows ->
-              let complete = Cfa_table.complete_rsp_heights rows in
-              if fde.pc_range > 0 then
-                Interval_map.add_override map ~lo:fde.pc_begin
+  let map =
+    List.fold_left
+      (fun map (cie : Eh_frame.cie) ->
+        List.fold_left
+          (fun map (fde : Eh_frame.fde) ->
+            match Cfa_table.rows ~cie fde with
+            | rows when fde.pc_range > 0 ->
+                let complete = Cfa_table.complete_rsp_heights rows in
+                add_override map ~lo:fde.pc_begin
                   ~hi:(fde.pc_begin + fde.pc_range)
                   { fde; rows; complete }
-          | exception Cfa_table.Unsupported _ -> ())
-        cie.fdes)
-    cies;
+            | _ -> map
+            | exception Cfa_table.Unsupported _ -> map)
+          map cie.fdes)
+      Imap.empty cies
+  in
   { map }
 
 let entry_at t addr =
-  match Interval_map.find t.map addr with
-  | Some (_, _, e) -> Some e
-  | None -> None
+  match Imap.find_last_opt (fun lo -> lo <= addr) t.map with
+  | Some (_, (hi, e)) when addr < hi -> Some e
+  | Some _ | None -> None
 
 (** Is [addr] inside a function whose CFI gives complete rsp-based
     heights? *)

@@ -228,8 +228,11 @@ type issue = { what : string; detail : string }
 
 let issue_to_string i = Printf.sprintf "%s: %s" i.what i.detail
 
-let check ?(tolerance = 0.5) ?(min_stage_ms = 0.1) ?(absolute = false) ~baseline
-    ~current () =
+(* Stages whose baseline mean is below this (ms/binary) are too noisy to
+   gate. *)
+let min_stage_ms = 0.1
+
+let check ?(tolerance = 0.5) ~baseline ~current () =
   let issues = ref [] in
   let push what fmt =
     Printf.ksprintf (fun detail -> issues := { what; detail } :: !issues) fmt
@@ -247,18 +250,16 @@ let check ?(tolerance = 0.5) ?(min_stage_ms = 0.1) ?(absolute = false) ~baseline
             name bv cv
       | Some _ -> ())
     baseline.counters;
-  (* stage means, normalised by overall machine speed unless [absolute] *)
+  (* stage means, normalised by overall machine speed *)
   let stage_mean snap name =
     List.find_map
       (fun st -> if st.s_name = name then Some st.s_mean_ms else None)
       snap.stages
   in
   let factor =
-    if absolute then 1.0
-    else
-      match (stage_mean baseline "pipeline", stage_mean current "pipeline") with
-      | Some b, Some c when b > 0.0 && c > 0.0 -> c /. b
-      | _ -> 1.0
+    match (stage_mean baseline "pipeline", stage_mean current "pipeline") with
+    | Some b, Some c when b > 0.0 && c > 0.0 -> c /. b
+    | _ -> 1.0
   in
   List.iter
     (fun bst ->

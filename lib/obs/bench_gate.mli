@@ -2,12 +2,12 @@
     value, and the regression gate that compares a fresh run against
     the committed baseline ([bench perf --check]).
 
-    Schema [fetch-bench-pipeline/3] adds to /2: a ["host"] object
+    A snapshot ({!schema_current}, [fetch-bench-pipeline/6]) holds the
+    corpus size, per-stage means, every counter, a ["host"] object
     ([cores_available] from [Domain.recommended_domain_count], OS type,
     word size, OCaml version) so single-core snapshots are
     self-explaining, and a ["histograms"] array with log-2 buckets and
-    p50/p90/p99.  {!of_json_string} still reads /2 files (no host, no
-    histograms).
+    p50/p90/p99.
 
     {2 Gate semantics}
 
@@ -25,9 +25,7 @@
     regressions the ROADMAP's xref work needs to guard.  A stage fails
     when its normalised mean exceeds the baseline by more than
     [tolerance] (relative, default 0.5).  Stages with a baseline mean
-    below [min_stage_ms] (default 0.1 ms/binary) are too noisy to gate
-    and are skipped.  Pass [absolute:true] to skip normalisation
-    (same-machine comparisons). *)
+    below 0.1 ms/binary are too noisy to gate and are skipped. *)
 
 type host = {
   cores : int;  (** [Domain.recommended_domain_count] at snapshot time *)
@@ -51,7 +49,7 @@ type snapshot = {
   scale : float;
   binaries : int;
   domains : int;
-  host : host option;  (** [None] when read from a /2 file *)
+  host : host option;  (** [None] when the document has no host object *)
   seq_wall_s : float;
   par_wall_s : float;
   pipeline_total_ms : float;
@@ -66,7 +64,8 @@ val schema_current : string
 (** Pretty-printed JSON document (the [BENCH_pipeline.json] format). *)
 val to_json : snapshot -> string
 
-(** Parse a /2 or /3 snapshot document. *)
+(** Parse a snapshot document of any [fetch-bench-pipeline] schema;
+    the ["host"] object and the ["histograms"] array are optional. *)
 val of_json_string : string -> (snapshot, string) result
 
 (** One comparison failure, human-readable. *)
@@ -78,8 +77,6 @@ val issue_to_string : issue -> string
     passes. *)
 val check :
   ?tolerance:float ->
-  ?min_stage_ms:float ->
-  ?absolute:bool ->
   baseline:snapshot ->
   current:snapshot ->
   unit ->

@@ -3,12 +3,10 @@
     Renders the paper's tables (I–V) and Figure 5 as aligned monospace rows
     so bench output can be diffed against EXPERIMENTS.md. *)
 
-type align = Left | Right
-
 (** [render ~header rows] lays out all rows under [header] with column
     widths fitted to the longest cell.  Numeric-looking cells are
-    right-aligned unless [aligns] overrides. *)
-let render ?aligns ~header rows =
+    right-aligned. *)
+let render ~header rows =
   let all = header :: rows in
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
   let cell row i = match List.nth_opt row i with Some c -> c | None -> "" in
@@ -20,20 +18,13 @@ let render ?aligns ~header rows =
     s <> ""
     && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '.' || c = '-' || c = '%' || c = ',') s
   in
-  let align_of i c =
-    match aligns with
-    | Some a when i < Array.length a -> a.(i)
-    | _ -> if numeric c then Right else Left
-  in
   let buf = Buffer.create 256 in
   let emit_row row =
     List.iteri
       (fun i c ->
         let w = widths.(i) in
         let padded =
-          match align_of i c with
-          | Left -> Printf.sprintf "%-*s" w c
-          | Right -> Printf.sprintf "%*s" w c
+          if numeric c then Printf.sprintf "%*s" w c else Printf.sprintf "%-*s" w c
         in
         Buffer.add_string buf padded;
         if i < ncols - 1 then Buffer.add_string buf "  ")
@@ -46,8 +37,6 @@ let render ?aligns ~header rows =
   Buffer.add_char buf '\n';
   List.iter emit_row rows;
   Buffer.contents buf
-
-let print ?aligns ~header rows = print_string (render ?aligns ~header rows)
 
 (** Format helpers shared by experiment drivers. *)
 let pct num den = if den = 0 then "-" else Printf.sprintf "%.2f" (100.0 *. float_of_int num /. float_of_int den)

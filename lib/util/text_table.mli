@@ -3,15 +3,10 @@
     Renders the paper's tables (I–V) and Figure 5 as aligned monospace
     rows so bench output can be diffed against EXPERIMENTS.md. *)
 
-type align = Left | Right
-
 (** [render ~header rows] lays out all rows under [header] with column
     widths fitted to the longest cell.  Numeric-looking cells are
-    right-aligned unless [aligns] overrides per column. *)
-val render : ?aligns:align array -> header:string list -> string list list -> string
-
-(** [print] is [render] piped to stdout. *)
-val print : ?aligns:align array -> header:string list -> string list list -> unit
+    right-aligned. *)
+val render : header:string list -> string list list -> string
 
 (** [pct num den] is ["-"] when [den = 0], else [100 * num / den] with two
     decimals. *)

@@ -69,12 +69,15 @@ let assert_parts_decode id (b : Link.built) =
 (* Function parts and pools tile .text without overlap; pools never claim
    function bytes. *)
 let assert_layout_disjoint id (b : Link.built) =
-  let m = Fetch_util.Interval_map.create () in
+  let claimed = ref [] in
   let claim what lo size =
     if lo < b.truth.text_lo || lo + size > b.truth.text_hi then
       Alcotest.failf "%s: %s outside text" id what;
-    try Fetch_util.Interval_map.add m ~lo ~hi:(lo + size) what
-    with Invalid_argument _ -> Alcotest.failf "%s: %s overlaps" id what
+    if size <= 0 then Alcotest.failf "%s: %s empty" id what;
+    let hi = lo + size in
+    if List.exists (fun (l, h) -> lo < h && l < hi) !claimed then
+      Alcotest.failf "%s: %s overlaps" id what;
+    claimed := (lo, hi) :: !claimed
   in
   List.iter
     (fun (f : Truth.fn_truth) ->

@@ -499,15 +499,9 @@ let u64s vs =
 let counter (rep : Obs.report) n =
   Option.value ~default:0 (List.assoc_opt n rep.Obs.counters)
 
-(* The extent map a from-scratch build gives for [res]. *)
-let fresh_extents (res : An.Recursive.result) =
-  let m = Fetch_util.Interval_map.create () in
-  Hashtbl.iter (fun _ f -> Xref.add_extents m f) res.funcs;
-  m
-
 (* Reference model of §IV-E detection, built on [Xref.validate]: every
    round re-runs disassembly and ref collection from scratch, builds a
-   fresh extent map and re-validates every candidate that is not a
+   fresh extent set and re-validates every candidate that is not a
    detected entry.  It keeps no reject cache, so agreeing with it also
    checks that [Xref.detect] caches only verdicts that cannot flip.  Returns the final result, the enlarged seed set and the
    number of accepted pointers. *)
@@ -516,7 +510,7 @@ let xref_reference ?(max_rounds = 64) loaded ~seeds =
     let res = An.Recursive.run loaded ~seeds in
     if budget <= 0 then (res, seeds, accepted)
     else
-      let extents = fresh_extents res in
+      let extents = Xref.extents loaded res in
       let acceptable cand =
         (not (Hashtbl.mem res.An.Recursive.funcs cand))
         &&
@@ -655,8 +649,9 @@ let test_refs_scan_resync () =
     (counter rep "refs.scan_resync" >= 1)
 
 (* Regression: extent overlap attribution used to follow hash iteration
-   order; byte-wise max resolution makes the winner a function of the
-   result alone, independent of insertion order. *)
+   order; the ledger's [into] is the highest entry whose blocks hold the
+   byte, a function of the result alone, independent of insertion
+   order. *)
 let test_xref_extents_deterministic () =
   let mk entry blocks : An.Recursive.func =
     {
@@ -682,25 +677,34 @@ let test_xref_extents_deterministic () =
       insn_spans = Fetch_util.Insn_index.create [];
     }
   in
+  (* 0x60 bytes of text at 0x1000 hold every probe *)
+  let loaded, _ = xref_image [ X86.Asm.Raw (String.make 0x60 '\xcc') ] in
   let f1 = mk 0x1000 [ (0x1000, 0x1020) ]
   and f2 = mk 0x1010 [ (0x1010, 0x1030) ]
   and f3 = mk 0x1040 [ (0x1040, 0x1050) ] in
-  let extents fns =
-    Fetch_util.Interval_map.to_list (fresh_extents (result_of fns))
+  let probes = [ 0x1005; 0x1015; 0x1025; 0x1045 ] in
+  let owners fns =
+    let res = result_of fns in
+    let extents = Xref.extents loaded res in
+    fst
+    @@ Prov.with_run (fun () ->
+           List.map
+             (fun cand ->
+               match Xref.validate loaded res ~extents cand with
+               | Xref.Rejected { reason = Xref.Transfer_into_function; fields; _ } ->
+                   List.assoc_opt "into" fields
+               | Xref.Accept | Xref.Rejected _ -> None)
+             probes)
   in
-  let l1 = extents [ f1; f2; f3 ] and l2 = extents [ f3; f2; f1 ] in
-  check Alcotest.bool "extents independent of table order" true (l1 = l2);
-  (* byte-wise max: shared bytes go to the highest entry, unshared bytes
-     keep their only owner *)
+  let o1 = owners [ f1; f2; f3 ] and o2 = owners [ f3; f2; f1 ] in
+  check Alcotest.bool "extents independent of table order" true (o1 = o2);
+  (* shared bytes go to the highest entry, unshared bytes keep their
+     only owner *)
   check Alcotest.bool "overlap attribution is canonical" true
-    (l1
-    = [
-        (0x1000, 0x1010, 0x1000); (0x1010, 0x1030, 0x1010);
-        (0x1040, 0x1050, 0x1040);
-      ])
+    (o1 = List.map (fun e -> Some (Prov.I e)) [ 0x1000; 0x1010; 0x1010; 0x1040 ])
 
 (* Each commit's delta is exactly what the result gained, and the extent
-   map folded from the deltas equals the from-scratch build after every
+   set folded from the deltas equals the from-scratch build after every
    commit — this is what lets [Xref.detect] skip the per-round O(funcs)
    rebuild. *)
 let test_xref_extents_incremental () =
@@ -711,7 +715,7 @@ let test_xref_extents_incremental () =
     (An.Recursive.starts res, Fetch_util.Insn_index.to_list res.insn_spans)
   in
   let start = An.Recursive.run loaded ~seeds in
-  let ext = fresh_extents start in
+  let ext = Xref.extents loaded start in
   let prev = ref (snapshot start) in
   let commits = ref 0 in
   let gained now was = List.filter (fun x -> not (List.mem x was)) now in
@@ -729,10 +733,8 @@ let test_xref_extents_incremental () =
           Alcotest.failf "commit %d: delta spans differ from the gain" !commits;
         prev := (starts, spans);
         List.iter (Xref.add_extents ext) d.new_funcs;
-        if
-          Fetch_util.Interval_map.to_list ext
-          <> Fetch_util.Interval_map.to_list (fresh_extents res)
-        then Alcotest.failf "commit %d: incremental extents diverge" !commits)
+        if ext <> Xref.extents loaded res then
+          Alcotest.failf "commit %d: incremental extents diverge" !commits)
   in
   check Alcotest.bool "detection committed candidates" true (!commits > 0)
 

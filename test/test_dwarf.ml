@@ -192,6 +192,26 @@ let test_height_oracle () =
   | Some e -> check Alcotest.int "fde lookup" 56 e.fde.pc_range
   | None -> Alcotest.fail "entry_at"
 
+(* Overlapping FDEs: a later FDE evicts every earlier FDE it overlaps,
+   even partly.  B [5,15) evicts A [0,10), then C [12,20) evicts B, so
+   only C answers and A's unshared bytes are uncovered. *)
+let test_height_oracle_override () =
+  let fde pc_begin pc_range = Eh_frame.make_fde ~pc_begin ~pc_range [] in
+  let oracle =
+    Height_oracle.create
+      [ Eh_frame.default_cie ~fdes:[ fde 0 10; fde 5 10; fde 12 8 ] () ]
+  in
+  let owner addr =
+    Option.map
+      (fun (e : Height_oracle.entry) -> e.fde.pc_begin)
+      (Height_oracle.entry_at oracle addr)
+  in
+  List.iter
+    (fun (addr, want) ->
+      check (Alcotest.option Alcotest.int) (Printf.sprintf "entry_at %d" addr) want
+        (owner addr))
+    [ (2, None); (7, None); (12, Some 12); (19, Some 12); (20, None) ]
+
 (* Unwinder: simulate the Figure 4 function mid-body and unwind one frame.
    Stack layout at offset 0x20 (height 24): [rsp] pad, [rsp+8] rbx,
    [rsp+16] rbp, [rsp+24] return address. *)
@@ -894,4 +914,6 @@ let suite =
       Alcotest.test_case "adversarial fuzz mutants (promoted)" `Quick
         test_adversarial_fuzz_fixtures;
       QCheck_alcotest.to_alcotest prop_decode_total;
+      Alcotest.test_case "height oracle: later FDE evicts overlaps" `Quick
+        test_height_oracle_override;
     ]

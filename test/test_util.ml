@@ -1,4 +1,4 @@
-(* Tests for fetch.util: byte buffers/cursors, LEB128, intervals, the
+(* Tests for fetch.util: byte buffers/cursors, LEB128, the
    instruction-boundary table, PRNG. *)
 
 open Fetch_util
@@ -70,66 +70,6 @@ let test_pad_align () =
   check Alcotest.int "aligned" 8 (Byte_buf.length b);
   Byte_buf.pad_to b ~align:8 ~byte:0;
   check Alcotest.int "idempotent" 8 (Byte_buf.length b)
-
-let test_interval_basic () =
-  let m = Interval_map.create () in
-  Interval_map.add m ~lo:10 ~hi:20 "a";
-  Interval_map.add m ~lo:20 ~hi:30 "b";
-  check Alcotest.bool "mem 15" true (Interval_map.mem m 15);
-  check Alcotest.bool "mem 20 is b" true
-    (match Interval_map.find m 20 with Some (_, _, "b") -> true | _ -> false);
-  check Alcotest.bool "9 out" false (Interval_map.mem m 9);
-  check Alcotest.bool "30 out" false (Interval_map.mem m 30);
-  Alcotest.check_raises "overlap rejected"
-    (Invalid_argument "Interval_map.add: overlap") (fun () ->
-      Interval_map.add m ~lo:15 ~hi:25 "c")
-
-let test_interval_override () =
-  let m = Interval_map.create () in
-  Interval_map.add m ~lo:0 ~hi:10 "a";
-  Interval_map.add m ~lo:10 ~hi:20 "b";
-  Interval_map.add_override m ~lo:5 ~hi:15 "c";
-  check Alcotest.int "two intervals remain" 1 (Interval_map.cardinal m);
-  check Alcotest.bool "c covers 12" true
-    (match Interval_map.find m 12 with Some (5, 15, "c") -> true | _ -> false)
-
-let test_interval_add_max () =
-  let m = Interval_map.create () in
-  Interval_map.add_max m ~lo:0 ~hi:10 5;
-  Interval_map.add_max m ~lo:5 ~hi:15 9;
-  Interval_map.add_max m ~lo:8 ~hi:12 1;
-  (* byte-wise: [0,5) keeps 5, [5,15) goes to 9, the low insert loses *)
-  check Alcotest.bool "unshared prefix keeps its value" true
-    (match Interval_map.find m 2 with Some (_, _, 5) -> true | _ -> false);
-  check Alcotest.bool "overlap resolves to the max" true
-    (match Interval_map.find m 9 with Some (_, _, 9) -> true | _ -> false);
-  check Alcotest.bool "low insert never wins" true
-    (List.for_all (fun (_, _, v) -> v <> 1) (Interval_map.to_list m))
-
-let prop_interval_add_max_order_independent =
-  (* the whole point of add_max: the resulting byte->value function is a
-     fold over sets, not sequences — any insertion order agrees *)
-  QCheck.Test.make ~name:"interval add_max is insertion-order independent"
-    ~count:200
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 10) (pair (int_bound 40) (int_bound 8)))
-    (fun pairs ->
-      (* distinct values per interval so ties cannot mask order effects *)
-      let iv = List.mapi (fun i (lo, len) -> (lo, lo + len + 1, i)) pairs in
-      let build l =
-        let m = Interval_map.create () in
-        List.iter (fun (lo, hi, v) -> Interval_map.add_max m ~lo ~hi v) l;
-        Interval_map.to_list m
-      in
-      let sorted = List.sort compare iv in
-      build iv = build (List.rev iv) && build iv = build sorted)
-
-let test_interval_next_from () =
-  let m = Interval_map.create () in
-  Interval_map.add m ~lo:100 ~hi:110 ();
-  Interval_map.add m ~lo:200 ~hi:210 ();
-  check Alcotest.bool "next from 150" true
-    (match Interval_map.next_from m 150 with Some (200, 210, ()) -> true | _ -> false);
-  check Alcotest.bool "none past end" true (Interval_map.next_from m 300 = None)
 
 (* Two sections with a gap between them; the second spans ten pages. *)
 let insn_ranges = [ (0x1000, 0x1100); (0x2000, 0x2a00) ]
@@ -207,13 +147,19 @@ let test_insn_index_invalid () =
       ignore (Insn_index.add t ~lo:0x2000 ~hi:(0x2001 + Insn_index.max_len)));
   check Alcotest.int "nothing recorded" 0 (Insn_index.cardinal t)
 
-(* The reference semantics: the interval map the table replaced, fed
+(* The reference semantics: a naive list of the recorded intervals, fed
    instructions first-writer-wins; true when the instruction was
    recorded. *)
 let model_add m ~lo ~hi =
-  (not (Interval_map.overlaps m ~lo ~hi)) && (Interval_map.add m ~lo ~hi (); true)
+  (not (List.exists (fun (l, h) -> lo < h && l < hi) !m))
+  && (m := (lo, hi) :: !m; true)
 
-let model_list m = List.map (fun (lo, hi, ()) -> (lo, hi)) (Interval_map.to_list m)
+let model_find m a = List.find_opt (fun (lo, hi) -> lo <= a && a < hi) !m
+
+let model_next_from m a =
+  match List.sort compare (List.filter (fun (lo, _) -> lo >= a) !m) with
+  | [] -> None
+  | first :: _ -> Some first
 
 (* Small ranges so random instructions overlap, straddle section ends and
    land in the gap. *)
@@ -221,10 +167,10 @@ let qc_ranges = [ (0, 600); (700, 1300); (1300, 1400) ]
 let in_qc_ranges lo hi = lo >= 0 && ((hi <= 600) || (lo >= 700 && hi <= 1400))
 
 let prop_insn_index_model =
-  QCheck.Test.make ~name:"insn index agrees with the interval-map model" ~count:300
+  QCheck.Test.make ~name:"insn index agrees with the interval-list model" ~count:300
     QCheck.(list (pair (int_bound 1410) (int_range 1 15)))
     (fun inserts ->
-      let t = Insn_index.create qc_ranges and m = Interval_map.create () in
+      let t = Insn_index.create qc_ranges and m = ref [] in
       List.iter
         (fun (lo, len) ->
           let hi = lo + len in
@@ -237,34 +183,13 @@ let prop_insn_index_model =
             | _ -> QCheck.Test.fail_reportf "accepted [%d, %d)" lo hi
             | exception Invalid_argument _ -> ())
         inserts;
-      let span = Option.map (fun (lo, hi, ()) -> (lo, hi)) in
-      Insn_index.to_list t = model_list m
-      && Insn_index.cardinal t = Interval_map.cardinal m
+      Insn_index.to_list t = List.sort compare !m
+      && Insn_index.cardinal t = List.length !m
       && List.for_all
            (fun a ->
-             Insn_index.find t a = span (Interval_map.find m a)
-             && Insn_index.next_from t a = span (Interval_map.next_from m a))
+             Insn_index.find t a = model_find m a
+             && Insn_index.next_from t a = model_next_from m a)
            (List.init 1420 (fun a -> a - 5)))
-
-let prop_interval_find_consistent =
-  QCheck.Test.make ~name:"interval find agrees with naive scan" ~count:200
-    QCheck.(list (pair (int_bound 1000) (int_bound 50)))
-    (fun pairs ->
-      let m = Interval_map.create () in
-      let added = ref [] in
-      List.iter
-        (fun (lo, len) ->
-          let hi = lo + len + 1 in
-          if not (Interval_map.overlaps m ~lo ~hi) then begin
-            Interval_map.add m ~lo ~hi ();
-            added := (lo, hi) :: !added
-          end)
-        pairs;
-      List.for_all
-        (fun q ->
-          let naive = List.exists (fun (lo, hi) -> q >= lo && q < hi) !added in
-          Interval_map.mem m q = naive)
-        (List.init 60 (fun i -> i * 19)))
 
 let test_prng_determinism () =
   let a = Prng.create 42 and b = Prng.create 42 in
@@ -392,10 +317,6 @@ let suite =
     Alcotest.test_case "cstring roundtrip" `Quick test_cstring;
     Alcotest.test_case "cursor bounds checking" `Quick test_out_of_bounds;
     Alcotest.test_case "pad_to alignment" `Quick test_pad_align;
-    Alcotest.test_case "interval map basics" `Quick test_interval_basic;
-    Alcotest.test_case "interval map override" `Quick test_interval_override;
-    Alcotest.test_case "interval map add_max" `Quick test_interval_add_max;
-    Alcotest.test_case "interval map next_from" `Quick test_interval_next_from;
     Alcotest.test_case "insn index find" `Quick test_insn_index_find;
     Alcotest.test_case "insn index next_from" `Quick test_insn_index_next_from;
     Alcotest.test_case "insn index first writer wins" `Quick
@@ -411,6 +332,4 @@ let suite =
     qcheck prop_b64_roundtrip;
     qcheck prop_uleb;
     qcheck prop_sleb;
-    qcheck prop_interval_find_consistent;
-    qcheck prop_interval_add_max_order_independent;
   ]
