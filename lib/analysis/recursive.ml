@@ -7,10 +7,10 @@
     of direct calls as new function entries, resolves bounds-checked jump
     tables, skips indirect calls, performs no tail-call guessing — a direct
     jump to a known function entry ends the block and is recorded as an
-    outgoing jump — and iterates a non-returning-function analysis so no
-    block is placed after a call that cannot return.  [run ~safe:false]
-    drops both the table resolution and the noreturn analysis: the weaker
-    engine of the BAP model. *)
+    outgoing jump — and runs a non-returning-function analysis to
+    convergence so no block is placed after a call that cannot return.
+    [run ~safe:false] drops both the table resolution and the noreturn
+    analysis: the weaker engine of the BAP model. *)
 
 open Fetch_x86
 module Obs = Fetch_obs.Trace
@@ -23,11 +23,10 @@ let c_insns_decoded = Obs.counter "recursive.insns_decoded"
 let c_funcs_disassembled = Obs.counter "recursive.functions_disassembled"
 let c_tables_resolved = Obs.counter "recursive.jump_tables_resolved"
 let c_noreturn_iters = Obs.counter "recursive.noreturn_iters"
+let c_returns_checked = Obs.counter "recursive.returns_checked"
 let c_extend_runs = Obs.counter "recursive.extend_runs"
 let c_extend_funcs = Obs.counter "recursive.extend_funcs"
 let h_block_insns = Obs.histogram "recursive.block_insns"
-
-let max_noreturn_iters = 5
 
 type func = {
   entry : int;
@@ -125,21 +124,29 @@ type block_end =
   | End_fallthrough of int  (** ran into a known block/function start *)
   | End_error
 
-let rec decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
+(* [edge a] is told every address where the block stops without decoding
+   an instruction, so a walk can list the start queries it made outside
+   its own instructions. *)
+let rec decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start ~edge
     ~block_known addr acc =
-  if addr <> f.entry && is_start addr then
+  if
+    (addr <> f.entry && is_start addr) || (block_known addr && acc <> [])
+  then begin
+    edge addr;
     (List.rev acc, End_fallthrough addr)
-  else if block_known addr && acc <> [] then (List.rev acc, End_fallthrough addr)
+  end
   else
     match Loaded.insn_at loaded addr with
-    | None -> (List.rev acc, End_error)
+    | None ->
+        edge addr;
+        (List.rev acc, End_error)
     | Some (insn, len) -> (
         Obs.incr c_insns_decoded;
         let acc' = (addr, len, insn) :: acc in
         match Semantics.flow insn with
         | Semantics.Fall ->
             decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
-              ~block_known (addr + len) acc'
+              ~edge ~block_known (addr + len) acc'
         | Semantics.Ret ->
             f.has_ret <- true;
             (List.rev acc', End_ret)
@@ -160,35 +167,20 @@ let rec decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
             in
             if returns then
               decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
-                ~block_known (addr + len) acc'
+                ~edge ~block_known (addr + len) acc'
             else (List.rev acc', End_call_noreturn)
         | Semantics.Callf (Semantics.Indirect _) ->
             f.has_indirect_call <- true;
             decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
-              ~block_known (addr + len) acc')
+              ~edge ~block_known (addr + len) acc')
 
-(* The instructions one walk decoded, in decode order, each packed as
-   [lo lsl 8 lor len] (lengths are at most [Insn_index.max_len]), so
-   holding them until the pass commits keeps no block per instruction
-   alive. *)
-type decoded = { mutable packed : int array; mutable n : int }
-
-let push d lo len =
-  if d.n = Array.length d.packed then begin
-    let bigger = Array.make (max 256 (2 * d.n)) 0 in
-    Array.blit d.packed 0 bigger 0 d.n;
-    d.packed <- bigger
-  end;
-  d.packed.(d.n) <- (lo lsl 8) lor len;
-  d.n <- d.n + 1
-
-(* Disassemble one function from [entry].  Each decoded block's
-   instructions are pushed onto [decoded]; they reach the instruction
-   table only when the pass is committed.  Pending blocks carry the
-   reversed instruction window of their fallthrough predecessor so
-   jump-table slicing can look across block boundaries (the bounds check
-   `cmp/ja` ends the block before the dispatch jump). *)
-let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~decoded
+(* Disassemble one function from [entry].  Each block is one run of
+   instructions decoded back to back, from its [lo] to its [hi].
+   Pending blocks carry the reversed instruction window of their
+   fallthrough predecessor so jump-table slicing can look across block
+   boundaries (the bounds check `cmp/ja` ends the block before the
+   dispatch jump). *)
+let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~edge
     ~new_entries entry =
   Obs.incr c_funcs_disassembled;
   let f = new_func entry in
@@ -196,21 +188,24 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~decoded
   let pending = Queue.create () in
   Queue.add (entry, []) pending;
   let block_known a = Itbl.mem visited a in
+  let leaves t =
+    edge t;
+    is_start t && t <> entry
+  in
   while not (Queue.is_empty pending) do
     let b, inherited = Queue.pop pending in
     if not (Itbl.mem visited b) then begin
       Itbl.replace visited b ();
       let calls_before = f.calls in
       let insns, ending =
-        decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
+        decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start ~edge
           ~block_known b []
       in
       if Obs.enabled () then Obs.observe h_block_insns (List.length insns);
       let rev_insns = List.rev insns in
       (match (insns, rev_insns) with
       | (lo, _, _) :: _, (last_addr, last_len, _) :: _ ->
-          f.blocks <- (lo, last_addr + last_len) :: f.blocks;
-          List.iter (fun (a, l, _) -> push decoded a l) insns
+          f.blocks <- (lo, last_addr + last_len) :: f.blocks
       | _ -> ());
       (* register the callees this block discovered, newest first — the
          calls of earlier blocks are already known *)
@@ -237,15 +232,13 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~decoded
       | End_jump (insn, t) ->
           let site = match rev_insns with (a, _, _) :: _ -> a | [] -> b in
           f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
-          if is_start t && t <> entry then
-            f.out_jumps <- (site, insn, t) :: f.out_jumps
+          if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
           else if Loaded.in_text loaded t then add_block t
           else f.out_jumps <- (site, insn, t) :: f.out_jumps
       | End_cond (insn, t, fall) ->
           let site = match rev_insns with (a, _, _) :: _ -> a | [] -> b in
           f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
-          (if is_start t && t <> entry then
-             f.out_jumps <- (site, insn, t) :: f.out_jumps
+          (if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
            else if Loaded.in_text loaded t then add_block t);
           (* the fallthrough block inherits the window across the branch *)
           add_block ~window fall
@@ -267,95 +260,131 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~decoded
   done;
   f
 
-(* Can the function return?  Propagated over the tail-jump graph. *)
-let compute_returns funcs =
-  let returns = Hashtbl.create (Hashtbl.length funcs) in
-  let base f =
-    f.has_ret || f.unresolved_indirect_jump || f.decode_error
+let walk loaded ~noreturn ~cond_noreturn ~is_start ~on_call entry =
+  disasm_function loaded ~safe:true ~noreturn ~cond_noreturn ~is_start
+    ~edge:ignore
+    ~new_entries:(fun ~site:_ t -> on_call t)
+    entry
+
+(* Call [fn lo hi] on each instruction of [f]'s blocks, in decode order:
+   each block is decoded again through the memo. *)
+let iter_insns loaded f fn =
+  List.iter
+    (fun (lo, hi) ->
+      let rec go a =
+        if a < hi then
+          match Loaded.insn_at loaded a with
+          | Some (_, len) ->
+              fn a (a + len);
+              go (a + len)
+          | None -> ()
+      in
+      go lo)
+    (List.rev f.blocks)
+
+(* Which functions reachable from [dirty] over tail jumps can return: the
+   least set holding every function with a ret, an unresolved indirect
+   jump or a decode error, and every function with a tail jump to a
+   non-function or to a member.  A function's answer depends only on its
+   forward tail-jump closure, so only that closure is visited. *)
+let returns_of funcs dirty =
+  let visited = Itbl.create 64 and jumpers = Itbl.create 16 in
+  let returns = Itbl.create 64 and ready = Queue.create () in
+  let grant e =
+    if not (Itbl.mem returns e) then begin
+      Itbl.replace returns e ();
+      Queue.add e ready
+    end
   in
-  Hashtbl.iter (fun e f -> if base f then Hashtbl.replace returns e ()) funcs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun e f ->
-        if not (Hashtbl.mem returns e) then
-          let via_jump =
-            List.exists
-              (fun (_, _, t) ->
-                (not (Hashtbl.mem funcs t)) || Hashtbl.mem returns t)
-              f.out_jumps
-          in
-          if via_jump then begin
-            Hashtbl.replace returns e ();
-            changed := true
-          end)
-      funcs
+  let todo = Stack.create () in
+  List.iter (fun e -> Stack.push e todo) dirty;
+  while not (Stack.is_empty todo) do
+    let e = Stack.pop todo in
+    if not (Itbl.mem visited e) then
+      match Hashtbl.find_opt funcs e with
+      | None -> ()
+      | Some f ->
+          Itbl.replace visited e ();
+          Obs.incr c_returns_checked;
+          if f.has_ret || f.unresolved_indirect_jump || f.decode_error then
+            grant e;
+          List.iter
+            (fun (_, _, t) ->
+              if Hashtbl.mem funcs t then begin
+                Itbl.add jumpers t e;
+                Stack.push t todo
+              end
+              else grant e)
+            f.out_jumps
+  done;
+  while not (Queue.is_empty ready) do
+    List.iter grant (Itbl.find_all jumpers (Queue.pop ready))
   done;
   returns
 
-(* One noreturn fixpoint pass's verdicts: mark the functions that cannot
-   return and the [error]-style ones.  [detect_cond_noreturn] decodes
-   through the memo, so it runs before the membership tests, in this
-   order.  True when a fact was learned. *)
-let learn_noreturn loaded res =
-  let returns = compute_returns res.funcs in
-  let changed = ref false in
-  Hashtbl.iter
-    (fun e _ ->
-      if not (Hashtbl.mem returns e) then
-        if detect_cond_noreturn loaded e then begin
-          (* cannot happen: cond-noreturn fns have a ret *) ()
-        end
-        else if not (Hashtbl.mem res.noreturn e) then begin
-          Hashtbl.replace res.noreturn e ();
-          changed := true
-        end)
-    res.funcs;
-  Hashtbl.iter
-    (fun e _ ->
-      if
-        Hashtbl.mem returns e
-        && (not (Hashtbl.mem res.cond_noreturn e))
-        && detect_cond_noreturn loaded e
-      then begin
-        Hashtbl.replace res.cond_noreturn e ();
-        changed := true
-      end)
-    res.funcs;
-  !changed
+(* One walk of one function and what it read of the engine's state, kept
+   so that a later round can reuse it instead of walking again. *)
+type walked = {
+  f : func;
+  found : int array;  (** direct callees, first discovery order *)
+  probes : int array;
+      (** the start queries made outside the walk's own instructions
+          (block stops, branch targets), each packed as [a lsl 1] plus 1
+          when [a] was registered before the walk began *)
+}
+
+let probe a was = (a lsl 1) lor Bool.to_int was
 
 type delta = { new_funcs : func list; new_spans : (int * int) list }
 
-(* The one engine loop behind [run] and [extend]: walk every function
-   reachable from [seeds] that [res] does not hold yet, re-walk that pass
-   while the noreturn fixpoint learns facts (they can shrink its blocks,
-   never the committed ones), then commit the last pass's instructions to
-   [res.insn_spans] in decode order.  A walk never reads the table, so
-   committing late gives the table a per-instruction walk would.  One
-   [recursive.discover] per callee per call, none for a committed entry:
-   one in [res.funcs] that the current pass did not register (earlier
-   passes' entries were removed).  Seeds are not "discovered" (their
-   origin events come from the caller).  Only [extend] lists the
-   committed spans in its delta. *)
+(* The engine behind [run] and [extend]: a worklist that reaches the
+   fixpoint of "walk every function reachable from [seeds] under the
+   noreturn facts, learn the facts those walks imply" — the walks a
+   from-scratch loop would make in its last pass, and every fact it
+   would learn on the way.
+
+   Round 0 walks breadth-first from the seeds, as that loop's first pass
+   does: the registration order decides what each walk sees as a start
+   (the entries registered before it, then its own callees, block by
+   block).  Each round then learns facts only for the functions just
+   walked and their reverse tail-jump closure, and re-walks only the
+   live callers of the entries it flipped, each with the starts it saw
+   before.  When such a re-walk registers other callees, the
+   registration order itself moves: a replay of the breadth-first order
+   then keeps every walk whose recorded start queries still get the same
+   answers and whose instructions hold no registered entry, walks the
+   rest again, and retracts the functions no live site discovers any
+   more.  A retracted function's walk is dropped, but its facts stay, as
+   in the loop.  A function is re-walked at most once per flipped
+   callee, so a run costs O(call edges) walks.  Committed functions (an
+   [extend]'s [res.funcs]) are starts for every walk and are never
+   re-walked.  The last walks' instructions are committed to
+   [res.insn_spans] in breadth-first order, first writer first.  One
+   [recursive.discover] per callee per call, none for a committed entry;
+   seeds are not "discovered" (their origin events come from the
+   caller).  Only [extend] lists the committed spans in its delta. *)
 let grow ~safe ~extending loaded res ~seeds =
   let prov_seen = if Prov.enabled () then Some (Itbl.create 64) else None in
+  let walks : walked Itbl.t = Itbl.create 64 in
   (* the walk asks at every instruction; [run] has nothing committed *)
   let any_committed = Hashtbl.length res.funcs > 0 in
-  let decoded = { packed = [||]; n = 0 } in
-  let walk () =
-    let queue = Queue.create () in
-    let registered = Itbl.create 64 in
-    let is_start a =
-      Itbl.mem registered a || (any_committed && Hashtbl.mem res.funcs a)
-    in
-    let register t =
-      if (not (is_start t)) && Loaded.in_text loaded t then begin
-        Itbl.replace registered t ();
-        Queue.add t queue
-      end
-    in
-    let committed t = Hashtbl.mem res.funcs t && not (Itbl.mem registered t) in
+  let committed a =
+    any_committed && (not (Itbl.mem walks a)) && Hashtbl.mem res.funcs a
+  in
+  (* the registration order: [order] lists the live entries, [rank]
+     numbers them, and [views.(i)] is how many were registered when
+     [order.(i)] was walked *)
+  let order = ref [||] and views = ref [||] and n = ref 0 in
+  let rank = Itbl.create 64 in
+  let callers = Itbl.create 64 and jumpers = Itbl.create 16 in
+  let cond_memo = Itbl.create 64 and walked = ref [] in
+  (* registered before the walk of the [k]th entry began *)
+  let before k a =
+    committed a
+    || match Itbl.find_opt rank a with Some r -> r < !views.(k) | None -> false
+  in
+  let walk ~is_start ~before ~register e =
+    let probes = ref [] and found = ref [] in
     let new_entries ~site t =
       (match prov_seen with
       | Some seen
@@ -364,44 +393,213 @@ let grow ~safe ~extending loaded res ~seeds =
           Itbl.replace seen t ();
           Prov.emit ~ev:"recursive.discover" ~addr:t [ ("site", Prov.I site) ]
       | _ -> ());
-      register t
+      if not (List.mem t !found) then found := t :: !found;
+      if Loaded.in_text loaded t && not (is_start t) then register t
     in
-    List.iter register seeds;
-    decoded.n <- 0;
-    let fresh = ref [] in
-    while not (Queue.is_empty queue) do
-      let e = Queue.pop queue in
-      let f =
-        disasm_function loaded ~safe ~noreturn:res.noreturn
-          ~cond_noreturn:res.cond_noreturn ~is_start ~decoded ~new_entries e
-      in
-      Hashtbl.replace res.funcs e f;
-      if extending then Obs.incr c_extend_funcs;
-      fresh := f :: !fresh
-    done;
-    List.rev !fresh
+    let f =
+      disasm_function loaded ~safe ~noreturn:res.noreturn
+        ~cond_noreturn:res.cond_noreturn ~is_start
+        ~edge:(fun a -> probes := probe a (before a) :: !probes)
+        ~new_entries e
+    in
+    let w =
+      {
+        f;
+        found = Array.of_list (List.rev !found);
+        probes = Array.of_list !probes;
+      }
+    in
+    (* index the callees an earlier walk of [e] did not call *)
+    let known =
+      match Itbl.find_opt walks e with Some old -> old.found | None -> [||]
+    in
+    Array.iter
+      (fun t -> if not (Array.mem t known) then Itbl.add callers t e)
+      w.found;
+    Itbl.replace walks e w;
+    walked := e :: !walked;
+    Hashtbl.replace res.funcs e f;
+    List.iter (fun (_, _, t) -> Itbl.add jumpers t e) f.out_jumps;
+    if extending then Obs.incr c_extend_funcs;
+    w
   in
-  let rec fixpoint i =
-    let fresh = walk () in
-    if
-      safe && i < max_noreturn_iters
-      && (Obs.incr c_noreturn_iters;
-          learn_noreturn loaded res)
+  let register t =
+    if Loaded.in_text loaded t && (not (committed t)) && not (Itbl.mem rank t)
     then begin
-      List.iter (fun f -> Hashtbl.remove res.funcs f.entry) fresh;
-      fixpoint (i + 1)
+      if !n = Array.length !order then begin
+        let grow a =
+          let bigger = Array.make (max 64 (2 * !n)) 0 in
+          Array.blit a 0 bigger 0 !n;
+          bigger
+        in
+        order := grow !order;
+        views := grow !views
+      end;
+      !order.(!n) <- t;
+      Itbl.replace rank t !n;
+      incr n
     end
-    else fresh
   in
-  let new_funcs = fixpoint 0 in
+  (* a kept walk of [e] is what walking again would give when every
+     start query it made gets the same answer: the ones outside its
+     instructions as recorded, and no registered entry but [e] at one of
+     its instructions.  Its callees' facts hold: the callers of every
+     flipped entry were walked again in that round, and a retracted
+     function's walk is dropped. *)
+  let is_registered a = committed a || Itbl.mem rank a in
+  let reusable w e =
+    Array.for_all (fun p -> probe (p asr 1) (is_registered (p asr 1)) = p) w.probes
+    &&
+    let clear = ref true in
+    iter_insns loaded w.f (fun a _ -> if a <> e && is_registered a then clear := false);
+    !clear
+  in
+  (* the breadth-first order from the seeds; [keep] reuses every kept
+     walk that still holds *)
+  let bfs ~keep =
+    Itbl.reset rank;
+    n := 0;
+    List.iter register seeds;
+    let i = ref 0 in
+    while !i < !n do
+      let k = !i and e = !order.(!i) in
+      incr i;
+      !views.(k) <- !n;
+      match Itbl.find_opt walks e with
+      | Some w when keep && reusable w e ->
+          Hashtbl.replace res.funcs e w.f;
+          Array.iter register w.found
+      | _ ->
+          ignore
+            (walk ~is_start:is_registered ~before:(before k) ~register e)
+    done
+  in
+  let live () = List.init !n (fun i -> !order.(i)) in
+  let by_rank es =
+    List.sort (fun a b -> compare (Itbl.find rank a) (Itbl.find rank b)) es
+  in
+  (* the callees a walk registers: its text callees not registered
+     before it *)
+  let registers ~before found =
+    List.filter
+      (fun t -> Loaded.in_text loaded t && not (before t))
+      (Array.to_list found)
+  in
+  (* walk [e] again with the starts it saw; true when it now registers
+     other callees, which moves the registration order *)
+  let rewalk e =
+    let before = before (Itbl.find rank e) in
+    let own = Itbl.create 8 in
+    let old = (Itbl.find walks e).found in
+    let w =
+      walk
+        ~is_start:(fun a -> before a || Itbl.mem own a)
+        ~before
+        ~register:(fun t -> Itbl.replace own t ())
+        e
+    in
+    registers ~before old <> registers ~before w.found
+  in
+  let replay () =
+    let was = live () in
+    bfs ~keep:true;
+    let gone = List.filter (fun e -> not (Itbl.mem rank e)) was in
+    List.iter
+      (fun e ->
+        Hashtbl.remove res.funcs e;
+        Itbl.remove walks e)
+      gone;
+    gone
+  in
+  (* the live functions whose return status may have moved: [roots] and
+     everything that tail-jumps to them, transitively *)
+  let dirty_of roots =
+    let mark = Itbl.create 16 and out = ref [] and todo = Stack.create () in
+    List.iter (fun e -> Stack.push e todo) roots;
+    while not (Stack.is_empty todo) do
+      let e = Stack.pop todo in
+      if not (Itbl.mem mark e) then begin
+        Itbl.replace mark e ();
+        if Itbl.mem rank e then out := e :: !out;
+        List.iter (fun j -> Stack.push j todo) (Itbl.find_all jumpers e)
+      end
+    done;
+    !out
+  in
+  let cond e =
+    match Itbl.find_opt cond_memo e with
+    | Some b -> b
+    | None ->
+        let b = detect_cond_noreturn loaded e in
+        Itbl.replace cond_memo e b;
+        b
+  in
+  (* the facts [dirty]'s walks imply: a function that cannot return is
+     noreturn unless it is [error]-style, one that can and is
+     [error]-style is conditionally noreturn *)
+  let learn dirty =
+    Obs.incr c_noreturn_iters;
+    let returns = returns_of res.funcs dirty in
+    let learned = ref [] in
+    let fact tbl e =
+      Hashtbl.replace tbl e ();
+      learned := e :: !learned
+    in
+    List.iter
+      (fun e ->
+        if
+          (not (Itbl.mem returns e))
+          && (not (cond e))
+          && not (Hashtbl.mem res.noreturn e)
+        then fact res.noreturn e)
+      dirty;
+    List.iter
+      (fun e ->
+        if
+          Itbl.mem returns e
+          && (not (Hashtbl.mem res.cond_noreturn e))
+          && cond e
+        then fact res.cond_noreturn e)
+      dirty;
+    !learned
+  in
+  let rec fixpoint dirty =
+    match learn dirty with
+    | [] -> ()
+    | flipped ->
+        walked := [];
+        let stale = Itbl.create 16 in
+        List.iter
+          (fun t ->
+            List.iter
+              (fun c ->
+                if
+                  Itbl.mem rank c
+                  && List.exists (fun (_, t') -> t' = t) (Itbl.find walks c).f.calls
+                then Itbl.replace stale c ())
+              (Itbl.find_all callers t))
+          flipped;
+        let moved =
+          List.fold_left
+            (fun moved e -> rewalk e || moved)
+            false
+            (by_rank (Itbl.fold (fun e () acc -> e :: acc) stale []))
+        in
+        let gone = if moved then replay () else [] in
+        fixpoint (dirty_of (List.rev_append !walked gone))
+  in
+  bfs ~keep:false;
+  if safe then fixpoint (live ());
   let new_spans = ref [] in
-  for i = 0 to decoded.n - 1 do
-    let p = decoded.packed.(i) in
-    let lo = p lsr 8 and hi = (p lsr 8) + (p land 0xff) in
-    if Insn_index.add res.insn_spans ~lo ~hi && extending then
-      new_spans := (lo, hi) :: !new_spans
+  for i = 0 to !n - 1 do
+    iter_insns loaded (Itbl.find walks !order.(i)).f (fun lo hi ->
+        if Insn_index.add res.insn_spans ~lo ~hi && extending then
+          new_spans := (lo, hi) :: !new_spans)
   done;
-  { new_funcs; new_spans = List.rev !new_spans }
+  {
+    new_funcs = List.map (fun e -> (Itbl.find walks e).f) (live ());
+    new_spans = List.rev !new_spans;
+  }
 
 let run ?(safe = true) loaded ~seeds =
   Obs.span "recursive" @@ fun () ->
@@ -421,7 +619,8 @@ let run ?(safe = true) loaded ~seeds =
    transfers control to a fresh seed, and no fresh function transfers
    into the committed extents other than by calling / tail-jumping a
    committed *entry*.  Under it the committed funcs, spans and noreturn
-   facts are stable, so a re-walk only removes the pass's own entries. *)
+   facts are stable, so the worklist only walks, re-walks and retracts
+   the call's own functions. *)
 let extend loaded res ~seeds =
   Obs.span "recursive.extend" @@ fun () ->
   Obs.incr c_extend_runs;

@@ -7,10 +7,18 @@
     targets of direct calls as new function entries, resolves
     bounds-checked jump tables, skips indirect calls, performs no
     tail-call guessing — a direct jump to a known function entry ends the
-    block and is recorded as an outgoing jump — and iterates a
-    non-returning-function analysis so no block is placed after a call
-    that cannot return.  Each run re-walks for new noreturn facts at most
-    [max_noreturn_iters] times.
+    block and is recorded as an outgoing jump — and runs a
+    non-returning-function analysis to convergence so no block is placed
+    after a call that cannot return.
+
+    The analysis is a worklist.  When an entry becomes noreturn or
+    conditionally noreturn, only its callers are walked again, and return
+    status is re-derived only for the functions just walked and whatever
+    tail-jumps to them.  A function that no live call site discovers any
+    more is retracted.  The result is the one a from-scratch loop reaches
+    by re-walking everything until no fact is learned (the test suite
+    keeps that loop as a reference model), at O(call edges) function
+    walks instead of one whole-binary walk per fact.
 
     A result only grows: {!extend} adds functions and instructions to it
     in place and reports them as a {!delta}, which is all an incremental
@@ -46,14 +54,7 @@ type delta = {
       (** the instructions added to [insn_spans], in decode order *)
 }
 
-(** Budget of noreturn re-walks per [run] or [extend] call.  The fixpoint
-    is not run to convergence: a chain of N functions, each calling the
-    next, needs N full re-walks, and the serve deadline is only checked
-    between stages, so on hostile input this constant is what bounds the
-    engine's cost. *)
-val max_noreturn_iters : int
-
-(** Run the engine from the given seed entries: {!extend}'s loop,
+(** Run the engine from the given seed entries: {!extend}'s worklist,
     started from an empty result.  [safe] (default [true]) is the
     paper's engine.  [~safe:false] is the weaker engine of the BAP model:
     indirect jumps stay unresolved ([unresolved_indirect_jump]) and there
@@ -62,14 +63,39 @@ val run : ?safe:bool -> Loaded.t -> seeds:int list -> result
 
 (** [extend loaded res ~seeds] grows [res] in place with extra seeds,
     disassembling only what is reachable from them, and returns exactly
-    what it added.  A noreturn fact learned on the way re-walks only the
-    new functions.  Equivalent to re-running from scratch with the union
-    of seeds *provided* no committed function transfers control to a
-    fresh seed and no fresh function transfers into the committed
-    extents except at a committed entry — exactly what xref validation
-    guarantees for accepted function pointers (§IV-E).  Always runs the
-    safe engine. *)
+    what it added.  It runs the same worklist as {!run}, to the same
+    convergence: a noreturn fact learned on the way re-walks only the
+    new functions that call the flipped entry, and no budget cuts it
+    short, so any chain of [extend] calls learns what one {!run} would.
+    Equivalent to re-running from scratch with the union of seeds
+    *provided* no committed function transfers control to a fresh seed
+    and no fresh function transfers into the committed extents except at
+    a committed entry — exactly what xref validation guarantees for
+    accepted function pointers (§IV-E).  Always runs the safe engine. *)
 val extend : Loaded.t -> result -> seeds:int list -> delta
 
 (** Detected function starts, ascending. *)
 val starts : result -> int list
+
+(** {2 Building blocks of a from-scratch model} *)
+
+(** [walk loaded ~noreturn ~cond_noreturn ~is_start ~on_call entry] is one
+    safe walk of the function at [entry]: the engine's own walker, which
+    asks [is_start] whether an address is a function entry and calls
+    [on_call] with each direct callee, block by block, as it is
+    discovered.  Each of the function's [blocks] is one run of
+    instructions decoded back to back; the blocks are listed newest
+    first. *)
+val walk :
+  Loaded.t ->
+  noreturn:(int, unit) Hashtbl.t ->
+  cond_noreturn:(int, unit) Hashtbl.t ->
+  is_start:(int -> bool) ->
+  on_call:(int -> unit) ->
+  int ->
+  func
+
+(** [detect_cond_noreturn loaded e]: does [e] look like an [error]-style
+    function, one that tests its first argument and never returns on the
+    nonzero path? *)
+val detect_cond_noreturn : Loaded.t -> int -> bool

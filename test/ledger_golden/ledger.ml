@@ -1,8 +1,12 @@
 (* Prints the provenance ledger of one pointer-heavy synth draw as JSON
-   lines, [ledger.exe gcc] or [ledger.exe llvm].  The draws use the
-   fetchbench pointer-heavy spec at its lower bounds (20 data-pointer and
-   14 code-pointer asm functions, 2 broken FDEs), so most starts come
-   from §IV-E rounds and both draws take the Fig. 6b reseed path. *)
+   lines, [ledger.exe gcc], [ledger.exe llvm] or [ledger.exe shared].
+   The draws use the fetchbench pointer-heavy spec at its lower bounds
+   (20 data-pointer and 14 code-pointer asm functions, 2 broken FDEs), so
+   most starts come from §IV-E rounds and every draw takes the Fig. 6b
+   reseed path.  In the [shared] draw, a function that jumps back into
+   another one's body shares its bytes, and seven §IV-E rejections per
+   pass land there: their [into] pins that shared code goes to the
+   highest owning entry. *)
 
 open Fetch_synth
 
@@ -24,7 +28,8 @@ let () =
     match Sys.argv with
     | [| _; "gcc" |] -> (Profile.Synthgcc, 2)
     | [| _; "llvm" |] -> (Profile.Synthllvm, 3)
-    | _ -> failwith "usage: ledger.exe gcc|llvm"
+    | [| _; "shared" |] -> (Profile.Synthgcc, 17)
+    | _ -> failwith "usage: ledger.exe gcc|llvm|shared"
   in
   let b = Link.build_random ~profile:(Profile.make compiler Profile.O2) ~seed spec in
   match

@@ -248,10 +248,10 @@ let test_extend_uses_noreturn_facts () =
 
 let test_extend_refixpoints_delta_noreturn () =
   (* the delta itself introduces a new noreturn function: g calls k
-     (both fresh), k never returns, so the fixpoint inside extend must
-     re-iterate and shrink g past the call.  The first pass decodes the
-     mov and ret after the call; the re-walk must not leave their spans
-     behind. *)
+     (both fresh), k never returns, so the worklist inside extend must
+     re-walk g, k's caller, and shrink it past the call.  The first walk
+     decodes the mov and ret after the call; the re-walk must not leave
+     their spans behind. *)
   let items =
     [
       Asm.Label "a";
@@ -284,6 +284,229 @@ let test_extend_refixpoints_delta_noreturn () =
     (result_signature res = result_signature scratch);
   check Alcotest.bool "delta is exactly what the result gained" true
     (delta_exact before res d)
+
+(* --- the noreturn worklist --- *)
+
+(* A call chain of [n] functions, each [call next; ret], the last one
+   [hlt]: every link is noreturn, but only once the link below it is, so
+   the from-scratch loop needs [n] whole-binary walks to get there. *)
+let chain_image n =
+  let name i = Printf.sprintf "c%d" i in
+  let items =
+    List.concat
+      (List.init n (fun i ->
+           if i = n - 1 then [ Asm.Label (name i); Asm.I I.Hlt ]
+           else
+             [
+               Asm.Label (name i);
+               Asm.I (I.Call (I.To_label (name (i + 1))));
+               Asm.I I.Ret;
+             ]))
+  in
+  let img, asm = image_of items in
+  (Loaded.load img, List.init n (fun i -> label asm (name i)))
+
+(* The worklist re-walks only the caller of each entry that flips, so the
+   chain costs one walk per link plus one re-walk per flip, and a return
+   re-check per walk: linear, where converging by re-walking everything
+   after each flip is quadratic. *)
+let test_worklist_hostile_chain () =
+  let work n =
+    let loaded, entries = chain_image n in
+    let res, rep =
+      Fetch_obs.Trace.with_run (fun () ->
+          Recursive.run loaded ~seeds:[ List.hd entries ])
+    in
+    let counter name = Option.value ~default:0 (List.assoc_opt name rep.counters) in
+    let flipped = List.filter (Hashtbl.mem res.noreturn) entries in
+    check Alcotest.int (Printf.sprintf "n=%d: every link noreturn" n) n
+      (List.length flipped);
+    let walks = counter "recursive.functions_disassembled" in
+    check Alcotest.bool
+      (Printf.sprintf "n=%d: %d walks <= 2n + 4" n walks)
+      true
+      (walks <= (2 * n) + 4);
+    (walks, counter "recursive.returns_checked")
+  in
+  let walks, checks = work 2000 in
+  let walks2, checks2 = work 4000 in
+  check Alcotest.bool "doubling n at most doubles the walks" true
+    (walks2 <= (2 * walks) + 4);
+  check Alcotest.bool "doubling n at most doubles the return re-checks" true
+    (checks2 <= (2 * checks) + 4)
+
+(* [a] calls [k], which never returns, and then [c]; [b] tail-jumps to
+   [c].  The first walks register [c] as [a]'s callee before [b] is
+   walked, so [b] stops at [c]'s entry.  Once [k] is noreturn, [a]'s call
+   to [c] is dead: [c] is retracted, and [b], which stopped at [c], is
+   walked again and now holds [c]'s code, exactly as a from-scratch run
+   does. *)
+let test_worklist_retracts_dead_callee () =
+  let items =
+    [
+      Asm.Label "a";
+      Asm.I (I.Call (I.To_label "k"));
+      Asm.I (I.Call (I.To_label "c"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "b";
+      Asm.I (I.Jmp (I.To_label "c"));
+      Asm.Align 16;
+      Asm.Label "k";
+      Asm.I I.Hlt;
+      Asm.Align 16;
+      Asm.Label "c";
+      Asm.I (I.Mov (I.W64, I.Reg Reg.Rax, I.Imm 1));
+      Asm.Label "c_ret";
+      Asm.I I.Ret;
+    ]
+  in
+  let img, asm = image_of items in
+  let loaded = Loaded.load img in
+  let seeds = [ label asm "a"; label asm "b" ] in
+  let res = Recursive.run loaded ~seeds in
+  check (Alcotest.list Alcotest.int) "c retracted"
+    [ label asm "a"; label asm "b"; label asm "k" ]
+    (Recursive.starts res);
+  let b = Hashtbl.find res.funcs (label asm "b") in
+  check Alcotest.bool "b walked on into c's code" true
+    (b.out_jumps = [] && b.has_ret
+    && List.exists (fun (lo, _) -> lo = label asm "c") b.blocks);
+  check Alcotest.bool "c's ret is still decoded" true
+    (Fetch_util.Insn_index.mem res.insn_spans (label asm "c_ret"));
+  check Alcotest.bool "== the converged reference" true
+    (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
+
+(* A kept walk is reused only while no registered entry lies inside its
+   instructions.  [g] falls through into [d], which [c] registers after
+   [g] is walked, so [g]'s first walk holds [d]'s code.  Once [k] is
+   noreturn, [c] is retracted and [b] walks on into [c]'s code, so [b]
+   now registers [d] ahead of [g]: [g] must be walked again and stop at
+   [d], which leaves it without a ret. *)
+let test_worklist_entry_moves_into_kept_walk () =
+  let items =
+    [
+      Asm.Label "a";
+      Asm.I (I.Call (I.To_label "k"));
+      Asm.I (I.Call (I.To_label "c"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "b";
+      Asm.I (I.Jmp (I.To_label "c"));
+      Asm.Align 16;
+      Asm.Label "k";
+      Asm.I I.Hlt;
+      Asm.Align 16;
+      Asm.Label "c";
+      Asm.I (I.Call (I.To_label "d"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "g";
+      Asm.I (I.Mov (I.W64, I.Reg Reg.Rax, I.Imm 1));
+      Asm.Label "d";
+      Asm.I I.Ret;
+    ]
+  in
+  let img, asm = image_of items in
+  let loaded = Loaded.load img in
+  let seeds = [ label asm "a"; label asm "b"; label asm "g" ] in
+  let res = Recursive.run loaded ~seeds in
+  check (Alcotest.list Alcotest.int) "c retracted, d registered by b"
+    (List.map (label asm) [ "a"; "b"; "k"; "g"; "d" ])
+    (Recursive.starts res);
+  check Alcotest.bool "g stops at d" true
+    ((Hashtbl.find res.funcs (label asm "g")).blocks
+    = [ (label asm "g", label asm "d") ]);
+  check Alcotest.bool "so g cannot return" true
+    (Hashtbl.mem res.noreturn (label asm "g"));
+  check Alcotest.bool "== the converged reference" true
+    (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
+
+(* Random call graphs over a dozen tiny functions: calls to each other,
+   to a [hlt] exit and to an [error]-style function with a zero or
+   nonzero argument, tail jumps, local branches, rets, halts and
+   fallthrough into the next function.  Noreturn chains, retractions
+   and re-walks past a retracted entry are all common here, and the
+   engine must land on the from-scratch converged loop's functions —
+   every block and call — and facts. *)
+let random_call_graph =
+  QCheck.Gen.(
+    let* k = int_range 2 12 in
+    let callee =
+      map
+        (fun x ->
+          if x < k then Printf.sprintf "f%d" x else if x = k then "ex" else "err")
+        (int_bound (k + 1))
+    in
+    let op i n =
+      let* c = int_bound 8
+      and* t = callee
+      and* l = int_bound (n - 1)
+      and* halt = bool in
+      return
+        (match c with
+        | 0 | 1 | 2 -> [ Asm.I (I.Call (I.To_label t)) ]
+        | 3 | 4 ->
+            [
+              Asm.I (I.Mov (I.W64, I.Reg Reg.Rdi, I.Imm (c - 3)));
+              Asm.I (I.Call (I.To_label "err"));
+            ]
+        | 5 -> [ Asm.I (I.Jmp (I.To_label t)) ]
+        | 6 -> [ Asm.I (I.Jcc (I.E, I.To_label (Printf.sprintf "f%d_%d" i l))) ]
+        | 7 -> [ Asm.I (I.Mov (I.W64, I.Reg Reg.Rax, I.Imm 7)) ]
+        | _ -> [ Asm.I (if halt then I.Hlt else I.Ret) ])
+    in
+    let func i =
+      let* n = int_range 1 5 in
+      let* ops = flatten_l (List.init n (fun _ -> op i n)) in
+      let* tail = int_bound 2 and* align = bool in
+      return
+        (Asm.Label (Printf.sprintf "f%d" i)
+         :: List.concat
+              (List.mapi
+                 (fun j o -> o @ [ Asm.Label (Printf.sprintf "f%d_%d" i j) ])
+                 ops)
+        @ (match tail with 0 -> [ Asm.I I.Ret ] | 1 -> [] | _ -> [ Asm.I I.Hlt ])
+        @ if align then [ Asm.Align 16 ] else [])
+    in
+    let* funcs = flatten_l (List.init k func) in
+    let* seeds = list_size (int_range 1 3) (int_bound (k - 1)) in
+    return
+      ( List.concat funcs
+        @ [
+            Asm.Label "ex";
+            Asm.I I.Hlt;
+            Asm.Align 16;
+            Asm.Label "err";
+            Asm.I (I.Test (I.W64, Reg.Rdi, Reg.Rdi));
+            Asm.I (I.Jcc (I.E, I.To_label "err_ok"));
+            Asm.I I.Hlt;
+            Asm.Label "err_ok";
+            Asm.I I.Ret;
+          ],
+        List.map (Printf.sprintf "f%d") seeds ))
+
+let prop_worklist_reference =
+  QCheck.Test.make ~name:"recursive: worklist == converged loop on call graphs"
+    ~count:300
+    (QCheck.make random_call_graph ~print:(fun (items, seeds) ->
+         Printf.sprintf "%d items, seeds %s" (List.length items)
+           (String.concat "," seeds)))
+    (fun (items, seeds) ->
+      let img, asm = image_of items in
+      let loaded = Loaded.load img in
+      let seeds = List.map (label asm) seeds in
+      let res = Recursive.run loaded ~seeds in
+      let ref_res = Reference.recursive loaded ~seeds in
+      let shape (r : Recursive.result) =
+        List.map
+          (fun e ->
+            let f = Hashtbl.find r.funcs e in
+            (List.sort compare f.blocks, List.sort compare f.calls))
+          (Recursive.starts r)
+      in
+      Reference.signature res = Reference.signature ref_res
+      && shape res = shape ref_res)
 
 (* --- jump tables --- *)
 
@@ -704,6 +927,13 @@ let suite =
     Alcotest.test_case "extend: known seeds are a no-op" `Quick test_extend_known_seed_noop;
     Alcotest.test_case "extend: consults prior noreturn facts" `Quick test_extend_uses_noreturn_facts;
     Alcotest.test_case "extend: re-fixpoints delta noreturn" `Quick test_extend_refixpoints_delta_noreturn;
+    Alcotest.test_case "worklist: hostile call chain is linear" `Quick
+      test_worklist_hostile_chain;
+    Alcotest.test_case "worklist: dead callee retracted" `Quick
+      test_worklist_retracts_dead_callee;
+    Alcotest.test_case "worklist: entry moving into a kept walk" `Quick
+      test_worklist_entry_moves_into_kept_walk;
+    QCheck_alcotest.to_alcotest prop_worklist_reference;
     Alcotest.test_case "jump table: absolute form" `Quick test_jump_table_absolute;
     Alcotest.test_case "jump table: needs bound check" `Quick test_jump_table_unresolved_without_bound;
     Alcotest.test_case "jump table: bad targets rejected" `Quick test_jump_table_rejects_bad_targets;

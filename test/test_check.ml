@@ -841,7 +841,16 @@ let test_split_fn_fde_outside_ref_silences () =
    are left out.  When the generator stopped reading scratch registers
    a loop's call clobbered, ci-11..13 and cfi-broken were re-captured
    from [Lint.run]: the findings moved with the code, and ci-11 lost an
-   fde-unreached finding on the function that bug had broken. *)
+   fde-unreached finding on the function that bug had broken.  When the
+   noreturn analysis began to run to convergence, padding-junk was
+   re-captured the same way, and its report is now empty.  Its main
+   calls a 37-deep chain whose last link calls error_like(1), and the
+   old five-pass budget stopped the noreturn facts five links up.  The
+   24 start-callconv findings came from calling-convention walks that
+   ran on past calls that never return.  The 3 fde-unreached findings
+   were on FDEs (_start and two thunks) that Fig. 6b rejected because
+   their walks ran the same way into undecodable junk; all three are
+   now detected. *)
 let generated ~seed compiler opt ~cxx () =
   let profile = Fetch_synth.Profile.make compiler opt in
   (Fetch_synth.Link.build_random ~profile ~seed
