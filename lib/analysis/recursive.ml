@@ -22,8 +22,10 @@ module Itbl = Hashtbl.Make (Int)
 let c_insns_decoded = Obs.counter "recursive.insns_decoded"
 let c_funcs_disassembled = Obs.counter "recursive.functions_disassembled"
 let c_tables_resolved = Obs.counter "recursive.jump_tables_resolved"
-let c_noreturn_iters = Obs.counter "recursive.noreturn_iters"
+let c_worklist_rounds = Obs.counter "recursive.worklist_rounds"
 let c_returns_checked = Obs.counter "recursive.returns_checked"
+let c_replays = Obs.counter "recursive.replays"
+let c_replay_checks = Obs.counter "recursive.replay_checks"
 let c_extend_runs = Obs.counter "recursive.extend_runs"
 let c_extend_funcs = Obs.counter "recursive.extend_funcs"
 let h_block_insns = Obs.histogram "recursive.block_insns"
@@ -337,6 +339,15 @@ let probe a was = (a lsl 1) lor Bool.to_int was
 
 type delta = { new_funcs : func list; new_spans : (int * int) list }
 
+(* [now] is [old] with some entries left out, in the same order: the
+   entries left out *)
+let rec left_out old now =
+  match (old, now) with
+  | _, [] -> Some old
+  | [], _ :: _ -> None
+  | o :: os, n :: ns when o = n -> left_out os ns
+  | o :: os, _ -> Option.map (List.cons o) (left_out os now)
+
 (* The engine behind [run] and [extend]: a worklist that reaches the
    fixpoint of "walk every function reachable from [seeds] under the
    noreturn facts, learn the facts those walks imply" — the walks a
@@ -349,20 +360,26 @@ type delta = { new_funcs : func list; new_spans : (int * int) list }
    block).  Each round then learns facts only for the functions just
    walked and their reverse tail-jump closure, and re-walks only the
    live callers of the entries it flipped, each with the starts it saw
-   before.  When such a re-walk registers other callees, the
-   registration order itself moves: a replay of the breadth-first order
-   then keeps every walk whose recorded start queries still get the same
-   answers and whose instructions hold no registered entry, walks the
-   rest again, and retracts the functions no live site discovers any
-   more.  A retracted function's walk is dropped, but its facts stay, as
-   in the loop.  A function is re-walked at most once per flipped
-   callee, so a run costs O(call edges) walks.  Committed functions (an
-   [extend]'s [res.funcs]) are starts for every walk and are never
-   re-walked.  The last walks' instructions are committed to
-   [res.insn_spans] in breadth-first order, first writer first.  One
-   [recursive.discover] per callee per call, none for a committed entry;
-   seeds are not "discovered" (their origin events come from the
-   caller).  Only [extend] lists the committed spans in its delta. *)
+   before.  A re-walk cut short by a flipped call registers fewer
+   callees.  A dropped callee that no live walk calls any more is
+   retracted, with whatever it alone registered, and the functions that
+   stopped at a retracted entry are walked again; the order of every
+   other entry is unchanged, so no other walk can change.  A retracted
+   function's walk is dropped, but its facts stay, as in the loop.
+   Only when a dropped callee is still called (it moves to a later
+   caller) or a re-walk registers a callee it did not before does the
+   order itself move: the breadth-first order is then replayed from the
+   first entry that moved, keeping every walk whose recorded start
+   queries still get the same answers and whose instructions hold no
+   registered entry.  A function is re-walked at most once per flipped
+   callee, so a run costs O(call edges) walks; a replay costs one check
+   per entry after the move.  Committed functions (an [extend]'s
+   [res.funcs]) are starts for every walk and are never re-walked.  The
+   last walks' instructions are committed to [res.insn_spans] in
+   breadth-first order, first writer first.  One [recursive.discover]
+   per callee per call, none for a committed entry; seeds are not
+   "discovered" (their origin events come from the caller).  Only
+   [extend] lists the committed spans in its delta. *)
 let grow ~safe ~extending loaded res ~seeds =
   let prov_seen = if Prov.enabled () then Some (Itbl.create 64) else None in
   let walks : walked Itbl.t = Itbl.create 64 in
@@ -371,20 +388,32 @@ let grow ~safe ~extending loaded res ~seeds =
   let committed a =
     any_committed && (not (Itbl.mem walks a)) && Hashtbl.mem res.funcs a
   in
-  (* the registration order: [order] lists the live entries, [rank]
-     numbers them, and [views.(i)] is how many were registered when
+  (* the registration order: [order] lists the entries, [rank] numbers
+     the live ones, and [views.(i)] is how many were registered when
      [order.(i)] was walked *)
   let order = ref [||] and views = ref [||] and n = ref 0 in
   let rank = Itbl.create 64 in
-  let callers = Itbl.create 64 and jumpers = Itbl.create 16 in
-  let cond_memo = Itbl.create 64 and walked = ref [] in
+  (* [callers t]: the live walks that call [t] *)
+  let callers = Itbl.create 64 in
+  let callers_of t =
+    match Itbl.find_opt callers t with
+    | Some c -> c
+    | None ->
+        let c = Itbl.create 4 in
+        Itbl.replace callers t c;
+        c
+  in
+  let count t = Itbl.length (callers_of t) in
+  (* [stops a]: the walks that stopped at [a], registered before them *)
+  let stops = Itbl.create 16 and jumpers = Itbl.create 16 in
+  let cond_memo = Itbl.create 64 and walked = ref [] and retracted = ref [] in
   (* registered before the walk of the [k]th entry began *)
   let before k a =
     committed a
     || match Itbl.find_opt rank a with Some r -> r < !views.(k) | None -> false
   in
   let walk ~is_start ~before ~register e =
-    let probes = ref [] and found = ref [] in
+    let probes = ref [] and found = ref [] and mine = Itbl.create 8 in
     let new_entries ~site t =
       (match prov_seen with
       | Some seen
@@ -393,7 +422,10 @@ let grow ~safe ~extending loaded res ~seeds =
           Itbl.replace seen t ();
           Prov.emit ~ev:"recursive.discover" ~addr:t [ ("site", Prov.I site) ]
       | _ -> ());
-      if not (List.mem t !found) then found := t :: !found;
+      if not (Itbl.mem mine t) then begin
+        Itbl.replace mine t ();
+        found := t :: !found
+      end;
       if Loaded.in_text loaded t && not (is_start t) then register t
     in
     let f =
@@ -409,13 +441,14 @@ let grow ~safe ~extending loaded res ~seeds =
         probes = Array.of_list !probes;
       }
     in
-    (* index the callees an earlier walk of [e] did not call *)
-    let known =
-      match Itbl.find_opt walks e with Some old -> old.found | None -> [||]
-    in
-    Array.iter
-      (fun t -> if not (Array.mem t known) then Itbl.add callers t e)
-      w.found;
+    (match Itbl.find_opt walks e with
+    | Some old ->
+        Array.iter
+          (fun t -> if not (Itbl.mem mine t) then Itbl.remove (callers_of t) e)
+          old.found
+    | None -> ());
+    Array.iter (fun t -> Itbl.replace (callers_of t) e ()) w.found;
+    Array.iter (fun p -> if p land 1 = 1 then Itbl.add stops (p asr 1) e) w.probes;
     Itbl.replace walks e w;
     walked := e :: !walked;
     Hashtbl.replace res.funcs e f;
@@ -448,33 +481,47 @@ let grow ~safe ~extending loaded res ~seeds =
      function's walk is dropped. *)
   let is_registered a = committed a || Itbl.mem rank a in
   let reusable w e =
+    Obs.incr c_replay_checks;
     Array.for_all (fun p -> probe (p asr 1) (is_registered (p asr 1)) = p) w.probes
     &&
     let clear = ref true in
     iter_insns loaded w.f (fun a _ -> if a <> e && is_registered a then clear := false);
     !clear
   in
-  (* the breadth-first order from the seeds; [keep] reuses every kept
+  (* the breadth-first order from the [from]th walk on, the walks before
+     it and what they registered unchanged; [keep] reuses every kept
      walk that still holds *)
-  let bfs ~keep =
-    Itbl.reset rank;
-    n := 0;
-    List.iter register seeds;
-    let i = ref 0 in
+  let bfs ~keep ~from =
+    let base = if from = 0 then 0 else !views.(from) in
+    for i = base to !n - 1 do
+      Itbl.remove rank !order.(i)
+    done;
+    n := base;
+    if from = 0 then List.iter register seeds;
+    let i = ref from in
     while !i < !n do
       let k = !i and e = !order.(!i) in
       incr i;
-      !views.(k) <- !n;
-      match Itbl.find_opt walks e with
-      | Some w when keep && reusable w e ->
-          Hashtbl.replace res.funcs e w.f;
-          Array.iter register w.found
-      | _ ->
-          ignore
-            (walk ~is_start:is_registered ~before:(before k) ~register e)
+      (* a retracted entry leaves a hole *)
+      if Itbl.find_opt rank e = Some k then begin
+        !views.(k) <- !n;
+        match Itbl.find_opt walks e with
+        | Some w when keep && reusable w e ->
+            Hashtbl.replace res.funcs e w.f;
+            Array.iter register w.found
+        | _ ->
+            ignore
+              (walk ~is_start:is_registered ~before:(before k) ~register e)
+      end
     done
   in
-  let live () = List.init !n (fun i -> !order.(i)) in
+  let live () =
+    List.filter_map
+      (fun i ->
+        let e = !order.(i) in
+        if Itbl.find_opt rank e = Some i then Some e else None)
+      (List.init !n Fun.id)
+  in
   let by_rank es =
     List.sort (fun a b -> compare (Itbl.find rank a) (Itbl.find rank b)) es
   in
@@ -485,8 +532,8 @@ let grow ~safe ~extending loaded res ~seeds =
       (fun t -> Loaded.in_text loaded t && not (before t))
       (Array.to_list found)
   in
-  (* walk [e] again with the starts it saw; true when it now registers
-     other callees, which moves the registration order *)
+  (* walk [e] again with the starts it saw; [Some (old, now)] when it
+     now registers other callees than before *)
   let rewalk e =
     let before = before (Itbl.find rank e) in
     let own = Itbl.create 8 in
@@ -498,18 +545,79 @@ let grow ~safe ~extending loaded res ~seeds =
         ~register:(fun t -> Itbl.replace own t ())
         e
     in
-    registers ~before old <> registers ~before w.found
+    let old = registers ~before old and now = registers ~before w.found in
+    if old = now then None else Some (old, now)
   in
-  let replay () =
-    let was = live () in
-    bfs ~keep:true;
-    let gone = List.filter (fun e -> not (Itbl.mem rank e)) was in
+  (* walk each of [es] again, in registration order: the changes *)
+  let rewalk_all es =
+    List.filter_map
+      (fun e -> Option.map (fun c -> (e, c)) (rewalk e))
+      (by_rank (Itbl.fold (fun e () acc -> e :: acc) es []))
+  in
+  (* drop a function's walk: its calls, its entry, its result *)
+  let forget x =
+    Array.iter (fun t -> Itbl.remove (callers_of t) x) (Itbl.find walks x).found;
+    Itbl.remove walks x;
+    Itbl.remove rank x;
+    Hashtbl.remove res.funcs x;
+    retracted := x :: !retracted
+  in
+  let exception Moved of int in
+  (* settle a round's [changes] while the order holds: retract each
+     callee left out that no live walk calls any more, and in turn what
+     it registered, then walk again the functions that stopped at a
+     retracted entry, and settle their changes.  [Moved k] when the
+     order moves from the [k]th walk on: a callee left out is still
+     called, or a re-walk registers a callee it did not before. *)
+  let rec prune k changes =
+    let k = List.fold_left (fun k (e, _) -> min k (Itbl.find rank e)) k changes in
+    let dropped = Queue.create () and waiting = ref [] and gone = ref [] in
     List.iter
-      (fun e ->
-        Hashtbl.remove res.funcs e;
-        Itbl.remove walks e)
-      gone;
-    gone
+      (fun (_, (old, now)) ->
+        match left_out old now with
+        | Some out -> List.iter (fun t -> Queue.add t dropped) out
+        | None -> raise (Moved k))
+      changes;
+    (* a callee still called may lose its last caller to a later
+       retraction: it waits until the queue is empty *)
+    let rec drain () =
+      while not (Queue.is_empty dropped) do
+        let x = Queue.pop dropped in
+        if Itbl.mem rank x then
+          if count x > 0 then waiting := x :: !waiting
+          else begin
+            let regs =
+              registers ~before:(before (Itbl.find rank x)) (Itbl.find walks x).found
+            in
+            forget x;
+            gone := x :: !gone;
+            List.iter (fun t -> Queue.add t dropped) regs
+          end
+      done;
+      match List.filter (fun x -> Itbl.mem rank x && count x = 0) !waiting with
+      | [] -> ()
+      | ready ->
+          List.iter (fun x -> Queue.add x dropped) ready;
+          drain ()
+    in
+    drain ();
+    if List.exists (fun x -> Itbl.mem rank x) !waiting then raise (Moved k);
+    let stopped = Itbl.create 8 in
+    List.iter
+      (fun x ->
+        List.iter
+          (fun e ->
+            if Itbl.mem rank e && Array.mem (probe x true) (Itbl.find walks e).probes
+            then Itbl.replace stopped e ())
+          (Itbl.find_all stops x))
+      !gone;
+    match rewalk_all stopped with [] -> () | changes -> prune k changes
+  in
+  let replay from =
+    Obs.incr c_replays;
+    let was = live () in
+    bfs ~keep:true ~from;
+    List.iter (fun e -> if not (Itbl.mem rank e) then forget e) was
   in
   (* the live functions whose return status may have moved: [roots] and
      everything that tail-jumps to them, transitively *)
@@ -538,7 +646,7 @@ let grow ~safe ~extending loaded res ~seeds =
      noreturn unless it is [error]-style, one that can and is
      [error]-style is conditionally noreturn *)
   let learn dirty =
-    Obs.incr c_noreturn_iters;
+    Obs.incr c_worklist_rounds;
     let returns = returns_of res.funcs dirty in
     let learned = ref [] in
     let fact tbl e =
@@ -568,34 +676,25 @@ let grow ~safe ~extending loaded res ~seeds =
     | [] -> ()
     | flipped ->
         walked := [];
+        retracted := [];
         let stale = Itbl.create 16 in
         List.iter
-          (fun t ->
-            List.iter
-              (fun c ->
-                if
-                  Itbl.mem rank c
-                  && List.exists (fun (_, t') -> t' = t) (Itbl.find walks c).f.calls
-                then Itbl.replace stale c ())
-              (Itbl.find_all callers t))
+          (fun t -> Itbl.iter (fun c () -> Itbl.replace stale c ()) (callers_of t))
           flipped;
-        let moved =
-          List.fold_left
-            (fun moved e -> rewalk e || moved)
-            false
-            (by_rank (Itbl.fold (fun e () acc -> e :: acc) stale []))
-        in
-        let gone = if moved then replay () else [] in
-        fixpoint (dirty_of (List.rev_append !walked gone))
+        (match rewalk_all stale with
+        | [] -> ()
+        | changes -> ( try prune max_int changes with Moved k -> replay k));
+        fixpoint (dirty_of (List.rev_append !walked !retracted))
   in
-  bfs ~keep:false;
+  bfs ~keep:false ~from:0;
   if safe then fixpoint (live ());
   let new_spans = ref [] in
-  for i = 0 to !n - 1 do
-    iter_insns loaded (Itbl.find walks !order.(i)).f (fun lo hi ->
-        if Insn_index.add res.insn_spans ~lo ~hi && extending then
-          new_spans := (lo, hi) :: !new_spans)
-  done;
+  List.iter
+    (fun e ->
+      iter_insns loaded (Itbl.find walks e).f (fun lo hi ->
+          if Insn_index.add res.insn_spans ~lo ~hi && extending then
+            new_spans := (lo, hi) :: !new_spans))
+    (live ());
   {
     new_funcs = List.map (fun e -> (Itbl.find walks e).f) (live ());
     new_spans = List.rev !new_spans;

@@ -14,11 +14,17 @@
     The analysis is a worklist.  When an entry becomes noreturn or
     conditionally noreturn, only its callers are walked again, and return
     status is re-derived only for the functions just walked and whatever
-    tail-jumps to them.  A function that no live call site discovers any
-    more is retracted.  The result is the one a from-scratch loop reaches
-    by re-walking everything until no fact is learned (the test suite
-    keeps that loop as a reference model), at O(call edges) function
-    walks instead of one whole-binary walk per fact.
+    tail-jumps to them.  A function that no live walk calls any more is
+    retracted, and only the functions that stopped at its entry are
+    walked again.  The result is the one a from-scratch loop reaches by
+    re-walking everything until no fact is learned (the test suite keeps
+    that loop as a reference model), at O(call edges) function walks
+    instead of one whole-binary walk per fact.  When a dropped callee is
+    still called elsewhere, it moves later in the breadth-first order
+    that decides what each walk sees as a start.  That order is then
+    replayed from the first walk that moved, one reuse check per later
+    walk.  An input whose every flip moves a callee therefore costs
+    O(flips x functions) checks.
 
     A result only grows: {!extend} adds functions and instructions to it
     in place and reports them as a {!delta}, which is all an incremental

@@ -335,6 +335,101 @@ let test_worklist_hostile_chain () =
   check Alcotest.bool "doubling n at most doubles the return re-checks" true
     (checks2 <= (2 * checks) + 4)
 
+(* The same chain, but each link also calls a leaf of its own after the
+   call to the next link: [c_i: call c_(i+1); call l_i; ret], [l_i: ret].
+   Each flip cuts [l_i] from its only caller, so every leaf is retracted
+   on the way.  Retraction touches only the functions that stopped at a
+   retracted entry (none here), so the whole run stays linear: no replay
+   of the breadth-first order, one walk per function plus one re-walk
+   per flip.  With [shared], one more function, reached last, calls
+   every leaf too: each cut leaf then moves to that caller, the order
+   moves, and the run replays it. *)
+let leaf_chain_image ?(shared = false) n =
+  let name i = Printf.sprintf "c%d" i and leaf i = Printf.sprintf "l%d" i in
+  let links =
+    List.concat
+      (List.init n (fun i ->
+           if i = n - 1 then
+             Asm.Label (name i)
+             :: (if shared then [ Asm.I (I.Call (I.To_label "h")) ] else [])
+             @ [ Asm.I I.Hlt ]
+           else
+             [
+               Asm.Label (name i);
+               Asm.I (I.Call (I.To_label (name (i + 1))));
+               Asm.I (I.Call (I.To_label (leaf i)));
+               Asm.I I.Ret;
+               Asm.Label (leaf i);
+               Asm.I I.Ret;
+             ]))
+  in
+  let h =
+    if shared then
+      (Asm.Label "h" :: List.init (n - 1) (fun i -> Asm.I (I.Call (I.To_label (leaf i)))))
+      @ [ Asm.I I.Ret ]
+    else []
+  in
+  let img, asm = image_of (links @ h) in
+  ( Loaded.load img,
+    List.init n (fun i -> label asm (name i)),
+    List.init (n - 1) (fun i -> label asm (leaf i)) )
+
+let chain_work ?shared n =
+  let loaded, links, leaves = leaf_chain_image ?shared n in
+  let res, rep =
+    Fetch_obs.Trace.with_run (fun () -> Recursive.run loaded ~seeds:[ List.hd links ])
+  in
+  let counter name = Option.value ~default:0 (List.assoc_opt name rep.counters) in
+  (loaded, links, leaves, res, counter)
+
+let test_worklist_leaf_chain () =
+  let work n =
+    let _, links, leaves, res, counter = chain_work n in
+    check Alcotest.int (Printf.sprintf "n=%d: every link noreturn" n) n
+      (List.length (List.filter (Hashtbl.mem res.noreturn) links));
+    check Alcotest.int (Printf.sprintf "n=%d: every leaf retracted" n) 0
+      (List.length (List.filter (Hashtbl.mem res.funcs) leaves));
+    let walks = counter "recursive.functions_disassembled" in
+    check Alcotest.bool
+      (Printf.sprintf "n=%d: %d walks <= 3n + 4" n walks)
+      true
+      (walks <= (3 * n) + 4);
+    check Alcotest.int (Printf.sprintf "n=%d: no replay" n) 0
+      (counter "recursive.replays");
+    check Alcotest.int (Printf.sprintf "n=%d: no reuse check" n) 0
+      (counter "recursive.replay_checks");
+    (walks, counter "recursive.returns_checked")
+  in
+  let walks, checks = work 2000 in
+  let walks2, checks2 = work 4000 in
+  check Alcotest.bool "doubling n at most doubles the walks" true
+    (walks2 <= (2 * walks) + 4);
+  check Alcotest.bool "doubling n at most doubles the return re-checks" true
+    (checks2 <= (2 * checks) + 4)
+
+(* Both chains land on the converged reference, and the shared one, where
+   every cut leaf moves to [h], replays the order once per moved leaf. *)
+let test_worklist_leaf_chain_reference () =
+  List.iter
+    (fun shared ->
+      let loaded, links, leaves, res, counter = chain_work ~shared 40 in
+      let seeds = [ List.hd links ] in
+      check Alcotest.bool
+        (Printf.sprintf "shared=%b: == the converged reference" shared)
+        true
+        (Reference.signature res
+        = Reference.signature (Reference.recursive loaded ~seeds));
+      check Alcotest.int
+        (Printf.sprintf "shared=%b: leaves kept" shared)
+        (if shared then 39 else 0)
+        (List.length (List.filter (Hashtbl.mem res.funcs) leaves));
+      check Alcotest.bool
+        (Printf.sprintf "shared=%b: replays" shared)
+        true
+        (if shared then counter "recursive.replays" > 0
+         else counter "recursive.replays" = 0))
+    [ false; true ]
+
 (* [a] calls [k], which never returns, and then [c]; [b] tail-jumps to
    [c].  The first walks register [c] as [a]'s callee before [b] is
    walked, so [b] stops at [c]'s entry.  Once [k] is noreturn, [a]'s call
@@ -419,6 +514,57 @@ let test_worklist_entry_moves_into_kept_walk () =
     = [ (label asm "g", label asm "d") ]);
   check Alcotest.bool "so g cannot return" true
     (Hashtbl.mem res.noreturn (label asm "g"));
+  check Alcotest.bool "== the converged reference" true
+    (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
+
+(* A retraction leaves a hole in the registration order that a later
+   replay must step over.  Once [k1] is noreturn, [a]'s call to [x] is
+   dead and [x] is retracted.  Then [k2], which calls [k1], is noreturn
+   too, so [b] stops calling [y]; [c] still calls [y], so [y] moves and
+   the order is replayed from [b] on.  [a] registered [x] before [b] was
+   walked, so the replay passes [x]'s old place: it must not walk [x]
+   back in. *)
+let test_worklist_replay_skips_retracted () =
+  let items =
+    [
+      Asm.Label "a";
+      Asm.I (I.Call (I.To_label "k1"));
+      Asm.I (I.Call (I.To_label "x"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "b";
+      Asm.I (I.Call (I.To_label "k2"));
+      Asm.I (I.Call (I.To_label "y"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "k1";
+      Asm.I I.Hlt;
+      Asm.Align 16;
+      Asm.Label "k2";
+      Asm.I (I.Call (I.To_label "c"));
+      Asm.I (I.Call (I.To_label "k1"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "c";
+      Asm.I (I.Call (I.To_label "y"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "x";
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "y";
+      Asm.I I.Ret;
+    ]
+  in
+  let img, asm = image_of items in
+  let loaded = Loaded.load img in
+  let seeds = [ label asm "a"; label asm "b" ] in
+  let res, rep = Fetch_obs.Trace.with_run (fun () -> Recursive.run loaded ~seeds) in
+  check (Alcotest.list Alcotest.int) "x retracted, y kept"
+    (List.map (label asm) [ "a"; "b"; "k1"; "k2"; "c"; "y" ])
+    (Recursive.starts res);
+  check Alcotest.bool "the order was replayed" true
+    (List.assoc_opt "recursive.replays" rep.counters = Some 1);
   check Alcotest.bool "== the converged reference" true
     (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
 
@@ -929,10 +1075,16 @@ let suite =
     Alcotest.test_case "extend: re-fixpoints delta noreturn" `Quick test_extend_refixpoints_delta_noreturn;
     Alcotest.test_case "worklist: hostile call chain is linear" `Quick
       test_worklist_hostile_chain;
+    Alcotest.test_case "worklist: chain with private leaves is linear" `Quick
+      test_worklist_leaf_chain;
+    Alcotest.test_case "worklist: leaf chains == converged loop" `Quick
+      test_worklist_leaf_chain_reference;
     Alcotest.test_case "worklist: dead callee retracted" `Quick
       test_worklist_retracts_dead_callee;
     Alcotest.test_case "worklist: entry moving into a kept walk" `Quick
       test_worklist_entry_moves_into_kept_walk;
+    Alcotest.test_case "worklist: a replay steps over retracted entries" `Quick
+      test_worklist_replay_skips_retracted;
     QCheck_alcotest.to_alcotest prop_worklist_reference;
     Alcotest.test_case "jump table: absolute form" `Quick test_jump_table_absolute;
     Alcotest.test_case "jump table: needs bound check" `Quick test_jump_table_unresolved_without_bound;

@@ -257,7 +257,7 @@ let test_pipeline_instrumented () =
       "pipeline.seeds.final";
       "recursive.insns_decoded";
       "recursive.functions_disassembled";
-      "recursive.noreturn_iters";
+      "recursive.worklist_rounds";
       "xref.candidates_scanned";
       "xref.accepted";
       "tailcall.pairs_examined";
