@@ -136,7 +136,7 @@ let analyze path verbose stats trace_json trace_chrome provenance =
         print_string (Fetch_obs.Report.text rep);
         (* .eh_frame parse health: the paper's coverage argument only
            holds for the records we actually recovered *)
-        let eh = r.eh_frame in
+        let eh = r.loaded.eh_frame in
         Printf.printf
           "\neh_frame: %d records decoded, %d skipped, %d diagnostics\n"
           eh.records_ok eh.records_skipped

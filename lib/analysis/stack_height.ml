@@ -80,7 +80,6 @@ let analyze loaded ~style entry =
     {
       Solver.default_policy with
       resolve_indirect = (fun ~site:_ ~window op -> table_allowed op window);
-      filter_succs_in_text = false;
       stop_outside_text = true;
       linear_fallthrough = true;
       linear_after_indirect = style = Dyninst;

@@ -47,7 +47,6 @@ module Make (L : LATTICE) = struct
       int list option;
     follow_direct : site:int -> target:int -> bool;
     edge_state : src:int -> dst:int -> L.state -> L.state;
-    filter_succs_in_text : bool;
     stop_outside_text : bool;
     stop_walk : int -> bool;
     linear_fallthrough : bool;
@@ -64,7 +63,6 @@ module Make (L : LATTICE) = struct
       resolve_indirect = (fun ~site:_ ~window:_ _ -> None);
       follow_direct = (fun ~site:_ ~target:_ -> true);
       edge_state = (fun ~src:_ ~dst:_ s -> s);
-      filter_succs_in_text = true;
       stop_outside_text = false;
       stop_walk = (fun _ -> false);
       linear_fallthrough = false;
@@ -113,12 +111,12 @@ module Make (L : LATTICE) = struct
                 if not (L.equal j old) then Hashtbl.replace states addr j)
     in
     (* One straight-line walk from [b]: apply the transfer per instruction,
-       let the policy expand control flow, collect block successors in
-       emission order. *)
+       let the policy expand control flow, collect the block successors
+       inside executable bytes in emission order. *)
     let walk_block b st0 =
       let succs = ref [] in
       let emit ~src st t =
-        if (not policy.filter_succs_in_text) || prog.in_text t then
+        if prog.in_text t then
           succs := (t, policy.edge_state ~src ~dst:t st) :: !succs
       in
       let rec go addr st window fuel =

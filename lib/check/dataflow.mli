@@ -87,8 +87,6 @@ module Make (L : LATTICE) : sig
             walk never applies this).  Lets analyses model components
             that reset per block — e.g. §IV-E's first-argument tracking,
             which only trusts values established in the current block *)
-    filter_succs_in_text : bool;
-        (** drop successor blocks outside executable bytes *)
     stop_outside_text : bool;
         (** end walks that run outside executable bytes (instead of
             consulting [undecodable]) *)
@@ -135,6 +133,7 @@ module Make (L : LATTICE) : sig
     unit ->
     solution
   (** [solve prog policy ~merge ~entry ~init ()] runs the analysis to
-      quiescence (or fuel exhaustion).  Defaults: [max_block_insns] and
+      quiescence (or fuel exhaustion).  A successor block outside
+      executable bytes is dropped.  Defaults: [max_block_insns] and
       [max_blocks] 4096, [record] true. *)
 end

@@ -42,10 +42,11 @@ let rule_jump_mid_insn v emit =
     (fun f ->
       List.iter
         (fun (site, target) ->
-          if (not (Hashtbl.mem seen (site, target))) && v.in_text target then begin
-            Hashtbl.replace seen (site, target) ();
+          if v.in_text target then
             match Insn_index.find v.insn_spans target with
-            | Some (lo, _) when lo <> target ->
+            | Some (lo, _)
+              when lo <> target && not (Hashtbl.mem seen (site, target)) ->
+                Hashtbl.replace seen (site, target) ();
                 emit
                   {
                     Finding.rule = "jump-mid-insn";
@@ -56,8 +57,7 @@ let rule_jump_mid_insn v emit =
                       Printf.sprintf
                         "jump target lands inside the instruction at %#x" lo;
                   }
-            | _ -> ()
-          end)
+            | _ -> ())
         f.jumps)
     v.funcs
 

@@ -23,13 +23,6 @@ let view_of (r : Pipeline.result) =
               })
       r.Pipeline.starts
   in
-  (* reuse Algorithm 1's census; only a run with the fix stage off has
-     none, and then it is collected on first use *)
-  let refs =
-    match r.Pipeline.refs with
-    | Some refs -> Lazy.from_val refs
-    | None -> lazy (Refs.collect loaded res)
-  in
   {
     Fetch_check.Lint.insn_at = Loaded.insn_at loaded;
     in_text = Loaded.in_text loaded;
@@ -54,7 +47,7 @@ let view_of (r : Pipeline.result) =
         match target with Some t -> not (noreturn t) | None -> true);
     referenced_outside_jumps_of =
       (fun ~entry t ->
-        Refs.referenced_outside_jumps_of (Lazy.force refs) ~entry t);
+        Refs.referenced_outside_jumps_of r.Pipeline.refs ~entry t);
     resolve_indirect =
       (fun ~site:_ ~window op ->
         match Jump_table.resolve loaded.Loaded.image ~preceding:window op with

@@ -42,17 +42,16 @@ let seed_set ?(excluding = []) loaded =
   |> List.sort_uniq compare
 
 (* Stages 2-3: safe recursive disassembly, with pointer detection
-   iterating on top when it is on; returns the result and its seeds. *)
+   iterating on top when it is on; returns the result, its seeds and
+   its reference census — the one every later stage reads. *)
 let detect config loaded ~seeds =
   if config.xref then Xref.detect loaded ~seeds
-  else (Recursive.run loaded ~seeds, seeds)
+  else
+    let res = Recursive.run loaded ~seeds in
+    (res, seeds, Refs.collect loaded res)
 
 type result = {
   starts : int list;  (** final detected function starts, ascending *)
-  eh_frame : Fetch_dwarf.Eh_frame.decoded;
-      (** parse health of [.eh_frame]: recovered records, skipped records
-          and the per-record diagnostics *)
-  fde_starts : int list;
   final_seeds : int list;
       (** the seed set the last engine run started from: FDE starts
           (minus callconv-invalid ones), symbols, and every pointer
@@ -60,10 +59,50 @@ type result = {
           source *)
   rec_result : Recursive.result;
   tailcall : Tailcall.outcome option;
-  refs : Refs.t option;  (** Algorithm 1's census of [rec_result] *)
+  refs : Refs.t;  (** the census of [rec_result] *)
   invalid_fde_starts : int list;  (** FDE starts rejected as callconv-invalid *)
   loaded : Loaded.t;
 }
+
+(* 4a. hand-broken FDEs (Fig. 6b): calling-convention check on every
+   start directly identified from an FDE.  Cold parts of non-contiguous
+   functions can also read callee-saved registers at their entry, but
+   they are always referenced by a jump from their hot part — an FDE
+   start that both violates the convention and is referenced by nothing
+   at all cannot be a real function or a function part.  Returns the
+   rejected starts and the detection without them: re-run without those
+   seeds when there are any. *)
+let drop_invalid_fdes config loaded ((res, _, refs) as detection) =
+  let violations =
+    Obs.span "fde_callconv_check" @@ fun () ->
+    let noreturn t = Hashtbl.mem res.Recursive.noreturn t in
+    let cond_noreturn t = Hashtbl.mem res.Recursive.cond_noreturn t in
+    List.filter_map
+      (fun s ->
+        if Refs.refs_to refs s <> [] then None
+        else
+          match Callconv.validate ~noreturn ~cond_noreturn loaded s with
+          | Ok () -> None
+          | Error v -> Some (s, v))
+      loaded.Loaded.fde_starts
+  in
+  Obs.add c_invalid_fde (List.length violations);
+  if Prov.enabled () then
+    List.iter
+      (fun (s, v) ->
+        (* Fig. 6b: unreferenced + callconv-invalid FDE start *)
+        Prov.emit ~ev:"fde.invalid" ~addr:s
+          (("why", Prov.S "unreferenced_callconv_violation")
+          :: Callconv.ledger_fields v))
+      violations;
+  let invalid = List.map fst violations in
+  if invalid = [] then ([], detection)
+  else begin
+    if Prov.enabled () then
+      Prov.emit ~ev:"pipeline.reseed" ~addr:0
+        [ ("dropped", Prov.I (List.length invalid)) ];
+    (invalid, detect config loaded ~seeds:(seed_set ~excluding:invalid loaded))
+  end
 
 (** Run FETCH on a loaded binary. *)
 let run_loaded ?(config = default_config) loaded =
@@ -83,91 +122,37 @@ let run_loaded ?(config = default_config) loaded =
     end;
     seed_set loaded
   in
-  let res, seeds = detect config loaded ~seeds in
+  let detection = detect config loaded ~seeds in
   (* 4. fix FDE-introduced errors *)
+  let invalid, (res, seeds, refs) =
+    if config.fix_fde_errors then drop_invalid_fdes config loaded detection
+    else ([], detection)
+  in
+  Obs.add c_seeds_final (List.length seeds);
+  (* 4b. Algorithm 1 *)
+  let tailcall =
+    if config.fix_fde_errors then
+      Some (Tailcall.run ~heights:config.alg1_heights ~refs loaded res)
+    else None
+  in
+  let starts =
+    match tailcall with
+    | Some outcome -> outcome.kept_starts
+    | None -> Recursive.starts res
+  in
   (* one [verdict.start] per kept start closes every surviving subject's
      chain in the ledger *)
-  let record_verdicts starts =
-    if Prov.enabled () then
-      List.iter (fun s -> Prov.emit ~ev:"verdict.start" ~addr:s []) starts
-  in
-  if not config.fix_fde_errors then begin
-    Obs.add c_seeds_final (List.length seeds);
-    record_verdicts (Recursive.starts res);
-    {
-      starts = Recursive.starts res;
-      eh_frame = loaded.Loaded.eh_frame;
-      fde_starts = loaded.Loaded.fde_starts;
-      final_seeds = seeds;
-      rec_result = res;
-      tailcall = None;
-      refs = None;
-      invalid_fde_starts = [];
-      loaded;
-    }
-  end
-  else begin
-    (* 4a. hand-broken FDEs (Fig. 6b): calling-convention check on every
-       start directly identified from an FDE.  Cold parts of non-contiguous
-       functions can also read callee-saved registers at their entry, but
-       they are always referenced by a jump from their hot part — an FDE
-       start that both violates the convention and is referenced by nothing
-       at all cannot be a real function or a function part. *)
-    let violations, refs0 =
-      Obs.span "fde_callconv_check" @@ fun () ->
-      let refs0 = Refs.collect loaded res in
-      let noreturn t = Hashtbl.mem res.Recursive.noreturn t in
-      let cond_noreturn t = Hashtbl.mem res.Recursive.cond_noreturn t in
-      ( List.filter_map
-          (fun s ->
-            if Refs.refs_to refs0 s <> [] then None
-            else
-              match Callconv.validate ~noreturn ~cond_noreturn loaded s with
-              | Ok () -> None
-              | Error v -> Some (s, v))
-          loaded.Loaded.fde_starts,
-        refs0 )
-    in
-    Obs.add c_invalid_fde (List.length violations);
-    if Prov.enabled () then
-      List.iter
-        (fun (s, v) ->
-          (* Fig. 6b: unreferenced + callconv-invalid FDE start *)
-          Prov.emit ~ev:"fde.invalid" ~addr:s
-            (("why", Prov.S "unreferenced_callconv_violation")
-            :: Callconv.ledger_fields v))
-        violations;
-    let invalid = List.map fst violations in
-    (* the census stays valid only when the detection result does *)
-    let res, seeds, refs =
-      if invalid = [] then (res, seeds, refs0)
-      else begin
-        (* drop them and re-run detection without those seeds *)
-        if Prov.enabled () then
-          Prov.emit ~ev:"pipeline.reseed" ~addr:0
-            [ ("dropped", Prov.I (List.length invalid)) ];
-        let res', seeds' =
-          detect config loaded ~seeds:(seed_set ~excluding:invalid loaded)
-        in
-        (res', seeds', Refs.collect loaded res')
-      end
-    in
-    Obs.add c_seeds_final (List.length seeds);
-    (* 4b. Algorithm 1 *)
-    let outcome = Tailcall.run ~heights:config.alg1_heights ~refs loaded res in
-    record_verdicts outcome.kept_starts;
-    {
-      starts = outcome.kept_starts;
-      eh_frame = loaded.Loaded.eh_frame;
-      fde_starts = loaded.Loaded.fde_starts;
-      final_seeds = seeds;
-      rec_result = res;
-      tailcall = Some outcome;
-      refs = Some refs;
-      invalid_fde_starts = invalid;
-      loaded;
-    }
-  end
+  if Prov.enabled () then
+    List.iter (fun s -> Prov.emit ~ev:"verdict.start" ~addr:s []) starts;
+  {
+    starts;
+    final_seeds = seeds;
+    rec_result = res;
+    tailcall;
+    refs;
+    invalid_fde_starts = invalid;
+    loaded;
+  }
 
 (** Run FETCH on an ELF image. *)
 let run ?config image = run_loaded ?config (Loaded.load image)

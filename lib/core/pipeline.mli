@@ -4,7 +4,13 @@
     FDE starts and any surviving symbols always seed the safe engine.
     Pointer detection and the fix stage can be switched off, so the
     evaluation can measure each prefix of the pipeline (Figure 5's FETCH
-    stack); Algorithm 1's height source is the §V-B ablation's switch. *)
+    stack); Algorithm 1's height source is the §V-B ablation's switch.
+
+    Each detection takes one reference census: {!Xref.detect} returns
+    the one its rounds grew, or, with pointer detection off, the
+    pipeline collects it once.  The broken-FDE check, Algorithm 1 and
+    the linter read that census, and a reseed (its own detection) takes
+    its own, so a run collects once, or twice when it reseeds. *)
 
 type config = {
   xref : bool;  (** §IV-E pointer detection *)
@@ -18,10 +24,6 @@ val default_config : config
 
 type result = {
   starts : int list;  (** final detected function starts, ascending *)
-  eh_frame : Fetch_dwarf.Eh_frame.decoded;
-      (** parse health of [.eh_frame]: recovered records, skipped records
-          and the per-record diagnostics *)
-  fde_starts : int list;
   final_seeds : int list;
       (** the seed set the last engine run started from: FDE starts
           (minus callconv-invalid ones), symbols, and every pointer
@@ -29,13 +31,15 @@ type result = {
           source *)
   rec_result : Fetch_analysis.Recursive.result;
   tailcall : Tailcall.outcome option;  (** [None] when the fix stage is off *)
-  refs : Refs.t option;
-      (** the reference census Algorithm 1 ran on — exactly that of
-          [rec_result]; [None] when the fix stage is off *)
+  refs : Refs.t;
+      (** the reference census of [rec_result], the one the broken-FDE
+          check and Algorithm 1 ran on *)
   invalid_fde_starts : int list;
       (** FDE starts rejected as unreferenced + calling-convention-invalid
-          (the hand-broken FDEs of Fig. 6b) *)
+          (the hand-broken FDEs of Fig. 6b); [[]] when the fix stage is
+          off *)
   loaded : Fetch_analysis.Loaded.t;
+      (** the binary, with its FDE starts and [.eh_frame] parse health *)
 }
 
 (** Run FETCH on an already-loaded binary. *)

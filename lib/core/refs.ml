@@ -120,9 +120,8 @@ let insn_constants ~addr ~len insn =
 
 (* Scan one committed span [\[lo, hi)] for code-constant refs.  A [None]
    from the memoized decoder mid-span means the decode cache disagrees
-   with the instruction table; the rest of the span used to be silently
-   abandoned (dropping refs) — now the event is counted and the scan
-   resyncs one byte forward. *)
+   with the instruction table: the event is counted and the scan resyncs
+   one byte forward, so the rest of the span still yields its refs. *)
 let scan_span loaded t ~lo ~hi =
   let rec go addr =
     if addr < hi then
@@ -150,10 +149,11 @@ let scan_func t entry (f : Recursive.func) =
       List.iter (fun tg -> add t tg (Jump_target (entry, entry))) targets)
     f.table_targets
 
-(** Collect all references in the binary given the current disassembly.
-    The data-section window refs never change as the disassembly grows,
-    so {!add_delta} never rescans them. *)
+(** Collect all references in the binary given the current disassembly,
+    under a ["refs.collect"] span.  The data-section window refs never
+    change as the disassembly grows, so {!add_delta} never rescans them. *)
 let collect loaded (res : Recursive.result) =
+  Obs.span "refs.collect" @@ fun () ->
   let t = { by_target = Hashtbl.create 1024 } in
   List.iter
     (fun (s : Fetch_elf.Image.section) ->

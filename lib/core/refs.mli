@@ -6,7 +6,14 @@
     metadata is not program data), and every constant operand of the
     disassembled code (immediates, absolute displacements, resolved
     RIP-relative targets).  {!collect} builds a table from a whole
-    result, and §IV-E's rounds grow it with {!add_delta}. *)
+    result, and §IV-E's rounds grow it with {!add_delta}.
+
+    A detection takes the census once: [Xref.detect] returns the table
+    its rounds grew (or the pipeline collects it once when pointer
+    detection is off), and the broken-FDE check, Algorithm 1 and the
+    linter all read that one table.  Only the order of a [refs_to] list
+    can tell a grown table from a collected one, and none of them reads
+    it. *)
 
 type kind =
   | Data_pointer of int  (** found at this data address *)
@@ -19,7 +26,8 @@ type t
 (** References to a given target address. *)
 val refs_to : t -> int -> kind list
 
-(** Collect all references in the binary given the current disassembly. *)
+(** Collect all references in the binary given the current disassembly,
+    under a ["refs.collect"] span, so a trace counts the censuses. *)
 val collect : Fetch_analysis.Loaded.t -> Fetch_analysis.Recursive.result -> t
 
 (** [add_delta loaded t d] folds in the code refs of what one

@@ -14,10 +14,10 @@ let of_result ?(lint = true) (r : Pipeline.result) =
   {
     starts = r.starts;
     n_seeds = List.length r.final_seeds;
-    records_ok = r.eh_frame.records_ok;
-    records_skipped = r.eh_frame.records_skipped;
-    indirect_derefs = r.eh_frame.indirect_derefs;
-    diags = List.map Fetch_dwarf.Diag.to_string r.eh_frame.diags;
+    records_ok = r.loaded.eh_frame.records_ok;
+    records_skipped = r.loaded.eh_frame.records_skipped;
+    indirect_derefs = r.loaded.eh_frame.indirect_derefs;
+    diags = List.map Fetch_dwarf.Diag.to_string r.loaded.eh_frame.diags;
     findings = (if lint then Lint.run r else []);
   }
 

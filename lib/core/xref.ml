@@ -17,7 +17,9 @@
     committed disassembly in place via {!Fetch_analysis.Recursive.extend}
     instead of re-running every seed, the ref table and the extent set
     fold exactly the delta it returns, and rejection verdicts that cannot
-    change while the committed state only grows are cached.  The test
+    change while the committed state only grows are cached.  The grown
+    ref table is returned with the result: it is the detection's census,
+    which every later stage reads.  The test
     suite keeps a from-scratch reference model built on {!validate} (no
     cache, every candidate re-validated every round) and holds [detect]
     equal to it. *)
@@ -55,12 +57,7 @@ let h_round_cost_ms = Obs.histogram "xref.round_cost_ms"
 
 (* Instruction-boundary test against the committed disassembly.  The
    instruction table is a memoized boundary index: an address is
-   mid-instruction iff its containing instruction does not start there.  (The previous
-   implementation re-walked the span through the decoder — O(span
-   length) — and was vacuous besides: the walk started at the containing
-   instruction and could never stop strictly below [addr], so error (ii)
-   never fired and mid-instruction pointers were only caught later as
-   transfers into function bodies.) *)
+   mid-instruction iff its containing instruction does not start there. *)
 let mid_instruction (res : Recursive.result) addr =
   match Fetch_util.Insn_index.find res.insn_spans addr with
   | None -> false
@@ -242,6 +239,7 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
 (** Iterated detection (§IV-E): accept one legitimate pointer at a time and
     immediately refresh the disassembly and the pointer collection with it,
     so later candidates are judged against the updated function extents.
+    Returns the result, its seeds and the ref table grown with it.
 
     Each round runs under an ["xref.round"] span carrying the round
     index and (when one is found) the accepted pointer, inside a ledger
@@ -339,7 +337,7 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
               ("rounds", Prov.I !rounds);
             ]
       end;
-      (res, seeds)
+      (res, seeds, refs)
     end
     else begin
       Obs.incr c_rounds;
@@ -372,7 +370,7 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
         r
       in
       match outcome with
-      | None -> (res, seeds)
+      | None -> (res, seeds, refs)
       | Some seeds' -> loop (budget - 1) seeds'
     end
   in

@@ -64,7 +64,11 @@ val validate :
     pointers one at a time until none remains (or [max_rounds] is
     exhausted — announced via the [xref.budget_exhausted] counter and
     ledger event when candidates are still pending); returns the final
-    engine result and the enlarged seed set.
+    engine result, the enlarged seed set and the result's reference
+    census.  The census is collected once from the seed disassembly and
+    grown with each commit's delta, so it holds the refs
+    {!Refs.collect} finds on the final result: later stages read it
+    instead of collecting again.
 
     [on_commit] fires after every accepted pointer with the candidate,
     the already-extended result and the delta the extension added — a
@@ -80,4 +84,4 @@ val detect :
     unit) ->
   Fetch_analysis.Loaded.t ->
   seeds:int list ->
-  Fetch_analysis.Recursive.result * int list
+  Fetch_analysis.Recursive.result * int list * Refs.t

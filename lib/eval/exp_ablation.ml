@@ -66,7 +66,6 @@ let run ?(scale = 1.0) () =
               c.tail_calls <- c.tail_calls + List.length o.tail_calls;
               (* a merge is harmful when it deletes a true start that has
                  references beyond jumps from its single caller *)
-              let refs = Fetch_core.Refs.collect loaded r.rec_result in
               List.iter
                 (fun (merged, _) ->
                   if IS.mem merged truth then
@@ -75,7 +74,7 @@ let run ?(scale = 1.0) () =
                         (function
                           | Fetch_core.Refs.Jump_target _ -> true
                           | _ -> false)
-                        (Fetch_core.Refs.refs_to refs merged)
+                        (Fetch_core.Refs.refs_to r.refs merged)
                     in
                     if not only_jumps then c.harmful_merges <- c.harmful_merges + 1)
                 o.merges)

@@ -74,7 +74,7 @@ let () =
     ignore (Recursive.extend loaded grown ~seeds:rest);
     if Reference.signature grown <> Reference.signature res then
       fail (Printf.sprintf "run <> run on %d seeds + extend" k);
-    let res_i, seeds_i = Fetch_core.Xref.detect loaded ~seeds in
+    let res_i, seeds_i, _ = Fetch_core.Xref.detect loaded ~seeds in
     let res_r, seeds_r, _ = Reference.xref loaded ~seeds in
     if seeds_i <> seeds_r || Reference.signature res_i <> Reference.signature res_r
     then fail "xref incremental <> reference"

@@ -792,8 +792,10 @@ let split_run =
 
 let test_split_fn_fde_true_parts () =
   let b, r = Lazy.force split_run in
-  check Alcotest.bool "no census without the fix stage" true
-    (r.Fetch_core.Pipeline.refs = None);
+  check (Alcotest.list Alcotest.int) "census carried without the fix stage"
+    (Fetch_core.Refs.pointer_candidates
+       (Fetch_core.Refs.collect r.loaded r.rec_result))
+    (Fetch_core.Refs.pointer_candidates r.Fetch_core.Pipeline.refs);
   let flagged = findings_of "split-fn-fde" (Fetch_core.Lint.run r) in
   check Alcotest.bool "fires on the split binary" true (flagged <> []);
   let parts = Fetch_synth.Truth.part_starts b.truth in

@@ -61,14 +61,13 @@ let acceptable_miss (r : Pipeline.result) (truth : Truth.t) addr =
         | None -> false
       in
       merged
-      &&
-      let refs = Refs.collect r.loaded r.rec_result in
-      List.for_all
-        (function
-          | Refs.Jump_target _ -> true
-          | Refs.Data_pointer _ | Refs.Code_constant _ | Refs.Call_target _ ->
-              false)
-        (Refs.refs_to refs addr)
+      && List.for_all
+           (function
+             | Refs.Jump_target _ -> true
+             | Refs.Data_pointer _ | Refs.Code_constant _ | Refs.Call_target _
+               ->
+                 false)
+           (Refs.refs_to r.refs addr)
 
 let test_fde_only () =
   let b = Lazy.force built in
@@ -181,38 +180,80 @@ let test_broken_fde_rejected () =
   let fp, _ = metrics b.truth r.starts in
   check (Alcotest.list Alcotest.int) "still no FPs" [] fp
 
-(* The census Algorithm 1 ran on rides on the result, so the linter need
-   not collect it again; on the reseed path too it must be exactly the
-   census of [rec_result].  Seed 30's reseed changes the census (the
-   pre-reseed one differs at a jump target), so a stale one fails here. *)
+(* The seed-30 draws, under every config that takes the census another
+   way: [(name, broken FDEs, config, censuses taken)].  The reseed draw
+   re-runs detection, which takes its own census. *)
+let census_runs =
+  let d = Pipeline.default_config in
+  [
+    ("direct", 0, d, 1);
+    ("reseed", 1, d, 2);
+    ("no xref", 0, { d with xref = false }, 1);
+    ("no xref, reseed", 1, { d with xref = false }, 2);
+    ("no fix", 1, { d with fix_fde_errors = false }, 1);
+  ]
+
+let census_run n_broken_fde config =
+  let b = Link.build_random ~profile ~seed:30 { spec with Gen.n_broken_fde } in
+  Fetch_obs.Trace.with_run (fun () -> Pipeline.run ~config b.image)
+
+(* The census rides on the result, so the linter need not collect it
+   again; on the reseed path too it must be exactly the census of
+   [rec_result].  Seed 30's reseed changes the census (the pre-reseed one
+   differs at a jump target), so a stale one fails here. *)
 let test_census_carried () =
   List.iter
-    (fun (what, n_broken_fde) ->
-      let b =
-        Link.build_random ~profile ~seed:30 { spec with Gen.n_broken_fde }
-      in
-      let r = Pipeline.run b.image in
-      check Alcotest.bool (what ^ ": path taken") (n_broken_fde > 0)
+    (fun (what, n_broken_fde, config, collects) ->
+      let r, _ = census_run n_broken_fde config in
+      check Alcotest.bool (what ^ ": path taken") (collects = 2)
         (r.invalid_fde_starts <> []);
-      match r.refs with
-      | None -> Alcotest.failf "%s: no census on a default run" what
-      | Some refs ->
-          let fresh = Refs.collect r.loaded r.rec_result in
-          check (Alcotest.list Alcotest.int) (what ^ ": pointer candidates")
-            (Refs.pointer_candidates fresh)
-            (Refs.pointer_candidates refs);
-          let jump_targets =
-            Hashtbl.fold
-              (fun _ (f : Fetch_analysis.Recursive.func) acc ->
-                List.map (fun (_, _, t) -> t) f.all_jump_sites @ acc)
-              r.rec_result.funcs []
-          in
-          List.iter
-            (fun a ->
-              if Refs.refs_to refs a <> Refs.refs_to fresh a then
-                Alcotest.failf "%s: census differs at %#x" what a)
-            (r.fde_starts @ jump_targets))
-    [ ("direct", 0); ("reseed", 1) ]
+      let fresh = Refs.collect r.loaded r.rec_result in
+      check (Alcotest.list Alcotest.int) (what ^ ": pointer candidates")
+        (Refs.pointer_candidates fresh)
+        (Refs.pointer_candidates r.refs);
+      let jump_targets =
+        Hashtbl.fold
+          (fun _ (f : Fetch_analysis.Recursive.func) acc ->
+            List.map (fun (_, _, t) -> t) f.all_jump_sites @ acc)
+          r.rec_result.funcs []
+      in
+      List.iter
+        (fun a ->
+          if Refs.refs_to r.refs a <> Refs.refs_to fresh a then
+            Alcotest.failf "%s: census differs at %#x" what a)
+        (r.loaded.fde_starts @ jump_targets))
+    census_runs
+
+(* One census per detection: a run takes it once, or twice when it
+   reseeds, and the broken-FDE check and the linter never take one. *)
+let test_census_taken_once () =
+  let module Obs = Fetch_obs.Trace in
+  let named name (rep : Obs.report) =
+    List.filter (fun (sp : Obs.span) -> sp.name = name) rep.spans
+  in
+  let inside (outer : Obs.span) (sp : Obs.span) =
+    sp.run = outer.run && sp.depth > outer.depth
+    && Int64.compare outer.start_ns sp.start_ns <= 0
+    && Int64.compare
+         (Int64.add sp.start_ns sp.dur_ns)
+         (Int64.add outer.start_ns outer.dur_ns)
+       <= 0
+  in
+  List.iter
+    (fun (what, n_broken_fde, config, collects) ->
+      let r, rep = census_run n_broken_fde config in
+      let taken = named "refs.collect" rep in
+      check Alcotest.int (what ^ ": censuses taken") collects
+        (List.length taken);
+      List.iter
+        (fun check_span ->
+          if List.exists (inside check_span) taken then
+            Alcotest.failf "%s: a census taken by the broken-FDE check" what)
+        (named "fde_callconv_check" rep);
+      let _, rep = Obs.with_run (fun () -> Lint.run r) in
+      check Alcotest.int (what ^ ": censuses taken by lint") 0
+        (List.length (named "refs.collect" rep)))
+    census_runs
 
 let test_xref_finds_pointer_only_functions () =
   let b = Lazy.force built in
@@ -323,7 +364,7 @@ let test_provenance_end_to_end () =
     (fun s ->
       if not (has "seed.fde" s) then
         Alcotest.failf "FDE start %#x has no seed.fde event" s)
-    r.fde_starts;
+    r.loaded.fde_starts;
   (* every kept start has a verdict event closing its chain *)
   List.iter
     (fun s ->
@@ -398,7 +439,7 @@ let test_provenance_end_to_end () =
         o.merges);
   (* explain replays the three chains `fetch explain` must reproduce *)
   let fde_kept =
-    List.find (fun s -> List.mem s r.starts) r.fde_starts
+    List.find (fun s -> List.mem s r.starts) r.loaded.fde_starts
   in
   let explain addr = Prov.explain ~addr events in
   let contains s sub =
@@ -512,7 +553,7 @@ let test_xref_mid_instruction_reject () =
   in
   (* 0x1001 is strictly inside a's first (multi-byte) instruction *)
   let loaded, _ = xref_image ~rodata:(u64s [ 0x1001 ]) items in
-  let (res, seeds'), rep =
+  let (res, seeds', _), rep =
     Obs.with_run (fun () -> Xref.detect loaded ~seeds:[ 0x1000 ])
   in
   check Alcotest.int "one fresh validation" 1
@@ -532,7 +573,7 @@ let test_xref_mid_instruction_reject () =
 let test_xref_known_entry_accounting () =
   let items = [ X86.Asm.Label "a"; X86.Asm.I XI.Ret ] in
   let loaded, _ = xref_image ~rodata:(u64s [ 0x1000 ]) items in
-  let (res, _), rep =
+  let (res, _, _), rep =
     Obs.with_run (fun () -> Xref.detect loaded ~seeds:[ 0x1000 ])
   in
   check Alcotest.int "known entry skipped, not validated" 1
@@ -568,7 +609,7 @@ let test_xref_budget_exhaustion () =
         Prov.with_run (fun () ->
             Xref.detect ~max_rounds loaded ~seeds:[ l "a" ]))
   in
-  let ((res, _), events), rep = run 1 in
+  let ((res, _, _), events), rep = run 1 in
   check Alcotest.int "one pointer accepted before the budget" 1
     (counter rep "xref.accepted");
   check Alcotest.int "exhaustion counted" 1
@@ -591,7 +632,7 @@ let test_xref_budget_exhaustion () =
   check Alcotest.bool "reference agrees when truncated" true
     (An.Recursive.starts res = An.Recursive.starts res_r);
   (* with the default budget both pointers land and nothing is pending *)
-  let ((res_full, _), _), rep_full = run 64 in
+  let ((res_full, _, _), _), rep_full = run 64 in
   check Alcotest.int "full run accepts both" 2 (counter rep_full "xref.accepted");
   check Alcotest.int "full run exhausts nothing" 0
     (counter rep_full "xref.budget_exhausted");
@@ -690,7 +731,7 @@ let test_xref_extents_incremental () =
   let prev = ref (snapshot start) in
   let commits = ref 0 in
   let gained now was = List.filter (fun x -> not (List.mem x was)) now in
-  let _res, _seeds =
+  let _res, _seeds, _refs =
     Xref.detect loaded ~seeds ~on_commit:(fun ~cand:_ res d ->
         incr commits;
         let starts, spans = snapshot res in
@@ -741,7 +782,7 @@ let test_refs_delta_census () =
   let census = Refs.collect loaded (An.Recursive.run loaded ~seeds) in
   let sorted_refs t a = List.sort compare (Refs.refs_to t a) in
   let commits = ref 0 in
-  let (res, _), events =
+  let (res, _, _), events =
     Prov.with_run (fun () ->
         Xref.detect loaded ~seeds ~on_commit:(fun ~cand:_ res d ->
             incr commits;
@@ -773,13 +814,15 @@ let test_refs_delta_census () =
 
 (* Does [Xref.detect] reach the reference model's result? *)
 let xref_agrees_with_reference loaded ~seeds =
-  let (res_i, seeds_i), rep_i =
+  let (res_i, seeds_i, refs_i), rep_i =
     Obs.with_run (fun () -> Xref.detect loaded ~seeds)
   in
   let res_r, seeds_r, accepted_r = Reference.xref loaded ~seeds in
   seeds_i = seeds_r
   && Reference.signature res_i = Reference.signature res_r
   && counter rep_i "xref.accepted" = accepted_r
+  && Refs.pointer_candidates refs_i
+     = Refs.pointer_candidates (Refs.collect loaded res_i)
 
 (* A calling-convention rejection is not permanent: [p1] calls [p2] and
    then reads rbx, which is fine only once [p2] is known not to return.
@@ -809,7 +852,7 @@ let callconv_flip_image () =
 let test_xref_callconv_reject_flips () =
   let loaded, l = callconv_flip_image () in
   let seeds = [ l "a" ] in
-  let ((res, _), events), rep =
+  let ((res, _, _), events), rep =
     Obs.with_run (fun () ->
         Prov.with_run (fun () -> Xref.detect loaded ~seeds))
   in
@@ -956,7 +999,7 @@ let test_xref_reference_pinned () =
       let case = print_noreturn_draw draw in
       check Alcotest.bool (case ^ ": incremental == reference") true
         (xref_agrees_with_reference loaded ~seeds);
-      let res, _ = Xref.detect loaded ~seeds in
+      let res, _, _ = Xref.detect loaded ~seeds in
       List.iter
         (fun e ->
           check Alcotest.bool (Printf.sprintf "%s: %#x noreturn" case e) true
@@ -1008,6 +1051,7 @@ let suite =
     Alcotest.test_case "tail calls detected safely" `Quick test_tail_calls_detected;
     Alcotest.test_case "broken FDE rejected and recovered" `Quick test_broken_fde_rejected;
     Alcotest.test_case "pipeline carries Algorithm 1's census" `Quick test_census_carried;
+    Alcotest.test_case "one census per detection" `Quick test_census_taken_once;
     Alcotest.test_case "xref finds pointer-only functions" `Quick test_xref_finds_pointer_only_functions;
     Alcotest.test_case "jump tables followed" `Quick test_jump_tables_followed;
     Alcotest.test_case "noreturn analysis" `Quick test_noreturn_detected;

@@ -296,9 +296,9 @@ let test_pipeline_instrumented () =
     (fun s ->
       check Alcotest.bool (Printf.sprintf "FDE start %#x in final seeds" s) true
         (List.mem s r.final_seeds))
-    r.fde_starts;
+    r.loaded.fde_starts;
   check Alcotest.int "final seeds = FDE starts + accepted pointers"
-    (List.length (List.sort_uniq compare r.fde_starts) + c "xref.accepted")
+    (List.length (List.sort_uniq compare r.loaded.fde_starts) + c "xref.accepted")
     (List.length r.final_seeds)
 
 (* ---- bench snapshot codec and regression gate ---- *)
