@@ -3,9 +3,10 @@
 
     The check is a {!Fetch_check.Dataflow} instance: the state is the set
     of initialized registers (plus a per-block model of the first
-    argument, used to decide whether conditionally non-returning callees
-    return), the transfer function reports a read of an uninitialized
-    non-argument register as a {!Fetch_check.Dataflow.Fatal} verdict, and
+    argument, used to decide by {!Recursive}'s rule whether
+    conditionally non-returning callees return), the transfer function
+    reports a read of an uninitialized non-argument register as a
+    {!Fetch_check.Dataflow.Fatal} verdict, and
     the bounded-walk shape of the original check (first in-state wins,
     depth-first, 64 instructions / 12 blocks of fuel) is the engine's
     [First_write_wins] mode.
@@ -30,21 +31,20 @@ module RS = Set.Make (Reg)
 
 let initial_set = RS.of_list Reg.args
 
-(* [rdi] tracks the first argument for conditional-noreturn call sites,
-   mirroring the engine's backward-slice policy: only a provably zero
-   argument lets the call return.  The tracking is local to a block —
-   crossing a block boundary resets it to [`Unknown]. *)
+(* [arg] is the first argument at the walk's position, stepped and read
+   by the engine's own rule ({!Recursive.first_arg_step},
+   {!Recursive.call_returns}).  The tracking is local to a block:
+   crossing a block boundary resets it to [Unknown]. *)
 module Lattice = struct
-  type state = { init : RS.t; rdi : [ `Zero | `Nonzero | `Unknown ] }
+  type state = { init : RS.t; arg : Recursive.first_arg }
   type fatal = violation
 
-  let equal a b = RS.equal a.init b.init && a.rdi = b.rdi
+  let equal a b = RS.equal a.init b.init && a.arg = b.arg
 
   (* [First_write_wins] mode never joins. *)
   let join a _ = a
-  let widen ~old:_ s = s
 
-  let transfer ~addr ~len:_ insn st =
+  let transfer ~addr insn st =
     let reads = Semantics.uses insn in
     match
       List.find_opt
@@ -56,36 +56,23 @@ module Lattice = struct
         let init =
           List.fold_left (fun s r -> RS.add r s) st.init (Semantics.defs insn)
         in
-        let init, rdi =
+        let init =
           match Semantics.flow insn with
           | Semantics.Callf _ ->
               (* the callee clobbers every caller-saved register and
                  defines the return-value register *)
-              (RS.add Reg.Rax (RS.filter Reg.is_callee_saved init), `Unknown)
-          | _ ->
-              let rdi =
-                match insn with
-                | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm 0) -> `Zero
-                | Insn.Arith (Insn.Xor, _, Insn.Reg Reg.Rdi, Insn.Reg Reg.Rdi)
-                  ->
-                    `Zero
-                | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm _) -> `Nonzero
-                | _ ->
-                    if List.mem Reg.Rdi (Semantics.defs insn) then `Unknown
-                    else st.rdi
-              in
-              (init, rdi)
+              RS.add Reg.Rax (RS.filter Reg.is_callee_saved init)
+          | _ -> init
         in
-        Dataflow.Step { init; rdi }
+        Dataflow.Step { init; arg = Recursive.first_arg_step insn st.arg }
 end
 
 module Solver = Dataflow.Make (Lattice)
 
 (** Validate [start] as a function entry, with the violation on failure.
-    [noreturn] (optional) tells the walk which call targets never return;
-    fuel exhaustion means "assume fine". *)
-let validate ?(noreturn = fun _ -> false)
-    ?(cond_noreturn = fun _ -> false) loaded start =
+    [res]'s facts tell the walk which calls never return; fuel exhaustion
+    means "assume fine". *)
+let validate loaded (res : Recursive.result) start =
   if not (Loaded.in_text loaded start) then Error { at = start; reg = None }
   else begin
     let prog =
@@ -99,19 +86,20 @@ let validate ?(noreturn = fun _ -> false)
         Solver.default_policy with
         undecodable = (fun addr -> Some { at = addr; reg = None });
         call_falls_through =
-          (fun ~site:_ ~target (st : Lattice.state) ->
+          (fun ~target (st : Lattice.state) ->
             match target with
-            | Some t when noreturn t -> false
-            | Some t when cond_noreturn t && st.rdi <> `Zero -> false
-            | _ -> true);
-        edge_state = (fun ~src:_ ~dst:_ st -> { st with Lattice.rdi = `Unknown });
+            | Some t ->
+                Recursive.call_returns ~noreturn:res.noreturn
+                  ~cond_noreturn:res.cond_noreturn Fun.id st.arg t
+            | None -> true);
+        edge_state = (fun st -> { st with Lattice.arg = Recursive.Unknown });
         order = Dataflow.Depth_first;
       }
     in
     let sol =
       Solver.solve ~max_block_insns:max_insns ~max_blocks ~record:false prog
         policy ~merge:Dataflow.First_write_wins ~entry:start
-        ~init:{ Lattice.init = initial_set; rdi = `Unknown }
+        ~init:{ Lattice.init = initial_set; arg = Recursive.Unknown }
         ()
     in
     match sol.Solver.fatal with Some v -> Error v | None -> Ok ()

@@ -19,15 +19,13 @@
     undecodable instruction, or a start outside text, was reached). *)
 type violation = { at : int; reg : Fetch_x86.Reg.t option }
 
-(** Validate a candidate entry.  [noreturn] and [cond_noreturn]
-    (optional) stop the walk after calls known not to return, so it
-    cannot run off a function's end into data. *)
-val validate :
-  ?noreturn:(int -> bool) ->
-  ?cond_noreturn:(int -> bool) ->
-  Loaded.t ->
-  int ->
-  (unit, violation) result
+(** [validate loaded res start] validates a candidate entry.  The walk
+    stops after a call that does not return under [res]'s noreturn facts,
+    by {!Recursive.call_returns}, the rule the engine itself follows (an
+    [error]-style callee returns only when the first argument is
+    provably zero in the calling block), so it cannot run off a
+    function's end into data. *)
+val validate : Loaded.t -> Recursive.result -> int -> (unit, violation) result
 
 (** The violation as decision-ledger operands: [viol_at] and [viol_reg]
     (the register's 64-bit name, or ["undecodable"]). *)

@@ -28,6 +28,7 @@ type t = {
   fde_starts : int list;  (** PC Begin of every FDE, ascending, deduped *)
   fde_start_array : int array;  (** [fde_starts], for {!fde_starting_at} *)
   symbol_starts : int list;  (** defined FUNC symbol addresses *)
+  seeds : int list;  (** [fde_starts] ∪ [symbol_starts], ascending *)
   cache : (int, (Fetch_x86.Insn.t * int) option) Hashtbl.t;
 }
 
@@ -68,6 +69,7 @@ let load ?eh image =
     fde_starts;
     fde_start_array = Array.of_list fde_starts;
     symbol_starts;
+    seeds = List.sort_uniq compare (fde_starts @ symbol_starts);
     cache = Hashtbl.create 4096;
   }
 

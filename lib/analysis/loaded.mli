@@ -13,6 +13,9 @@ type t = {
   fde_starts : int list;  (** PC Begin of every FDE, ascending, deduped *)
   fde_start_array : int array;  (** [fde_starts], for {!fde_starting_at} *)
   symbol_starts : int list;  (** defined FUNC symbol addresses *)
+  seeds : int list;
+      (** [fde_starts] ∪ [symbol_starts], ascending, deduped: the seed
+          set every recursive-descent tool starts from *)
   cache : (int, (Fetch_x86.Insn.t * int) option) Hashtbl.t;
 }
 

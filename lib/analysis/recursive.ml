@@ -95,23 +95,29 @@ let detect_cond_noreturn loaded entry =
       | _ -> false)
   | _ -> false
 
-(* At a call site to a conditional-noreturn callee, decide whether the call
-   returns: the paper runs a backward slice of the first argument and treats
-   the call as returning only when the argument provably flows from zero. *)
-let call_error_returns (prior : (int * int * Insn.t) list) =
-  let rec scan = function
-    | [] -> false (* unknown: treat as non-returning *)
-    | (_, _, insn) :: rest -> (
-        match insn with
-        | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm 0) -> true
-        | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm _) -> false
-        | Insn.Arith (Insn.Xor, _, Insn.Reg Reg.Rdi, Insn.Reg Reg.Rdi) -> true
-        | Insn.Mov (_, Insn.Reg Reg.Rdi, _) -> false
-        | Insn.Lea (Reg.Rdi, _) -> false
-        | Insn.Pop Reg.Rdi -> false
-        | _ -> scan rest)
-  in
-  scan prior
+(* The first argument at a call site, as far as §IV-C's backward slice
+   can prove it: only a provably zero argument lets an [error]-style
+   call return. *)
+type first_arg = Zero | Nonzero | Unknown
+
+let first_arg_step insn arg =
+  match insn with
+  | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm 0)
+  | Insn.Arith (Insn.Xor, _, Insn.Reg Reg.Rdi, Insn.Reg Reg.Rdi) ->
+      Zero
+  | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm _) -> Nonzero
+  | _ -> (
+      match Semantics.flow insn with
+      | Semantics.Callf _ -> Unknown
+      | _ -> if List.mem Reg.Rdi (Semantics.defs insn) then Unknown else arg)
+
+(* The first argument after a block's instructions, newest first. *)
+let block_first_arg rev_insns =
+  List.fold_right (fun (_, _, i) arg -> first_arg_step i arg) rev_insns Unknown
+
+let call_returns ~noreturn ~cond_noreturn arg_of x t =
+  (not (Hashtbl.mem noreturn t))
+  && ((not (Hashtbl.mem cond_noreturn t)) || arg_of x = Zero)
 
 (* Decode one basic block starting at [addr]; returns the decoded
    instructions (in order) and the block's control-flow ending. *)
@@ -160,12 +166,10 @@ let rec decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start ~edge
         | Semantics.Cond t -> (List.rev acc', End_cond (insn, t, addr + len))
         | Semantics.Callf (Semantics.Direct t) ->
             f.calls <- (addr, t) :: f.calls;
+            (* [acc]: the block so far, excluding the call itself *)
             let returns =
-              if not safe then true
-              else if Hashtbl.mem noreturn t then false
-              else if Hashtbl.mem cond_noreturn t then
-                call_error_returns acc (* prior, excluding the call itself *)
-              else true
+              (not safe)
+              || call_returns ~noreturn ~cond_noreturn block_first_arg acc t
             in
             if returns then
               decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start

@@ -83,6 +83,39 @@ val extend : Loaded.t -> result -> seeds:int list -> delta
 (** Detected function starts, ascending. *)
 val starts : result -> int list
 
+(** {2 Does a call return?}
+
+    The one rule for whether execution continues after a direct call,
+    shared by the engine's noreturn analysis (§IV-C) and [Callconv]'s
+    §IV-E walk: a call to a noreturn entry never returns, and a call to
+    an [error]-style entry returns only when the first argument is
+    provably zero at the call. *)
+
+(** The first argument (rdi) at a call site, as far as §IV-C's backward
+    slice can prove it. *)
+type first_arg = Zero | Nonzero | Unknown
+
+(** [first_arg_step insn arg] is the first argument after [insn]:
+    [mov edi, 0] and [xor edi, edi] make it [Zero], a move of any other
+    immediate makes it [Nonzero], and any other write to rdi or any call
+    makes it [Unknown].  A block starts at [Unknown]: the engine folds
+    this step over the block decoded so far, and only at a call to an
+    [error]-style callee. *)
+val first_arg_step : Fetch_x86.Insn.t -> first_arg -> first_arg
+
+(** [call_returns ~noreturn ~cond_noreturn arg_of x t]: does a direct
+    call to [t] return under these facts, when [arg_of x] is the first
+    argument at the call?  [arg_of x] is evaluated only when [t] is
+    [error]-style, so the engine passes the block it decoded so far and
+    pays for the fold only there. *)
+val call_returns :
+  noreturn:(int, unit) Hashtbl.t ->
+  cond_noreturn:(int, unit) Hashtbl.t ->
+  ('a -> first_arg) ->
+  'a ->
+  int ->
+  bool
+
 (** {2 Building blocks of a from-scratch model} *)
 
 (** [walk loaded ~noreturn ~cond_noreturn ~is_start ~on_call entry] is one

@@ -7,7 +7,7 @@
     behavioural quirks are edge-policy settings.  Model fidelity notes:
 
     - Both tools decode function ranges partly linearly; we reproduce this
-      with the solver's [linear_fallthrough]: after an unconditional jump
+      with the solver's [linear_after_jump]: after an unconditional jump
       the walker also continues at the next address with the current
       height.  When that straight-line guess reaches a block before the
       semantically correct path does, the block keeps the wrong height —
@@ -36,9 +36,8 @@ module Lattice = struct
 
   (* [First_write_wins] mode never joins. *)
   let join a _ = a
-  let widen ~old:_ s = s
 
-  let transfer ~addr:_ ~len:_ insn h =
+  let transfer ~addr:_ insn h =
     match Semantics.flow insn with
     | Semantics.Fall | Semantics.Callf _ -> (
         match Semantics.sp_delta insn with
@@ -76,16 +75,16 @@ let analyze loaded ~style entry =
       in_text = Loaded.in_text loaded;
     }
   in
+  (* both tools know FDE boundaries: the linear guess never crosses into
+     another FDE-covered function *)
+  let linear a = not (Loaded.fde_starting_at loaded a) in
   let policy =
     {
       Solver.default_policy with
-      resolve_indirect = (fun ~site:_ ~window op -> table_allowed op window);
-      stop_outside_text = true;
-      linear_fallthrough = true;
-      linear_after_indirect = style = Dyninst;
-      (* both tools know FDE boundaries: the linear guess never crosses
-         into another FDE-covered function *)
-      stop_linear_at = Loaded.fde_starting_at loaded;
+      resolve_indirect = (fun ~window op -> table_allowed op window);
+      stop_walk = (fun a -> not (Loaded.in_text loaded a));
+      linear_after_jump = linear;
+      linear_after_indirect = (fun a -> style = Dyninst && linear a);
       inline_cond_fallthrough = true;
       order = Dataflow.Breadth_first;
     }

@@ -19,11 +19,7 @@ let default =
   { merge = true; fsig = true; tcall = false; scan = false }
 
 let detect ?(config = default) loaded =
-  let seeds =
-    loaded.Loaded.fde_starts @ loaded.Loaded.symbol_starts
-    |> List.sort_uniq compare
-  in
-  let res = Recursive.run loaded ~seeds in
+  let res = Recursive.run loaded ~seeds:loaded.Loaded.seeds in
   let starts = Recursive.starts res in
   let starts =
     if config.merge then

@@ -22,11 +22,7 @@ let ghidra_noreturn (res : Recursive.result) e =
   Hashtbl.mem res.noreturn e || Hashtbl.mem res.cond_noreturn e
 
 let detect ?(config = default) loaded =
-  let seeds =
-    loaded.Loaded.fde_starts @ loaded.Loaded.symbol_starts
-    |> List.sort_uniq compare
-  in
-  let res = Recursive.run loaded ~seeds in
+  let res = Recursive.run loaded ~seeds:loaded.Loaded.seeds in
   let starts = Recursive.starts res in
   let starts =
     if config.cfr then

@@ -13,9 +13,6 @@ let c_fatals = Obs.counter "check.dataflow.fatals"
 let c_exhausted = Obs.counter "check.dataflow.fuel_exhausted"
 let h_blocks = Obs.histogram "check.dataflow.blocks_per_solve"
 
-(* In-state changes of one block before [Join_fixpoint] widens it. *)
-let max_joins = 8
-
 type program = {
   insn_at : int -> (Insn.t * int) option;
   in_text : int -> bool;
@@ -29,8 +26,7 @@ module type LATTICE = sig
 
   val equal : state -> state -> bool
   val join : state -> state -> state
-  val widen : old:state -> state -> state
-  val transfer : addr:int -> len:int -> Insn.t -> state -> (state, fatal) step
+  val transfer : addr:int -> Insn.t -> state -> (state, fatal) step
 end
 
 type merge = First_write_wins | Join_fixpoint
@@ -39,19 +35,13 @@ type order = Depth_first | Breadth_first
 module Make (L : LATTICE) = struct
   type policy = {
     undecodable : int -> L.fatal option;
-    call_falls_through : site:int -> target:int option -> L.state -> bool;
+    call_falls_through : target:int option -> L.state -> bool;
     resolve_indirect :
-      site:int ->
-      window:(int * int * Insn.t) list ->
-      Insn.operand ->
-      int list option;
-    follow_direct : site:int -> target:int -> bool;
-    edge_state : src:int -> dst:int -> L.state -> L.state;
-    stop_outside_text : bool;
+      window:(int * int * Insn.t) list -> Insn.operand -> int list option;
+    edge_state : L.state -> L.state;
     stop_walk : int -> bool;
-    linear_fallthrough : bool;
-    linear_after_indirect : bool;
-    stop_linear_at : int -> bool;
+    linear_after_jump : int -> bool;
+    linear_after_indirect : int -> bool;
     inline_cond_fallthrough : bool;
     order : order;
   }
@@ -59,15 +49,12 @@ module Make (L : LATTICE) = struct
   let default_policy =
     {
       undecodable = (fun _ -> None);
-      call_falls_through = (fun ~site:_ ~target:_ _ -> true);
-      resolve_indirect = (fun ~site:_ ~window:_ _ -> None);
-      follow_direct = (fun ~site:_ ~target:_ -> true);
-      edge_state = (fun ~src:_ ~dst:_ s -> s);
-      stop_outside_text = false;
+      call_falls_through = (fun ~target:_ _ -> true);
+      resolve_indirect = (fun ~window:_ _ -> None);
+      edge_state = Fun.id;
       stop_walk = (fun _ -> false);
-      linear_fallthrough = false;
-      linear_after_indirect = false;
-      stop_linear_at = (fun _ -> false);
+      linear_after_jump = (fun _ -> false);
+      linear_after_indirect = (fun _ -> false);
       inline_cond_fallthrough = false;
       order = Breadth_first;
     }
@@ -90,7 +77,6 @@ module Make (L : LATTICE) = struct
     (* block-entry in-states (Join_fixpoint) / visited marks (First) *)
     let in_states : (int, L.state) Hashtbl.t = Hashtbl.create 32 in
     let visited : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-    let join_counts : (int, int) Hashtbl.t = Hashtbl.create 32 in
     let wl = ref [ (entry, init) ] in
     let exhausted = ref false in
     let blocks = ref 0 in
@@ -112,16 +98,16 @@ module Make (L : LATTICE) = struct
     in
     (* One straight-line walk from [b]: apply the transfer per instruction,
        let the policy expand control flow, collect the block successors
-       inside executable bytes in emission order. *)
+       inside executable bytes and outside [stop_walk] in emission
+       order. *)
     let walk_block b st0 =
       let succs = ref [] in
-      let emit ~src st t =
-        if prog.in_text t then
-          succs := (t, policy.edge_state ~src ~dst:t st) :: !succs
+      let emit st t =
+        if prog.in_text t && not (policy.stop_walk t) then
+          succs := (t, policy.edge_state st) :: !succs
       in
       let rec go addr st window fuel =
         if fuel <= 0 then exhausted := true
-        else if policy.stop_outside_text && not (prog.in_text addr) then ()
         else if policy.stop_walk addr then ()
         else
           match prog.insn_at addr with
@@ -133,7 +119,7 @@ module Make (L : LATTICE) = struct
               incr steps;
               Obs.incr c_steps;
               record_state addr st;
-              match L.transfer ~addr ~len insn st with
+              match L.transfer ~addr insn st with
               | Fatal f -> raise (Fatal_stop f)
               | Drop -> ()
               | Step st' -> (
@@ -142,41 +128,34 @@ module Make (L : LATTICE) = struct
                   | Semantics.Fall -> go (addr + len) st' window (fuel - 1)
                   | Semantics.Ret | Semantics.Halt -> ()
                   | Semantics.Jump (Semantics.Direct t) ->
-                      if policy.follow_direct ~site:addr ~target:t then
-                        emit ~src:addr st' t;
-                      if
-                        policy.linear_fallthrough
-                        && not (policy.stop_linear_at (addr + len))
-                      then go (addr + len) st' window (fuel - 1)
+                      emit st' t;
+                      if policy.linear_after_jump (addr + len) then
+                        go (addr + len) st' window (fuel - 1)
                   | Semantics.Cond t ->
-                      if policy.follow_direct ~site:addr ~target:t then
-                        emit ~src:addr st' t;
+                      emit st' t;
                       if policy.inline_cond_fallthrough then
                         go (addr + len) st' window (fuel - 1)
-                      else emit ~src:addr st' (addr + len)
+                      else emit st' (addr + len)
                   | Semantics.Jump (Semantics.Indirect op) -> (
-                      match policy.resolve_indirect ~site:addr ~window op with
-                      | Some ts -> List.iter (emit ~src:addr st') ts
+                      match policy.resolve_indirect ~window op with
+                      | Some ts -> List.iter (emit st') ts
                       | None ->
-                          if
-                            policy.linear_after_indirect
-                            && not (policy.stop_linear_at (addr + len))
-                          then go (addr + len) st' window (fuel - 1))
+                          if policy.linear_after_indirect (addr + len) then
+                            go (addr + len) st' window (fuel - 1))
                   | Semantics.Callf dest ->
                       let target =
                         match dest with
                         | Semantics.Direct t -> Some t
                         | Semantics.Indirect _ -> None
                       in
-                      if policy.call_falls_through ~site:addr ~target st then
+                      if policy.call_falls_through ~target st then
                         go (addr + len) st' window (fuel - 1)))
       in
       go b st0 [] max_block_insns;
       List.rev !succs
     in
     (* Join-mode admission: merge into the block's in-state; keep only
-       successors whose in-state actually changed (with widening after
-       [max_joins] changes so unbounded chains stabilize). *)
+       successors whose in-state actually changed. *)
     let admit succs =
       match merge with
       | First_write_wins -> succs
@@ -192,14 +171,6 @@ module Make (L : LATTICE) = struct
                   if L.equal j old then None
                   else begin
                     incr joins;
-                    let n =
-                      (match Hashtbl.find_opt join_counts t with
-                      | Some n -> n
-                      | None -> 0)
-                      + 1
-                    in
-                    Hashtbl.replace join_counts t n;
-                    let j = if n > max_joins then L.widen ~old j else j in
                     Hashtbl.replace in_states t j;
                     Some (t, j)
                   end)

@@ -9,6 +9,12 @@
     followed.  This module is that traversal, written once: analyses are
     {!LATTICE} instances and the tool-specific knobs (linear fallthrough,
     jump-table power, call fall-through) are {!Make.policy} parameters.
+    The policy holds only what its three callers set: [Callconv]
+    (undecodable bytes, call fall-through, the first-argument reset at
+    block edges, depth-first order), [Stack_height] (jump tables, the
+    two linear continuations, inline conditional fallthrough, staying in
+    text) and the linter's [height-mismatch] rule (call fall-through,
+    jump tables, staying inside the function).
 
     Two merge disciplines are supported, because the repo needs both:
 
@@ -17,13 +23,14 @@
       walkers (and the real tools they model) actually do; the
       arrival-order sensitivity is part of the model.
     - {!Join_fixpoint} — classical dataflow: in-states are joined at block
-      entries, changed blocks are re-enqueued, and {!LATTICE.widen} is
-      applied after 8 updates of the same block so solving
-      terminates on lattices of unbounded height.
+      entries and changed blocks are re-enqueued.
 
-    Fuel accounting ([max_block_insns], [max_blocks]) bounds every solve;
-    exhaustion is reported, never raised.  Solves register obs counters
-    ([check.dataflow.*]) so instrumented runs can attribute work. *)
+    Fuel ([max_block_insns] per walk, [max_blocks] per solve) is the
+    termination bound: every solve stops when it runs out, so a join
+    lattice needs no widening (the one in use, the linter's flat height
+    lattice, has two levels anyway).  Exhaustion is reported, never
+    raised.  Solves register obs counters ([check.dataflow.*]) so
+    instrumented runs can attribute work. *)
 
 open Fetch_x86
 
@@ -48,11 +55,7 @@ module type LATTICE = sig
 
   val equal : state -> state -> bool
   val join : state -> state -> state
-
-  val widen : old:state -> state -> state
-  (** applied to a block's joined in-state after 8 changes *)
-
-  val transfer : addr:int -> len:int -> Insn.t -> state -> (state, fatal) step
+  val transfer : addr:int -> Insn.t -> state -> (state, fatal) step
 end
 
 type merge = First_write_wins | Join_fixpoint
@@ -66,42 +69,34 @@ module Make (L : LATTICE) : sig
     undecodable : int -> L.fatal option;
         (** verdict for reaching an undecodable byte; [None] ends the
             path silently *)
-    call_falls_through : site:int -> target:int option -> L.state -> bool;
+    call_falls_through : target:int option -> L.state -> bool;
         (** does execution continue after this call?  Receives the
             pre-transfer state (so e.g. argument tracking for
             conditionally non-returning callees sees the call-site
             values); [target] is [None] for indirect calls *)
     resolve_indirect :
-      site:int ->
-      window:(int * int * Insn.t) list ->
-      Insn.operand ->
-      int list option;
+      window:(int * int * Insn.t) list -> Insn.operand -> int list option;
         (** jump-table resolution; [window] is the reversed
             (addr, len, insn) stream walked so far, current jump at the
             head.  [None] = unresolved *)
-    follow_direct : site:int -> target:int -> bool;
-        (** follow this direct/conditional jump edge?  [false] treats it
-            as leaving the analysed region *)
-    edge_state : src:int -> dst:int -> L.state -> L.state;
+    edge_state : L.state -> L.state;
         (** adjust a state crossing a block boundary (the straight-line
             walk never applies this).  Lets analyses model components
             that reset per block — e.g. §IV-E's first-argument tracking,
             which only trusts values established in the current block *)
-    stop_outside_text : bool;
-        (** end walks that run outside executable bytes (instead of
-            consulting [undecodable]) *)
     stop_walk : int -> bool;
-        (** end the straight-line walk before this address — confines an
-            analysis to a region even across fallthrough edges (e.g. a
-            trailing call falling out of a function's last block into its
-            neighbour) *)
-    linear_fallthrough : bool;
-        (** after an unconditional jump, also continue decoding at the
-            next address — the linear-decode defect of §V-B *)
-    linear_after_indirect : bool;
-        (** continue decoding straight past an unresolved indirect jump *)
-    stop_linear_at : int -> bool;
-        (** stop a linear continuation here (e.g. an FDE boundary) *)
+        (** never walk this address: the straight-line walk ends before
+            it and no edge leads to it.  Confines an analysis to a region
+            across jumps, jump tables and fallthrough alike (e.g. a
+            trailing call falling out of a function's last block into
+            its neighbour) *)
+    linear_after_jump : int -> bool;
+        (** after an unconditional direct jump, also continue decoding
+            at the next address (given) — the linear-decode defect of
+            §V-B *)
+    linear_after_indirect : int -> bool;
+        (** continue decoding at the next address (given) past an
+            unresolved indirect jump *)
     inline_cond_fallthrough : bool;
         (** walk straight through conditional jumps (enqueueing only the
             taken target) instead of ending the block with two successors *)
@@ -134,6 +129,7 @@ module Make (L : LATTICE) : sig
     solution
   (** [solve prog policy ~merge ~entry ~init ()] runs the analysis to
       quiescence (or fuel exhaustion).  A successor block outside
-      executable bytes is dropped.  Defaults: [max_block_insns] and
-      [max_blocks] 4096, [record] true. *)
+      executable bytes or at a [stop_walk] address is dropped.
+      Defaults: [max_block_insns] and [max_blocks] 4096, [record]
+      true. *)
 end

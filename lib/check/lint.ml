@@ -20,13 +20,10 @@ type view = {
   oracle_height : int -> int option;
   entry_height : int -> int option;
   callconv_ok : int -> bool;
-  call_returns : site:int -> target:int option -> bool;
+  call_returns : int option -> bool;
   referenced_outside_jumps_of : entry:int -> int -> bool;
   resolve_indirect :
-    site:int ->
-    window:(int * int * Insn.t) list ->
-    Insn.operand ->
-    int list option;
+    window:(int * int * Insn.t) list -> Insn.operand -> int list option;
 }
 
 let in_blocks f addr =
@@ -323,7 +320,7 @@ let rule_start_callconv v emit =
 
 (* ---- height-mismatch: a sound join-based stack-height dataflow vs the
    CFI oracle, inside rsp-complete CFI coverage only.  [Known]/[Top] is a
-   flat lattice: disagreeing joins widen to Top (no claim) rather than
+   flat lattice: disagreeing joins go to Top (no claim) rather than
    pick a side, so any surviving Known height the oracle contradicts is a
    genuine cross-layer disagreement. *)
 module Height = struct
@@ -335,9 +332,7 @@ module Height = struct
   let join a b =
     match (a, b) with Known x, Known y when x = y -> a | _ -> Top
 
-  let widen ~old:_ _ = Top
-
-  let transfer ~addr:_ ~len:_ insn st =
+  let transfer ~addr:_ insn st =
     match Semantics.flow insn with
     | Semantics.Fall | Semantics.Callf _ -> (
         match (st, Semantics.sp_delta insn) with
@@ -355,24 +350,14 @@ let rule_height_mismatch v emit =
       if v.complete_at f.entry then begin
       let prog = { Dataflow.insn_at = v.insn_at; in_text = v.in_text } in
       (* walk only the function's own blocks: the oracle's heights are
-         per-FDE, so following a tail call would compare the caller's
-         height against the callee's table *)
+         per-FDE, so following a tail call — or a trailing call that
+         never returns falling into the next function — would compare
+         this function's height against its neighbour's CFI table *)
       let policy =
         {
           Height_solver.default_policy with
-          follow_direct = (fun ~site:_ ~target -> in_blocks f target);
-          resolve_indirect =
-            (fun ~site ~window op ->
-              match v.resolve_indirect ~site ~window op with
-              | Some ts -> Some (List.filter (in_blocks f) ts)
-              | None -> None);
-          call_falls_through =
-            (fun ~site ~target _ -> v.call_returns ~site ~target);
-          stop_outside_text = true;
-          (* fallthrough must not leak out either: a trailing call that
-             never returns would otherwise walk into the next function
-             and compare this function's height against its neighbour's
-             CFI table *)
+          resolve_indirect = v.resolve_indirect;
+          call_falls_through = (fun ~target _ -> v.call_returns target);
           stop_walk = (fun addr -> not (in_blocks f addr));
         }
       in

@@ -67,16 +67,14 @@ type view = {
       (** CFI stack height without the completeness test — a fragment's
           FDE starts mid-frame, so only the raw table answers there *)
   callconv_ok : int -> bool;  (** §IV-E verdict for a candidate start *)
-  call_returns : site:int -> target:int option -> bool;
-      (** does execution continue after this call site? *)
+  call_returns : int option -> bool;
+      (** does execution continue after a call to this target ([None]:
+          an indirect call)? *)
   referenced_outside_jumps_of : entry:int -> int -> bool;
       (** is the address referenced by anything but jumps of [entry]?
           (criterion 3 of Algorithm 1) *)
   resolve_indirect :
-    site:int ->
-    window:(int * int * Insn.t) list ->
-    Insn.operand ->
-    int list option;
+    window:(int * int * Insn.t) list -> Insn.operand -> int list option;
       (** jump-table resolution for the height dataflow *)
 }
 

@@ -6,8 +6,6 @@ open Fetch_analysis
 let view_of (r : Pipeline.result) =
   let loaded = r.Pipeline.loaded in
   let res = r.Pipeline.rec_result in
-  let noreturn t = Hashtbl.mem res.Recursive.noreturn t in
-  let cond_noreturn t = Hashtbl.mem res.Recursive.cond_noreturn t in
   (* the linter looks only at the functions the pipeline kept *)
   let funcs =
     List.filter_map
@@ -37,19 +35,20 @@ let view_of (r : Pipeline.result) =
     oracle_height = Fetch_dwarf.Height_oracle.height_at loaded.Loaded.oracle;
     entry_height =
       Fetch_dwarf.Height_oracle.height_at_unchecked loaded.Loaded.oracle;
-    callconv_ok =
-      (fun s ->
-        Result.is_ok (Callconv.validate ~noreturn ~cond_noreturn loaded s));
+    callconv_ok = (fun s -> Result.is_ok (Callconv.validate loaded res s));
     call_returns =
-      (fun ~site:_ ~target ->
-        (* conditionally-noreturn callees may return: falling through is
-           the sound assumption for the height comparison *)
-        match target with Some t -> not (noreturn t) | None -> true);
+      (function
+      | Some t ->
+          (* conditionally-noreturn callees may return: falling through
+             is the sound assumption for the height comparison *)
+          Recursive.call_returns ~noreturn:res.noreturn
+            ~cond_noreturn:res.cond_noreturn Fun.id Recursive.Zero t
+      | None -> true);
     referenced_outside_jumps_of =
       (fun ~entry t ->
         Refs.referenced_outside_jumps_of r.Pipeline.refs ~entry t);
     resolve_indirect =
-      (fun ~site:_ ~window op ->
+      (fun ~window op ->
         match Jump_table.resolve loaded.Loaded.image ~preceding:window op with
         | Some { Jump_table.targets; _ } -> Some targets
         | None -> None);

@@ -27,19 +27,17 @@ type config = {
 let default_config =
   { xref = true; fix_fde_errors = true; alg1_heights = Tailcall.Cfi_oracle }
 
-(* The seed set both detection passes start from: FDE starts plus symbol
-   starts, minus [excluding], deduped and sorted.  [excluding] membership
-   goes through a hash set — the callconv check can reject many starts
-   and [List.mem] made this quadratic. *)
+(* The seed set both detection passes start from: [loaded]'s FDE ∪
+   symbol seeds minus [excluding].  [excluding] membership goes through a
+   hash set — the callconv check can reject many starts and [List.mem]
+   made this quadratic. *)
 let seed_set ?(excluding = []) loaded =
   let excluded =
     let tbl = Hashtbl.create (List.length excluding) in
     List.iter (fun s -> Hashtbl.replace tbl s ()) excluding;
     tbl
   in
-  loaded.Loaded.fde_starts @ loaded.Loaded.symbol_starts
-  |> List.filter (fun s -> not (Hashtbl.mem excluded s))
-  |> List.sort_uniq compare
+  List.filter (fun s -> not (Hashtbl.mem excluded s)) loaded.Loaded.seeds
 
 (* Stages 2-3: safe recursive disassembly, with pointer detection
    iterating on top when it is on; returns the result, its seeds and
@@ -75,13 +73,11 @@ type result = {
 let drop_invalid_fdes config loaded ((res, _, refs) as detection) =
   let violations =
     Obs.span "fde_callconv_check" @@ fun () ->
-    let noreturn t = Hashtbl.mem res.Recursive.noreturn t in
-    let cond_noreturn t = Hashtbl.mem res.Recursive.cond_noreturn t in
     List.filter_map
       (fun s ->
         if Refs.refs_to refs s <> [] then None
         else
-          match Callconv.validate ~noreturn ~cond_noreturn loaded s with
+          match Callconv.validate loaded res s with
           | Ok () -> None
           | Error v -> Some (s, v))
       loaded.Loaded.fde_starts

@@ -119,12 +119,7 @@ let run ~heights ~refs loaded (res : Recursive.result) =
                           false
                         end
                         else
-                          match
-                            Callconv.validate
-                              ~noreturn:(Hashtbl.mem res.noreturn)
-                              ~cond_noreturn:(Hashtbl.mem res.cond_noreturn)
-                              loaded t
-                          with
+                          match Callconv.validate loaded res t with
                           | Error v ->
                               Obs.incr c_rej_callconv;
                               reject "callconv" (Callconv.ledger_fields v);

@@ -221,9 +221,7 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
             end
       in
       bfs max_spec_blocks [ cand ];
-      let noreturn t = Hashtbl.mem res.noreturn t in
-      let cond_noreturn t = Hashtbl.mem res.cond_noreturn t in
-      match Callconv.validate ~noreturn ~cond_noreturn loaded cand with
+      match Callconv.validate loaded res cand with
       | Ok () -> Accept
       | Error v ->
           Rejected

@@ -144,6 +144,47 @@ let test_rec_intra_jump_extends () =
   check Alcotest.bool "inside is a block" true
     (List.exists (fun (lo, _) -> lo = label asm "inside") a.blocks)
 
+(* §IV-C's backward slice proves the first argument of an [error]-style
+   call only from the calling block's own writes: a call in between
+   clobbers rdi, so the [mov edi, 0] before [call g] proves nothing and
+   [f] ends at the [error_like] call.  [Callconv] follows the same rule,
+   so it never reaches the uninitialized [rbx] read after that call. *)
+let test_rec_first_arg_dies_at_call () =
+  let img, asm =
+    image_of
+      [
+        Asm.Label "f";
+        Asm.I (I.Mov (I.W32, I.Reg Reg.Rdi, I.Imm 0));
+        Asm.I (I.Call (I.To_label "g"));
+        Asm.I (I.Call (I.To_label "error_like"));
+        Asm.Label "after";
+        Asm.I (I.Mov (I.W64, I.Reg Reg.Rax, I.Reg Reg.Rbx));
+        Asm.I I.Ret;
+        Asm.Align 16;
+        Asm.Label "g";
+        Asm.I I.Ret;
+        Asm.Align 16;
+        Asm.Label "error_like";
+        Asm.I (I.Test (I.W64, Reg.Rdi, Reg.Rdi));
+        Asm.I (I.Jcc (I.E, I.To_label "ok"));
+        Asm.I I.Ud2;
+        Asm.Label "ok";
+        Asm.I I.Ret;
+      ]
+  in
+  let loaded = Loaded.load img in
+  let f = label asm "f" in
+  let res = Recursive.run loaded ~seeds:[ f ] in
+  check Alcotest.bool "error_like is error-style" true
+    (Hashtbl.mem res.cond_noreturn (label asm "error_like"));
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "f ends at the error_like call"
+    [ (f, label asm "after") ]
+    (Hashtbl.find res.funcs f).blocks;
+  check Alcotest.bool "callconv stops there too" true
+    (Result.is_ok (Callconv.validate loaded res f))
+
 (* --- incremental extension --- *)
 
 (* Everything [Xref.detect] compares between rounds: starts, spans and
@@ -844,7 +885,9 @@ let test_jump_table_opaque_register () =
 let validate_items items =
   let img, asm = image_of items in
   let loaded = Loaded.load img in
-  (Callconv.validate loaded (label asm "f"), asm)
+  (* no noreturn facts: every call falls through *)
+  let res = Recursive.run loaded ~seeds:[] in
+  (Callconv.validate loaded res (label asm "f"), asm)
 
 let test_callconv_accepts_args () =
   let v, _ =
@@ -955,7 +998,9 @@ let test_callconv_loop_call_clobbers_r11 () =
   let img, asm = image_of items in
   let loaded = Loaded.load img in
   let expect entry =
-    match Callconv.validate loaded (label asm entry) with
+    match
+      Callconv.validate loaded (Recursive.run loaded ~seeds:[]) (label asm entry)
+    with
     | Error { at; reg = Some r } ->
         check Alcotest.int (entry ^ ": violation at the loop head")
           (label asm "loop") at;
@@ -1069,6 +1114,8 @@ let suite =
     Alcotest.test_case "rec: stops after noreturn call" `Quick test_rec_stops_at_noreturn_call;
     Alcotest.test_case "rec: no tail-call guessing" `Quick test_rec_no_tail_guessing;
     Alcotest.test_case "rec: intra jump extends function" `Quick test_rec_intra_jump_extends;
+    Alcotest.test_case "recursive: the first argument dies at a call" `Quick
+      test_rec_first_arg_dies_at_call;
     Alcotest.test_case "extend: equals from-scratch run" `Quick test_extend_equals_run;
     Alcotest.test_case "extend: known seeds are a no-op" `Quick test_extend_known_seed_noop;
     Alcotest.test_case "extend: consults prior noreturn facts" `Quick test_extend_uses_noreturn_facts;

@@ -67,13 +67,9 @@ let test_ghidra_thunk_heuristic_fp () =
     (fun seed ->
       if not !found then begin
         let b, loaded = build ~seed () in
-        let seeds =
-          loaded.Fetch_analysis.Loaded.fde_starts
-          @ loaded.Fetch_analysis.Loaded.symbol_starts
-          |> List.sort_uniq compare
-        in
         let no_thunk =
-          Fetch_analysis.Recursive.(starts (run loaded ~seeds))
+          Fetch_analysis.Recursive.(
+            starts (run loaded ~seeds:loaded.Fetch_analysis.Loaded.seeds))
         in
         let with_thunk =
           Ghidra_model.detect

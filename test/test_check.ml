@@ -52,9 +52,8 @@ module Count = struct
 
   let equal = Int.equal
   let join = min
-  let widen ~old:_ _ = -1
 
-  let transfer ~addr ~len:_ insn st =
+  let transfer ~addr insn st =
     match insn with
     | I.Nop _ -> Dataflow.Step (st + 1)
     | I.Ud2 -> Dataflow.Fatal addr
@@ -161,7 +160,7 @@ let test_engine_edge_state_resets () =
     (Hashtbl.find_opt plain.CS.states (label asm "b"));
   let reset =
     solve
-      { CS.default_policy with edge_state = (fun ~src:_ ~dst:_ _ -> 0) }
+      { CS.default_policy with edge_state = (fun _ -> 0) }
   in
   check (Alcotest.option Alcotest.int) "edge hook reset the state" (Some 0)
     (Hashtbl.find_opt reset.CS.states (label asm "b"))
@@ -185,7 +184,8 @@ let test_engine_undecodable_policy () =
 
 let validate_items items =
   let loaded, asm = loaded_of items in
-  (Callconv.validate loaded (label asm "f"), asm)
+  (* no noreturn facts: every call falls through *)
+  (Callconv.validate loaded (Recursive.run loaded ~seeds:[]) (label asm "f"), asm)
 
 let test_callconv_call_clobbers_caller_saved () =
   (* r10 is live and initialized before the call, but caller-saved:
@@ -238,9 +238,9 @@ let lint_view ?(funcs = []) ?(fdes = []) ?(complete = [])
     oracle_height;
     entry_height;
     callconv_ok;
-    call_returns = (fun ~site:_ ~target:_ -> true);
+    call_returns = (fun _ -> true);
     referenced_outside_jumps_of;
-    resolve_indirect = (fun ~site:_ ~window:_ _ -> None);
+    resolve_indirect = (fun ~window:_ _ -> None);
   }
 
 let findings_of rule fs = List.filter (fun f -> f.Finding.rule = rule) fs
@@ -386,9 +386,9 @@ let fabricated_view funcs =
     oracle_height = (fun _ -> None);
     entry_height = (fun _ -> None);
     callconv_ok = (fun _ -> true);
-    call_returns = (fun ~site:_ ~target:_ -> true);
+    call_returns = (fun _ -> true);
     referenced_outside_jumps_of = (fun ~entry:_ _ -> false);
-    resolve_indirect = (fun ~site:_ ~window:_ _ -> None);
+    resolve_indirect = (fun ~window:_ _ -> None);
   }
 
 let model_boundaries (v : Lint.view) ~from ~lo ~hi =
@@ -710,6 +710,42 @@ let test_lint_truthful_oracle_quiet () =
   in
   check Alcotest.int "no findings" 0 (List.length (Lint.run view))
 
+(* The height dataflow stays inside [f]'s blocks: [f] leaves them by a
+   conditional jump to its neighbour [g] and by a trailing call that
+   falls into [g].  Walked from [f], [g] would carry [f]'s height 8
+   against [g]'s own CFI height 0. *)
+let test_lint_height_mismatch_confined () =
+  let loaded, asm =
+    loaded_of
+      [
+        Asm.Label "f";
+        Asm.I (I.Push Reg.Rbx);
+        Asm.I (I.Test (I.W64, Reg.Rdi, Reg.Rdi));
+        Asm.I (I.Jcc (I.E, I.To_label "g"));
+        Asm.I (I.Call (I.To_label "g"));
+        Asm.Label "g";
+        Asm.I (I.Nop 1);
+        Asm.I I.Ret;
+        Asm.Label "end";
+      ]
+  in
+  let fa = label asm "f" and g = label asm "g" and hi = label asm "end" in
+  let res = Recursive.run loaded ~seeds:[ fa; g ] in
+  let funcs =
+    [
+      { Lint.entry = fa; blocks = [ (fa, g) ]; jumps = [] };
+      { Lint.entry = g; blocks = [ (g, hi) ]; jumps = [] };
+    ]
+  in
+  let oracle a =
+    if a = fa then Some 0 else if a > fa && a < g then Some 8 else Some 0
+  in
+  let view =
+    lint_view ~funcs ~complete:[ (fa, hi) ] ~oracle_height:oracle loaded res
+  in
+  check Alcotest.int "no height-mismatch" 0
+    (List.length (findings_of "height-mismatch" (Lint.run view)))
+
 (* [f] jumps past its own end to [frag], which has an FDE of its own.
    Each optional argument breaks one premise of split-fn-fde. *)
 let split_findings ?(site_height = 8) ?(frag_height = 8) ?(outside = false)
@@ -984,6 +1020,8 @@ let suite =
     Alcotest.test_case "lint: start-callconv" `Quick test_lint_start_callconv;
     Alcotest.test_case "lint: height-mismatch" `Quick test_lint_height_mismatch;
     Alcotest.test_case "lint: truthful oracle stays quiet" `Quick test_lint_truthful_oracle_quiet;
+    Alcotest.test_case "lint: height-mismatch stays inside the function" `Quick
+      test_lint_height_mismatch_confined;
     Alcotest.test_case "lint: split-fn-fde" `Quick test_lint_split_fn_fde;
     Alcotest.test_case "lint: clean corpora, zero errors" `Quick test_lint_clean_corpora;
     Alcotest.test_case "split-fn-fde: flags true split parts" `Quick

@@ -908,12 +908,12 @@ let alg1_callconv_image () =
 let test_callconv_ledger_evidence () =
   let expect what ?(res : An.Recursive.result option) loaded
       (e : Prov.event) =
-    let noreturn, cond_noreturn =
+    let res =
       match res with
-      | Some res -> (Hashtbl.mem res.noreturn, Hashtbl.mem res.cond_noreturn)
-      | None -> ((fun _ -> false), fun _ -> false)
+      | Some res -> res
+      | None -> An.Recursive.run loaded ~seeds:[]
     in
-    match An.Callconv.validate ~noreturn ~cond_noreturn loaded e.Prov.addr with
+    match An.Callconv.validate loaded res e.Prov.addr with
     | Ok () -> Alcotest.failf "%s %#x: the address passes" what e.Prov.addr
     | Error v ->
         List.iter

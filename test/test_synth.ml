@@ -485,10 +485,7 @@ let test_compiled_functions_keep_abi () =
             (fun (f : Truth.fn_truth) ->
               if f.has_fde && not f.is_assembly then
                 match
-                  Fetch_analysis.Callconv.validate
-                    ~noreturn:(Hashtbl.mem res.noreturn)
-                    ~cond_noreturn:(Hashtbl.mem res.cond_noreturn)
-                    loaded f.start
+                  Fetch_analysis.Callconv.validate loaded res f.start
                 with
                 | Ok () -> ()
                 | Error v ->
