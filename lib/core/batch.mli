@@ -57,7 +57,7 @@ val text : t -> string
     (starts, parse health, diagnostics, findings — or the captured
     error), merged counter lines, then stage-timing lines, populated
     histogram lines (per-binary wall time [batch.binary_wall_ms],
-    [xref.rounds], [xref.round_cost_ms] … with p50/p90/p99) and a
+    [xref.rounds], [xref.round_cost_us] … with p50/p90/p99) and a
     summary.  With [timings:false] the stage and histogram lines are
     dropped and the summary carries no wall clock or domain count,
     making the output a deterministic function of the input binaries —

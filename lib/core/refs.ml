@@ -33,6 +33,11 @@ let add t target kind =
 let refs_to t target =
   Option.value ~default:[] (Hashtbl.find_opt t.by_target target)
 
+(* the kinds that make their target a §IV-E pointer candidate *)
+let is_pointer = function
+  | Data_pointer _ | Code_constant _ -> true
+  | Call_target _ | Jump_target _ -> false
+
 (* Data sections eligible for the 8-byte window scan: allocated,
    non-executable, and not unwinding metadata. *)
 let is_data_section (s : Fetch_elf.Image.section) =
@@ -118,18 +123,24 @@ let insn_constants ~addr ~len insn =
       ());
   !consts
 
-(* Scan one committed span [\[lo, hi)] for code-constant refs.  A [None]
-   from the memoized decoder mid-span means the decode cache disagrees
-   with the instruction table: the event is counted and the scan resyncs
-   one byte forward, so the rest of the span still yields its refs. *)
-let scan_span loaded t ~lo ~hi =
+(* Scan one committed span [\[lo, hi)] for code-constant refs, calling
+   [fresh v] for each target [v] a constant makes a pointer candidate
+   for the first time.  A [None] from the memoized decoder mid-span
+   means the decode cache disagrees with the instruction table: the
+   event is counted and the scan resyncs one byte forward, so the rest
+   of the span still yields its refs. *)
+let scan_span loaded t ~fresh ~lo ~hi =
   let rec go addr =
     if addr < hi then
       match Loaded.insn_at loaded addr with
       | Some (insn, len) ->
           List.iter
             (fun v ->
-              if Loaded.in_text loaded v then add t v (Code_constant addr))
+              if Loaded.in_text loaded v then begin
+                let prev = refs_to t v in
+                if not (List.exists is_pointer prev) then fresh v;
+                Hashtbl.replace t.by_target v (Code_constant addr :: prev)
+              end)
             (insn_constants ~addr ~len insn);
           go (addr + len)
       | None ->
@@ -160,33 +171,31 @@ let collect loaded (res : Recursive.result) =
       if is_data_section s then scan_section_windows loaded t s)
     loaded.Loaded.image.sections;
   Fetch_util.Insn_index.iter res.insn_spans (fun ~lo ~hi ->
-      scan_span loaded t ~lo ~hi);
+      scan_span loaded t ~fresh:ignore ~lo ~hi);
   Hashtbl.iter (fun entry f -> scan_func t entry f) res.funcs;
   t
 
 (** Fold what one engine call added: its instructions, then its
     functions.  The instructions go in address order, as a scan of the
     whole table meets them, so the newest code ref to a target (the
-    origin [xref.accept] records) does not depend on decode order. *)
+    origin [xref.accept] records) does not depend on decode order.
+    Returns the targets the delta made pointer candidates: only code
+    constants can, since the data windows never change. *)
 let add_delta loaded t (d : Recursive.delta) =
+  let fresh = ref [] in
   List.iter
-    (fun (lo, hi) -> scan_span loaded t ~lo ~hi)
+    (fun (lo, hi) ->
+      scan_span loaded t ~fresh:(fun v -> fresh := v :: !fresh) ~lo ~hi)
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) d.new_spans);
-  List.iter (fun (f : Recursive.func) -> scan_func t f.entry f) d.new_funcs
+  List.iter (fun (f : Recursive.func) -> scan_func t f.entry f) d.new_funcs;
+  !fresh
 
 (** Candidate pointers for §IV-E: data pointers and code constants (not
     call/jump targets — those are already handled by recursion). *)
 let pointer_candidates t =
   Hashtbl.fold
     (fun target kinds acc ->
-      if
-        List.exists
-          (function
-            | Data_pointer _ | Code_constant _ -> true
-            | Call_target _ | Jump_target _ -> false)
-          kinds
-      then target :: acc
-      else acc)
+      if List.exists is_pointer kinds then target :: acc else acc)
     t.by_target []
   |> List.sort_uniq compare
 

@@ -34,9 +34,15 @@ val collect : Fetch_analysis.Loaded.t -> Fetch_analysis.Recursive.result -> t
     {!Fetch_analysis.Recursive.extend} call added.  Starting from
     [collect loaded res] and folding every delta that grows [res] gives
     the refs [collect] finds on the grown result, each [refs_to] list
-    possibly in another order. *)
+    possibly in another order.
+
+    Returns the targets the delta made {!pointer_candidates} that were
+    not candidates before, each once, in no particular order: the
+    candidates of [t] after the call are those before it plus these.
+    They are code-constant targets, since the data windows never
+    change. *)
 val add_delta :
-  Fetch_analysis.Loaded.t -> t -> Fetch_analysis.Recursive.delta -> unit
+  Fetch_analysis.Loaded.t -> t -> Fetch_analysis.Recursive.delta -> int list
 
 (** Candidate pointers for §IV-E validation: data pointers and code
     constants only (call/jump targets are already handled by the

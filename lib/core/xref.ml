@@ -16,13 +16,14 @@
     The iteration is incremental: each accepted pointer grows the
     committed disassembly in place via {!Fetch_analysis.Recursive.extend}
     instead of re-running every seed, the ref table and the extent set
-    fold exactly the delta it returns, and rejection verdicts that cannot
-    change while the committed state only grows are cached.  The grown
-    ref table is returned with the result: it is the detection's census,
-    which every later stage reads.  The test
-    suite keeps a from-scratch reference model built on {!validate} (no
-    cache, every candidate re-validated every round) and holds [detect]
-    equal to it. *)
+    fold exactly the delta it returns, and the candidates still to judge
+    are one ordered set that gains only the delta's new candidates and
+    loses, for good, every candidate whose verdict cannot change while
+    the committed state only grows.  The grown ref table is returned
+    with the result: it is the detection's census, which every later
+    stage reads.  The test suite keeps a from-scratch reference model
+    built on {!validate} (no pending set, every candidate re-validated
+    every round) and holds [detect] equal to it. *)
 
 open Fetch_x86
 open Fetch_analysis
@@ -32,13 +33,12 @@ module Prov = Fetch_obs.Provenance
 let max_spec_insns = 200
 let max_spec_blocks = 24
 
-(* Stage instrumentation: every *fresh* candidate validation ends in
-   exactly one of accepted / the four §IV-E rejection classes, so
-   [candidates_scanned = accepted + Σ rejects] holds for a run.
-   Candidates skipped without validation are counted separately:
-   already-detected entries under [known_entries_skipped] (they are not
-   §IV-E validations at all) and cached permanent rejections under
-   [reject_cache_hits]. *)
+(* Stage instrumentation: every candidate validation ends in exactly one
+   of accepted / the four §IV-E rejection classes, so
+   [candidates_scanned = accepted + Σ rejects] holds for a run.  A
+   detected entry the scan meets is not a §IV-E validation subject: it
+   counts under [known_entries_skipped], once per candidate, since it
+   leaves the pending set when met. *)
 let c_candidates = Obs.counter "xref.candidates_scanned"
 let c_accepted = Obs.counter "xref.accepted"
 let c_rounds = Obs.counter "xref.rounds"
@@ -47,13 +47,15 @@ let c_rej_mid = Obs.counter "xref.reject.mid_instruction"
 let c_rej_into = Obs.counter "xref.reject.into_function"
 let c_rej_callconv = Obs.counter "xref.reject.callconv"
 let c_known = Obs.counter "xref.known_entries_skipped"
-let c_cache_hits = Obs.counter "xref.reject_cache_hits"
 let c_budget = Obs.counter "xref.budget_exhausted"
 
 (* Per-binary distributions: how many rounds a binary needs and what each
-   round costs. *)
+   round costs, in microseconds: most rounds cost well under one
+   millisecond. *)
 let h_rounds = Obs.histogram "xref.rounds"
-let h_round_cost_ms = Obs.histogram "xref.round_cost_ms"
+let h_round_cost_us = Obs.histogram "xref.round_cost_us"
+
+module Iset = Set.Make (Int)
 
 (* Instruction-boundary test against the committed disassembly.  The
    instruction table is a memoized boundary index: an address is
@@ -237,12 +239,13 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
 (** Iterated detection (§IV-E): accept one legitimate pointer at a time and
     immediately refresh the disassembly and the pointer collection with it,
     so later candidates are judged against the updated function extents.
-    Returns the result, its seeds and the ref table grown with it.
+    Returns the result, its seeds (ascending, deduplicated) and the ref
+    table grown with it.
 
     Each round runs under an ["xref.round"] span carrying the round
     index and (when one is found) the accepted pointer, inside a ledger
     scope adding [round] to every §IV-E event, and is observed into the
-    [xref.round_cost_ms] histogram; the per-binary round count goes to
+    [xref.round_cost_us] histogram; the per-binary round count goes to
     the [xref.rounds] histogram. *)
 let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
   (* the initial seed disassembly is stage-2 work and reports under its
@@ -256,21 +259,22 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
      from the seed disassembly, fold each round's delta in place *)
   let refs = Refs.collect loaded res in
   let extents = extents loaded res in
-  (* permanent rejections survive rounds: the committed state only grows,
-     so these candidates can never flip to acceptable (they can still
-     become detected *entries* via recursion — which is why the
-     known-function check precedes the cache lookup) *)
-  let reject_cache : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* the candidates not yet settled, ascending: filled once from the
+     census, then only with the targets each delta makes candidates.  A
+     candidate settles, leaving the set for good, when the scan meets it
+     as a detected entry, accepts it, or rejects it permanently: the
+     committed state only grows, so none of these verdicts can change.
+     Other rejections stay pending and are judged again next round. *)
+  let pending = ref (Iset.of_list (Refs.pointer_candidates refs)) in
+  let settle cand = pending := Iset.remove cand !pending in
   let accept_one () =
-    let rec go = function
-      | [] -> None
-      | cand :: rest ->
+    let rec go cands =
+      match cands () with
+      | Seq.Nil -> None
+      | Seq.Cons (cand, rest) ->
           if Hashtbl.mem res.Recursive.funcs cand then begin
             Obs.incr c_known;
-            go rest
-          end
-          else if Hashtbl.mem reject_cache cand then begin
-            Obs.incr c_cache_hits;
+            settle cand;
             go rest
           end
           else begin
@@ -296,6 +300,7 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
                   in
                   Prov.emit ~ev:"xref.accept" ~addr:cand origin
                 end;
+                settle cand;
                 Some cand
             | Rejected { reason; fields; permanent } ->
                 Obs.incr
@@ -307,35 +312,33 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
                 if Prov.enabled () then
                   Prov.emit ~ev:"xref.reject" ~addr:cand
                     (("reason", Prov.S (reject_name reason)) :: fields);
-                if permanent then Hashtbl.replace reject_cache cand ();
+                if permanent then settle cand;
                 go rest
           end
     in
-    go (Refs.pointer_candidates refs)
+    go (Iset.to_seq !pending)
   in
   let rounds = ref 0 in
+  (* [seeds] gains each accepted pointer in front; it is sorted once, on
+     the way out *)
   let rec loop budget seeds =
     if budget <= 0 then begin
       (* the budget ran out right after an acceptance, so candidates we
          never re-examined may still be acceptable: detection is being
          truncated, not finished.  Say so instead of stopping silently. *)
-      let pending =
-        List.filter
-          (fun c ->
-            (not (Hashtbl.mem res.Recursive.funcs c))
-            && not (Hashtbl.mem reject_cache c))
-          (Refs.pointer_candidates refs)
+      let left =
+        Iset.filter (fun c -> not (Hashtbl.mem res.Recursive.funcs c)) !pending
       in
-      if pending <> [] then begin
+      if not (Iset.is_empty left) then begin
         Obs.incr c_budget;
         if Prov.enabled () then
-          Prov.emit ~ev:"xref.budget_exhausted" ~addr:(List.hd pending)
+          Prov.emit ~ev:"xref.budget_exhausted" ~addr:(Iset.min_elt left)
             [
-              ("pending", Prov.I (List.length pending));
+              ("pending", Prov.I (Iset.cardinal left));
               ("rounds", Prov.I !rounds);
             ]
       end;
-      (res, seeds, refs)
+      seeds
     end
     else begin
       Obs.incr c_rounds;
@@ -343,35 +346,37 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
       let k = !rounds in
       let outcome =
         Prov.with_scope [ ("round", Prov.I k) ] @@ fun () ->
-        Obs.span ~args:[ ("round", string_of_int k) ] "xref.round" @@ fun () ->
-        let t0 = if Obs.enabled () then Fetch_obs.Clock.now_ns () else 0L in
-        let r =
-          match accept_one () with
-          | None -> None
-          | Some cand ->
-              Obs.incr c_accepted;
-              Obs.set_arg "accepted" (Printf.sprintf "%#x" cand);
-              let delta = Recursive.extend loaded res ~seeds:[ cand ] in
-              Refs.add_delta loaded refs delta;
-              List.iter (add_extents extents) delta.new_funcs;
-              (match on_commit with
-              | Some f -> f ~cand res delta
-              | None -> ());
-              Some (List.sort_uniq compare (cand :: seeds))
-        in
-        if Obs.enabled () then
-          Obs.observe h_round_cost_ms
+        let traced = Obs.enabled () in
+        let args = if traced then [ ("round", string_of_int k) ] else [] in
+        Obs.span ~args "xref.round" @@ fun () ->
+        let t0 = if traced then Fetch_obs.Clock.now_ns () else 0L in
+        let r = accept_one () in
+        (match r with
+        | None -> ()
+        | Some cand ->
+            Obs.incr c_accepted;
+            if traced then Obs.set_arg "accepted" (Printf.sprintf "%#x" cand);
+            let delta = Recursive.extend loaded res ~seeds:[ cand ] in
+            pending :=
+              List.fold_left
+                (fun s c -> Iset.add c s)
+                !pending
+                (Refs.add_delta loaded refs delta);
+            List.iter (add_extents extents) delta.new_funcs;
+            match on_commit with
+            | Some f -> f ~cand res delta
+            | None -> ());
+        if traced then
+          Obs.observe h_round_cost_us
             (Int64.to_int
-               (Int64.div
-                  (Int64.sub (Fetch_obs.Clock.now_ns ()) t0)
-                  1_000_000L));
+               (Int64.div (Int64.sub (Fetch_obs.Clock.now_ns ()) t0) 1_000L));
         r
       in
       match outcome with
-      | None -> (res, seeds, refs)
-      | Some seeds' -> loop (budget - 1) seeds'
+      | None -> seeds
+      | Some cand -> loop (budget - 1) (cand :: seeds)
     end
   in
-  let result = loop max_rounds seeds in
+  let seeds = loop max_rounds seeds in
   if Obs.enabled () then Obs.observe h_rounds !rounds;
-  result
+  (res, List.sort_uniq compare seeds, refs)

@@ -9,11 +9,13 @@
     The iteration is incremental: an accepted pointer grows the committed
     disassembly in place ({!Fetch_analysis.Recursive.extend}), the ref
     table ({!Refs.add_delta}) and the function-extent set fold exactly
-    the delta that call returns, and permanent rejection verdicts are
-    cached across rounds.  {!validate} is exported as the shared
+    the delta that call returns.  The candidates still to judge are one
+    ordered set: it gains only the candidates a delta adds, and a
+    candidate leaves it for good once it is a detected entry, accepted,
+    or rejected permanently.  {!validate} is exported as the shared
     primitive of the suite's from-scratch reference model, which re-runs
-    disassembly and ref collection every round, keeps no cache, and must
-    reach the same result. *)
+    disassembly and ref collection every round, re-validates every
+    candidate, and must reach the same result. *)
 
 type reject =
   | Invalid_opcode  (** error (i) *)
@@ -64,8 +66,11 @@ val validate :
     pointers one at a time until none remains (or [max_rounds] is
     exhausted — announced via the [xref.budget_exhausted] counter and
     ledger event when candidates are still pending); returns the final
-    engine result, the enlarged seed set and the result's reference
-    census.  The census is collected once from the seed disassembly and
+    engine result, the enlarged seed set ([seeds] plus every accepted
+    pointer, ascending and deduplicated, also when nothing is accepted)
+    and the result's reference census.  Each round scans the pending
+    candidates in ascending address order and accepts the first that
+    validates.  The census is collected once from the seed disassembly and
     grown with each commit's delta, so it holds the refs
     {!Refs.collect} finds on the final result: later stages read it
     instead of collecting again.

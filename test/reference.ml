@@ -125,15 +125,16 @@ let signature (res : Recursive.result) =
 (* Reference model of §IV-E detection, built on [Xref.validate]: every
    round re-runs disassembly (the converged loop above) and ref
    collection from scratch, builds a fresh extent set and re-validates
-   every candidate that is not a detected entry.  It keeps no reject
-   cache, so agreeing with it also checks that [Xref.detect] caches only
-   verdicts that cannot flip.  Returns the final result, the enlarged
-   seed set and the number of accepted pointers. *)
+   every candidate that is not a detected entry.  It retires no
+   candidate, so agreeing with it also checks that [Xref.detect] retires
+   only candidates whose verdict cannot flip.  Returns the final result,
+   the enlarged seed set (ascending, deduplicated) and the number of
+   accepted pointers. *)
 let xref ?(max_rounds = 64) loaded ~seeds =
   let open Fetch_core in
   let rec loop budget seeds accepted =
     let res = recursive loaded ~seeds in
-    if budget <= 0 then (res, seeds, accepted)
+    if budget <= 0 then (res, List.sort_uniq compare seeds, accepted)
     else
       let extents = Xref.extents loaded res in
       let acceptable cand =
@@ -147,7 +148,7 @@ let xref ?(max_rounds = 64) loaded ~seeds =
         List.find_opt acceptable
           (Refs.pointer_candidates (Refs.collect loaded res))
       with
-      | None -> (res, seeds, accepted)
+      | None -> (res, List.sort_uniq compare seeds, accepted)
       | Some cand ->
           loop (budget - 1) (List.sort_uniq compare (cand :: seeds)) (accepted + 1)
   in

@@ -923,11 +923,16 @@ let golden_binaries =
     ("fde-overlap", adversarial "fde-overlap");
   ]
 
+(* The golden file of [name], found from the test directory (where
+   [dune runtest] runs the suite) or from the repository root (where
+   [dune exec test/main.exe] runs it). *)
+let lint_golden_path name =
+  let file = Filename.concat "lint_golden" (name ^ ".jsonl") in
+  if Sys.file_exists file then file else Filename.concat "test" file
+
 let test_lint_golden name raw () =
   let expected =
-    In_channel.with_open_bin
-      (Filename.concat "lint_golden" (name ^ ".jsonl"))
-      In_channel.input_all
+    In_channel.with_open_bin (lint_golden_path name) In_channel.input_all
   in
   match Fetch_core.Pipeline.run_bytes (raw ()) with
   | Error e -> Alcotest.failf "%s: %s" name e

@@ -639,6 +639,40 @@ let test_xref_budget_exhaustion () =
   check Alcotest.bool "g2 detected with the full budget" true
     (List.mem (l "g2") (An.Recursive.starts res_full))
 
+(* A round costs its delta, not the detection state: [k] seed functions
+   sit below [n] pointer-only ones, and the data points at all of them.
+   Each round accepts the lowest pointer-only function, so a scan that
+   met every settled candidate again would re-skip the [k] known entries
+   in each of the [n + 1] rounds.  The pending set meets each once. *)
+let test_xref_rounds_linear () =
+  let k = 8 and n = 40 in
+  let fn prefix i =
+    [ X86.Asm.Align 16; X86.Asm.Label (Printf.sprintf "%s%d" prefix i); X86.Asm.I XI.Ret ]
+  in
+  let items =
+    List.concat (List.init k (fn "s") @ List.init n (fn "p"))
+  in
+  let _, asm0 = xref_image items in
+  let l = X86.Asm.label_addr asm0 in
+  let known = List.init k (fun i -> l (Printf.sprintf "s%d" i))
+  and ptrs = List.init n (fun i -> l (Printf.sprintf "p%d" i)) in
+  let loaded, _ = xref_image ~rodata:(u64s (known @ ptrs)) items in
+  (* unsorted, with a duplicate: the returned seeds are sorted once *)
+  let seeds = List.rev known @ [ List.hd known ] in
+  let (res, seeds', _), rep =
+    Obs.with_run (fun () -> Xref.detect loaded ~seeds)
+  in
+  check Alcotest.int "one round per pointer, plus the empty one" (n + 1)
+    (counter rep "xref.rounds");
+  check Alcotest.int "each pointer validated once" n
+    (counter rep "xref.candidates_scanned");
+  check Alcotest.int "each known entry met once" k
+    (counter rep "xref.known_entries_skipped");
+  check (Alcotest.list Alcotest.int) "seeds ascending and deduplicated"
+    (known @ ptrs) seeds';
+  check (Alcotest.list Alcotest.int) "every function detected" (known @ ptrs)
+    (An.Recursive.starts res)
+
 (* Regression: a decode-cache inconsistency mid-span used to abandon the
    rest of the span scan silently; now it resyncs and counts. *)
 let test_refs_scan_resync () =
@@ -755,7 +789,8 @@ let test_xref_extents_incremental () =
    candidate only once [p1]'s code is folded, so it is accepted in round
    2; [q] is a call target only once [p1]'s function is folded.  After
    every commit, a census grown with [Refs.add_delta] has the candidates
-   and, at every label, the refs of [Refs.collect]. *)
+   and, at every label, the refs of [Refs.collect], and [add_delta]
+   returned exactly the candidates it added. *)
 let test_refs_delta_census () =
   let items =
     [
@@ -786,10 +821,17 @@ let test_refs_delta_census () =
     Prov.with_run (fun () ->
         Xref.detect loaded ~seeds ~on_commit:(fun ~cand:_ res d ->
             incr commits;
-            Refs.add_delta loaded census d;
+            let before = Refs.pointer_candidates census in
+            let fresh = Refs.add_delta loaded census d in
             let whole = Refs.collect loaded res in
             if Refs.pointer_candidates census <> Refs.pointer_candidates whole
             then Alcotest.failf "commit %d: candidates differ" !commits;
+            if
+              List.sort compare fresh
+              <> List.filter
+                   (fun c -> not (List.mem c before))
+                   (Refs.pointer_candidates whole)
+            then Alcotest.failf "commit %d: fresh candidates differ" !commits;
             List.iter
               (fun name ->
                 if sorted_refs census (l name) <> sorted_refs whole (l name) then
@@ -829,7 +871,8 @@ let xref_agrees_with_reference loaded ~seeds =
    Round 1 rejects [p1] and accepts [p2]; round 2 learns that [p2] never
    returns and must re-validate [p1].  Random corpora hardly ever flip a
    verdict, so this pins the case the reference model exists to catch: a
-   detector that cached [p1]'s rejection would stop one pointer short. *)
+   detector that retired [p1] on its rejection would stop one pointer
+   short. *)
 let callconv_flip_image () =
   let items =
     [
@@ -978,8 +1021,8 @@ let load_noreturn_draw (seed, compiler, n_funcs, pointer, code_ptr, drop) =
 (* [Xref.detect] and the from-scratch reference model are
    indistinguishable — same final seeds, same starts, same spans, same
    noreturn facts, as many accepted pointers — over random corpora.  The
-   reference has no reject cache, so this also holds every cached
-   verdict to be one that cannot flip. *)
+   reference retires no candidate, so this also holds every retired
+   candidate to be one whose verdict cannot flip. *)
 let prop_xref_reference =
   QCheck.Test.make ~name:"xref: incremental == reference" ~count:10
     (QCheck.make gen_noreturn_draw ~print:print_noreturn_draw)
@@ -1040,6 +1083,7 @@ let suite =
     Alcotest.test_case "xref: mid-instruction pointer rejected" `Quick test_xref_mid_instruction_reject;
     Alcotest.test_case "xref: known entries skipped in accounting" `Quick test_xref_known_entry_accounting;
     Alcotest.test_case "xref: budget exhaustion announced" `Quick test_xref_budget_exhaustion;
+    Alcotest.test_case "xref: rounds are linear in candidates" `Quick test_xref_rounds_linear;
     Alcotest.test_case "refs: span scan resyncs on bad decode" `Quick test_refs_scan_resync;
     Alcotest.test_case "xref: extents attribution deterministic" `Quick test_xref_extents_deterministic;
     Alcotest.test_case "xref: incremental extents == rebuild" `Quick
