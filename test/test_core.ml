@@ -1083,7 +1083,6 @@ let suite =
     Alcotest.test_case "xref: mid-instruction pointer rejected" `Quick test_xref_mid_instruction_reject;
     Alcotest.test_case "xref: known entries skipped in accounting" `Quick test_xref_known_entry_accounting;
     Alcotest.test_case "xref: budget exhaustion announced" `Quick test_xref_budget_exhaustion;
-    Alcotest.test_case "xref: rounds are linear in candidates" `Quick test_xref_rounds_linear;
     Alcotest.test_case "refs: span scan resyncs on bad decode" `Quick test_refs_scan_resync;
     Alcotest.test_case "xref: extents attribution deterministic" `Quick test_xref_extents_deterministic;
     Alcotest.test_case "xref: incremental extents == rebuild" `Quick
@@ -1195,4 +1194,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_run_extend_reference;
       Alcotest.test_case "refs: delta census == collect" `Quick
         test_refs_delta_census;
+      Alcotest.test_case "xref: rounds are linear in candidates" `Quick
+        test_xref_rounds_linear;
     ]
