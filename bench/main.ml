@@ -118,13 +118,17 @@ let read_baseline path =
           Printf.eprintf "error: %s: %s\n" path e;
           exit 2)
 
+(* The gate baseline, read before anything is printed: a gate run
+   compares like with like, so it runs at the baseline's scale unless the
+   user forced one, and the header must announce that scale. *)
+let baseline =
+  let b = Option.map read_baseline !check_file in
+  (match b with Some b when not !scale_set -> scale := b.Gate.scale | _ -> ());
+  b
+
 let perf () =
-  let baseline = Option.map read_baseline !check_file in
-  (* gate runs must compare like with like: rerun at the baseline's
-     scale unless the user explicitly forced one *)
   (match baseline with
   | Some b when not !scale_set ->
-      scale := b.Gate.scale;
       Printf.printf "checking against %s (scale %g, %d binaries)\n"
         (Option.get !check_file) b.Gate.scale b.Gate.binaries
   | _ -> ());
@@ -360,7 +364,7 @@ let micro () =
                (fun s ->
                  ignore
                    (Fetch_analysis.Stack_height.analyze loaded
-                      ~style:Fetch_analysis.Stack_height.Dyninst s))
+                      ~style:Fetch_analysis.Stack_height.Dyninst s s))
                loaded.Fetch_analysis.Loaded.fde_starts));
       (* SV-A kernel: ROP gadget scan *)
       Test.make ~name:"errors/rop_scan"

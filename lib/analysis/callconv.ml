@@ -27,44 +27,42 @@ let max_blocks = 12
 (** Where and which register violated the rule. *)
 type violation = { at : int; reg : Reg.t option }
 
-module RS = Set.Make (Reg)
-
-let initial_set = RS.of_list Reg.args
-
-(* [arg] is the first argument at the walk's position, stepped and read
-   by the engine's own rule ({!Recursive.first_arg_step},
+(* [init] is the set of initialized registers, as a {!Reg.mask}.  [arg]
+   is the first argument at the walk's position, stepped and read by the
+   engine's own rule ({!Recursive.first_arg_step},
    {!Recursive.call_returns}).  The tracking is local to a block:
    crossing a block boundary resets it to [Unknown]. *)
 module Lattice = struct
-  type state = { init : RS.t; arg : Recursive.first_arg }
+  type state = { init : int; arg : Recursive.first_arg }
   type fatal = violation
 
-  let equal a b = RS.equal a.init b.init && a.arg = b.arg
+  let equal a b = a.init = b.init && a.arg = b.arg
 
   (* [First_write_wins] mode never joins. *)
   let join a _ = a
 
-  let transfer ~addr insn st =
-    let reads = Semantics.uses insn in
-    match
-      List.find_opt
-        (fun r -> (not (RS.mem r st.init)) && not (Reg.is_arg r))
-        reads
-    with
-    | Some r -> Dataflow.Fatal { at = addr; reg = Some r }
-    | None ->
-        let init =
-          List.fold_left (fun s r -> RS.add r s) st.init (Semantics.defs insn)
-        in
-        let init =
-          match Semantics.flow insn with
-          | Semantics.Callf _ ->
-              (* the callee clobbers every caller-saved register and
-                 defines the return-value register *)
-              RS.add Reg.Rax (RS.filter Reg.is_callee_saved init)
-          | _ -> init
-        in
-        Dataflow.Step { init; arg = Recursive.first_arg_step insn st.arg }
+  let transfer tbl ~addr s st =
+    let bad = Insn_table.uses tbl s land lnot (st.init lor Reg.args_mask) in
+    if bad <> 0 then
+      (* the violation names the first such read in [Semantics.uses]
+         order *)
+      let reg =
+        List.find_opt
+          (fun r -> bad land Reg.bit r <> 0)
+          (Semantics.uses (Insn_table.insn tbl s))
+      in
+      Dataflow.Fatal { at = addr; reg }
+    else
+      let init = st.init lor Insn_table.defs tbl s in
+      let init =
+        match Insn_table.flow tbl s with
+        | Semantics.Callf _ ->
+            (* the callee clobbers every caller-saved register and
+               defines the return-value register *)
+            (init land Reg.callee_saved_mask) lor Reg.bit Reg.Rax
+        | _ -> init
+      in
+      Dataflow.Step { init; arg = Recursive.first_arg_step tbl s st.arg }
 end
 
 module Solver = Dataflow.Make (Lattice)
@@ -75,12 +73,6 @@ module Solver = Dataflow.Make (Lattice)
 let validate loaded (res : Recursive.result) start =
   if not (Loaded.in_text loaded start) then Error { at = start; reg = None }
   else begin
-    let prog =
-      {
-        Dataflow.insn_at = Loaded.insn_at loaded;
-        in_text = Loaded.in_text loaded;
-      }
-    in
     let policy =
       {
         Solver.default_policy with
@@ -97,9 +89,9 @@ let validate loaded (res : Recursive.result) start =
       }
     in
     let sol =
-      Solver.solve ~max_block_insns:max_insns ~max_blocks ~record:false prog
-        policy ~merge:Dataflow.First_write_wins ~entry:start
-        ~init:{ Lattice.init = initial_set; arg = Recursive.Unknown }
+      Solver.solve ~max_block_insns:max_insns ~max_blocks ~record:false
+        loaded.Loaded.table policy ~merge:Dataflow.First_write_wins ~entry:start
+        ~init:{ Lattice.init = Reg.args_mask; arg = Recursive.Unknown }
         ()
     in
     match sol.Solver.fatal with Some v -> Error v | None -> Ok ()

@@ -1,6 +1,6 @@
 (** A loaded binary: the ELF image plus everything every analysis needs —
-    decoded (and memoized) instructions, the parsed [.eh_frame], the CFI
-    height oracle, FDE starts and symbol starts. *)
+    the decode table of its executable sections, the parsed [.eh_frame],
+    the CFI height oracle, FDE starts and symbol starts. *)
 
 open Fetch_elf
 module Obs = Fetch_obs.Trace
@@ -29,7 +29,8 @@ type t = {
   fde_start_array : int array;  (** [fde_starts], for {!fde_starting_at} *)
   symbol_starts : int list;  (** defined FUNC symbol addresses *)
   seeds : int list;  (** [fde_starts] ∪ [symbol_starts], ascending *)
-  cache : (int, (Fetch_x86.Insn.t * int) option) Hashtbl.t;
+  table : Fetch_x86.Insn_table.t;
+  cache : (int, unit) Hashtbl.t;
 }
 
 (* [eh] short-circuits the [.eh_frame] decode with a section the caller
@@ -49,6 +50,29 @@ let load ?eh image =
     (fun (d : Fetch_dwarf.Diag.t) ->
       if d.fatal then Obs.incr (List.assoc d.kind c_eh_skipped))
     eh.diags;
+  let text_ranges =
+    List.map
+      (fun (s : Image.section) -> (s.addr, s.addr + String.length s.data))
+      exec
+  in
+  (* [table] calls [decode] once per address: inside a trace run, [cache]
+     binds each one, so its length counts the decodes.  A walk decodes
+     about one text byte in four. *)
+  let cache =
+    Hashtbl.create
+      (if Obs.enabled () then
+         List.fold_left (fun n (lo, hi) -> n + ((hi - lo) / 4)) 1 text_ranges
+       else 1)
+  in
+  let decode addr =
+    if Obs.enabled () then Hashtbl.add cache addr ();
+    List.find_map
+      (fun (s : Image.section) ->
+        if addr >= s.addr && addr < s.addr + String.length s.data then
+          Fetch_x86.Decode.decode ~pos:(addr - s.addr) ~addr s.data
+        else None)
+      exec
+  in
   let cies = eh.cies in
   let fdes = Fetch_dwarf.Eh_frame.all_fdes cies in
   let fde_starts =
@@ -70,31 +94,18 @@ let load ?eh image =
     fde_start_array = Array.of_list fde_starts;
     symbol_starts;
     seeds = List.sort_uniq compare (fde_starts @ symbol_starts);
-    cache = Hashtbl.create 4096;
+    table = Fetch_x86.Insn_table.create ~decode text_ranges;
+    cache;
   }
 
-(** Decode (memoized) the instruction at virtual address [addr]. *)
+(** The instruction at virtual address [addr] and its length, read
+    through the table. *)
 let insn_at t addr =
-  match Hashtbl.find_opt t.cache addr with
-  | Some r -> r
-  | None ->
-      let r =
-        let rec find = function
-          | [] -> None
-          | (s : Image.section) :: rest ->
-              if addr >= s.addr && addr < s.addr + String.length s.data then
-                Fetch_x86.Decode.decode ~pos:(addr - s.addr) ~addr s.data
-              else find rest
-        in
-        find t.exec
-      in
-      Hashtbl.replace t.cache addr r;
-      r
+  let module T = Fetch_x86.Insn_table in
+  let s = T.find t.table addr in
+  if s < 0 then None else Some (T.insn t.table s, T.len t.table s)
 
-let in_text t addr =
-  List.exists
-    (fun (s : Image.section) -> addr >= s.addr && addr < s.addr + String.length s.data)
-    t.exec
+let in_text t addr = Fetch_x86.Insn_table.in_text t.table addr
 
 (** Executable address ranges, ascending. *)
 let text_ranges t =

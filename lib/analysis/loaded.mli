@@ -1,6 +1,6 @@
 (** A loaded binary: the ELF image plus everything every analysis needs —
-    decoded (and memoized) instructions, the parsed [.eh_frame], the CFI
-    height oracle, FDE starts and symbol starts. *)
+    the decode table of its executable sections, the parsed [.eh_frame],
+    the CFI height oracle, FDE starts and symbol starts. *)
 
 type t = {
   image : Fetch_elf.Image.t;
@@ -16,7 +16,15 @@ type t = {
   seeds : int list;
       (** [fde_starts] ∪ [symbol_starts], ascending, deduped: the seed
           set every recursive-descent tool starts from *)
-  cache : (int, (Fetch_x86.Insn.t * int) option) Hashtbl.t;
+  table : Fetch_x86.Insn_table.t;
+      (** the executable sections' decode table: every walker reads
+          instructions and their facts here, each address decoded once *)
+  cache : (int, unit) Hashtbl.t;
+      (** trace runs only: every address [table] decoded while
+          {!Fetch_obs.Trace.enabled}, bound on its first decode, so its
+          length counts the decodes of a traced run.  Empty outside one.
+          Kept for fetchbench, which reads its length;
+          {!Fetch_x86.Insn_table.decoded} counts the same in any run. *)
 }
 
 (** [load ?eh image] builds the analysis view.  [eh] substitutes an
@@ -26,7 +34,8 @@ type t = {
     replayed from the record either way. *)
 val load : ?eh:Fetch_dwarf.Eh_frame.decoded -> Fetch_elf.Image.t -> t
 
-(** Decode (memoized) the instruction at a virtual address. *)
+(** The instruction at a virtual address and its length, read through
+    [table]; [None] when there is none. *)
 val insn_at : t -> int -> (Fetch_x86.Insn.t * int) option
 
 (** Is the address inside an executable section? *)

@@ -71,20 +71,21 @@ let new_func entry =
    the nonzero (fallthrough) path provably never returns — it runs
    straight into an exit syscall or a trap. *)
 let detect_cond_noreturn loaded entry =
+  let tbl = loaded.Loaded.table in
   let rec path_never_returns addr fuel =
     if fuel <= 0 then false
     else
-      match Loaded.insn_at loaded addr with
-      | Some (Insn.Ud2, _) | Some (Insn.Hlt, _) -> true
-      | Some (Insn.Syscall, len) -> path_never_returns (addr + len) fuel
-      | Some (insn, len) -> (
-          match Semantics.flow insn with
-          | Semantics.Fall -> path_never_returns (addr + len) (fuel - 1)
-          | Semantics.Ret | Semantics.Jump _ | Semantics.Cond _
-          | Semantics.Callf _ ->
-              false
-          | Semantics.Halt -> true)
-      | None -> false
+      let s = Insn_table.find tbl addr in
+      s >= 0
+      &&
+      let len = Insn_table.len tbl s in
+      match (Insn_table.insn tbl s, Insn_table.flow tbl s) with
+      | (Insn.Ud2 | Insn.Hlt), _ -> true
+      | Insn.Syscall, _ -> path_never_returns (addr + len) fuel
+      | _, Semantics.Fall -> path_never_returns (addr + len) (fuel - 1)
+      | _, Semantics.Halt -> true
+      | _, (Semantics.Ret | Semantics.Jump _ | Semantics.Cond _) -> false
+      | _, Semantics.Callf _ -> false
   in
   match Loaded.insn_at loaded entry with
   | Some (Insn.Test (_, Reg.Rdi, Reg.Rdi), len) -> (
@@ -100,34 +101,35 @@ let detect_cond_noreturn loaded entry =
    call return. *)
 type first_arg = Zero | Nonzero | Unknown
 
-let first_arg_step insn arg =
-  match insn with
+let first_arg_step tbl s arg =
+  match Insn_table.insn tbl s with
   | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm 0)
   | Insn.Arith (Insn.Xor, _, Insn.Reg Reg.Rdi, Insn.Reg Reg.Rdi) ->
       Zero
   | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm _) -> Nonzero
-  | _ -> (
-      match Semantics.flow insn with
-      | Semantics.Callf _ -> Unknown
-      | _ -> if List.mem Reg.Rdi (Semantics.defs insn) then Unknown else arg)
+  | Insn.Call _ | Insn.Call_ind _ -> Unknown
+  | _ -> if Insn_table.defs tbl s land Reg.bit Reg.Rdi <> 0 then Unknown else arg
 
-(* The first argument after a block's instructions, newest first. *)
-let block_first_arg rev_insns =
-  List.fold_right (fun (_, _, i) arg -> first_arg_step i arg) rev_insns Unknown
+(* The first argument after a block's instructions, given by address,
+   newest first. *)
+let block_first_arg tbl rev_addrs =
+  List.fold_right
+    (fun a arg -> first_arg_step tbl (Insn_table.find tbl a) arg)
+    rev_addrs Unknown
 
 let call_returns ~noreturn ~cond_noreturn arg_of x t =
   (not (Hashtbl.mem noreturn t))
   && ((not (Hashtbl.mem cond_noreturn t)) || arg_of x = Zero)
 
-(* Decode one basic block starting at [addr]; returns the decoded
-   instructions (in order) and the block's control-flow ending. *)
+(* Decode one basic block starting at [addr]; returns the addresses of
+   the decoded instructions, newest first, and the block's control-flow
+   ending. *)
 type block_end =
   | End_ret
   | End_halt
   | End_jump of Insn.t * int
   | End_cond of Insn.t * int * int  (** insn, taken target, fallthrough *)
-  | End_indirect of Insn.operand * (int * int * Insn.t) list
-      (** operand + reversed prior window for table resolution *)
+  | End_indirect of Insn.operand
   | End_call_noreturn
   | End_fallthrough of int  (** ran into a known block/function start *)
   | End_error
@@ -141,54 +143,57 @@ let rec decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start ~edge
     (addr <> f.entry && is_start addr) || (block_known addr && acc <> [])
   then begin
     edge addr;
-    (List.rev acc, End_fallthrough addr)
+    (acc, End_fallthrough addr)
   end
   else
-    match Loaded.insn_at loaded addr with
-    | None ->
-        edge addr;
-        (List.rev acc, End_error)
-    | Some (insn, len) -> (
-        Obs.incr c_insns_decoded;
-        let acc' = (addr, len, insn) :: acc in
-        match Semantics.flow insn with
-        | Semantics.Fall ->
+    let tbl = loaded.Loaded.table in
+    let s = Insn_table.find tbl addr in
+    if s < 0 then begin
+      edge addr;
+      (acc, End_error)
+    end
+    else
+      let insn = Insn_table.insn tbl s and len = Insn_table.len tbl s in
+      Obs.incr c_insns_decoded;
+      let acc' = addr :: acc in
+      match Insn_table.flow tbl s with
+      | Semantics.Fall ->
+          decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
+            ~edge ~block_known (addr + len) acc'
+      | Semantics.Ret ->
+          f.has_ret <- true;
+          (acc', End_ret)
+      | Semantics.Halt -> (acc', End_halt)
+      | Semantics.Jump (Semantics.Direct t) -> (acc', End_jump (insn, t))
+      | Semantics.Jump (Semantics.Indirect op) -> (acc', End_indirect op)
+      | Semantics.Cond t -> (acc', End_cond (insn, t, addr + len))
+      | Semantics.Callf (Semantics.Direct t) ->
+          f.calls <- (addr, t) :: f.calls;
+          (* [acc]: the block so far, excluding the call itself *)
+          let returns =
+            (not safe)
+            || call_returns ~noreturn ~cond_noreturn (block_first_arg tbl)
+                 acc t
+          in
+          if returns then
             decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
               ~edge ~block_known (addr + len) acc'
-        | Semantics.Ret ->
-            f.has_ret <- true;
-            (List.rev acc', End_ret)
-        | Semantics.Halt -> (List.rev acc', End_halt)
-        | Semantics.Jump (Semantics.Direct t) ->
-            (List.rev acc', End_jump (insn, t))
-        | Semantics.Jump (Semantics.Indirect op) ->
-            (List.rev acc', End_indirect (op, acc'))
-        | Semantics.Cond t -> (List.rev acc', End_cond (insn, t, addr + len))
-        | Semantics.Callf (Semantics.Direct t) ->
-            f.calls <- (addr, t) :: f.calls;
-            (* [acc]: the block so far, excluding the call itself *)
-            let returns =
-              (not safe)
-              || call_returns ~noreturn ~cond_noreturn block_first_arg acc t
-            in
-            if returns then
-              decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
-                ~edge ~block_known (addr + len) acc'
-            else (List.rev acc', End_call_noreturn)
-        | Semantics.Callf (Semantics.Indirect _) ->
-            f.has_indirect_call <- true;
-            decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
-              ~edge ~block_known (addr + len) acc')
+          else (acc', End_call_noreturn)
+      | Semantics.Callf (Semantics.Indirect _) ->
+          f.has_indirect_call <- true;
+          decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
+            ~edge ~block_known (addr + len) acc'
 
 (* Disassemble one function from [entry].  Each block is one run of
    instructions decoded back to back, from its [lo] to its [hi].
-   Pending blocks carry the reversed instruction window of their
+   Pending blocks carry the reversed instruction addresses of their
    fallthrough predecessor so jump-table slicing can look across block
    boundaries (the bounds check `cmp/ja` ends the block before the
    dispatch jump). *)
 let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~edge
     ~new_entries entry =
   Obs.incr c_funcs_disassembled;
+  let tbl = loaded.Loaded.table in
   let f = new_func entry in
   let visited = Itbl.create 16 in
   let pending = Queue.create () in
@@ -203,16 +208,16 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~edge
     if not (Itbl.mem visited b) then begin
       Itbl.replace visited b ();
       let calls_before = f.calls in
-      let insns, ending =
+      let rev_addrs, ending =
         decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start ~edge
           ~block_known b []
       in
-      if Obs.enabled () then Obs.observe h_block_insns (List.length insns);
-      let rev_insns = List.rev insns in
-      (match (insns, rev_insns) with
-      | (lo, _, _) :: _, (last_addr, last_len, _) :: _ ->
-          f.blocks <- (lo, last_addr + last_len) :: f.blocks
-      | _ -> ());
+      if Obs.enabled () then Obs.observe h_block_insns (List.length rev_addrs);
+      (match rev_addrs with
+      | last :: _ ->
+          let hi = last + Insn_table.len tbl (Insn_table.find tbl last) in
+          f.blocks <- (b, hi) :: f.blocks
+      | [] -> ());
       (* register the callees this block discovered, newest first — the
          calls of earlier blocks are already known *)
       let rec register_new calls =
@@ -224,36 +229,40 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~edge
           | [] -> ()
       in
       register_new f.calls;
-      let window = rev_insns @ inherited in
+      let window () = rev_addrs @ inherited in
       let add_block ?(window = []) t =
         if not (Itbl.mem visited t) then Queue.add (t, window) pending
       in
+      let site = match rev_addrs with a :: _ -> a | [] -> b in
       match ending with
       | End_ret | End_halt | End_call_noreturn -> ()
       | End_error -> f.decode_error <- true
       | End_fallthrough t ->
           (* ran into an existing block of this function: fine; into another
              function's entry: record nothing (no tail-call guessing) *)
-          if not (is_start t) then add_block ~window t
+          if not (is_start t) then add_block ~window:(window ()) t
       | End_jump (insn, t) ->
-          let site = match rev_insns with (a, _, _) :: _ -> a | [] -> b in
           f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
           if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
           else if Loaded.in_text loaded t then add_block t
           else f.out_jumps <- (site, insn, t) :: f.out_jumps
       | End_cond (insn, t, fall) ->
-          let site = match rev_insns with (a, _, _) :: _ -> a | [] -> b in
           f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
           (if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
            else if Loaded.in_text loaded t then add_block t);
           (* the fallthrough block inherits the window across the branch *)
-          add_block ~window fall
-      | End_indirect (op, rev_window) -> (
+          add_block ~window:(window ()) fall
+      | End_indirect op -> (
           if not safe then f.unresolved_indirect_jump <- true
           else
             let preceding =
-              match rev_window @ inherited with
-              | _jmp :: preceding -> preceding
+              match window () with
+              | _jmp :: preceding ->
+                  List.map
+                    (fun a ->
+                      let s = Insn_table.find tbl a in
+                      (a, Insn_table.len tbl s, Insn_table.insn tbl s))
+                    preceding
               | [] -> []
             in
             match Jump_table.resolve loaded.Loaded.image ~preceding op with
@@ -272,18 +281,20 @@ let walk loaded ~noreturn ~cond_noreturn ~is_start ~on_call entry =
     ~new_entries:(fun ~site:_ t -> on_call t)
     entry
 
-(* Call [fn lo hi] on each instruction of [f]'s blocks, in decode order:
-   each block is decoded again through the memo. *)
+(* Call [fn lo hi] on each instruction of [f]'s blocks, in decode order,
+   read back from the table. *)
 let iter_insns loaded f fn =
+  let tbl = loaded.Loaded.table in
   List.iter
     (fun (lo, hi) ->
       let rec go a =
         if a < hi then
-          match Loaded.insn_at loaded a with
-          | Some (_, len) ->
-              fn a (a + len);
-              go (a + len)
-          | None -> ()
+          let s = Insn_table.find tbl a in
+          if s >= 0 then begin
+            let next = a + Insn_table.len tbl s in
+            fn a next;
+            go next
+          end
       in
       go lo)
     (List.rev f.blocks)

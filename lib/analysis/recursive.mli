@@ -95,13 +95,14 @@ val starts : result -> int list
     slice can prove it. *)
 type first_arg = Zero | Nonzero | Unknown
 
-(** [first_arg_step insn arg] is the first argument after [insn]:
+(** [first_arg_step tbl s arg] is the first argument after the
+    instruction in slot [s] of [tbl]:
     [mov edi, 0] and [xor edi, edi] make it [Zero], a move of any other
     immediate makes it [Nonzero], and any other write to rdi or any call
     makes it [Unknown].  A block starts at [Unknown]: the engine folds
     this step over the block decoded so far, and only at a call to an
     [error]-style callee. *)
-val first_arg_step : Fetch_x86.Insn.t -> first_arg -> first_arg
+val first_arg_step : Fetch_x86.Insn_table.t -> int -> first_arg -> first_arg
 
 (** [call_returns ~noreturn ~cond_noreturn arg_of x t]: does a direct
     call to [t] return under these facts, when [arg_of x] is the first

@@ -37,10 +37,10 @@ module Lattice = struct
   (* [First_write_wins] mode never joins. *)
   let join a _ = a
 
-  let transfer ~addr:_ insn h =
-    match Semantics.flow insn with
+  let transfer tbl ~addr:_ s h =
+    match Insn_table.flow tbl s with
     | Semantics.Fall | Semantics.Callf _ -> (
-        match Semantics.sp_delta insn with
+        match Semantics.sp_delta (Insn_table.insn tbl s) with
         | Some d -> Dataflow.Step (h - d)
         | None -> Dataflow.Drop (* untrackable: abandon the path *))
     | _ -> Dataflow.Step h (* successors inherit the jump-site height *)
@@ -48,8 +48,8 @@ end
 
 module Solver = Dataflow.Make (Lattice)
 
-(** Heights at every address reached from [entry]; first write wins (the
-    arrival-order sensitivity is part of the model). *)
+(** The height at each address reached from [entry]; first write wins
+    (the arrival-order sensitivity is part of the model). *)
 let analyze loaded ~style entry =
   let table_allowed op preceding =
     match Jump_table.resolve loaded.Loaded.image ~preceding op with
@@ -69,12 +69,6 @@ let analyze loaded ~style entry =
         | Insn.Imm _ -> None)
     | None -> None
   in
-  let prog =
-    {
-      Dataflow.insn_at = Loaded.insn_at loaded;
-      in_text = Loaded.in_text loaded;
-    }
-  in
   (* both tools know FDE boundaries: the linear guess never crosses into
      another FDE-covered function *)
   let linear a = not (Loaded.fde_starting_at loaded a) in
@@ -90,7 +84,8 @@ let analyze loaded ~style entry =
     }
   in
   let sol =
-    Solver.solve ~max_block_insns:max_int ~max_blocks:max_int prog policy
-      ~merge:Dataflow.First_write_wins ~entry ~init:0 ()
+    Solver.solve ~max_block_insns:max_int ~max_blocks:max_int
+      loaded.Loaded.table policy ~merge:Dataflow.First_write_wins ~entry
+      ~init:0 ()
   in
-  sol.Solver.states
+  Dataflow.Itbl.find_opt sol.Solver.states

@@ -14,6 +14,7 @@
     resolves neither, so those case blocks stay unvisited. *)
 type style = Angr | Dyninst
 
-(** [analyze loaded ~style entry] returns heights (bytes grown since
-    entry) at every address reached from [entry]; first write wins. *)
-val analyze : Loaded.t -> style:style -> int -> (int, int) Hashtbl.t
+(** [analyze loaded ~style entry] is the height (bytes grown since
+    entry) at each address reached from [entry], [None] at any other;
+    first write wins. *)
+val analyze : Loaded.t -> style:style -> int -> int -> int option

@@ -16,6 +16,10 @@
     text) and the linter's [height-mismatch] rule (call fall-through,
     jump tables, staying inside the function).
 
+    The program is a {!Fetch_x86.Insn_table}: the walk reads each
+    instruction's length and flow from its slot, and a transfer
+    function reads whatever other fact it needs there.
+
     Two merge disciplines are supported, because the repo needs both:
 
     - {!First_write_wins} — the first in-state to reach a block is kept and
@@ -34,14 +38,6 @@
 
 open Fetch_x86
 
-(** The program under analysis, as closures so the engine depends on no
-    particular loader. *)
-type program = {
-  insn_at : int -> (Insn.t * int) option;
-      (** decoded instruction and length at a virtual address *)
-  in_text : int -> bool;  (** is the address inside executable bytes? *)
-}
-
 (** Outcome of one transfer: continue with a new state, abandon the path
     (e.g. the tracked quantity became unknowable), or abort the whole
     solve with a verdict (e.g. a calling-convention violation). *)
@@ -55,8 +51,13 @@ module type LATTICE = sig
 
   val equal : state -> state -> bool
   val join : state -> state -> state
-  val transfer : addr:int -> Insn.t -> state -> (state, fatal) step
+  val transfer : Insn_table.t -> addr:int -> int -> state -> (state, fatal) step
+  (** [transfer tbl ~addr s st]: the instruction at [addr], in slot [s]
+      of [tbl] *)
 end
+
+(** Int-keyed hash tables, the engine's per-address maps. *)
+module Itbl : Hashtbl.S with type key = int
 
 type merge = First_write_wins | Join_fixpoint
 type order = Depth_first | Breadth_first
@@ -106,7 +107,7 @@ module Make (L : LATTICE) : sig
   val default_policy : policy
 
   type solution = {
-    states : (int, L.state) Hashtbl.t;
+    states : L.state Itbl.t;
         (** pre-state at every visited instruction address (empty when
             [record] is [false]) *)
     fatal : L.fatal option;  (** set iff the solve was aborted *)
@@ -120,16 +121,17 @@ module Make (L : LATTICE) : sig
     ?max_block_insns:int ->
     ?max_blocks:int ->
     ?record:bool ->
-    program ->
+    Insn_table.t ->
     policy ->
     merge:merge ->
     entry:int ->
     init:L.state ->
     unit ->
     solution
-  (** [solve prog policy ~merge ~entry ~init ()] runs the analysis to
-      quiescence (or fuel exhaustion).  A successor block outside
-      executable bytes or at a [stop_walk] address is dropped.
+  (** [solve tbl policy ~merge ~entry ~init ()] runs the analysis over
+      the program whose instructions [tbl] decodes, to quiescence (or
+      fuel exhaustion).  A successor block outside [tbl]'s ranges or at
+      a [stop_walk] address is dropped.
       Defaults: [max_block_insns] and [max_blocks] 4096, [record]
       true. *)
 end

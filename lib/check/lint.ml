@@ -11,8 +11,7 @@ type func = {
 }
 
 type view = {
-  insn_at : int -> (Insn.t * int) option;
-  in_text : int -> bool;
+  table : Insn_table.t;
   funcs : func list;
   insn_spans : Insn_index.t;
   fdes : (int * int) list;
@@ -39,7 +38,7 @@ let rule_jump_mid_insn v emit =
     (fun f ->
       List.iter
         (fun (site, target) ->
-          if v.in_text target then
+          if Insn_table.in_text v.table target then
             match Insn_index.find v.insn_spans target with
             | Some (lo, _)
               when lo <> target && not (Hashtbl.mem seen (site, target)) ->
@@ -116,10 +115,11 @@ let boundaries_in v ~from ~lo ~hi =
   let rec walk addr acc =
     if addr >= hi then List.rev acc
     else
-      match v.insn_at addr with
-      | Some (_, len) ->
-          walk (addr + len) (if addr >= lo then addr :: acc else acc)
-      | None -> List.rev acc
+      let s = Insn_table.find v.table addr in
+      if s < 0 then List.rev acc
+      else
+        walk (addr + Insn_table.len v.table s)
+          (if addr >= lo then addr :: acc else acc)
   in
   walk from []
 
@@ -332,10 +332,10 @@ module Height = struct
   let join a b =
     match (a, b) with Known x, Known y when x = y -> a | _ -> Top
 
-  let transfer ~addr:_ insn st =
-    match Semantics.flow insn with
+  let transfer tbl ~addr:_ s st =
+    match Insn_table.flow tbl s with
     | Semantics.Fall | Semantics.Callf _ -> (
-        match (st, Semantics.sp_delta insn) with
+        match (st, Semantics.sp_delta (Insn_table.insn tbl s)) with
         | Known h, Some d -> Dataflow.Step (Known (h - d))
         | _, None | Top, _ -> Dataflow.Step Top)
     | _ -> Dataflow.Step st
@@ -348,7 +348,6 @@ let rule_height_mismatch v emit =
     (fun f ->
       (* only solve where the oracle can answer at all *)
       if v.complete_at f.entry then begin
-      let prog = { Dataflow.insn_at = v.insn_at; in_text = v.in_text } in
       (* walk only the function's own blocks: the oracle's heights are
          per-FDE, so following a tail call — or a trailing call that
          never returns falling into the next function — would compare
@@ -362,11 +361,11 @@ let rule_height_mismatch v emit =
         }
       in
       let sol =
-        Height_solver.solve prog policy ~merge:Dataflow.Join_fixpoint
+        Height_solver.solve v.table policy ~merge:Dataflow.Join_fixpoint
           ~entry:f.entry ~init:(Height.Known 0) ()
       in
       let worst = ref None in
-      Hashtbl.iter
+      Dataflow.Itbl.iter
         (fun addr st ->
           match (st, v.oracle_height addr) with
           | Height.Known h, Some oh when h <> oh -> (

@@ -39,9 +39,9 @@
       Fig. 6b's non-contiguous case, the one Algorithm 1 merges).
       O(D + J) table lookups plus one reference query per candidate.
 
-    The linter consumes a {!view} — plain data plus closures — so it
-    depends on no particular pipeline; [Fetch_core.Lint] adapts a
-    finished pipeline result into one. *)
+    The linter consumes a {!view} — plain data, the decode table and
+    closures — so it depends on no particular pipeline;
+    [Fetch_core.Lint] adapts a finished pipeline result into one. *)
 
 open Fetch_x86
 
@@ -53,8 +53,9 @@ type func = {
 }
 
 type view = {
-  insn_at : int -> (Insn.t * int) option;
-  in_text : int -> bool;
+  table : Insn_table.t;
+      (** the decoded text: instructions, their facts and the text
+          ranges *)
   funcs : func list;  (** final detected functions *)
   insn_spans : Fetch_util.Insn_index.t;
       (** committed instruction extents of the whole run *)

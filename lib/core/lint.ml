@@ -22,8 +22,7 @@ let view_of (r : Pipeline.result) =
       r.Pipeline.starts
   in
   {
-    Fetch_check.Lint.insn_at = Loaded.insn_at loaded;
-    in_text = Loaded.in_text loaded;
+    Fetch_check.Lint.table = loaded.Loaded.table;
     funcs;
     insn_spans = res.Recursive.insn_spans;
     fdes =

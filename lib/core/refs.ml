@@ -12,7 +12,7 @@ open Fetch_x86
 open Fetch_analysis
 module Obs = Fetch_obs.Trace
 
-(* Decode-cache inconsistencies found while scanning committed spans:
+(* Decode-table inconsistencies found while scanning committed spans:
    should be zero, but when it fires we resync instead of dropping refs. *)
 let c_scan_resync = Obs.counter "refs.scan_resync"
 
@@ -125,27 +125,30 @@ let insn_constants ~addr ~len insn =
 
 (* Scan one committed span [\[lo, hi)] for code-constant refs, calling
    [fresh v] for each target [v] a constant makes a pointer candidate
-   for the first time.  A [None] from the memoized decoder mid-span
-   means the decode cache disagrees with the instruction table: the
-   event is counted and the scan resyncs one byte forward, so the rest
-   of the span still yields its refs. *)
+   for the first time.  No instruction in the decode table mid-span
+   means the table disagrees with the committed spans: the event is
+   counted and the scan resyncs one byte forward, so the rest of the
+   span still yields its refs. *)
 let scan_span loaded t ~fresh ~lo ~hi =
+  let tbl = loaded.Loaded.table in
   let rec go addr =
     if addr < hi then
-      match Loaded.insn_at loaded addr with
-      | Some (insn, len) ->
-          List.iter
-            (fun v ->
-              if Loaded.in_text loaded v then begin
-                let prev = refs_to t v in
-                if not (List.exists is_pointer prev) then fresh v;
-                Hashtbl.replace t.by_target v (Code_constant addr :: prev)
-              end)
-            (insn_constants ~addr ~len insn);
-          go (addr + len)
-      | None ->
-          Obs.incr c_scan_resync;
-          go (addr + 1)
+      let s = Insn_table.find tbl addr in
+      if s < 0 then begin
+        Obs.incr c_scan_resync;
+        go (addr + 1)
+      end
+      else
+        let len = Insn_table.len tbl s in
+        List.iter
+          (fun v ->
+            if Loaded.in_text loaded v then begin
+              let prev = refs_to t v in
+              if not (List.exists is_pointer prev) then fresh v;
+              Hashtbl.replace t.by_target v (Code_constant addr :: prev)
+            end)
+          (insn_constants ~addr ~len (Insn_table.insn tbl s));
+        go (addr + len)
   in
   go lo
 

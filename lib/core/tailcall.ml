@@ -66,10 +66,7 @@ let run ~heights ~refs loaded (res : Recursive.result) =
             | Cfi_oracle ->
                 Fetch_dwarf.Height_oracle.height_at loaded.Loaded.oracle
             | Static style ->
-                let tbl =
-                  Fetch_analysis.Stack_height.analyze loaded ~style entry
-                in
-                Hashtbl.find_opt tbl
+                Fetch_analysis.Stack_height.analyze loaded ~style entry
           in
           (* the paper skips whole functions whose CFI has no complete
              rsp-based height information; the static variant has no such

@@ -182,32 +182,35 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
           raise (Reject (Transfer_into_function, ("at", Prov.I t) :: into res t))
       end
     in
+    let tbl = loaded.Loaded.table in
     let rec walk_block fuel addr frontier =
       if fuel <= 0 then frontier
       else if Hashtbl.mem res.funcs addr then frontier
       else
-        match Loaded.insn_at loaded addr with
-        | None -> raise (Reject (Invalid_opcode, [ ("at", Prov.I addr) ]))
-        | Some (insn, len) -> (
-            if mid_instruction res addr then
-              raise (Reject (Mid_instruction, [ ("at", Prov.I addr) ]));
-            match Semantics.flow insn with
-            | Semantics.Fall -> walk_block (fuel - 1) (addr + len) frontier
-            | Semantics.Ret | Semantics.Halt -> frontier
-            | Semantics.Jump (Semantics.Direct t) ->
-                check_target t;
-                if Loaded.in_text loaded t then t :: frontier else frontier
-            | Semantics.Cond t ->
-                check_target t;
-                walk_block (fuel - 1) (addr + len)
-                  (if Loaded.in_text loaded t then t :: frontier
-                   else frontier)
-            | Semantics.Jump (Semantics.Indirect _) -> frontier
-            | Semantics.Callf (Semantics.Direct t) ->
-                check_target t;
-                walk_block (fuel - 1) (addr + len) frontier
-            | Semantics.Callf (Semantics.Indirect _) ->
-                walk_block (fuel - 1) (addr + len) frontier)
+        let s = Insn_table.find tbl addr in
+        if s < 0 then raise (Reject (Invalid_opcode, [ ("at", Prov.I addr) ]))
+        else begin
+          if mid_instruction res addr then
+            raise (Reject (Mid_instruction, [ ("at", Prov.I addr) ]));
+          let len = Insn_table.len tbl s in
+          match Insn_table.flow tbl s with
+          | Semantics.Fall -> walk_block (fuel - 1) (addr + len) frontier
+          | Semantics.Ret | Semantics.Halt -> frontier
+          | Semantics.Jump (Semantics.Direct t) ->
+              check_target t;
+              if Loaded.in_text loaded t then t :: frontier else frontier
+          | Semantics.Cond t ->
+              check_target t;
+              walk_block (fuel - 1) (addr + len)
+                (if Loaded.in_text loaded t then t :: frontier
+                 else frontier)
+          | Semantics.Jump (Semantics.Indirect _) -> frontier
+          | Semantics.Callf (Semantics.Direct t) ->
+              check_target t;
+              walk_block (fuel - 1) (addr + len) frontier
+          | Semantics.Callf (Semantics.Indirect _) ->
+              walk_block (fuel - 1) (addr + len) frontier
+        end
     in
     try
       let rec bfs blocks frontier =

@@ -77,7 +77,7 @@ let run ?(scale = 1.0) () =
                         if jump_only && not is_jump then acc
                         else
                           let reported, correct =
-                            match Hashtbl.find_opt heights addr with
+                            match heights addr with
                             | Some h' -> (1, if h' = h then 1 else 0)
                             | None -> (0, 0)
                           in

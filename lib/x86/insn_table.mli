@@ -1,0 +1,49 @@
+(** One flat decode table per binary: superset disassembly as a memo.
+
+    The table covers a set of address ranges (a binary's executable
+    sections).  Each byte offset maps to a dense slot id, kept as an
+    int32 in a [Bytes] buffer the GC does not scan.  The facts every
+    walker reads live in arrays indexed by slot: the instruction, its
+    length, its {!Semantics.flow}, and its register use and def sets as
+    masks ({!Reg.mask}).
+
+    An offset is decoded at most once, on its first {!find}, and all of
+    its facts are computed then; an offset with no instruction is
+    remembered as such.  Each walker decides what to follow, so
+    overlapping decodes from different offsets coexist.  Memory is
+    bounded by the ranges' size: four bytes per offset, plus at most
+    one slot (three array words and the decoded values) per offset. *)
+
+type t
+
+(** [create ~decode ranges] is an empty table over [ranges], a list of
+    [(lo, hi)] address ranges ([hi] exclusive).  [decode addr] is called
+    at most once per address inside the ranges, and never outside
+    them. *)
+val create : decode:(int -> (Insn.t * int) option) -> (int * int) list -> t
+
+(** Is the address inside one of the table's ranges? *)
+val in_text : t -> int -> bool
+
+(** The slot of the instruction at an address, decoding it on first
+    use; [-1] when the address is outside the ranges or holds no
+    instruction. *)
+val find : t -> int -> int
+
+(** {2 The facts of a slot}
+
+    Each takes a slot id returned by {!find}. *)
+
+val insn : t -> int -> Insn.t
+val len : t -> int -> int
+val flow : t -> int -> Semantics.flow
+
+(** {!Semantics.uses_mask}. *)
+val uses : t -> int -> int
+
+(** {!Semantics.defs}. *)
+val defs : t -> int -> int
+
+(** How many distinct addresses were decoded so far, undecodable ones
+    included. *)
+val decoded : t -> int

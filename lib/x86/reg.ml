@@ -92,15 +92,16 @@ let name32 = function
   | Rdi -> "edi"
   | r -> name64 r ^ "d"
 
-(** System-V integer argument registers, in order. *)
-let args = [ Rdi; Rsi; Rdx; Rcx; R8; R9 ]
+(** A register set as a 16-bit mask: bit [number r] stands for [r]. *)
+let bit r = 1 lsl number r
 
-let is_arg r = List.mem r args
+let mask rs = List.fold_left (fun m r -> m lor bit r) 0 rs
+
+(** System-V integer argument registers. *)
+let args_mask = mask [ Rdi; Rsi; Rdx; Rcx; R8; R9 ]
 
 (** Callee-saved registers under the System-V ABI. *)
-let callee_saved = [ Rbx; Rbp; R12; R13; R14; R15 ]
-
-let is_callee_saved r = List.mem r callee_saved
+let callee_saved_mask = mask [ Rbx; Rbp; R12; R13; R14; R15 ]
 
 let equal (a : t) b = a = b
 let compare (a : t) b = compare (number a) (number b)

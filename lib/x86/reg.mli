@@ -33,13 +33,21 @@ val dwarf_number : t -> int
 val name64 : t -> string
 val name32 : t -> string
 
-(** System-V integer argument registers, in order:
-    rdi, rsi, rdx, rcx, r8, r9. *)
-val args : t list
+(** {2 Register sets as masks}
 
-val is_arg : t -> bool
+    A set of registers is an [int] with bit [number r] set for each
+    member [r]. *)
 
-(** Is this register callee-saved under the System-V ABI? *)
-val is_callee_saved : t -> bool
+(** The one-register set. *)
+val bit : t -> int
+
+(** The set of the listed registers. *)
+val mask : t list -> int
+
+(** System-V integer argument registers: rdi, rsi, rdx, rcx, r8, r9. *)
+val args_mask : int
+
+(** Callee-saved registers under the System-V ABI: rbx, rbp, r12-r15. *)
+val callee_saved_mask : int
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -60,79 +60,91 @@ let sp_delta = function
   | Int3 | Hlt | Syscall | Cpuid ->
       Some 0
 
-let mem_regs (m : mem) =
-  (match m.base with Some b -> [ b ] | None -> [])
-  @ match m.index with Some (r, _) -> [ r ] | None -> []
+(* [fold_mem]/[fold_operand]/[fold_reads f acc]: fold [f] over the
+   registers read, in order, [rsp] included. *)
+let fold_mem f acc (m : mem) =
+  let acc = match m.base with Some b -> f acc b | None -> acc in
+  match m.index with Some (r, _) -> f acc r | None -> acc
 
-let operand_reads = function
-  | Reg r -> [ r ]
-  | Imm _ -> []
-  | Mem m -> mem_regs m
+let fold_operand f acc = function
+  | Reg r -> f acc r
+  | Imm _ -> acc
+  | Mem m -> fold_mem f acc m
+
+let fold_reads f acc = function
+  | Push _ -> acc
+  | Pop _ -> acc
+  | Mov (_, Reg _, src) -> fold_operand f acc src
+  | Mov (_, Mem m, src) -> fold_operand f (fold_mem f acc m) src
+  | Mov (_, Imm _, _) -> acc
+  | Movabs _ -> acc
+  | Lea (_, m) -> fold_mem f acc m
+  | Arith (Xor, _, Reg d, Reg s) when Reg.equal d s -> acc (* zeroing idiom *)
+  | Arith (_, _, Reg d, src) -> fold_operand f (f acc d) src
+  | Arith (_, _, Mem m, src) -> fold_operand f (fold_mem f acc m) src
+  | Arith (_, _, Imm _, _) -> acc
+  | Test (_, a, b) -> f (f acc a) b
+  | Imul (d, src) -> fold_operand f (f acc d) src
+  | Shift (_, r, _) -> f acc r
+  | Neg (_, r) -> f acc r
+  | Inc r | Dec r -> f acc r
+  | Movsxd (_, m) -> fold_mem f acc m
+  | Movzx (_, _, src) | Movsx (_, _, src) -> fold_operand f acc src
+  | Setcc _ -> acc
+  | Cmov (_, d, src) -> fold_operand f (f acc d) src
+  | Div (_, r) | Idiv (_, r) -> f (f (f acc Reg.Rax) Reg.Rdx) r
+  | Mul (_, r) -> f (f acc Reg.Rax) r
+  | Cqo | Cdq -> f acc Reg.Rax
+  | Not (_, r) -> f acc r
+  | Xchg (a, b) -> f (f acc a) b
+  | Push_imm _ -> acc
+  | Test_imm (_, r, _) -> f acc r
+  | Call_ind o | Jmp_ind o -> fold_operand f acc o
+  | Call _ | Jmp _ | Jmp_short _ | Jcc _ | Jcc_short _ -> acc
+  | Ret | Leave | Nop _ | Endbr64 | Ud2 | Int3 | Hlt | Cpuid -> acc
+  | Syscall -> f acc Reg.Rax
 
 (** Registers read by the instruction, for the calling-convention check of
     §IV-E.  [push reg] is treated as a save, not a use (otherwise every
     [push rbp] prologue would violate the rule); reads of [rsp] are never
     reported. *)
 let uses insn =
-  let raw =
-    match insn with
-    | Push _ -> []
-    | Pop _ -> []
-    | Mov (_, Reg _, src) -> operand_reads src
-    | Mov (_, Mem m, src) -> mem_regs m @ operand_reads src
-    | Mov (_, Imm _, _) -> []
-    | Movabs _ -> []
-    | Lea (_, m) -> mem_regs m
-    | Arith (Xor, _, Reg d, Reg s) when Reg.equal d s -> [] (* zeroing idiom *)
-    | Arith (_, _, Reg d, src) -> d :: operand_reads src
-    | Arith (_, _, Mem m, src) -> mem_regs m @ operand_reads src
-    | Arith (_, _, Imm _, _) -> []
-    | Test (_, a, b) -> [ a; b ]
-    | Imul (d, src) -> d :: operand_reads src
-    | Shift (_, r, _) -> [ r ]
-    | Neg (_, r) -> [ r ]
-    | Inc r | Dec r -> [ r ]
-    | Movsxd (_, m) -> mem_regs m
-    | Movzx (_, _, src) | Movsx (_, _, src) -> operand_reads src
-    | Setcc _ -> []
-    | Cmov (_, d, src) -> d :: operand_reads src
-    | Div (_, r) | Idiv (_, r) -> [ Reg.Rax; Reg.Rdx; r ]
-    | Mul (_, r) -> [ Reg.Rax; r ]
-    | Cqo | Cdq -> [ Reg.Rax ]
-    | Not (_, r) -> [ r ]
-    | Xchg (a, b) -> [ a; b ]
-    | Push_imm _ -> []
-    | Test_imm (_, r, _) -> [ r ]
-    | Call_ind o | Jmp_ind o -> operand_reads o
-    | Call _ | Jmp _ | Jmp_short _ | Jcc _ | Jcc_short _ -> []
-    | Ret | Leave | Nop _ | Endbr64 | Ud2 | Int3 | Hlt | Cpuid -> []
-    | Syscall -> [ Reg.Rax ]
-  in
-  List.filter (fun r -> not (Reg.equal r Reg.Rsp)) raw
+  List.rev
+    (fold_reads
+       (fun acc r -> if Reg.equal r Reg.Rsp then acc else r :: acc)
+       [] insn)
 
-(** Registers fully (re)defined by the instruction. *)
+let uses_mask insn =
+  fold_reads (fun m r -> m lor Reg.bit r) 0 insn land lnot (Reg.bit Reg.Rsp)
+
+let rax_rdx = Reg.mask [ Reg.Rax; Reg.Rdx ]
+let syscall_defs = Reg.mask [ Reg.Rax; Reg.Rcx; Reg.R11 ]
+let cpuid_defs = Reg.mask [ Reg.Rax; Reg.Rbx; Reg.Rcx; Reg.Rdx ]
+
+(** Registers fully (re)defined by the instruction, as a mask. *)
 let defs = function
-  | Pop r -> [ r ]
-  | Mov (W64, Reg d, _) | Movabs (d, _) | Lea (d, _) | Movsxd (d, _) -> [ d ]
-  | Mov (W32, Reg d, _) -> [ d ] (* 32-bit writes zero the upper half *)
-  | Arith (Xor, _, Reg d, Reg s) when Reg.equal d s -> [ d ]
-  | Arith (Cmp, _, _, _) | Test _ -> []
-  | Arith (_, _, Reg d, _) -> [ d ]
-  | Imul (d, _) -> [ d ]
-  | Shift (_, r, _) -> [ r ]
-  | Neg (_, r) -> [ r ]
-  | Inc r | Dec r -> [ r ]
-  | Movzx (d, _, _) | Movsx (d, _, _) | Cmov (_, d, _) -> [ d ]
-  | Div (_, _) | Idiv (_, _) | Mul (_, _) -> [ Reg.Rax; Reg.Rdx ]
-  | Cqo | Cdq -> [ Reg.Rdx ]
-  | Not (_, r) -> [ r ]
-  | Xchg (a, b) -> [ a; b ]
-  | Setcc _ -> [] (* writes only the low byte: not a full definition *)
-  | Push_imm _ | Test_imm _ -> []
-  | Leave -> [ Reg.Rbp ]
-  | Syscall -> [ Reg.Rax; Reg.Rcx; Reg.R11 ]
-  | Cpuid -> [ Reg.Rax; Reg.Rbx; Reg.Rcx; Reg.Rdx ]
+  | Pop r -> Reg.bit r
+  | Mov (W64, Reg d, _) | Movabs (d, _) | Lea (d, _) | Movsxd (d, _) ->
+      Reg.bit d
+  | Mov (W32, Reg d, _) -> Reg.bit d (* 32-bit writes zero the upper half *)
+  | Arith (Xor, _, Reg d, Reg s) when Reg.equal d s -> Reg.bit d
+  | Arith (Cmp, _, _, _) | Test _ -> 0
+  | Arith (_, _, Reg d, _) -> Reg.bit d
+  | Imul (d, _) -> Reg.bit d
+  | Shift (_, r, _) -> Reg.bit r
+  | Neg (_, r) -> Reg.bit r
+  | Inc r | Dec r -> Reg.bit r
+  | Movzx (d, _, _) | Movsx (d, _, _) | Cmov (_, d, _) -> Reg.bit d
+  | Div (_, _) | Idiv (_, _) | Mul (_, _) -> rax_rdx
+  | Cqo | Cdq -> Reg.bit Reg.Rdx
+  | Not (_, r) -> Reg.bit r
+  | Xchg (a, b) -> Reg.bit a lor Reg.bit b
+  | Setcc _ -> 0 (* writes only the low byte: not a full definition *)
+  | Push_imm _ | Test_imm _ -> 0
+  | Leave -> Reg.bit Reg.Rbp
+  | Syscall -> syscall_defs
+  | Cpuid -> cpuid_defs
   | Push _ | Mov (_, (Mem _ | Imm _), _) | Arith (_, _, (Mem _ | Imm _), _)
   | Call _ | Call_ind _ | Jmp _ | Jmp_short _ | Jmp_ind _ | Jcc _
   | Jcc_short _ | Ret | Nop _ | Endbr64 | Ud2 | Int3 | Hlt ->
-      []
+      0

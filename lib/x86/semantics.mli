@@ -25,11 +25,14 @@ val flow : Insn.t -> flow
 val sp_delta : Insn.t -> int option
 
 (** Registers read by the instruction, for the calling-convention check
-    of §IV-E.  [push reg] is treated as a save, not a use; reads of [rsp]
-    are never reported; [xor r, r] is the zeroing idiom and reads
-    nothing. *)
+    of §IV-E, in operand order.  [push reg] is treated as a save, not a
+    use; reads of [rsp] are never reported; [xor r, r] is the zeroing
+    idiom and reads nothing. *)
 val uses : Insn.t -> Reg.t list
 
-(** Registers fully (re)defined by the instruction (32-bit writes zero
-    the upper half, so they count). *)
-val defs : Insn.t -> Reg.t list
+(** {!uses} as a register mask ({!Reg.mask}). *)
+val uses_mask : Insn.t -> int
+
+(** Registers fully (re)defined by the instruction, as a register mask
+    (32-bit writes zero the upper half, so they count). *)
+val defs : Insn.t -> int

@@ -797,7 +797,7 @@ let test_jump_table_register_load () =
      the load form, so only it reaches the case blocks *)
   let case_heights style =
     let h = Stack_height.analyze loaded ~style (label asm "f") in
-    List.map (fun c -> Hashtbl.find_opt h (label asm c)) [ "c0"; "c1"; "c2" ]
+    List.map (fun c -> h (label asm c)) [ "c0"; "c1"; "c2" ]
   in
   check
     (Alcotest.list (Alcotest.option Alcotest.int))
@@ -1034,11 +1034,11 @@ let test_stack_height_basic () =
     Stack_height.analyze loaded ~style:Stack_height.Dyninst (label asm "f")
   in
   check (Alcotest.option Alcotest.int) "entry" (Some 0)
-    (Hashtbl.find_opt h (label asm "f"));
+    (h (label asm "f"));
   check (Alcotest.option Alcotest.int) "body" (Some 32)
-    (Hashtbl.find_opt h (label asm "body"));
+    (h (label asm "body"));
   check (Alcotest.option Alcotest.int) "at ret" (Some 0)
-    (Hashtbl.find_opt h (label asm "end"))
+    (h (label asm "end"))
 
 let test_stack_height_untrackable () =
   let items =
@@ -1055,7 +1055,7 @@ let test_stack_height_untrackable () =
     Stack_height.analyze loaded ~style:Stack_height.Dyninst (label asm "f")
   in
   check (Alcotest.option Alcotest.int) "abandoned after mov rsp" None
-    (Hashtbl.find_opt h (label asm "after"))
+    (h (label asm "after"))
 
 (* --- linear sweep and prologue matching --- *)
 
@@ -1108,6 +1108,111 @@ let test_gaps () =
   check Alcotest.int "leading padding" 15
     (Linear_sweep.leading_padding loaded ~lo ~hi)
 
+(* --- the decode table --- *)
+
+(* Synth draws under both compilers, and every adversarial scenario:
+   their text holds data pools, jump tables and padding as well as code. *)
+let table_images =
+  lazy
+    (List.map
+       (fun (compiler, seed) ->
+         (Fetch_synth.Link.build_random
+            ~profile:(Fetch_synth.Profile.make compiler Fetch_synth.Profile.O2)
+            ~seed Fetch_synth.Gen.default_spec)
+           .image)
+       [ (Fetch_synth.Profile.Synthgcc, 3); (Fetch_synth.Profile.Synthllvm, 4) ]
+    @ List.map
+        (fun sc -> (Fetch_synth.Adversary.build sc ~seed:2026).image)
+        Fetch_synth.Adversary.all)
+
+(* Every offset of every executable section, mid-instruction and
+   data-in-text offsets and a section's last 15 bytes included, plus one
+   byte either side of it, looked up in shuffled order so a slot cannot
+   depend on which offsets were filled before it: each slot holds what
+   the decoder and [Semantics] say, and nothing is decoded twice. *)
+let test_table_matches_decoder () =
+  let rng = Random.State.make [| 25 |] in
+  List.iter
+    (fun img ->
+      let loaded = Loaded.load img in
+      let tbl = loaded.Loaded.table in
+      let expected a =
+        List.find_map
+          (fun (s : Fetch_elf.Image.section) ->
+            if a >= s.addr && a < s.addr + String.length s.data then
+              Some (Decode.decode ~pos:(a - s.addr) ~addr:a s.data)
+            else None)
+          loaded.Loaded.exec
+      in
+      let addrs =
+        Array.of_list
+          (List.concat_map
+             (fun (lo, hi) -> List.init (hi - lo + 2) (fun i -> lo - 1 + i))
+             (Loaded.text_ranges loaded))
+      in
+      for i = Array.length addrs - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = addrs.(i) in
+        addrs.(i) <- addrs.(j);
+        addrs.(j) <- x
+      done;
+      let in_text = ref 0 in
+      Array.iter
+        (fun a ->
+          let s = Insn_table.find tbl a in
+          match expected a with
+          | None -> if s <> -1 then Alcotest.failf "%#x: a slot outside the text" a
+          | Some None ->
+              incr in_text;
+              if s <> -1 then Alcotest.failf "%#x: a slot for no instruction" a
+          | Some (Some (insn, len)) ->
+              incr in_text;
+              if
+                s < 0
+                || Insn_table.insn tbl s <> insn
+                || Insn_table.len tbl s <> len
+                || Insn_table.flow tbl s <> Semantics.flow insn
+                || Insn_table.uses tbl s <> Reg.mask (Semantics.uses insn)
+                || Insn_table.defs tbl s <> Semantics.defs insn
+              then Alcotest.failf "%#x: the slot disagrees with the decoder" a)
+        addrs;
+      let decoded = Insn_table.decoded tbl in
+      Array.iter (fun a -> ignore (Insn_table.find tbl a)) addrs;
+      check Alcotest.int "each text offset decoded once" !in_text decoded;
+      check Alcotest.int "a second lookup decodes nothing" decoded
+        (Insn_table.decoded tbl))
+    (Lazy.force table_images)
+
+(* Inside a trace run, [Loaded.cache] binds exactly the offsets the table
+   decoded; outside one it stays empty. *)
+let test_table_trace_cache () =
+  let img = List.hd (Lazy.force table_images) in
+  let detect () =
+    let loaded = Loaded.load img in
+    ignore (Fetch_core.Lint.run (Fetch_core.Pipeline.run_loaded loaded));
+    loaded
+  in
+  check Alcotest.int "no binding outside a trace run" 0
+    (Hashtbl.length (detect ()).Loaded.cache);
+  let loaded, _ = Fetch_obs.Trace.with_run detect in
+  let tbl = loaded.Loaded.table in
+  check Alcotest.bool "the run decoded something" true
+    (Insn_table.decoded tbl > 0);
+  check Alcotest.int "one binding per decoded offset" (Insn_table.decoded tbl)
+    (Hashtbl.length loaded.Loaded.cache);
+  (* a bound offset is decoded already; any other text offset is not *)
+  List.iter
+    (fun (lo, hi) ->
+      for a = lo to hi - 1 do
+        let before = Insn_table.decoded tbl in
+        ignore (Insn_table.find tbl a);
+        let bound = Hashtbl.mem loaded.Loaded.cache a in
+        if Insn_table.decoded tbl <> if bound then before else before + 1 then
+          Alcotest.failf "%#x: bound %b, but decoded %s" a bound
+            (if bound then "again" else "before")
+      done)
+    (Loaded.text_ranges loaded)
+
 let suite =
   [
     Alcotest.test_case "rec: follows calls" `Quick test_rec_follows_calls;
@@ -1152,4 +1257,8 @@ let suite =
     Alcotest.test_case "linear sweep resynchronizes" `Quick test_linear_sweep_resync;
     Alcotest.test_case "prologue strict vs loose" `Quick test_prologue_strict_vs_loose;
     Alcotest.test_case "gap enumeration" `Quick test_gaps;
+    Alcotest.test_case "decode table: every offset matches the decoder" `Quick
+      test_table_matches_decoder;
+    Alcotest.test_case "decode table: the trace cache binds each decode" `Quick
+      test_table_trace_cache;
   ]

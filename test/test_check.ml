@@ -53,8 +53,8 @@ module Count = struct
   let equal = Int.equal
   let join = min
 
-  let transfer ~addr insn st =
-    match insn with
+  let transfer tbl ~addr s st =
+    match Insn_table.insn tbl s with
     | I.Nop _ -> Dataflow.Step (st + 1)
     | I.Ud2 -> Dataflow.Fatal addr
     | _ -> Dataflow.Step st
@@ -62,8 +62,7 @@ end
 
 module CS = Dataflow.Make (Count)
 
-let prog_of loaded =
-  { Dataflow.insn_at = Loaded.insn_at loaded; in_text = Loaded.in_text loaded }
+let prog_of (loaded : Loaded.t) = loaded.table
 
 (* Diamond: the left path counts two NOPs, the right path none; both end
    with an explicit jump to [merge]. *)
@@ -91,7 +90,7 @@ let test_engine_first_write_wins () =
      fallthrough, so the 2-NOP path reaches [merge] first and later
      arrivals are discarded *)
   check (Alcotest.option Alcotest.int) "first arrival kept" (Some 2)
-    (Hashtbl.find_opt sol.CS.states (label asm "merge"));
+    (Dataflow.Itbl.find_opt sol.CS.states (label asm "merge"));
   check Alcotest.int "four blocks walked" 4 sol.CS.blocks_walked;
   check Alcotest.bool "not exhausted" false sol.CS.exhausted;
   check (Alcotest.option Alcotest.int) "no fatal" None sol.CS.fatal
@@ -104,7 +103,7 @@ let test_engine_join_fixpoint () =
   in
   (* the join (min) over both paths survives regardless of arrival order *)
   check (Alcotest.option Alcotest.int) "joined over both paths" (Some 0)
-    (Hashtbl.find_opt sol.CS.states (label asm "merge"));
+    (Dataflow.Itbl.find_opt sol.CS.states (label asm "merge"));
   check Alcotest.bool "at least one in-state update" true (sol.CS.joins >= 1)
 
 let test_engine_fatal_stops () =
@@ -157,13 +156,13 @@ let test_engine_edge_state_resets () =
   in
   let plain = solve CS.default_policy in
   check (Alcotest.option Alcotest.int) "state crosses the edge" (Some 2)
-    (Hashtbl.find_opt plain.CS.states (label asm "b"));
+    (Dataflow.Itbl.find_opt plain.CS.states (label asm "b"));
   let reset =
     solve
       { CS.default_policy with edge_state = (fun _ -> 0) }
   in
   check (Alcotest.option Alcotest.int) "edge hook reset the state" (Some 0)
-    (Hashtbl.find_opt reset.CS.states (label asm "b"))
+    (Dataflow.Itbl.find_opt reset.CS.states (label asm "b"))
 
 let test_engine_undecodable_policy () =
   let loaded, asm =
@@ -228,8 +227,7 @@ let lint_view ?(funcs = []) ?(fdes = []) ?(complete = [])
     ?(referenced_outside_jumps_of = fun ~entry:_ _ -> false) loaded
     (res : Recursive.result) =
   {
-    Lint.insn_at = Loaded.insn_at loaded;
-    in_text = Loaded.in_text loaded;
+    Lint.table = loaded.Loaded.table;
     funcs;
     insn_spans = res.Recursive.insn_spans;
     fdes;
@@ -368,17 +366,18 @@ let test_lint_jump_mid_func () =
 
 (* A view over fabricated functions only: every address starts an
    instruction of 1 to 3 bytes (none at [a mod 23 = 22]), so walks from
-   two block starts sometimes fall into step and sometimes not.  No text,
-   FDEs or CFI, so every other rule stays silent. *)
+   two block starts sometimes fall into step and sometimes not.  No
+   committed instructions, FDEs or CFI, so every other rule stays
+   silent. *)
+let fabricated_insn a =
+  if a mod 23 = 22 then None
+  else
+    let len = 1 + (a * a mod 3) in
+    Some (I.Nop len, len)
+
 let fabricated_view funcs =
   {
-    Lint.insn_at =
-      (fun a ->
-        if a mod 23 = 22 then None
-        else
-          let len = 1 + (a * a mod 3) in
-          Some (I.Nop len, len));
-    in_text = (fun _ -> false);
+    Lint.table = Insn_table.create ~decode:fabricated_insn [ (0, 4096) ];
     funcs;
     insn_spans = Fetch_util.Insn_index.create [];
     fdes = [];
@@ -391,11 +390,11 @@ let fabricated_view funcs =
     resolve_indirect = (fun ~window:_ _ -> None);
   }
 
-let model_boundaries (v : Lint.view) ~from ~lo ~hi =
+let model_boundaries ~from ~lo ~hi =
   let rec walk addr acc =
     if addr >= hi then List.rev acc
     else
-      match v.insn_at addr with
+      match fabricated_insn addr with
       | Some (_, len) ->
           walk (addr + len) (if addr >= lo then addr :: acc else acc)
       | None -> List.rev acc
@@ -422,8 +421,8 @@ let model_func_overlap (v : Lint.view) =
               Option.map
                 (fun (flo, glo, olo, ohi) ->
                   let agree =
-                    model_boundaries v ~from:flo ~lo:olo ~hi:ohi
-                    = model_boundaries v ~from:glo ~lo:olo ~hi:ohi
+                    model_boundaries ~from:flo ~lo:olo ~hi:ohi
+                    = model_boundaries ~from:glo ~lo:olo ~hi:ohi
                   in
                   {
                     Finding.rule = "func-overlap";

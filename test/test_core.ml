@@ -673,7 +673,7 @@ let test_xref_rounds_linear () =
   check (Alcotest.list Alcotest.int) "every function detected" (known @ ptrs)
     (An.Recursive.starts res)
 
-(* Regression: a decode-cache inconsistency mid-span used to abandon the
+(* Regression: a decode-table inconsistency mid-span used to abandon the
    rest of the span scan silently; now it resyncs and counts. *)
 let test_refs_scan_resync () =
   let items =
@@ -688,9 +688,19 @@ let test_refs_scan_resync () =
   let _, rep = Obs.with_run (fun () -> Refs.collect loaded res) in
   check Alcotest.int "clean scan needs no resync" 0
     (counter rep "refs.scan_resync");
-  (* poison the memoized decode under a committed span *)
-  Hashtbl.replace loaded.An.Loaded.cache 0x1000 None;
-  let _, rep = Obs.with_run (fun () -> Refs.collect loaded res) in
+  (* poison the decode table under a committed span: a table whose
+     decode finds no instruction at 0x1000 *)
+  let poisoned =
+    {
+      loaded with
+      An.Loaded.table =
+        X86.Insn_table.create
+          ~decode:(fun a ->
+            if a = 0x1000 then None else An.Loaded.insn_at loaded a)
+          (An.Loaded.text_ranges loaded);
+    }
+  in
+  let _, rep = Obs.with_run (fun () -> Refs.collect poisoned res) in
   check Alcotest.bool "poisoned decode resyncs and counts" true
     (counter rep "refs.scan_resync" >= 1)
 

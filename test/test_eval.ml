@@ -148,7 +148,7 @@ let test_heights_driver_on_subset () =
             List.iter
               (fun (addr, h, _) ->
                 let reported, correct =
-                  match Hashtbl.find_opt heights addr with
+                  match heights addr with
                   | Some h' -> (1, if h' = h then 1 else 0)
                   | None -> (0, 0)
                 in
