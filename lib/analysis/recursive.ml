@@ -24,8 +24,6 @@ let c_funcs_disassembled = Obs.counter "recursive.functions_disassembled"
 let c_tables_resolved = Obs.counter "recursive.jump_tables_resolved"
 let c_worklist_rounds = Obs.counter "recursive.worklist_rounds"
 let c_returns_checked = Obs.counter "recursive.returns_checked"
-let c_replays = Obs.counter "recursive.replays"
-let c_replay_checks = Obs.counter "recursive.replay_checks"
 let c_extend_runs = Obs.counter "recursive.extend_runs"
 let c_extend_funcs = Obs.counter "recursive.extend_funcs"
 let h_block_insns = Obs.histogram "recursive.block_insns"
@@ -134,9 +132,10 @@ type block_end =
   | End_fallthrough of int  (** ran into a known block/function start *)
   | End_error
 
-(* [edge a] is told every address where the block stops without decoding
-   an instruction, so a walk can list the start queries it made outside
-   its own instructions. *)
+(* [edge a] is told every address where the walk stops without decoding
+   an instruction: a block that runs into a start or fails to decode, or
+   a jump that leaves the function.  With the walk's own instructions,
+   these are all the start queries that shaped it. *)
 let rec decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start ~edge
     ~block_known addr acc =
   if
@@ -200,8 +199,9 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~edge
   Queue.add (entry, []) pending;
   let block_known a = Itbl.mem visited a in
   let leaves t =
-    edge t;
-    is_start t && t <> entry
+    let out = is_start t && t <> entry in
+    if out then edge t;
+    out
   in
   while not (Queue.is_empty pending) do
     let b, inherited = Queue.pop pending in
@@ -339,303 +339,262 @@ let returns_of funcs dirty =
   done;
   returns
 
-(* One walk of one function and what it read of the engine's state, kept
-   so that a later round can reuse it instead of walking again. *)
-type walked = {
-  f : func;
-  found : int array;  (** direct callees, first discovery order *)
-  probes : int array;
-      (** the start queries made outside the walk's own instructions
-          (block stops, branch targets), each packed as [a lsl 1] plus 1
-          when [a] was registered before the walk began *)
-}
-
-let probe a was = (a lsl 1) lor Bool.to_int was
+(* One walk of one function: the engine's record of it, its direct text
+   callees outside the committed functions (first discovery order), and
+   the addresses where it stopped without decoding. *)
+type walk = { f : func; callees : int list; edges : int list }
 
 type delta = { new_funcs : func list; new_spans : (int * int) list }
 
-(* [now] is [old] with some entries left out, in the same order: the
-   entries left out *)
-let rec left_out old now =
-  match (old, now) with
-  | _, [] -> Some old
-  | [], _ :: _ -> None
-  | o :: os, n :: ns when o = n -> left_out os ns
-  | o :: os, _ -> Option.map (List.cons o) (left_out os now)
+(* First index of the sorted array [a] holding a value >= [x]. *)
+let lower_bound a x =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if a.(mid) < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
 
-(* The engine behind [run] and [extend]: a worklist that reaches the
-   fixpoint of "walk every function reachable from [seeds] under the
-   noreturn facts, learn the facts those walks imply" — the walks a
-   from-scratch loop would make in its last pass, and every fact it
-   would learn on the way.
+(* Does [p] hold for an [x] of the sorted array [a] that [w] may have
+   asked about: one inside its blocks, or one where it stopped? *)
+let exists_asked a w p =
+  let n = Array.length a in
+  let rec from i hi = i < n && a.(i) < hi && (p a.(i) || from (i + 1) hi) in
+  n > 0
+  && (List.exists (fun (lo, hi) -> from (lower_bound a lo) hi) w.f.blocks
+     || List.exists
+          (fun x ->
+            let i = lower_bound a x in
+            i < n && a.(i) = x && p x)
+          w.edges)
 
-   Round 0 walks breadth-first from the seeds, as that loop's first pass
-   does: the registration order decides what each walk sees as a start
-   (the entries registered before it, then its own callees, block by
-   block).  Each round then learns facts only for the functions just
-   walked and their reverse tail-jump closure, and re-walks only the
-   live callers of the entries it flipped, each with the starts it saw
-   before.  A re-walk cut short by a flipped call registers fewer
-   callees.  A dropped callee that no live walk calls any more is
-   retracted, with whatever it alone registered, and the functions that
-   stopped at a retracted entry are walked again; the order of every
-   other entry is unchanged, so no other walk can change.  A retracted
-   function's walk is dropped, but its facts stay, as in the loop.
-   Only when a dropped callee is still called (it moves to a later
-   caller) or a re-walk registers a callee it did not before does the
-   order itself move: the breadth-first order is then replayed from the
-   first entry that moved, keeping every walk whose recorded start
-   queries still get the same answers and whose instructions hold no
-   registered entry.  A function is re-walked at most once per flipped
-   callee, so a run costs O(call edges) walks; a replay costs one check
-   per entry after the move.  Committed functions (an [extend]'s
-   [res.funcs]) are starts for every walk and are never re-walked.  The
-   last walks' instructions are committed to [res.insn_spans] in
-   breadth-first order, first writer first.  One [recursive.discover]
-   per callee per call, none for a committed entry; seeds are not
-   "discovered" (their origin events come from the caller).  Only
-   [extend] lists the committed spans in its delta. *)
+(* The elements of [a] not in [b], both ascending. *)
+let rec minus a b =
+  match (a, b) with
+  | [], _ -> []
+  | _, [] -> a
+  | x :: a', y :: b' ->
+      if x < y then x :: minus a' b else if x > y then minus a b' else minus a' b'
+
+(* The engine behind [run] and [extend]: the noreturn fixpoint of
+   DESIGN.md, kept incrementally.  A discovery walk stops only at seeds
+   and committed entries, so it depends on the facts alone; the entries
+   are the seeds and every text callee the discovery walks reach from
+   them.  An entry's body is its walk that stops at every entry.  Facts
+   are learned from the bodies until none is, and a fact learned in this
+   call for an entry that did not stay is dropped.
+
+   A round walks again only the discovery callers of each flipped entry.
+   An entry that lost a discovery caller stays only while a seed reaches
+   it, which trial deletion over what it reaches settles.  A discovery
+   walk that asked about no other non-seed entry is its entry's body
+   too; a body walked apart is walked again when one of its callees
+   flips or an entry it asked about is retracted.  Return status is
+   re-derived only for the bodies that changed and whatever tail-jumps
+   to them.  Committed functions (an [extend]'s [res.funcs]) are starts
+   for every walk and are never walked.  The spans are committed in
+   ascending entry order, first writer first.  One [recursive.discover]
+   per text callee per call, none for a committed entry. *)
 let grow ~safe ~extending loaded res ~seeds =
   let prov_seen = if Prov.enabled () then Some (Itbl.create 64) else None in
-  let walks : walked Itbl.t = Itbl.create 64 in
+  (* the entries with their discovery walks, and the bodies walked apart *)
+  let disc : walk Itbl.t = Itbl.create 64 and apart : walk Itbl.t = Itbl.create 16 in
+  let body e = match Itbl.find_opt apart e with Some w -> w | None -> Itbl.find disc e in
   (* the walk asks at every instruction; [run] has nothing committed *)
   let any_committed = Hashtbl.length res.funcs > 0 in
   let committed a =
-    any_committed && (not (Itbl.mem walks a)) && Hashtbl.mem res.funcs a
+    any_committed && Hashtbl.mem res.funcs a && not (Itbl.mem disc a)
   in
-  (* the registration order: [order] lists the entries, [rank] numbers
-     the live ones, and [views.(i)] is how many were registered when
-     [order.(i)] was walked *)
-  let order = ref [||] and views = ref [||] and n = ref 0 in
-  let rank = Itbl.create 64 in
-  (* [callers t]: the live walks that call [t] *)
-  let callers = Itbl.create 64 in
-  let callers_of t =
-    match Itbl.find_opt callers t with
-    | Some c -> c
-    | None ->
-        let c = Itbl.create 4 in
-        Itbl.replace callers t c;
-        c
-  in
-  let count t = Itbl.length (callers_of t) in
-  (* [stops a]: the walks that stopped at [a], registered before them *)
-  let stops = Itbl.create 16 and jumpers = Itbl.create 16 in
-  let cond_memo = Itbl.create 64 and walked = ref [] and retracted = ref [] in
-  (* registered before the walk of the [k]th entry began *)
-  let before k a =
-    committed a
-    || match Itbl.find_opt rank a with Some r -> r < !views.(k) | None -> false
-  in
-  let walk ~is_start ~before ~register e =
-    let probes = ref [] and found = ref [] and mine = Itbl.create 8 in
+  (* what this call may make an entry: a text address, not a committed one *)
+  let in_scope t = Loaded.in_text loaded t && not (committed t) in
+  let seed = Itbl.create 16 in
+  List.iter (fun s -> if in_scope s then Itbl.replace seed s ()) seeds;
+  let walk ~is_start e =
+    let callees = ref [] and mine = Itbl.create 8 and edges = ref [] in
     let new_entries ~site t =
-      (match prov_seen with
-      | Some seen
-        when Loaded.in_text loaded t && (not (Itbl.mem seen t)) && not (committed t)
-        ->
-          Itbl.replace seen t ();
-          Prov.emit ~ev:"recursive.discover" ~addr:t [ ("site", Prov.I site) ]
-      | _ -> ());
-      if not (Itbl.mem mine t) then begin
+      if in_scope t && not (Itbl.mem mine t) then begin
         Itbl.replace mine t ();
-        found := t :: !found
-      end;
-      if Loaded.in_text loaded t && not (is_start t) then register t
+        callees := t :: !callees;
+        match prov_seen with
+        | Some seen when not (Itbl.mem seen t) ->
+            Itbl.replace seen t ();
+            Prov.emit ~ev:"recursive.discover" ~addr:t [ ("site", Prov.I site) ]
+        | _ -> ()
+      end
     in
     let f =
       disasm_function loaded ~safe ~noreturn:res.noreturn
         ~cond_noreturn:res.cond_noreturn ~is_start
-        ~edge:(fun a -> probes := probe a (before a) :: !probes)
+        ~edge:(fun a -> edges := a :: !edges)
         ~new_entries e
     in
-    let w =
-      {
-        f;
-        found = Array.of_list (List.rev !found);
-        probes = Array.of_list !probes;
-      }
-    in
-    (match Itbl.find_opt walks e with
-    | Some old ->
-        Array.iter
-          (fun t -> if not (Itbl.mem mine t) then Itbl.remove (callers_of t) e)
-          old.found
-    | None -> ());
-    Array.iter (fun t -> Itbl.replace (callers_of t) e ()) w.found;
-    Array.iter (fun p -> if p land 1 = 1 then Itbl.add stops (p asr 1) e) w.probes;
-    Itbl.replace walks e w;
-    walked := e :: !walked;
-    Hashtbl.replace res.funcs e f;
-    List.iter (fun (_, _, t) -> Itbl.add jumpers t e) f.out_jumps;
     if extending then Obs.incr c_extend_funcs;
-    w
+    { f; callees = List.rev !callees; edges = !edges }
   in
-  let register t =
-    if Loaded.in_text loaded t && (not (committed t)) && not (Itbl.mem rank t)
-    then begin
-      if !n = Array.length !order then begin
-        let grow a =
-          let bigger = Array.make (max 64 (2 * !n)) 0 in
-          Array.blit a 0 bigger 0 !n;
-          bigger
-        in
-        order := grow !order;
-        views := grow !views
-      end;
-      !order.(!n) <- t;
-      Itbl.replace rank t !n;
-      incr n
-    end
+  let discovery = walk ~is_start:(fun a -> Itbl.mem seed a || committed a) in
+  (* [callers t]: the entries whose discovery walk calls [t] *)
+  let callers = Itbl.create 64 in
+  let link e w =
+    List.iter
+      (fun t ->
+        match Itbl.find_opt callers t with
+        | Some c -> Itbl.replace c e ()
+        | None ->
+            let c = Itbl.create 4 in
+            Itbl.replace c e ();
+            Itbl.replace callers t c)
+      w.callees
   in
-  (* a kept walk of [e] is what walking again would give when every
-     start query it made gets the same answer: the ones outside its
-     instructions as recorded, and no registered entry but [e] at one of
-     its instructions.  Its callees' facts hold: the callers of every
-     flipped entry were walked again in that round, and a retracted
-     function's walk is dropped. *)
-  let is_registered a = committed a || Itbl.mem rank a in
-  let reusable w e =
-    Obs.incr c_replay_checks;
-    Array.for_all (fun p -> probe (p asr 1) (is_registered (p asr 1)) = p) w.probes
-    &&
-    let clear = ref true in
-    iter_insns loaded w.f (fun a _ -> if a <> e && is_registered a then clear := false);
-    !clear
-  in
-  (* the breadth-first order from the [from]th walk on, the walks before
-     it and what they registered unchanged; [keep] reuses every kept
-     walk that still holds *)
-  let bfs ~keep ~from =
-    let base = if from = 0 then 0 else !views.(from) in
-    for i = base to !n - 1 do
-      Itbl.remove rank !order.(i)
-    done;
-    n := base;
-    if from = 0 then List.iter register seeds;
-    let i = ref from in
-    while !i < !n do
-      let k = !i and e = !order.(!i) in
-      incr i;
-      (* a retracted entry leaves a hole *)
-      if Itbl.find_opt rank e = Some k then begin
-        !views.(k) <- !n;
-        match Itbl.find_opt walks e with
-        | Some w when keep && reusable w e ->
-            Hashtbl.replace res.funcs e w.f;
-            Array.iter register w.found
-        | _ ->
-            ignore
-              (walk ~is_start:is_registered ~before:(before k) ~register e)
+  let unlink e t = Option.iter (fun c -> Itbl.remove c e) (Itbl.find_opt callers t) in
+  (* the entries added since the bodies were last settled, and the
+     entries that lost a discovery caller *)
+  let fresh = ref [] and dropped = Queue.create () in
+  (* make [ts] entries, and what their discovery walks reach, breadth-first *)
+  let add ts =
+    let q = Queue.of_seq (List.to_seq ts) in
+    while not (Queue.is_empty q) do
+      let e = Queue.pop q in
+      if in_scope e && not (Itbl.mem disc e) then begin
+        let w = discovery e in
+        Itbl.replace disc e w;
+        fresh := e :: !fresh;
+        link e w;
+        List.iter (fun t -> Queue.add t q) w.callees
       end
     done
   in
-  let live () =
-    List.filter_map
-      (fun i ->
-        let e = !order.(i) in
-        if Itbl.find_opt rank e = Some i then Some e else None)
-      (List.init !n Fun.id)
-  in
-  let by_rank es =
-    List.sort (fun a b -> compare (Itbl.find rank a) (Itbl.find rank b)) es
-  in
-  (* the callees a walk registers: its text callees not registered
-     before it *)
-  let registers ~before found =
-    List.filter
-      (fun t -> Loaded.in_text loaded t && not (before t))
-      (Array.to_list found)
-  in
-  (* walk [e] again with the starts it saw; [Some (old, now)] when it
-     now registers other callees than before *)
-  let rewalk e =
-    let before = before (Itbl.find rank e) in
-    let own = Itbl.create 8 in
-    let old = (Itbl.find walks e).found in
-    let w =
-      walk
-        ~is_start:(fun a -> before a || Itbl.mem own a)
-        ~before
-        ~register:(fun t -> Itbl.replace own t ())
-        e
-    in
-    let old = registers ~before old and now = registers ~before w.found in
-    if old = now then None else Some (old, now)
-  in
-  (* walk each of [es] again, in registration order: the changes *)
-  let rewalk_all es =
-    List.filter_map
-      (fun e -> Option.map (fun c -> (e, c)) (rewalk e))
-      (by_rank (Itbl.fold (fun e () acc -> e :: acc) es []))
-  in
-  (* drop a function's walk: its calls, its entry, its result *)
-  let forget x =
-    Array.iter (fun t -> Itbl.remove (callers_of t) x) (Itbl.find walks x).found;
-    Itbl.remove walks x;
-    Itbl.remove rank x;
-    Hashtbl.remove res.funcs x;
-    retracted := x :: !retracted
-  in
-  let exception Moved of int in
-  (* settle a round's [changes] while the order holds: retract each
-     callee left out that no live walk calls any more, and in turn what
-     it registered, then walk again the functions that stopped at a
-     retracted entry, and settle their changes.  [Moved k] when the
-     order moves from the [k]th walk on: a callee left out is still
-     called, or a re-walk registers a callee it did not before. *)
-  let rec prune k changes =
-    let k = List.fold_left (fun k (e, _) -> min k (Itbl.find rank e)) k changes in
-    let dropped = Queue.create () and waiting = ref [] and gone = ref [] in
+  let rediscover e =
+    let old = Itbl.find disc e in
+    let w = discovery e in
+    Itbl.replace disc e w;
     List.iter
-      (fun (_, (old, now)) ->
-        match left_out old now with
-        | Some out -> List.iter (fun t -> Queue.add t dropped) out
-        | None -> raise (Moved k))
-      changes;
-    (* a callee still called may lose its last caller to a later
-       retraction: it waits until the queue is empty *)
-    let rec drain () =
-      while not (Queue.is_empty dropped) do
-        let x = Queue.pop dropped in
-        if Itbl.mem rank x then
-          if count x > 0 then waiting := x :: !waiting
-          else begin
-            let regs =
-              registers ~before:(before (Itbl.find rank x)) (Itbl.find walks x).found
-            in
-            forget x;
-            gone := x :: !gone;
-            List.iter (fun t -> Queue.add t dropped) regs
+      (fun t ->
+        unlink e t;
+        Queue.add t dropped)
+      (minus (List.sort Int.compare old.callees) (List.sort Int.compare w.callees));
+    link e w;
+    add w.callees
+  in
+  let retracted = ref [] in
+  let retract y =
+    List.iter
+      (fun t ->
+        unlink y t;
+        Queue.add t dropped)
+      (Itbl.find disc y).callees;
+    Itbl.remove disc y;
+    Itbl.remove apart y;
+    Hashtbl.remove res.funcs y;
+    retracted := y :: !retracted
+  in
+  (* trial deletion: of the non-seed entries a dropped entry reaches,
+     those reached from a caller outside them stay, the rest go *)
+  let settle () =
+    while not (Queue.is_empty dropped) do
+      let x = Queue.pop dropped in
+      if Itbl.mem disc x && not (Itbl.mem seed x) then begin
+        let reach = Itbl.create 8 and todo = Stack.create () in
+        Stack.push x todo;
+        while not (Stack.is_empty todo) do
+          let y = Stack.pop todo in
+          if Itbl.mem disc y && (not (Itbl.mem seed y)) && not (Itbl.mem reach y)
+          then begin
+            Itbl.replace reach y false;
+            List.iter (fun t -> Stack.push t todo) (Itbl.find disc y).callees
           end
-      done;
-      match List.filter (fun x -> Itbl.mem rank x && count x = 0) !waiting with
-      | [] -> ()
-      | ready ->
-          List.iter (fun x -> Queue.add x dropped) ready;
-          drain ()
-    in
-    drain ();
-    if List.exists (fun x -> Itbl.mem rank x) !waiting then raise (Moved k);
-    let stopped = Itbl.create 8 in
-    List.iter
-      (fun x ->
+        done;
+        let members = List.sort Int.compare (Itbl.fold (fun y _ acc -> y :: acc) reach []) in
+        let live y =
+          if not (Itbl.find reach y) then begin
+            Itbl.replace reach y true;
+            Stack.push y todo
+          end
+        in
         List.iter
-          (fun e ->
-            if Itbl.mem rank e && Array.mem (probe x true) (Itbl.find walks e).probes
-            then Itbl.replace stopped e ())
-          (Itbl.find_all stops x))
-      !gone;
-    match rewalk_all stopped with [] -> () | changes -> prune k changes
+          (fun y ->
+            match Itbl.find_opt callers y with
+            | Some c when Itbl.fold (fun c () b -> b || not (Itbl.mem reach c)) c false ->
+                live y
+            | _ -> ())
+          members;
+        while not (Stack.is_empty todo) do
+          List.iter
+            (fun t -> if Itbl.find_opt reach t = Some false then live t)
+            (Itbl.find disc (Stack.pop todo)).callees
+        done;
+        List.iter (fun y -> if not (Itbl.find reach y) then retract y) members
+      end
+    done
   in
-  let replay from =
-    Obs.incr c_replays;
-    let was = live () in
-    bfs ~keep:true ~from;
-    List.iter (fun e -> if not (Itbl.mem rank e) then forget e) was
+  let keys tbl = List.sort Int.compare (Itbl.fold (fun e _ acc -> e :: acc) tbl []) in
+  (* the non-seed entries, ascending; retracted ones may linger *)
+  let others = ref [||] in
+  let non_seeds es = Array.of_list (List.filter (fun e -> not (Itbl.mem seed e)) es) in
+  let asks a e w = exists_asked a w (fun x -> x <> e && Itbl.mem disc x) in
+  (* [watch x]: the bodies walked apart that call or asked about [x];
+     [jumpers t]: the bodies that tail-jump to [t] *)
+  let watch = Itbl.create 16 and jumpers = Itbl.create 64 and changed = ref [] in
+  let set_body e =
+    let d = Itbl.find disc e in
+    let w =
+      if not (asks !others e d) then begin
+        Itbl.remove apart e;
+        d
+      end
+      else begin
+        let w = walk ~is_start:(fun a -> Itbl.mem disc a || committed a) e in
+        Itbl.replace apart e w;
+        List.iter (fun t -> Itbl.add watch t e) w.callees;
+        ignore
+          (exists_asked !others w (fun x ->
+               if x <> e && Itbl.mem disc x then Itbl.add watch x e;
+               false));
+        w
+      end
+    in
+    Hashtbl.replace res.funcs e w.f;
+    List.iter (fun (_, _, t) -> Itbl.add jumpers t e) w.f.out_jumps;
+    changed := e :: !changed
   in
-  (* the live functions whose return status may have moved: [roots] and
-     everything that tail-jumps to them, transitively *)
+  (* settle the entries and the bodies once [flipped] are facts: the
+     entries whose body changed, and the ones retracted *)
+  let step flipped =
+    changed := [];
+    retracted := [];
+    let stale = Itbl.create 16 in
+    List.iter
+      (fun t ->
+        Option.iter (Itbl.iter (fun e () -> Itbl.replace stale e ())) (Itbl.find_opt callers t))
+      flipped;
+    let stale = keys stale in
+    List.iter rediscover stale;
+    settle ();
+    let redo = Itbl.create 16 in
+    let mark e = if Itbl.mem disc e then Itbl.replace redo e () in
+    List.iter mark stale;
+    let watchers x still =
+      List.iter
+        (fun e -> match Itbl.find_opt apart e with Some w when still w -> mark e | _ -> ())
+        (Itbl.find_all watch x)
+    in
+    List.iter (fun t -> watchers t (fun w -> List.mem t w.callees)) flipped;
+    List.iter (fun x -> watchers x (fun w -> exists_asked [| x |] w (fun _ -> true))) !retracted;
+    if !fresh <> [] then begin
+      (* after the first round, a body that asked about a new entry now
+         stops there *)
+      let a = non_seeds (List.sort Int.compare !fresh) in
+      if flipped <> [] then
+        Itbl.iter (fun e _ -> if asks a e (body e) then mark e) disc;
+      List.iter mark !fresh;
+      fresh := [];
+      others := non_seeds (keys disc)
+    end;
+    List.iter set_body (keys redo);
+    List.rev_append !changed !retracted
+  in
+  (* the entries whose return status may have moved: [roots] and every
+     body that tail-jumps to them, transitively *)
   let dirty_of roots =
     let mark = Itbl.create 16 and out = ref [] and todo = Stack.create () in
     List.iter (fun e -> Stack.push e todo) roots;
@@ -643,12 +602,13 @@ let grow ~safe ~extending loaded res ~seeds =
       let e = Stack.pop todo in
       if not (Itbl.mem mark e) then begin
         Itbl.replace mark e ();
-        if Itbl.mem rank e then out := e :: !out;
+        if Itbl.mem disc e then out := e :: !out;
         List.iter (fun j -> Stack.push j todo) (Itbl.find_all jumpers e)
       end
     done;
     !out
   in
+  let cond_memo = Itbl.create 64 and learned = ref [] in
   let cond e =
     match Itbl.find_opt cond_memo e with
     | Some b -> b
@@ -657,63 +617,45 @@ let grow ~safe ~extending loaded res ~seeds =
         Itbl.replace cond_memo e b;
         b
   in
-  (* the facts [dirty]'s walks imply: a function that cannot return is
+  (* the facts [dirty]'s bodies imply: a function that cannot return is
      noreturn unless it is [error]-style, one that can and is
      [error]-style is conditionally noreturn *)
   let learn dirty =
     Obs.incr c_worklist_rounds;
-    let returns = returns_of res.funcs dirty in
-    let learned = ref [] in
-    let fact tbl e =
-      Hashtbl.replace tbl e ();
-      learned := e :: !learned
-    in
+    let returns = returns_of res.funcs dirty and flipped = ref [] in
     List.iter
       (fun e ->
-        if
-          (not (Itbl.mem returns e))
-          && (not (cond e))
-          && not (Hashtbl.mem res.noreturn e)
-        then fact res.noreturn e)
+        let tbl = if Itbl.mem returns e then res.cond_noreturn else res.noreturn in
+        if (not (Hashtbl.mem tbl e)) && cond e = Itbl.mem returns e then begin
+          Hashtbl.replace tbl e ();
+          flipped := e :: !flipped
+        end)
       dirty;
-    List.iter
-      (fun e ->
-        if
-          Itbl.mem returns e
-          && (not (Hashtbl.mem res.cond_noreturn e))
-          && cond e
-        then fact res.cond_noreturn e)
-      dirty;
-    !learned
+    learned := List.rev_append !flipped !learned;
+    !flipped
   in
   let rec fixpoint dirty =
-    match learn dirty with
-    | [] -> ()
-    | flipped ->
-        walked := [];
-        retracted := [];
-        let stale = Itbl.create 16 in
-        List.iter
-          (fun t -> Itbl.iter (fun c () -> Itbl.replace stale c ()) (callers_of t))
-          flipped;
-        (match rewalk_all stale with
-        | [] -> ()
-        | changes -> ( try prune max_int changes with Moved k -> replay k));
-        fixpoint (dirty_of (List.rev_append !walked !retracted))
+    match learn dirty with [] -> () | flipped -> fixpoint (dirty_of (step flipped))
   in
-  bfs ~keep:false ~from:0;
-  if safe then fixpoint (live ());
-  let new_spans = ref [] in
+  add seeds;
+  (* the first round's bodies are all the entries *)
+  let first = step [] in
+  if safe then fixpoint first;
   List.iter
     (fun e ->
-      iter_insns loaded (Itbl.find walks e).f (fun lo hi ->
+      if not (Itbl.mem disc e) then begin
+        Hashtbl.remove res.noreturn e;
+        Hashtbl.remove res.cond_noreturn e
+      end)
+    !learned;
+  let bodies = List.map (fun e -> (body e).f) (keys disc) and new_spans = ref [] in
+  List.iter
+    (fun f ->
+      iter_insns loaded f (fun lo hi ->
           if Insn_index.add res.insn_spans ~lo ~hi && extending then
             new_spans := (lo, hi) :: !new_spans))
-    (live ());
-  {
-    new_funcs = List.map (fun e -> (Itbl.find walks e).f) (live ());
-    new_spans = List.rev !new_spans;
-  }
+    bodies;
+  { new_funcs = bodies; new_spans = List.rev !new_spans }
 
 let run ?(safe = true) loaded ~seeds =
   Obs.span "recursive" @@ fun () ->
@@ -733,13 +675,20 @@ let run ?(safe = true) loaded ~seeds =
    transfers control to a fresh seed, and no fresh function transfers
    into the committed extents other than by calling / tail-jumping a
    committed *entry*.  Under it the committed funcs, spans and noreturn
-   facts are stable, so the worklist only walks, re-walks and retracts
-   the call's own functions. *)
+   facts are stable, so the fixpoint only walks and retracts the call's
+   own functions.  A seed inside the committed instructions breaks it
+   and is refused. *)
 let extend loaded res ~seeds =
+  List.iter
+    (fun s ->
+      if Insn_index.mem res.insn_spans s && not (Hashtbl.mem res.funcs s) then
+        invalid_arg
+          (Printf.sprintf "Recursive.extend: seed %#x lies inside committed instructions" s))
+    seeds;
   Obs.span "recursive.extend" @@ fun () ->
   Obs.incr c_extend_runs;
   grow ~safe:true ~extending:true loaded res ~seeds
 
 (** Detected function starts, ascending. *)
 let starts result =
-  Hashtbl.fold (fun e _ acc -> e :: acc) result.funcs [] |> List.sort compare
+  Hashtbl.fold (fun e _ acc -> e :: acc) result.funcs [] |> List.sort Int.compare

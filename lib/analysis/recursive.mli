@@ -11,20 +11,19 @@
     non-returning-function analysis to convergence so no block is placed
     after a call that cannot return.
 
-    The analysis is a worklist.  When an entry becomes noreturn or
-    conditionally noreturn, only its callers are walked again, and return
-    status is re-derived only for the functions just walked and whatever
-    tail-jumps to them.  A function that no live walk calls any more is
-    retracted, and only the functions that stopped at its entry are
-    walked again.  The result is the one a from-scratch loop reaches by
-    re-walking everything until no fact is learned (the test suite keeps
-    that loop as a reference model), at O(call edges) function walks
-    instead of one whole-binary walk per fact.  When a dropped callee is
-    still called elsewhere, it moves later in the breadth-first order
-    that decides what each walk sees as a start.  That order is then
-    replayed from the first walk that moved, one reuse check per later
-    walk.  An input whose every flip moves a callee therefore costs
-    O(flips x functions) checks.
+    The analysis is one fixpoint of the binary, the seed set and the
+    committed functions, with no order in it (DESIGN.md, "The noreturn
+    fixpoint").  A discovery walk stops only at seeds and committed
+    entries; the entries are the seeds plus every text callee the
+    discovery walks reach from them.  Each entry's body is its walk that
+    stops at every entry, and the noreturn and conditionally-noreturn
+    facts are learned from the bodies until none is.  Facts only grow,
+    so the loop ends, and each pass depends on the facts alone, so it
+    has one answer; a fact learned for an entry that did not stay is
+    dropped at the end.  The engine keeps one discovery walk per entry
+    and, when an entry flips, walks again only its discovery callers;
+    the test suite computes the same fixpoint naively as a reference
+    model.
 
     A result only grows: {!extend} adds functions and instructions to it
     in place and reports them as a {!delta}, which is all an incremental
@@ -55,13 +54,14 @@ type result = {
 
 (** What one {!extend} call added to its result. *)
 type delta = {
-  new_funcs : func list;  (** the functions added, in walk order *)
+  new_funcs : func list;  (** the functions added, ascending by entry *)
   new_spans : (int * int) list;
       (** the instructions added to [insn_spans], in decode order *)
 }
 
-(** Run the engine from the given seed entries: {!extend}'s worklist,
-    started from an empty result.  [safe] (default [true]) is the
+(** Run the engine from the given seed entries: {!extend}'s fixpoint,
+    started from an empty result.  The result depends on the set of
+    seeds, not on their order or repeats.  [safe] (default [true]) is the
     paper's engine.  [~safe:false] is the weaker engine of the BAP model:
     indirect jumps stay unresolved ([unresolved_indirect_jump]) and there
     is no noreturn analysis, so every call falls through. *)
@@ -69,15 +69,17 @@ val run : ?safe:bool -> Loaded.t -> seeds:int list -> result
 
 (** [extend loaded res ~seeds] grows [res] in place with extra seeds,
     disassembling only what is reachable from them, and returns exactly
-    what it added.  It runs the same worklist as {!run}, to the same
-    convergence: a noreturn fact learned on the way re-walks only the
-    new functions that call the flipped entry, and no budget cuts it
-    short, so any chain of [extend] calls learns what one {!run} would.
+    what it added.  It computes the same fixpoint as {!run}, with the
+    functions of [res] as committed entries: a noreturn fact learned on
+    the way re-walks only the new functions that call the flipped entry.
     Equivalent to re-running from scratch with the union of seeds
     *provided* no committed function transfers control to a fresh seed
     and no fresh function transfers into the committed extents except at
     a committed entry — exactly what xref validation guarantees for
-    accepted function pointers (§IV-E).  Always runs the safe engine. *)
+    accepted function pointers (§IV-E).  A seed that lies inside the
+    committed instructions, other than a committed entry, breaks that
+    and raises [Invalid_argument] before [res] changes.  Always runs the
+    safe engine. *)
 val extend : Loaded.t -> result -> seeds:int list -> delta
 
 (** Detected function starts, ascending. *)

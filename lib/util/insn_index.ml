@@ -35,16 +35,15 @@ let create ranges =
   let secs = Array.of_list (List.map (fun (lo, hi) -> section lo hi) (merge ranges)) in
   { secs; count = 0 }
 
-(* Index of the section containing [addr], or -1. *)
-let sec_index t addr =
-  let secs = t.secs in
-  let rec go i =
-    if i >= Array.length secs then -1
-    else
-      let s = Array.unsafe_get secs i in
-      if addr < s.lo then -1 else if addr < s.hi then i else go (i + 1)
-  in
-  go 0
+(* Index of the section of [secs] from the [i]th on containing [addr],
+   or -1.  Top-level, so that a lookup allocates no closure. *)
+let rec sec_from secs addr i =
+  if i >= Array.length secs then -1
+  else
+    let s = Array.unsafe_get secs i in
+    if addr < s.lo then -1 else if addr < s.hi then i else sec_from secs addr (i + 1)
+
+let sec_index t addr = sec_from t.secs addr 0
 
 (* [addr] must lie in [s]: the page index is then below [Array.length
    s.pages] and the offset below [page_size]. *)
@@ -66,14 +65,16 @@ let set s addr v =
   in
   Bytes.unsafe_set page (off land page_mask) (Char.unsafe_chr v)
 
+(* No byte of [\[a, hi)] in [s] is taken yet. *)
+let rec free s a hi = a >= hi || (get s a = 0 && free s (a + 1) hi)
+
 let add t ~lo ~hi =
   let len = hi - lo in
   if len < 1 || len > max_len then invalid_arg "Insn_index.add: bad length";
   let i = sec_index t lo in
   if i < 0 || hi > t.secs.(i).hi then invalid_arg "Insn_index.add: outside the table";
   let s = t.secs.(i) in
-  let rec free a = a >= hi || (get s a = 0 && free (a + 1)) in
-  free lo
+  free s lo hi
   && begin
        set s lo (start_bit lor len);
        for k = 1 to len - 1 do

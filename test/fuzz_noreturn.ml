@@ -1,4 +1,4 @@
-(* Deterministic sweep of the noreturn worklist against its references.
+(* Deterministic sweep of the noreturn fixpoint against its references.
 
    Each iteration draws a random synth binary (gcc or llvm, 10–40
    compiler functions, up to 3 data-pointer and 2 code-pointer asm
@@ -6,12 +6,16 @@
    FDE seeds, so that §IV-E has to recover the dropped functions through
    extension chains.  It asserts:
 
-     1. [Recursive.run] equals the from-scratch converged loop
+     1. [Recursive.run] equals the naive fixpoint
         ([Reference.recursive]): same starts, spans, noreturn and
         conditionally-noreturn facts;
-     2. [run] on all seeds equals [run] on a random prefix of them
-        followed by [extend] with the rest;
-     3. [Xref.detect] equals the from-scratch §IV-E model
+     2. [run] gives the same result with the seeds reversed, rotated or
+        repeated;
+     3. [run] on all seeds equals [run] on a random prefix of them
+        followed by [extend] with the rest, unless a later seed lies
+        inside the prefix run's instructions, which [extend] must then
+        refuse;
+     4. [Xref.detect] equals the from-scratch §IV-E model
         ([Reference.xref]): same final seeds, starts, spans and facts.
 
    Runs as part of `dune runtest` and as a CI smoke job.  A failure
@@ -66,14 +70,12 @@ let () =
     in
     let res = Recursive.run loaded ~seeds in
     if Reference.signature res <> Reference.signature (Reference.recursive loaded ~seeds)
-    then fail "run <> converged reference";
+    then fail "run <> reference fixpoint";
+    if not (Reference.order_free loaded ~seeds) then fail "seed order changes run";
     let k = split * (List.length seeds + 1) / 1001 in
-    let prefix = List.filteri (fun j _ -> j < k) seeds
-    and rest = List.filteri (fun j _ -> j >= k) seeds in
-    let grown = Recursive.run loaded ~seeds:prefix in
-    ignore (Recursive.extend loaded grown ~seeds:rest);
-    if Reference.signature grown <> Reference.signature res then
-      fail (Printf.sprintf "run <> run on %d seeds + extend" k);
+    (match Reference.run_then_extend loaded ~seeds k with
+    | Ok _ -> ()
+    | Error what -> fail what);
     let res_i, seeds_i, _ = Fetch_core.Xref.detect loaded ~seeds in
     let res_r, seeds_r, _ = Reference.xref loaded ~seeds in
     if seeds_i <> seeds_r || Reference.signature res_i <> Reference.signature res_r

@@ -6,35 +6,39 @@
 open Fetch_analysis
 module Insn_index = Fetch_util.Insn_index
 
-(* The from-scratch converged noreturn loop: walk every function
-   reachable from [seeds] breadth-first (a callee is registered when the
-   block that calls it ends, so a walk sees as starts the entries
-   registered before it and its own callees), learn every noreturn and
-   [error]-style fact those walks imply, and start over until a pass
-   learns nothing.  Facts are never dropped; the last pass's functions
-   and instructions (first writer first) are the result. *)
+(* The noreturn fixpoint of DESIGN.md, computed naively.  Each pass
+   starts from nothing but the facts: the entries are the seeds plus
+   every text callee that a discovery walk (one that stops only at
+   seeds) reaches from them, each entry's body is its walk that stops at
+   every entry, and every noreturn and [error]-style fact the bodies
+   imply is learned.  Passes repeat until one learns nothing; then the
+   facts of entries that did not stay are dropped, and the bodies'
+   instructions are the spans, in ascending entry order, first writer
+   first. *)
 let recursive loaded ~seeds : Recursive.result =
   let noreturn = Hashtbl.create 16 and cond_noreturn = Hashtbl.create 4 in
+  let seed = Hashtbl.create 16 in
+  List.iter
+    (fun s -> if Loaded.in_text loaded s then Hashtbl.replace seed s ())
+    seeds;
+  let walk ~is_start e =
+    Recursive.walk loaded ~noreturn ~cond_noreturn ~is_start ~on_call:ignore e
+  in
   let rec pass () =
-    let funcs = Hashtbl.create 64 and registered = Hashtbl.create 64 in
-    let queue = Queue.create () and order = ref [] in
-    let is_start a = Hashtbl.mem registered a in
-    let register t =
-      if (not (is_start t)) && Loaded.in_text loaded t then begin
-        Hashtbl.replace registered t ();
-        Queue.add t queue
+    let entries = Hashtbl.create 64 in
+    let rec discover e =
+      if not (Hashtbl.mem entries e) then begin
+        Hashtbl.replace entries e ();
+        List.iter
+          (fun (_, t) -> if Loaded.in_text loaded t then discover t)
+          (walk ~is_start:(Hashtbl.mem seed) e).calls
       end
     in
-    List.iter register seeds;
-    while not (Queue.is_empty queue) do
-      let e = Queue.pop queue in
-      let f =
-        Recursive.walk loaded ~noreturn ~cond_noreturn ~is_start
-          ~on_call:register e
-      in
-      Hashtbl.replace funcs e f;
-      order := f :: !order
-    done;
+    Hashtbl.iter (fun s () -> discover s) seed;
+    let funcs = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun e () -> Hashtbl.replace funcs e (walk ~is_start:(Hashtbl.mem entries) e))
+      entries;
     (* can each function return?  Least fixpoint over tail jumps *)
     let returns = Hashtbl.create 64 in
     Hashtbl.iter
@@ -74,6 +78,13 @@ let recursive loaded ~seeds : Recursive.result =
       funcs;
     if !learned then pass ()
     else begin
+      let drop tbl =
+        List.iter
+          (fun e -> if not (Hashtbl.mem funcs e) then Hashtbl.remove tbl e)
+          (Hashtbl.fold (fun e () acc -> e :: acc) tbl [])
+      in
+      drop noreturn;
+      drop cond_noreturn;
       (* each block is one run of instructions decoded back to back *)
       let insn_spans = Insn_index.create (Loaded.text_ranges loaded) in
       let rec add a hi =
@@ -85,9 +96,10 @@ let recursive loaded ~seeds : Recursive.result =
           | None -> ()
       in
       List.iter
-        (fun (f : Recursive.func) ->
+        (fun e ->
+          let f : Recursive.func = Hashtbl.find funcs e in
           List.iter (fun (lo, hi) -> add lo hi) (List.rev f.blocks))
-        (List.rev !order);
+        (List.sort compare (Hashtbl.fold (fun e _ acc -> e :: acc) funcs []));
       { Recursive.funcs; noreturn; cond_noreturn; insn_spans }
     end
   in
@@ -122,8 +134,47 @@ let signature (res : Recursive.result) =
     keys res.noreturn,
     keys res.cond_noreturn )
 
+(* [run] on [seeds] against [run] on the first [k] of them followed by
+   [extend] with the rest.  [extend] must refuse the rest when one of
+   them lies inside the prefix run's instructions (its precondition),
+   and leave the result as it was: extending it with the rest that lies
+   outside must then equal [run] on the prefix and those.  Otherwise
+   [extend] must take the rest to what [run] gives on all of [seeds].
+   [Ok refused] when the results agree. *)
+let run_then_extend loaded ~seeds k =
+  let prefix = List.filteri (fun i _ -> i < k) seeds
+  and rest = List.filteri (fun i _ -> i >= k) seeds in
+  let grown = Recursive.run loaded ~seeds:prefix in
+  let outside =
+    List.filter
+      (fun s ->
+        Hashtbl.mem grown.funcs s || not (Insn_index.mem grown.insn_spans s))
+      rest
+  in
+  let refused = List.length outside < List.length rest in
+  let agrees seeds =
+    if signature grown = signature (Recursive.run loaded ~seeds) then Ok refused
+    else Error (Printf.sprintf "run <> run on %d seeds + extend" k)
+  in
+  match Recursive.extend loaded grown ~seeds:rest with
+  | exception Invalid_argument _ when refused ->
+      ignore (Recursive.extend loaded grown ~seeds:outside);
+      agrees (prefix @ outside)
+  | exception Invalid_argument m -> Error ("extend refused: " ^ m)
+  | _ when refused -> Error "extend took a seed inside the committed instructions"
+  | _ -> agrees seeds
+
+(* [run] gives the same result with the seeds reversed, rotated or
+   repeated. *)
+let order_free loaded ~seeds =
+  let s = signature (Recursive.run loaded ~seeds) in
+  let rotated = match seeds with [] -> [] | x :: rest -> rest @ [ x ] in
+  List.for_all
+    (fun seeds -> signature (Recursive.run loaded ~seeds) = s)
+    [ List.rev seeds; rotated; seeds @ List.rev seeds ]
+
 (* Reference model of §IV-E detection, built on [Xref.validate]: every
-   round re-runs disassembly (the converged loop above) and ref
+   round re-runs disassembly (the naive fixpoint above) and ref
    collection from scratch, builds a fresh extent set and re-validates
    every candidate that is not a detected entry.  It retires no
    candidate, so agreeing with it also checks that [Xref.detect] retires

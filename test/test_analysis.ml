@@ -326,7 +326,7 @@ let test_extend_refixpoints_delta_noreturn () =
   check Alcotest.bool "delta is exactly what the result gained" true
     (delta_exact before res d)
 
-(* --- the noreturn worklist --- *)
+(* --- the noreturn fixpoint --- *)
 
 (* A call chain of [n] functions, each [call next; ret], the last one
    [hlt]: every link is noreturn, but only once the link below it is, so
@@ -379,12 +379,11 @@ let test_worklist_hostile_chain () =
 (* The same chain, but each link also calls a leaf of its own after the
    call to the next link: [c_i: call c_(i+1); call l_i; ret], [l_i: ret].
    Each flip cuts [l_i] from its only caller, so every leaf is retracted
-   on the way.  Retraction touches only the functions that stopped at a
-   retracted entry (none here), so the whole run stays linear: no replay
-   of the breadth-first order, one walk per function plus one re-walk
-   per flip.  With [shared], one more function, reached last, calls
-   every leaf too: each cut leaf then moves to that caller, the order
-   moves, and the run replays it. *)
+   on the way, and only its caller is walked again: one walk per
+   function plus one re-walk per flip.  With [shared], one more
+   function, reached last, calls every leaf too: each cut leaf then
+   stays, settled by one trial deletion over what it reaches (itself),
+   and the run stays linear as well. *)
 let leaf_chain_image ?(shared = false) n =
   let name i = Printf.sprintf "c%d" i and leaf i = Printf.sprintf "l%d" i in
   let links =
@@ -423,22 +422,20 @@ let chain_work ?shared n =
   let counter name = Option.value ~default:0 (List.assoc_opt name rep.counters) in
   (loaded, links, leaves, res, counter)
 
-let test_worklist_leaf_chain () =
+let leaf_chain_linear ~shared () =
   let work n =
-    let _, links, leaves, res, counter = chain_work n in
+    let _, links, leaves, res, counter = chain_work ~shared n in
     check Alcotest.int (Printf.sprintf "n=%d: every link noreturn" n) n
       (List.length (List.filter (Hashtbl.mem res.noreturn) links));
-    check Alcotest.int (Printf.sprintf "n=%d: every leaf retracted" n) 0
+    check Alcotest.int
+      (Printf.sprintf "n=%d: leaves kept" n)
+      (if shared then n - 1 else 0)
       (List.length (List.filter (Hashtbl.mem res.funcs) leaves));
     let walks = counter "recursive.functions_disassembled" in
     check Alcotest.bool
       (Printf.sprintf "n=%d: %d walks <= 3n + 4" n walks)
       true
       (walks <= (3 * n) + 4);
-    check Alcotest.int (Printf.sprintf "n=%d: no replay" n) 0
-      (counter "recursive.replays");
-    check Alcotest.int (Printf.sprintf "n=%d: no reuse check" n) 0
-      (counter "recursive.replay_checks");
     (walks, counter "recursive.returns_checked")
   in
   let walks, checks = work 2000 in
@@ -448,35 +445,28 @@ let test_worklist_leaf_chain () =
   check Alcotest.bool "doubling n at most doubles the return re-checks" true
     (checks2 <= (2 * checks) + 4)
 
-(* Both chains land on the converged reference, and the shared one, where
-   every cut leaf moves to [h], replays the order once per moved leaf. *)
+(* Both chains land on the reference fixpoint. *)
 let test_worklist_leaf_chain_reference () =
   List.iter
     (fun shared ->
-      let loaded, links, leaves, res, counter = chain_work ~shared 40 in
+      let loaded, links, leaves, res, _ = chain_work ~shared 40 in
       let seeds = [ List.hd links ] in
       check Alcotest.bool
-        (Printf.sprintf "shared=%b: == the converged reference" shared)
+        (Printf.sprintf "shared=%b: == the reference fixpoint" shared)
         true
         (Reference.signature res
         = Reference.signature (Reference.recursive loaded ~seeds));
       check Alcotest.int
         (Printf.sprintf "shared=%b: leaves kept" shared)
         (if shared then 39 else 0)
-        (List.length (List.filter (Hashtbl.mem res.funcs) leaves));
-      check Alcotest.bool
-        (Printf.sprintf "shared=%b: replays" shared)
-        true
-        (if shared then counter "recursive.replays" > 0
-         else counter "recursive.replays" = 0))
+        (List.length (List.filter (Hashtbl.mem res.funcs) leaves)))
     [ false; true ]
 
 (* [a] calls [k], which never returns, and then [c]; [b] tail-jumps to
-   [c].  The first walks register [c] as [a]'s callee before [b] is
-   walked, so [b] stops at [c]'s entry.  Once [k] is noreturn, [a]'s call
-   to [c] is dead: [c] is retracted, and [b], which stopped at [c], is
-   walked again and now holds [c]'s code, exactly as a from-scratch run
-   does. *)
+   [c].  [c] is an entry while [a] calls it, so [b]'s body stops at [c]'s
+   entry.  Once [k] is noreturn, [a]'s call to [c] is dead: [c] is
+   retracted, and [b]'s body, which stopped at [c], now holds [c]'s code,
+   exactly as the reference does. *)
 let test_worklist_retracts_dead_callee () =
   let items =
     [
@@ -510,15 +500,15 @@ let test_worklist_retracts_dead_callee () =
     && List.exists (fun (lo, _) -> lo = label asm "c") b.blocks);
   check Alcotest.bool "c's ret is still decoded" true
     (Fetch_util.Insn_index.mem res.insn_spans (label asm "c_ret"));
-  check Alcotest.bool "== the converged reference" true
+  check Alcotest.bool "== the reference fixpoint" true
     (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
 
-(* A kept walk is reused only while no registered entry lies inside its
-   instructions.  [g] falls through into [d], which [c] registers after
-   [g] is walked, so [g]'s first walk holds [d]'s code.  Once [k] is
-   noreturn, [c] is retracted and [b] walks on into [c]'s code, so [b]
-   now registers [d] ahead of [g]: [g] must be walked again and stop at
-   [d], which leaves it without a ret. *)
+(* A discovery walk is a body only while no other non-seed entry lies
+   in its instructions.  [g] falls through into [d], which [c] calls, so
+   [g]'s discovery walk holds [d]'s code and its body is walked apart,
+   stopping at [d], which leaves it without a ret.  Once [k] is noreturn,
+   [c] is retracted, but [b]'s discovery walk runs on into [c]'s code and
+   still calls [d], so [d] stays an entry and [g] still stops there. *)
 let test_worklist_entry_moves_into_kept_walk () =
   let items =
     [
@@ -555,17 +545,14 @@ let test_worklist_entry_moves_into_kept_walk () =
     = [ (label asm "g", label asm "d") ]);
   check Alcotest.bool "so g cannot return" true
     (Hashtbl.mem res.noreturn (label asm "g"));
-  check Alcotest.bool "== the converged reference" true
+  check Alcotest.bool "== the reference fixpoint" true
     (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
 
-(* A retraction leaves a hole in the registration order that a later
-   replay must step over.  Once [k1] is noreturn, [a]'s call to [x] is
-   dead and [x] is retracted.  Then [k2], which calls [k1], is noreturn
-   too, so [b] stops calling [y]; [c] still calls [y], so [y] moves and
-   the order is replayed from [b] on.  [a] registered [x] before [b] was
-   walked, so the replay passes [x]'s old place: it must not walk [x]
-   back in. *)
-let test_worklist_replay_skips_retracted () =
+(* Two callees cut in different rounds.  Once [k1] is noreturn, [a]'s
+   call to [x] is dead and [x], which nothing else calls, is retracted.
+   Then [k2], which calls [k1], is noreturn too, so [b] stops calling
+   [y]; [c] still calls [y], so [y] stays. *)
+let test_worklist_cut_callees () =
   let items =
     [
       Asm.Label "a";
@@ -600,22 +587,20 @@ let test_worklist_replay_skips_retracted () =
   let img, asm = image_of items in
   let loaded = Loaded.load img in
   let seeds = [ label asm "a"; label asm "b" ] in
-  let res, rep = Fetch_obs.Trace.with_run (fun () -> Recursive.run loaded ~seeds) in
+  let res = Recursive.run loaded ~seeds in
   check (Alcotest.list Alcotest.int) "x retracted, y kept"
     (List.map (label asm) [ "a"; "b"; "k1"; "k2"; "c"; "y" ])
     (Recursive.starts res);
-  check Alcotest.bool "the order was replayed" true
-    (List.assoc_opt "recursive.replays" rep.counters = Some 1);
-  check Alcotest.bool "== the converged reference" true
+  check Alcotest.bool "== the reference fixpoint" true
     (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
 
 (* Random call graphs over a dozen tiny functions: calls to each other,
    to a [hlt] exit and to an [error]-style function with a zero or
    nonzero argument, tail jumps, local branches, rets, halts and
    fallthrough into the next function.  Noreturn chains, retractions
-   and re-walks past a retracted entry are all common here, and the
-   engine must land on the from-scratch converged loop's functions —
-   every block and call — and facts. *)
+   and bodies that stop at a non-seed entry are all common here, and the
+   engine must land on the naive fixpoint's functions — every block and
+   call — and facts. *)
 let random_call_graph =
   QCheck.Gen.(
     let* k = int_range 2 12 in
@@ -695,6 +680,107 @@ let prop_worklist_reference =
       Reference.signature res = Reference.signature ref_res
       && shape res = shape ref_res)
 
+(* The answer depends on the seed set, not on the order the seeds come
+   in: reversed, rotated or duplicated seeds give the same functions,
+   blocks, calls, spans and facts. *)
+let prop_worklist_order_free =
+  QCheck.Test.make ~name:"recursive: seed order and repeats change nothing"
+    ~count:300
+    (QCheck.make random_call_graph ~print:(fun (items, seeds) ->
+         Printf.sprintf "%d items, seeds %s" (List.length items)
+           (String.concat "," seeds)))
+    (fun (items, seeds) ->
+      let img, asm = image_of items in
+      let loaded = Loaded.load img in
+      let seeds = List.map (label asm) seeds in
+      let answer seeds =
+        let r = Recursive.run loaded ~seeds in
+        ( Reference.signature r,
+          List.map
+            (fun e ->
+              let f = Hashtbl.find r.funcs e in
+              (List.sort compare f.blocks, List.sort compare f.calls))
+            (Recursive.starts r) )
+      in
+      let a = answer seeds in
+      List.for_all
+        (fun s -> answer s = a)
+        [ List.rev seeds; List.tl seeds @ [ List.hd seeds ]; seeds @ List.rev seeds ])
+
+(* [f3] tail-jumps to [f7], whose code calls [f7].  A discovery walk
+   stops only at seeds, so [f3]'s runs on through [f7]'s code and keeps
+   calling [f7] whether or not [f7] is an entry: [f7] stays an entry and
+   [f3]'s body stops at it.  Had discovery stopped at every entry, [f7]'s
+   only caller would be itself once it was an entry, so it would be
+   retracted, found again, and so on without end.  Once [ex] is noreturn
+   so is [f7], whose call to itself then cuts off its call to [ex]: [ex]
+   is retracted, and the fact learned for it is dropped. *)
+let test_worklist_self_call_through_jump () =
+  let items =
+    [
+      Asm.Label "f3";
+      Asm.I (I.Mov (I.W64, I.Reg Reg.Rax, I.Imm 1));
+      Asm.I (I.Jmp (I.To_label "f7"));
+      Asm.Align 16;
+      Asm.Label "f7";
+      Asm.I (I.Call (I.To_label "f7"));
+      Asm.I (I.Call (I.To_label "ex"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "ex";
+      Asm.I I.Hlt;
+    ]
+  in
+  let img, asm = image_of items in
+  let loaded = Loaded.load img in
+  let seeds = [ label asm "f3" ] in
+  let res = Recursive.run loaded ~seeds in
+  check (Alcotest.list Alcotest.int) "f7 stays an entry, ex is retracted"
+    (List.map (label asm) [ "f3"; "f7" ])
+    (Recursive.starts res);
+  let f3 = Hashtbl.find res.funcs (label asm "f3") in
+  check Alcotest.bool "f3 stops at f7" true
+    (List.map (fun (_, _, t) -> t) f3.out_jumps = [ label asm "f7" ]);
+  check (Alcotest.list Alcotest.int) "f3 and f7 never return, ex's fact dropped"
+    (List.map (label asm) [ "f3"; "f7" ])
+    (Reference.keys res.noreturn);
+  check Alcotest.bool "== the reference fixpoint" true
+    (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
+
+(* [x] and [y] call each other, and only [a] calls into the pair.  Once
+   [k] is noreturn, [a]'s call to [x] is dead: each of [x] and [y] still
+   has a caller, the other, but no seed reaches either, so trial
+   deletion retracts both. *)
+let test_worklist_dead_cycle () =
+  let items =
+    [
+      Asm.Label "a";
+      Asm.I (I.Call (I.To_label "k"));
+      Asm.I (I.Call (I.To_label "x"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "k";
+      Asm.I I.Hlt;
+      Asm.Align 16;
+      Asm.Label "x";
+      Asm.I (I.Call (I.To_label "y"));
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "y";
+      Asm.I (I.Call (I.To_label "x"));
+      Asm.I I.Ret;
+    ]
+  in
+  let img, asm = image_of items in
+  let loaded = Loaded.load img in
+  let seeds = [ label asm "a" ] in
+  let res = Recursive.run loaded ~seeds in
+  check (Alcotest.list Alcotest.int) "x and y retracted"
+    (List.map (label asm) [ "a"; "k" ])
+    (Recursive.starts res);
+  check Alcotest.bool "== the reference fixpoint" true
+    (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
+
 (* --- jump tables --- *)
 
 let abs_table_items =
@@ -737,6 +823,62 @@ let test_jump_table_absolute () =
         [ label asm "c0"; label asm "c1"; label asm "c2" ]
         targets
   | _ -> Alcotest.fail "expected one resolved table"
+
+(* A discovery walk that a new fact cuts short can still find a callee
+   it did not find before.  [e] reaches the dispatch block [x] first by
+   a jump from [p], with no bounds check in sight, so the table stays
+   unresolved.  Once [k] is noreturn, [p] stops at its call, [x] is
+   reached only as the fallthrough of the [cmp/ja] check, the table
+   resolves, and [c0]'s call makes [z] an entry.  [g], which ran on into
+   [z]'s code, must then stop at [z], which leaves it without a ret. *)
+let test_worklist_rewalk_finds_callee () =
+  let items =
+    [
+      Asm.Label "e";
+      Asm.I (I.Test (I.W64, Reg.Rdi, Reg.Rdi));
+      Asm.I (I.Jcc (I.E, I.To_label "p"));
+      Asm.I (I.Jmp (I.To_label "check"));
+      Asm.Label "p";
+      Asm.I (I.Call (I.To_label "k"));
+      Asm.I (I.Jmp (I.To_label "x"));
+      Asm.Label "check";
+      Asm.I (I.Arith (I.Cmp, I.W64, I.Reg Reg.Rdi, I.Imm 2));
+      Asm.I (I.Jcc (I.A, I.To_label "default"));
+      Asm.Label "x";
+      Asm.I (I.Jmp_ind (I.Mem (I.mem ~index:(Reg.Rdi, 8) ~disp:0x5000 ())));
+      Asm.Label "c0";
+      Asm.I (I.Call (I.To_label "z"));
+      Asm.I I.Ret;
+      Asm.Label "c1";
+      Asm.I I.Ret;
+      Asm.Label "c2";
+      Asm.I I.Ret;
+      Asm.Label "default";
+      Asm.I I.Ret;
+      Asm.Align 16;
+      Asm.Label "k";
+      Asm.I I.Hlt;
+      Asm.Align 16;
+      Asm.Label "g";
+      Asm.I (I.Mov (I.W64, I.Reg Reg.Rax, I.Imm 1));
+      Asm.Label "z";
+      Asm.I I.Ret;
+    ]
+  in
+  let _, asm0 = image_of items in
+  let img, asm = image_of ~rodata:(abs_table_rodata asm0) items in
+  let loaded = Loaded.load img in
+  let seeds = [ label asm "e"; label asm "g" ] in
+  let res = Recursive.run loaded ~seeds in
+  check (Alcotest.list Alcotest.int) "z found by the re-walk"
+    (List.map (label asm) [ "e"; "k"; "g"; "z" ])
+    (Recursive.starts res);
+  check Alcotest.bool "e's table resolved" true
+    ((Hashtbl.find res.funcs (label asm "e")).table_targets <> []);
+  check Alcotest.bool "g stops at z, so cannot return" true
+    (Hashtbl.mem res.noreturn (label asm "g"));
+  check Alcotest.bool "== the reference fixpoint" true
+    (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds))
 
 let test_jump_table_unresolved_without_bound () =
   (* no cmp/ja guard: must NOT resolve (conservatism) *)
@@ -1228,15 +1370,15 @@ let suite =
     Alcotest.test_case "worklist: hostile call chain is linear" `Quick
       test_worklist_hostile_chain;
     Alcotest.test_case "worklist: chain with private leaves is linear" `Quick
-      test_worklist_leaf_chain;
+      (leaf_chain_linear ~shared:false);
     Alcotest.test_case "worklist: leaf chains == converged loop" `Quick
       test_worklist_leaf_chain_reference;
     Alcotest.test_case "worklist: dead callee retracted" `Quick
       test_worklist_retracts_dead_callee;
     Alcotest.test_case "worklist: entry moving into a kept walk" `Quick
       test_worklist_entry_moves_into_kept_walk;
-    Alcotest.test_case "worklist: a replay steps over retracted entries" `Quick
-      test_worklist_replay_skips_retracted;
+    Alcotest.test_case "worklist: cut callees, one still called" `Quick
+      test_worklist_cut_callees;
     QCheck_alcotest.to_alcotest prop_worklist_reference;
     Alcotest.test_case "jump table: absolute form" `Quick test_jump_table_absolute;
     Alcotest.test_case "jump table: needs bound check" `Quick test_jump_table_unresolved_without_bound;
@@ -1261,4 +1403,13 @@ let suite =
       test_table_matches_decoder;
     Alcotest.test_case "decode table: the trace cache binds each decode" `Quick
       test_table_trace_cache;
+    Alcotest.test_case "worklist: chain with shared leaves is linear" `Quick
+      (leaf_chain_linear ~shared:true);
+    QCheck_alcotest.to_alcotest prop_worklist_order_free;
+    Alcotest.test_case "worklist: a self-call through a tail jump ends" `Quick
+      test_worklist_self_call_through_jump;
+    Alcotest.test_case "worklist: a re-walk can find a new callee" `Quick
+      test_worklist_rewalk_finds_callee;
+    Alcotest.test_case "worklist: a dead call cycle is retracted" `Quick
+      test_worklist_dead_cycle;
   ]

@@ -1065,10 +1065,11 @@ let test_xref_reference_pinned () =
       ]
 
 (* [run] on all seeds reaches what [run] on a prefix of them followed by
-   [extend] with the rest reaches, and both equal the from-scratch
-   converged loop: one fixpoint whatever the order seeds arrive in.  The
-   FDE seeds of a synth binary meet [extend]'s precondition: a committed
-   function that calls a later seed registers it itself. *)
+   [extend] with the rest reaches, and both equal the reference
+   fixpoint: one answer whatever the order seeds arrive in.  A later FDE
+   seed can lie inside the prefix run's instructions (a cold part with
+   an FDE of its own that a hot part jumps into), which breaks
+   [extend]'s precondition: [extend] must then refuse it. *)
 let prop_run_extend_reference =
   QCheck.Test.make ~name:"recursive: run == run prefix + extend rest == reference"
     ~count:10
@@ -1078,14 +1079,9 @@ let prop_run_extend_reference =
     (fun (draw, ratio) ->
       let loaded, seeds = load_noreturn_draw draw in
       let k = int_of_float (ratio *. float_of_int (List.length seeds)) in
-      let prefix = List.filteri (fun i _ -> i < k) seeds
-      and rest = List.filteri (fun i _ -> i >= k) seeds in
-      let whole = An.Recursive.run loaded ~seeds in
-      let grown = An.Recursive.run loaded ~seeds:prefix in
-      ignore (An.Recursive.extend loaded grown ~seeds:rest);
-      let s = Reference.signature whole in
-      s = Reference.signature grown
-      && s = Reference.signature (Reference.recursive loaded ~seeds))
+      Result.is_ok (Reference.run_then_extend loaded ~seeds k)
+      && Reference.signature (An.Recursive.run loaded ~seeds)
+         = Reference.signature (Reference.recursive loaded ~seeds))
 
 let suite =
   [
@@ -1192,6 +1188,72 @@ let test_fetch_invariants_residual () =
         (328031, Synthllvm, Ofast, 59, true, 0, 1, 0);
       ]
 
+(* Draws on which the engine's answer once depended on the order seeds
+   arrived in, while it kept a breadth-first registration order: the
+   first three on [run] against [run] on a prefix (of the length given)
+   followed by [extend], the last on [Xref.detect] against its
+   reference.  Each now holds, and permuting the seeds changes nothing.
+   On the second, a later seed lies inside the prefix run's
+   instructions, so [extend] refuses it. *)
+let test_order_free_pinned () =
+  List.iter
+    (fun (draw, split) ->
+      let loaded, seeds = load_noreturn_draw draw in
+      let case = print_noreturn_draw draw in
+      check Alcotest.bool (case ^ ": == reference") true
+        (Reference.signature (An.Recursive.run loaded ~seeds)
+        = Reference.signature (Reference.recursive loaded ~seeds));
+      check Alcotest.bool (case ^ ": seed order changes nothing") true
+        (Reference.order_free loaded ~seeds);
+      match split with
+      | Some (k, refused) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: run on %d seeds + extend (refused: %b)" case k
+               refused)
+            true
+            (Reference.run_then_extend loaded ~seeds k = Ok refused)
+      | None ->
+          check Alcotest.bool (case ^ ": xref incremental == reference") true
+            (xref_agrees_with_reference loaded ~seeds))
+    Profile.
+      [
+        ((367416, Synthgcc, 33, 1, 1, 0), Some (21, false));
+        ((624637, Synthgcc, 32, 0, 2, 1), Some (14, true));
+        ((494070, Synthgcc, 35, 0, 1, 1), Some (16, false));
+        ((177919, Synthllvm, 17, 1, 2, 3), None);
+      ]
+
+(* [extend]'s precondition, checked: on this draw the FDE seed 0x402186
+   is a cold part with an FDE of its own, and the run on the first 7
+   seeds already holds it (0x401b40 jumps to it), so [extend] with the
+   rest must refuse it rather than grow a result [run] would not give. *)
+let test_extend_refuses_committed_seed () =
+  let loaded, seeds = load_noreturn_draw (494891, Profile.Synthgcc, 38, 3, 1, 2) in
+  let prefix = List.filteri (fun i _ -> i < 7) seeds in
+  let res = An.Recursive.run loaded ~seeds:prefix in
+  check Alcotest.bool "0x402186 is a later seed" true
+    (List.mem 0x402186 seeds && not (List.mem 0x402186 prefix));
+  check Alcotest.bool "inside the prefix run's instructions" true
+    (Fetch_util.Insn_index.mem res.insn_spans 0x402186
+    && not (Hashtbl.mem res.funcs 0x402186));
+  check Alcotest.bool "extend refuses the rest" true
+    (Reference.run_then_extend loaded ~seeds 7 = Ok true);
+  check Alcotest.bool "and refuses the seed alone, changing nothing" true
+    (let before = Reference.signature res in
+     match An.Recursive.extend loaded res ~seeds:[ 0x402186 ] with
+     | exception Invalid_argument _ -> Reference.signature res = before
+     | _ -> false)
+
+(* [run] gives the same answer with its seeds reversed, rotated or
+   repeated, on synth draws. *)
+let prop_order_free =
+  QCheck.Test.make ~name:"recursive: seed order changes nothing on synth draws"
+    ~count:10
+    (QCheck.make gen_noreturn_draw ~print:print_noreturn_draw)
+    (fun draw ->
+      let loaded, seeds = load_noreturn_draw draw in
+      Reference.order_free loaded ~seeds)
+
 let suite =
   suite
   @ [
@@ -1206,4 +1268,9 @@ let suite =
         test_refs_delta_census;
       Alcotest.test_case "xref: rounds are linear in candidates" `Quick
         test_xref_rounds_linear;
+      Alcotest.test_case "recursive: order-free on pinned draws" `Quick
+        test_order_free_pinned;
+      Alcotest.test_case "extend: a seed inside committed code is refused" `Quick
+        test_extend_refuses_committed_seed;
+      QCheck_alcotest.to_alcotest prop_order_free;
     ]
