@@ -15,6 +15,9 @@
 
 type resolved = { table_addr : int; targets : int list }
 
+(** How many instructions before the dispatch jump {!resolve} reads. *)
+val window : int
+
 (** [resolve image ~preceding operand] slices backwards through
     [preceding] (the reversed (addr, len, insn) window before the dispatch
     jump, across block boundaries) and reads the table from the image.  Every entry

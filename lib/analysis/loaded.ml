@@ -30,6 +30,7 @@ type t = {
   symbol_starts : int list;  (** defined FUNC symbol addresses *)
   seeds : int list;  (** [fde_starts] ∪ [symbol_starts], ascending *)
   table : Fetch_x86.Insn_table.t;
+  blocks : Block_table.t;
   cache : (int, unit) Hashtbl.t;
 }
 
@@ -73,6 +74,7 @@ let load ?eh image =
         else None)
       exec
   in
+  let table = Fetch_x86.Insn_table.create ~decode text_ranges in
   let cies = eh.cies in
   let fdes = Fetch_dwarf.Eh_frame.all_fdes cies in
   let fde_starts =
@@ -94,7 +96,8 @@ let load ?eh image =
     fde_start_array = Array.of_list fde_starts;
     symbol_starts;
     seeds = List.sort_uniq compare (fde_starts @ symbol_starts);
-    table = Fetch_x86.Insn_table.create ~decode text_ranges;
+    table;
+    blocks = Block_table.create table;
     cache;
   }
 

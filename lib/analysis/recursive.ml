@@ -64,240 +64,248 @@ let new_func entry =
     decode_error = false;
   }
 
+module Bt = Block_table
+
+(* A set of addresses with no instruction, which have no block to stamp.
+   Few walks meet one, so the table is made on the first. *)
+type odd = unit Itbl.t option ref
+
+let odd_mem (o : odd) a = match !o with Some t -> Itbl.mem t a | None -> false
+
+let odd_add (o : odd) a =
+  match !o with
+  | Some t -> Itbl.replace t a ()
+  | None ->
+      let t = Itbl.create 16 in
+      Itbl.replace t a ();
+      o := Some t
+
+(* The nonzero path of an [error]-style function never returns: from
+   [a] it runs straight into a halt (ud2, hlt or int3), through at most
+   seven instructions other than syscalls, with no call, branch or
+   decode error on the way. *)
+let never_returns loaded a =
+  let bt = loaded.Loaded.blocks and tbl = loaded.Loaded.table in
+  (* [n] plus the instructions of block [k] other than syscalls, from its
+     [i]th at [a] on, counted up to nine *)
+  let rec others k a i n =
+    if i = Bt.insns bt k || n > 8 then n
+    else
+      let s = Insn_table.find tbl a in
+      others k (a + Insn_table.len tbl s) (i + 1)
+        (if Insn_table.insn tbl s = Insn.Syscall then n else n + 1)
+  in
+  let rec go a n =
+    let k = Bt.start bt a in
+    k >= 0
+    && (not (Bt.has_indirect_call bt k))
+    &&
+    let n = others k a 0 n in
+    match Bt.kind bt k with
+    | Bt.Fall -> n <= 7 && go (Bt.hi bt k) n
+    | Bt.Halt -> n <= 8
+    | Bt.Ret | Bt.Jump | Bt.Cond | Bt.Jump_ind | Bt.Call -> false
+  in
+  go a 0
+
 (* Identify [error]-style conditionally non-returning functions: the entry
    tests the first argument, branches to the returning path on zero, and
    the nonzero (fallthrough) path provably never returns — it runs
    straight into an exit syscall or a trap. *)
 let detect_cond_noreturn loaded entry =
-  let tbl = loaded.Loaded.table in
-  let rec path_never_returns addr fuel =
-    if fuel <= 0 then false
-    else
-      let s = Insn_table.find tbl addr in
-      s >= 0
-      &&
-      let len = Insn_table.len tbl s in
-      match (Insn_table.insn tbl s, Insn_table.flow tbl s) with
-      | (Insn.Ud2 | Insn.Hlt), _ -> true
-      | Insn.Syscall, _ -> path_never_returns (addr + len) fuel
-      | _, Semantics.Fall -> path_never_returns (addr + len) (fuel - 1)
-      | _, Semantics.Halt -> true
-      | _, (Semantics.Ret | Semantics.Jump _ | Semantics.Cond _) -> false
-      | _, Semantics.Callf _ -> false
-  in
   match Loaded.insn_at loaded entry with
   | Some (Insn.Test (_, Reg.Rdi, Reg.Rdi), len) -> (
       match Loaded.insn_at loaded (entry + len) with
       | Some (Insn.Jcc (Insn.E, _), jlen) | Some (Insn.Jcc_short (Insn.E, _), jlen)
         ->
-          path_never_returns (entry + len + jlen) 8
+          never_returns loaded (entry + len + jlen)
       | _ -> false)
   | _ -> false
 
-(* The first argument at a call site, as far as §IV-C's backward slice
-   can prove it: only a provably zero argument lets an [error]-style
-   call return. *)
-type first_arg = Zero | Nonzero | Unknown
+type first_arg = Bt.first_arg = Zero | Nonzero | Unknown
 
-let first_arg_step tbl s arg =
-  match Insn_table.insn tbl s with
-  | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm 0)
-  | Insn.Arith (Insn.Xor, _, Insn.Reg Reg.Rdi, Insn.Reg Reg.Rdi) ->
-      Zero
-  | Insn.Mov (_, Insn.Reg Reg.Rdi, Insn.Imm _) -> Nonzero
-  | Insn.Call _ | Insn.Call_ind _ -> Unknown
-  | _ -> if Insn_table.defs tbl s land Reg.bit Reg.Rdi <> 0 then Unknown else arg
-
-(* The first argument after a block's instructions, given by address,
-   newest first. *)
-let block_first_arg tbl rev_addrs =
-  List.fold_right
-    (fun a arg -> first_arg_step tbl (Insn_table.find tbl a) arg)
-    rev_addrs Unknown
+let first_arg_step = Bt.first_arg_step
 
 let call_returns ~noreturn ~cond_noreturn arg_of x t =
   (not (Hashtbl.mem noreturn t))
   && ((not (Hashtbl.mem cond_noreturn t)) || arg_of x = Zero)
 
-(* Decode one basic block starting at [addr]; returns the addresses of
-   the decoded instructions, newest first, and the block's control-flow
-   ending. *)
-type block_end =
-  | End_ret
-  | End_halt
-  | End_jump of Insn.t * int
-  | End_cond of Insn.t * int * int  (** insn, taken target, fallthrough *)
-  | End_indirect of Insn.operand
-  | End_call_noreturn
-  | End_fallthrough of int  (** ran into a known block/function start *)
-  | End_error
+(* The last [Jump_table.window] instructions of [\[from, upto)], which
+   run back to back, as (address, length, instruction), newest first. *)
+let window_before tbl from upto =
+  let next a = a + Insn_table.len tbl (Insn_table.find tbl a) in
+  let rec count a n = if a >= upto then n else count (next a) (n + 1) in
+  let rec skip a k = if k <= 0 then a else skip (next a) (k - 1) in
+  let rec go a acc =
+    if a >= upto then acc
+    else
+      let s = Insn_table.find tbl a in
+      go (next a) ((a, Insn_table.len tbl s, Insn_table.insn tbl s) :: acc)
+  in
+  go (skip from (count from 0 - Jump_table.window)) []
 
-(* [edge a] is told every address where the walk stops without decoding
-   an instruction: a block that runs into a start or fails to decode, or
+(* Disassemble one function from [entry], block by cached block.  Each
+   of [f.blocks] is one run of instructions decoded back to back, from a
+   queued address [b] to where the run stops; a run steps whole cached
+   blocks, and it stops only where a cached block begins, so every
+   address that [is_start] holds must already start a cached block
+   ([Block_table.start]).  A run also stops where a run of this walk
+   began, and the queue may hold an address more than once: a run can
+   cross an address queued before it is dequeued, and then that address
+   starts a run of its own, which overlaps it.
+
+   The first argument is carried across a run's blocks; it is read only
+   at a call to an [error]-style callee.  A run queued as a conditional
+   fallthrough inherits the jump-table window of its predecessor: since
+   a run ends where its successor starts, the window is the contiguous
+   stretch from the first run of the chain to the dispatch jump, read
+   back from the table only when an indirect jump is reached (the bounds
+   check [cmp/ja] ends a block before the dispatch).
+
+   [edge a] is told every address where the walk stops without decoding
+   an instruction: a run that runs into a start or fails to decode, or
    a jump that leaves the function.  With the walk's own instructions,
    these are all the start queries that shaped it. *)
-let rec decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start ~edge
-    ~block_known addr acc =
-  if
-    (addr <> f.entry && is_start addr) || (block_known addr && acc <> [])
-  then begin
-    edge addr;
-    (acc, End_fallthrough addr)
-  end
-  else
-    let tbl = loaded.Loaded.table in
-    let s = Insn_table.find tbl addr in
-    if s < 0 then begin
-      edge addr;
-      (acc, End_error)
-    end
-    else
-      let insn = Insn_table.insn tbl s and len = Insn_table.len tbl s in
-      Obs.incr c_insns_decoded;
-      let acc' = addr :: acc in
-      match Insn_table.flow tbl s with
-      | Semantics.Fall ->
-          decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
-            ~edge ~block_known (addr + len) acc'
-      | Semantics.Ret ->
-          f.has_ret <- true;
-          (acc', End_ret)
-      | Semantics.Halt -> (acc', End_halt)
-      | Semantics.Jump (Semantics.Direct t) -> (acc', End_jump (insn, t))
-      | Semantics.Jump (Semantics.Indirect op) -> (acc', End_indirect op)
-      | Semantics.Cond t -> (acc', End_cond (insn, t, addr + len))
-      | Semantics.Callf (Semantics.Direct t) ->
-          f.calls <- (addr, t) :: f.calls;
-          (* [acc]: the block so far, excluding the call itself *)
-          let returns =
-            (not safe)
-            || call_returns ~noreturn ~cond_noreturn (block_first_arg tbl)
-                 acc t
-          in
-          if returns then
-            decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
-              ~edge ~block_known (addr + len) acc'
-          else (acc', End_call_noreturn)
-      | Semantics.Callf (Semantics.Indirect _) ->
-          f.has_indirect_call <- true;
-          decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start
-            ~edge ~block_known (addr + len) acc'
-
-(* Disassemble one function from [entry].  Each block is one run of
-   instructions decoded back to back, from its [lo] to its [hi].
-   Pending blocks carry the reversed instruction addresses of their
-   fallthrough predecessor so jump-table slicing can look across block
-   boundaries (the bounds check `cmp/ja` ends the block before the
-   dispatch jump). *)
 let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~edge
     ~new_entries entry =
   Obs.incr c_funcs_disassembled;
-  let tbl = loaded.Loaded.table in
+  let tbl = loaded.Loaded.table and bt = loaded.Loaded.blocks in
   let f = new_func entry in
-  let visited = Itbl.create 16 in
-  let pending = Queue.create () in
-  Queue.add (entry, []) pending;
-  let block_known a = Itbl.mem visited a in
+  (* visited addresses with no instruction *)
+  let odd : odd = ref None in
+  let traced = Obs.enabled () in
+  (* the run under way: where it began, where its window begins, and the
+     calls known before it *)
+  let b = ref entry and win = ref entry and calls_before = ref [] in
+  (* instructions stepped, added to [recursive.insns_decoded] at the end *)
+  let stepped = ref 0 in
   let leaves t =
     let out = is_start t && t <> entry in
     if out then edge t;
     out
   in
-  while not (Queue.is_empty pending) do
-    let b, inherited = Queue.pop pending in
-    if not (Itbl.mem visited b) then begin
-      Itbl.replace visited b ();
-      let calls_before = f.calls in
-      let rev_addrs, ending =
-        decode_block loaded ~safe ~noreturn ~cond_noreturn ~f ~is_start ~edge
-          ~block_known b []
-      in
-      if Obs.enabled () then Obs.observe h_block_insns (List.length rev_addrs);
-      (match rev_addrs with
-      | last :: _ ->
-          let hi = last + Insn_table.len tbl (Insn_table.find tbl last) in
-          f.blocks <- (b, hi) :: f.blocks
-      | [] -> ());
-      (* register the callees this block discovered, newest first — the
-         calls of earlier blocks are already known *)
-      let rec register_new calls =
-        if calls != calls_before then
-          match calls with
-          | (site, t) :: rest ->
-              new_entries ~site t;
-              register_new rest
-          | [] -> ()
-      in
-      register_new f.calls;
-      let window () = rev_addrs @ inherited in
-      let add_block ?(window = []) t =
-        if not (Itbl.mem visited t) then Queue.add (t, window) pending
-      in
-      let site = match rev_addrs with a :: _ -> a | [] -> b in
-      match ending with
-      | End_ret | End_halt | End_call_noreturn -> ()
-      | End_error -> f.decode_error <- true
-      | End_fallthrough t ->
-          (* ran into an existing block of this function: fine; into another
-             function's entry: record nothing (no tail-call guessing) *)
-          if not (is_start t) then add_block ~window:(window ()) t
-      | End_jump (insn, t) ->
-          f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
-          if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
-          else if Loaded.in_text loaded t then add_block t
-          else f.out_jumps <- (site, insn, t) :: f.out_jumps
-      | End_cond (insn, t, fall) ->
-          f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
-          (if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
-           else if Loaded.in_text loaded t then add_block t);
-          (* the fallthrough block inherits the window across the branch *)
-          add_block ~window:(window ()) fall
-      | End_indirect op -> (
-          if not safe then f.unresolved_indirect_jump <- true
-          else
-            let preceding =
-              match window () with
-              | _jmp :: preceding ->
-                  List.map
-                    (fun a ->
-                      let s = Insn_table.find tbl a in
-                      (a, Insn_table.len tbl s, Insn_table.insn tbl s))
-                    preceding
-              | [] -> []
-            in
-            match Jump_table.resolve loaded.Loaded.image ~preceding op with
-            | Some { Jump_table.table_addr; targets } ->
-                Obs.incr c_tables_resolved;
-                f.table_targets <- (table_addr, targets) :: f.table_targets;
-                List.iter (fun t -> add_block t) (List.sort_uniq compare targets)
-            | None -> f.unresolved_indirect_jump <- true)
+  (* the run's end: where it stopped, after [n] instructions *)
+  let close hi n =
+    if traced then Obs.observe h_block_insns n;
+    if n > 0 then f.blocks <- (!b, hi) :: f.blocks;
+    (* register the callees this run discovered, newest first — the
+       calls of earlier runs are already known *)
+    let rec register_new calls =
+      if calls != !calls_before then
+        match calls with
+        | (site, t) :: rest ->
+            new_entries ~site t;
+            register_new rest
+        | [] -> ()
+    in
+    register_new f.calls
+  in
+  let add_block t = Bt.push bt t t in
+  let jump site t =
+    let jump = (site, Insn_table.insn tbl (Insn_table.find tbl site), t) in
+    f.all_jump_sites <- jump :: f.all_jump_sites;
+    jump
+  in
+  (* go on at [a] with first argument [arg], after [n] instructions *)
+  let rec next a arg n =
+    if a <> entry && is_start a then begin
+      edge a;
+      close a n
+    end
+    else
+      let k = Bt.start bt a in
+      if k >= 0 && not (Bt.visited bt k) then run k arg n
+      else begin
+        edge a;
+        if k < 0 && not (odd_mem odd a) then f.decode_error <- true;
+        close a n
+      end
+  and run k arg n =
+    (* read the whole block first: [close] registers callees, and a
+       callee inside this block splits it *)
+    let m = Bt.insns bt k in
+    stepped := !stepped + m;
+    if Bt.has_indirect_call bt k then f.has_indirect_call <- true;
+    let n = n + m and hi = Bt.hi bt k and site = Bt.last bt k in
+    match Bt.kind bt k with
+    | Bt.Fall -> next hi (Bt.arg_after bt k arg) n
+    | Bt.Call ->
+        let t = Bt.target bt k in
+        f.calls <- (site, t) :: f.calls;
+        if
+          (not safe)
+          || call_returns ~noreturn ~cond_noreturn Fun.id (Bt.arg_after bt k arg) t
+        then next hi Unknown n
+        else close hi n
+    | Bt.Ret ->
+        f.has_ret <- true;
+        close hi n
+    | Bt.Halt -> close hi n
+    | Bt.Jump ->
+        let t = Bt.target bt k in
+        close hi n;
+        let j = jump site t in
+        if leaves t then f.out_jumps <- j :: f.out_jumps
+        else if Loaded.in_text loaded t then add_block t
+        else f.out_jumps <- j :: f.out_jumps
+    | Bt.Cond ->
+        let t = Bt.target bt k in
+        close hi n;
+        let j = jump site t in
+        (if leaves t then f.out_jumps <- j :: f.out_jumps
+         else if Loaded.in_text loaded t then add_block t);
+        (* the fallthrough run inherits the window across the branch *)
+        Bt.push bt hi !win
+    | Bt.Jump_ind -> (
+        close hi n;
+        if not safe then f.unresolved_indirect_jump <- true
+        else
+          let op =
+            match Insn_table.flow tbl (Insn_table.find tbl site) with
+            | Semantics.Jump (Semantics.Indirect op) -> op
+            | _ -> assert false
+          in
+          match
+            Jump_table.resolve loaded.Loaded.image ~preceding:(window_before tbl !win site) op
+          with
+          | Some { Jump_table.table_addr; targets } ->
+              Obs.incr c_tables_resolved;
+              f.table_targets <- (table_addr, targets) :: f.table_targets;
+              List.iter add_block (List.sort_uniq compare targets)
+          | None -> f.unresolved_indirect_jump <- true)
+  in
+  Bt.begin_walk bt;
+  Bt.push bt entry entry;
+  while not (Bt.is_empty bt) do
+    let a = Bt.pop bt in
+    let k = Bt.start bt a in
+    if not (if k >= 0 then Bt.visited bt k else odd_mem odd a) then begin
+      if k >= 0 then Bt.visit bt k else odd_add odd a;
+      b := a;
+      win := Bt.popped_with bt;
+      calls_before := f.calls;
+      if a <> entry && is_start a then begin
+        edge a;
+        close a 0
+      end
+      else if k < 0 then begin
+        edge a;
+        f.decode_error <- true;
+        close a 0
+      end
+      else run k Unknown 0
     end
   done;
+  Obs.add c_insns_decoded !stepped;
   f
 
-let walk loaded ~noreturn ~cond_noreturn ~is_start ~on_call entry =
-  disasm_function loaded ~safe:true ~noreturn ~cond_noreturn ~is_start
-    ~edge:ignore
-    ~new_entries:(fun ~site:_ t -> on_call t)
+let walk ?(safe = true) loaded ~noreturn ~cond_noreturn ~starts entry =
+  let bt = loaded.Loaded.blocks in
+  Hashtbl.iter (fun a () -> ignore (Bt.start bt a)) starts;
+  disasm_function loaded ~safe ~noreturn ~cond_noreturn
+    ~is_start:(Hashtbl.mem starts) ~edge:ignore
+    ~new_entries:(fun ~site:_ t -> ignore (Bt.start bt t))
     entry
-
-(* Call [fn lo hi] on each instruction of [f]'s blocks, in decode order,
-   read back from the table. *)
-let iter_insns loaded f fn =
-  let tbl = loaded.Loaded.table in
-  List.iter
-    (fun (lo, hi) ->
-      let rec go a =
-        if a < hi then
-          let s = Insn_table.find tbl a in
-          if s >= 0 then begin
-            let next = a + Insn_table.len tbl s in
-            fn a next;
-            go next
-          end
-      in
-      go lo)
-    (List.rev f.blocks)
 
 (* Which functions reachable from [dirty] over tail jumps can return: the
    least set holding every function with a ret, an unresolved indirect
@@ -408,13 +416,28 @@ let grow ~safe ~extending loaded res ~seeds =
   in
   (* what this call may make an entry: a text address, not a committed one *)
   let in_scope t = Loaded.in_text loaded t && not (committed t) in
+  (* every start a walk asks about must start a cached block: the seeds,
+     the committed entries, and each entry, whose own walk begins there *)
+  let bt = loaded.Loaded.blocks in
+  if extending then Hashtbl.iter (fun e _ -> ignore (Bt.start bt e)) res.funcs;
   let seed = Itbl.create 16 in
-  List.iter (fun s -> if in_scope s then Itbl.replace seed s ()) seeds;
+  List.iter
+    (fun s ->
+      if in_scope s then begin
+        Itbl.replace seed s ();
+        ignore (Bt.start bt s)
+      end)
+    seeds;
   let walk ~is_start e =
-    let callees = ref [] and mine = Itbl.create 8 and edges = ref [] in
+    let callees = ref [] and odd : odd = ref None and edges = ref [] in
+    (* first call to [t] in this walk? *)
+    let first t =
+      let k = Bt.start bt t in
+      if k >= 0 then not (Bt.called bt k) && (Bt.call bt k; true)
+      else not (odd_mem odd t) && (odd_add odd t; true)
+    in
     let new_entries ~site t =
-      if in_scope t && not (Itbl.mem mine t) then begin
-        Itbl.replace mine t ();
+      if in_scope t && first t then begin
         callees := t :: !callees;
         match prov_seen with
         | Some seen when not (Itbl.mem seen t) ->
@@ -588,7 +611,10 @@ let grow ~safe ~extending loaded res ~seeds =
         Itbl.iter (fun e _ -> if asks a e (body e) then mark e) disc;
       List.iter mark !fresh;
       fresh := [];
-      others := non_seeds (keys disc)
+      others :=
+        Array.of_list
+          (List.sort Int.compare
+             (Itbl.fold (fun e _ acc -> if Itbl.mem seed e then acc else e :: acc) disc []))
     end;
     List.iter set_body (keys redo);
     List.rev_append !changed !retracted
@@ -649,12 +675,17 @@ let grow ~safe ~extending loaded res ~seeds =
       end)
     !learned;
   let bodies = List.map (fun e -> (body e).f) (keys disc) and new_spans = ref [] in
-  List.iter
-    (fun f ->
-      iter_insns loaded f (fun lo hi ->
-          if Insn_index.add res.insn_spans ~lo ~hi && extending then
-            new_spans := (lo, hi) :: !new_spans))
-    bodies;
+  (* the instructions of run [\[a, hi)], back to back *)
+  let tbl = loaded.Loaded.table in
+  let rec commit a hi =
+    if a < hi then begin
+      let next = a + Insn_table.len tbl (Insn_table.find tbl a) in
+      if Insn_index.add res.insn_spans ~lo:a ~hi:next && extending then
+        new_spans := (a, next) :: !new_spans;
+      commit next hi
+    end
+  in
+  List.iter (fun f -> List.iter (fun (lo, hi) -> commit lo hi) (List.rev f.blocks)) bodies;
   { new_funcs = bodies; new_spans = List.rev !new_spans }
 
 let run ?(safe = true) loaded ~seeds =

@@ -95,7 +95,7 @@ val starts : result -> int list
 
 (** The first argument (rdi) at a call site, as far as §IV-C's backward
     slice can prove it. *)
-type first_arg = Zero | Nonzero | Unknown
+type first_arg = Block_table.first_arg = Zero | Nonzero | Unknown
 
 (** [first_arg_step tbl s arg] is the first argument after the
     instruction in slot [s] of [tbl]:
@@ -121,19 +121,19 @@ val call_returns :
 
 (** {2 Building blocks of a from-scratch model} *)
 
-(** [walk loaded ~noreturn ~cond_noreturn ~is_start ~on_call entry] is one
-    safe walk of the function at [entry]: the engine's own walker, which
-    asks [is_start] whether an address is a function entry and calls
-    [on_call] with each direct callee, block by block, as it is
-    discovered.  Each of the function's [blocks] is one run of
-    instructions decoded back to back; the blocks are listed newest
-    first. *)
+(** [walk ?safe loaded ~noreturn ~cond_noreturn ~starts entry] is one
+    walk of the function at [entry]: the engine's own walker over the
+    cached blocks of [loaded], which stops at the keys of [starts] (made
+    block starts first) and, as {!run} does, makes each direct callee a
+    block start as it is found.  [safe] is as for {!run}.  Each of the
+    function's [blocks] is one run of instructions decoded back to back;
+    the blocks are listed newest first. *)
 val walk :
+  ?safe:bool ->
   Loaded.t ->
   noreturn:(int, unit) Hashtbl.t ->
   cond_noreturn:(int, unit) Hashtbl.t ->
-  is_start:(int -> bool) ->
-  on_call:(int -> unit) ->
+  starts:(int, unit) Hashtbl.t ->
   int ->
   func
 

@@ -85,34 +85,33 @@ let scan_section_windows loaded t (s : Fetch_elf.Image.section) =
     (fun (target, site) -> add t target (Data_pointer site))
     (window_pointers loaded s)
 
-(* Constant operands of one decoded instruction. *)
-let insn_constants ~addr ~len insn =
-  let consts = ref [] in
-  let push v = consts := v :: !consts in
-  let mem (m : Insn.mem) =
-    if m.rip_rel then push (addr + len + m.disp)
-    else if m.base = None && m.index = None then push m.disp
-    else if m.index <> None && m.base = None then push m.disp
-  in
-  let op = function
-    | Insn.Imm v -> push v
-    | Insn.Mem m -> mem m
-    | Insn.Reg _ -> ()
-  in
-  (match insn with
-  | Insn.Mov (_, a, b) ->
-      op a;
-      op b
-  | Insn.Movabs (_, v) -> push v
-  | Insn.Lea (_, m) -> mem m
-  | Insn.Arith (_, _, a, b) ->
-      op a;
-      op b
-  | Insn.Imul (_, s) -> op s
-  | Insn.Movsxd (_, m) -> mem m
-  | Insn.Movzx (_, _, o') | Insn.Movsx (_, _, o') | Insn.Cmov (_, _, o') ->
-      op o'
-  | Insn.Call_ind o | Insn.Jmp_ind o -> op o
+(* [f site v] for each constant operand [v] of the instruction at
+   [site], of length [len]: immediates, absolute displacements and
+   resolved RIP-relative targets, last operand first.  Top-level, so that
+   a call allocates nothing. *)
+let const_mem f site len (m : Insn.mem) =
+  if m.rip_rel then f site (site + len + m.disp)
+  else if m.base = None then f site m.disp
+
+let const_op f site len = function
+  | Insn.Imm v -> f site v
+  | Insn.Mem m -> const_mem f site len m
+  | Insn.Reg _ -> ()
+
+let iter_constants f site len insn =
+  match insn with
+  | Insn.Mov (_, a, b) | Insn.Arith (_, _, a, b) ->
+      const_op f site len b;
+      const_op f site len a
+  | Insn.Movabs (_, v) -> f site v
+  | Insn.Lea (_, m) | Insn.Movsxd (_, m) -> const_mem f site len m
+  | Insn.Imul (_, o)
+  | Insn.Movzx (_, _, o)
+  | Insn.Movsx (_, _, o)
+  | Insn.Cmov (_, _, o)
+  | Insn.Call_ind o
+  | Insn.Jmp_ind o ->
+      const_op f site len o
   | Insn.Push _ | Insn.Pop _ | Insn.Test _ | Insn.Shift _ | Insn.Neg _
   | Insn.Inc _ | Insn.Dec _ | Insn.Setcc _ | Insn.Div _ | Insn.Idiv _
   | Insn.Mul _ | Insn.Cqo | Insn.Cdq | Insn.Not _ | Insn.Xchg _
@@ -120,8 +119,7 @@ let insn_constants ~addr ~len insn =
   | Insn.Jmp_short _ | Insn.Jcc _ | Insn.Jcc_short _ | Insn.Ret
   | Insn.Leave | Insn.Nop _ | Insn.Endbr64 | Insn.Ud2 | Insn.Int3
   | Insn.Hlt | Insn.Syscall | Insn.Cpuid ->
-      ());
-  !consts
+      ()
 
 (* Scan one committed span [\[lo, hi)] for code-constant refs, calling
    [fresh v] for each target [v] a constant makes a pointer candidate
@@ -131,6 +129,13 @@ let insn_constants ~addr ~len insn =
    span still yields its refs. *)
 let scan_span loaded t ~fresh ~lo ~hi =
   let tbl = loaded.Loaded.table in
+  let on_const site v =
+    if Loaded.in_text loaded v then begin
+      let prev = refs_to t v in
+      if not (List.exists is_pointer prev) then fresh v;
+      Hashtbl.replace t.by_target v (Code_constant site :: prev)
+    end
+  in
   let rec go addr =
     if addr < hi then
       let s = Insn_table.find tbl addr in
@@ -140,14 +145,7 @@ let scan_span loaded t ~fresh ~lo ~hi =
       end
       else
         let len = Insn_table.len tbl s in
-        List.iter
-          (fun v ->
-            if Loaded.in_text loaded v then begin
-              let prev = refs_to t v in
-              if not (List.exists is_pointer prev) then fresh v;
-              Hashtbl.replace t.by_target v (Code_constant addr :: prev)
-            end)
-          (insn_constants ~addr ~len (Insn_table.insn tbl s));
+        iter_constants on_const addr len (Insn_table.insn tbl s);
         go (addr + len)
   in
   go lo

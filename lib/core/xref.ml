@@ -65,6 +65,16 @@ let mid_instruction (res : Recursive.result) addr =
   | None -> false
   | Some (lo, _) -> addr <> lo
 
+(* The first byte of the instruction [\[addr, addr + len)] that a
+   committed instruction at another alignment holds, or -1: such an
+   instruction runs into the middle of committed code (error ii), and
+   the two could not both be committed.  -1 as well when [addr] itself
+   starts a committed instruction, which is then this one. *)
+let overlap (res : Recursive.result) addr len =
+  let mem = Fetch_util.Insn_index.mem res.insn_spans in
+  let rec from b = if b >= addr + len then -1 else if mem b then b else from (b + 1) in
+  if mem addr then -1 else from (addr + 1)
+
 (* Function-extent set: one bit per text byte, set for every byte of a
    committed block of a detected function.  Error (iii) only asks
    whether a byte is covered; which function covers it is a ledger
@@ -193,6 +203,9 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
           if mid_instruction res addr then
             raise (Reject (Mid_instruction, [ ("at", Prov.I addr) ]));
           let len = Insn_table.len tbl s in
+          (match overlap res addr len with
+          | -1 -> ()
+          | at -> raise (Reject (Mid_instruction, [ ("at", Prov.I at) ])));
           match Insn_table.flow tbl s with
           | Semantics.Fall -> walk_block (fuel - 1) (addr + len) frontier
           | Semantics.Ret | Semantics.Halt -> frontier

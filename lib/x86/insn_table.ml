@@ -12,10 +12,10 @@ type t = {
   mutable decoded : int;
   mutable count : int;
   mutable insns : Insn.t array;
-  mutable flows : Semantics.flow array;
   mutable info : int array;
-      (** [len lor (uses lsl 4) lor (defs lsl 20)]: an instruction is at
-          most 15 bytes and a register mask 16 bits *)
+      (** [len lor (uses lsl 4) lor (defs lsl 20) lor ((block + 1) lsl
+          36)]: an instruction is at most 15 bytes and a register mask 16
+          bits *)
 }
 
 let create ~decode ranges =
@@ -37,7 +37,6 @@ let create ~decode ranges =
     decoded = 0;
     count = 0;
     insns = [||];
-    flows = [||];
     info = [||];
   }
 
@@ -66,7 +65,6 @@ let grow t =
     b
   in
   t.insns <- extend t.insns Insn.Ret;
-  t.flows <- extend t.flows Semantics.Ret;
   t.info <- extend t.info 0
 
 let fill t off addr =
@@ -80,7 +78,6 @@ let fill t off addr =
       let s = t.count in
       if s = Array.length t.insns then grow t;
       t.insns.(s) <- insn;
-      t.flows.(s) <- Semantics.flow insn;
       t.info.(s) <-
         len
         lor (Semantics.uses_mask insn lsl 4)
@@ -98,7 +95,9 @@ let find t addr =
 
 let insn t s = t.insns.(s)
 let len t s = t.info.(s) land 0xf
-let flow t s = t.flows.(s)
+let flow t s = Semantics.flow t.insns.(s)
 let uses t s = (t.info.(s) lsr 4) land 0xffff
-let defs t s = t.info.(s) lsr 20
+let defs t s = (t.info.(s) lsr 20) land 0xffff
+let block t s = (t.info.(s) lsr 36) - 1
+let set_block t s k = t.info.(s) <- (t.info.(s) land ((1 lsl 36) - 1)) lor ((k + 1) lsl 36)
 let decoded t = t.decoded

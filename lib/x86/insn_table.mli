@@ -4,15 +4,15 @@
     sections).  Each byte offset maps to a dense slot id, kept as an
     int32 in a [Bytes] buffer the GC does not scan.  The facts every
     walker reads live in arrays indexed by slot: the instruction, its
-    length, its {!Semantics.flow}, and its register use and def sets as
-    masks ({!Reg.mask}).
+    length, and its register use and def sets as masks ({!Reg.mask}).
 
     An offset is decoded at most once, on its first {!find}, and all of
-    its facts are computed then; an offset with no instruction is
+    its stored facts are computed then; an offset with no instruction is
     remembered as such.  Each walker decides what to follow, so
     overlapping decodes from different offsets coexist.  Memory is
     bounded by the ranges' size: four bytes per offset, plus at most
-    one slot (three array words and the decoded values) per offset. *)
+    one slot (two array words and the decoded instruction) per
+    offset. *)
 
 type t
 
@@ -36,6 +36,9 @@ val find : t -> int -> int
 
 val insn : t -> int -> Insn.t
 val len : t -> int -> int
+
+(** {!Semantics.flow} of the instruction, computed on each call: the
+    table does not keep it. *)
 val flow : t -> int -> Semantics.flow
 
 (** {!Semantics.uses_mask}. *)
@@ -43,6 +46,17 @@ val uses : t -> int -> int
 
 (** {!Semantics.defs}. *)
 val defs : t -> int -> int
+
+(** {2 The block of a slot}
+
+    Each slot has room for one basic-block id, [-1] until set.  The
+    block table built over this decode table (one per table) keeps
+    there which of its blocks holds the instruction. *)
+
+val block : t -> int -> int
+
+(** [set_block t s k], [0 <= k < 2{^26}]. *)
+val set_block : t -> int -> int -> unit
 
 (** How many distinct addresses were decoded so far, undecodable ones
     included. *)

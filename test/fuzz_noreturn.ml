@@ -16,7 +16,11 @@
         inside the prefix run's instructions, which [extend] must then
         refuse;
      4. [Xref.detect] equals the from-scratch §IV-E model
-        ([Reference.xref]): same final seeds, starts, spans and facts.
+        ([Reference.xref]): same final seeds, starts, spans and facts;
+     5. the draw's [Loaded.t], its block cache warmed by all of the
+        above, answers [run] and [Xref.detect] like a fresh load of the
+        same image: same functions field for field, spans, facts and
+        seeds.
 
    Runs as part of `dune runtest` and as a CI smoke job.  A failure
    prints the seed, the iteration and the draw, which a tier-1 case in
@@ -79,7 +83,8 @@ let () =
     let res_i, seeds_i, _ = Fetch_core.Xref.detect loaded ~seeds in
     let res_r, seeds_r, _ = Reference.xref loaded ~seeds in
     if seeds_i <> seeds_r || Reference.signature res_i <> Reference.signature res_r
-    then fail "xref incremental <> reference"
+    then fail "xref incremental <> reference";
+    if not (Reference.warm_like_fresh loaded ~seeds) then fail "warm Loaded <> fresh"
   done;
   if !failures > 0 then begin
     Printf.printf "fuzz_noreturn: %d FAILURES (seed %d, %d iters)\n" !failures

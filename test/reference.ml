@@ -3,8 +3,154 @@
    no cache and no worklist, so agreeing with it holds the incremental
    code to the plain definition. *)
 
+open Fetch_x86
 open Fetch_analysis
 module Insn_index = Fetch_util.Insn_index
+
+(* The engine's walk, one instruction at a time: the model the cached
+   block walk of [Recursive] is held to.  [walk] disassembles the
+   function at [entry] breadth-first.  A run decodes from a queued
+   address until a control transfer, a call that cannot return, a
+   decode error, a start ([is_start], except [entry]) or an address
+   where a run of this walk began.  Each queued address carries the
+   instructions of the runs that fell through to it, newest first, the
+   jump-table window.  [~safe:false] is the BAP model's weaker engine:
+   every call returns and no jump table is resolved. *)
+type ending =
+  | End_ret
+  | End_halt
+  | End_jump of Insn.t * int
+  | End_cond of Insn.t * int * int
+  | End_indirect of Insn.operand
+  | End_stop  (** a call that cannot return, a start or a known run *)
+  | End_error
+
+let walk ?(safe = true) loaded ~noreturn ~cond_noreturn ~is_start entry :
+    Recursive.func =
+  let tbl = loaded.Loaded.table in
+  let f = Recursive.
+    {
+      entry;
+      blocks = [];
+      calls = [];
+      out_jumps = [];
+      all_jump_sites = [];
+      table_targets = [];
+      unresolved_indirect_jump = false;
+      has_ret = false;
+      has_indirect_call = false;
+      decode_error = false;
+    }
+  in
+  let visited = Hashtbl.create 16 and pending = Queue.create () in
+  (* the first argument after the run so far, newest first *)
+  let first_arg acc =
+    List.fold_right
+      (fun a arg -> Recursive.first_arg_step tbl (Insn_table.find tbl a) arg)
+      acc Recursive.Unknown
+  in
+  let rec run addr acc =
+    if (addr <> entry && is_start addr) || (Hashtbl.mem visited addr && acc <> [])
+    then (acc, End_stop)
+    else
+      let s = Insn_table.find tbl addr in
+      if s < 0 then (acc, End_error)
+      else
+        let insn = Insn_table.insn tbl s and len = Insn_table.len tbl s in
+        let acc' = addr :: acc in
+        match Insn_table.flow tbl s with
+        | Semantics.Fall -> run (addr + len) acc'
+        | Semantics.Ret ->
+            f.has_ret <- true;
+            (acc', End_ret)
+        | Semantics.Halt -> (acc', End_halt)
+        | Semantics.Jump (Semantics.Direct t) -> (acc', End_jump (insn, t))
+        | Semantics.Jump (Semantics.Indirect op) -> (acc', End_indirect op)
+        | Semantics.Cond t -> (acc', End_cond (insn, t, addr + len))
+        | Semantics.Callf (Semantics.Direct t) ->
+            f.calls <- (addr, t) :: f.calls;
+            if
+              (not safe)
+              || Recursive.call_returns ~noreturn ~cond_noreturn first_arg acc t
+            then
+              run (addr + len) acc'
+            else (acc', End_stop)
+        | Semantics.Callf (Semantics.Indirect _) ->
+            f.has_indirect_call <- true;
+            run (addr + len) acc'
+  in
+  Queue.add (entry, []) pending;
+  while not (Queue.is_empty pending) do
+    let b, inherited = Queue.pop pending in
+    if not (Hashtbl.mem visited b) then begin
+      Hashtbl.replace visited b ();
+      let rev_addrs, ending = run b [] in
+      (match rev_addrs with
+      | last :: _ ->
+          f.blocks <- (b, last + Insn_table.len tbl (Insn_table.find tbl last)) :: f.blocks
+      | [] -> ());
+      let window = rev_addrs @ inherited in
+      let add ?(window = []) t =
+        if not (Hashtbl.mem visited t) then Queue.add (t, window) pending
+      in
+      let leaves t = is_start t && t <> entry in
+      let site = match rev_addrs with a :: _ -> a | [] -> b in
+      match ending with
+      | End_ret | End_halt | End_stop -> ()
+      | End_error -> f.decode_error <- true
+      | End_jump (insn, t) ->
+          f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
+          if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
+          else if Loaded.in_text loaded t then add t
+          else f.out_jumps <- (site, insn, t) :: f.out_jumps
+      | End_cond (insn, t, fall) ->
+          f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
+          (if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
+           else if Loaded.in_text loaded t then add t);
+          add ~window fall
+      | End_indirect _ when not safe -> f.unresolved_indirect_jump <- true
+      | End_indirect op -> (
+          let preceding =
+            List.map
+              (fun a ->
+                let s = Insn_table.find tbl a in
+                (a, Insn_table.len tbl s, Insn_table.insn tbl s))
+              (List.tl window)
+          in
+          match Jump_table.resolve loaded.Loaded.image ~preceding op with
+          | Some { Jump_table.table_addr; targets } ->
+              f.table_targets <- (table_addr, targets) :: f.table_targets;
+              List.iter (fun t -> add t) (List.sort_uniq compare targets)
+          | None -> f.unresolved_indirect_jump <- true)
+    end
+  done;
+  f
+
+(* [Recursive.detect_cond_noreturn], one instruction at a time: the
+   entry is [test rdi, rdi; je], and the nonzero path runs straight into
+   a halt within eight instructions other than syscalls. *)
+let detect_cond_noreturn loaded entry =
+  let tbl = loaded.Loaded.table in
+  let rec never_returns addr fuel =
+    fuel > 0
+    &&
+    let s = Insn_table.find tbl addr in
+    s >= 0
+    &&
+    let next = addr + Insn_table.len tbl s in
+    match (Insn_table.insn tbl s, Insn_table.flow tbl s) with
+    | Insn.Syscall, _ -> never_returns next fuel
+    | _, Semantics.Fall -> never_returns next (fuel - 1)
+    | _, Semantics.Halt -> true
+    | _, (Semantics.Ret | Semantics.Jump _ | Semantics.Cond _ | Semantics.Callf _) -> false
+  in
+  match Loaded.insn_at loaded entry with
+  | Some (Insn.Test (_, Reg.Rdi, Reg.Rdi), len) -> (
+      match Loaded.insn_at loaded (entry + len) with
+      | Some ((Insn.Jcc (Insn.E, _) | Insn.Jcc_short (Insn.E, _)), jlen) ->
+          never_returns (entry + len + jlen) 8
+      | _ -> false)
+  | _ -> false
 
 (* The noreturn fixpoint of DESIGN.md, computed naively.  Each pass
    starts from nothing but the facts: the entries are the seeds plus
@@ -21,9 +167,7 @@ let recursive loaded ~seeds : Recursive.result =
   List.iter
     (fun s -> if Loaded.in_text loaded s then Hashtbl.replace seed s ())
     seeds;
-  let walk ~is_start e =
-    Recursive.walk loaded ~noreturn ~cond_noreturn ~is_start ~on_call:ignore e
-  in
+  let walk ~is_start e = walk loaded ~noreturn ~cond_noreturn ~is_start e in
   let rec pass () =
     let entries = Hashtbl.create 64 in
     let rec discover e =
@@ -66,7 +210,7 @@ let recursive loaded ~seeds : Recursive.result =
     let learned = ref false in
     Hashtbl.iter
       (fun e _ ->
-        let cond = Recursive.detect_cond_noreturn loaded e in
+        let cond = detect_cond_noreturn loaded e in
         let fact tbl =
           if not (Hashtbl.mem tbl e) then begin
             Hashtbl.replace tbl e ();
@@ -163,6 +307,54 @@ let run_then_extend loaded ~seeds k =
   | exception Invalid_argument m -> Error ("extend refused: " ^ m)
   | _ when refused -> Error "extend took a seed inside the committed instructions"
   | _ -> agrees seeds
+
+(* The engine's walks equal the per-instruction model's on the facts
+   and entries of [run]: the body kept for every entry, and, for every
+   entry and every seed, a walk that stops at every entry, one that stops
+   only at the seeds, the weaker engine's walk and the [error]-style
+   test.  Each walk is compared twice: over the blocks [run] left, and
+   over an empty block cache. *)
+let walks_agree loaded ~seeds =
+  let res = Recursive.run loaded ~seeds in
+  let noreturn = res.noreturn and cond_noreturn = res.cond_noreturn in
+  let table keys =
+    let t = Hashtbl.create 64 in
+    List.iter (fun e -> Hashtbl.replace t e ()) keys;
+    t
+  in
+  let entries = table (Recursive.starts res)
+  and seed = table (List.filter (Loaded.in_text loaded) seeds) in
+  (* a fresh load of [loaded]'s image, with an empty block cache: a walk
+     on it splits blocks as it goes, a walk on [loaded] reads blocks [run]
+     already split *)
+  let cold () = Loaded.load loaded.Loaded.image in
+  let same ?safe starts e =
+    let model = walk ?safe loaded ~noreturn ~cond_noreturn ~is_start:(Hashtbl.mem starts) e in
+    Recursive.walk ?safe loaded ~noreturn ~cond_noreturn ~starts e = model
+    && Recursive.walk ?safe (cold ()) ~noreturn ~cond_noreturn ~starts e = model
+  in
+  List.for_all
+    (fun e ->
+      Hashtbl.find res.funcs e
+      = walk loaded ~noreturn ~cond_noreturn ~is_start:(Hashtbl.mem entries) e
+      && same entries e && same seed e && same ~safe:false seed e
+      && Recursive.detect_cond_noreturn loaded e = detect_cond_noreturn loaded e)
+    (Recursive.starts res @ keys seed)
+
+(* Everything [run] and [Xref.detect] answer on [loaded], whose block
+   cache earlier calls have warmed, equals their answer on a fresh load
+   of the same image: the same functions, field for field, spans, facts
+   and seeds. *)
+let warm_like_fresh loaded ~seeds =
+  let funcs (res : Recursive.result) =
+    List.map (Hashtbl.find res.funcs) (Recursive.starts res)
+  in
+  let answer l =
+    let r = Recursive.run l ~seeds in
+    let d, s, _ = Fetch_core.Xref.detect l ~seeds in
+    (signature r, funcs r, signature d, funcs d, s)
+  in
+  answer loaded = answer (Loaded.load loaded.Loaded.image)
 
 (* [run] gives the same result with the seeds reversed, rotated or
    repeated. *)

@@ -1355,6 +1355,129 @@ let test_table_trace_cache () =
       done)
     (Loaded.text_ranges loaded)
 
+(* The cached-block walk is the per-instruction walk of
+   [Reference.walk], on random call graphs: noreturn chains, [error]
+   calls, retractions and bodies stopping at a non-seed entry cut and
+   split blocks in every way.  With every function seeded, a function
+   that falls into the next one runs into a seed in mid-block. *)
+let prop_block_walk_reference =
+  QCheck.Test.make ~name:"blocks: block walk == instruction walk on call graphs"
+    ~count:300
+    (QCheck.make random_call_graph ~print:(fun (items, seeds) ->
+         Printf.sprintf "%d items, seeds %s" (List.length items)
+           (String.concat "," seeds)))
+    (fun (items, seeds) ->
+      let img, asm = image_of items in
+      let loaded = Loaded.load img in
+      let seeds = List.map (label asm) seeds in
+      let every =
+        List.filter_map
+          (function
+            | Asm.Label l when l.[0] = 'f' && not (String.contains l '_') ->
+                Some (label asm l)
+            | _ -> None)
+          items
+      in
+      Reference.walks_agree loaded ~seeds
+      && Reference.warm_like_fresh loaded ~seeds
+      && Reference.walks_agree (Loaded.load img) ~seeds:every)
+
+(* ... and on every adversarial scenario and two synth draws, from the
+   FDE and symbol seeds: data pools, jump tables and padding in text. *)
+let test_block_walk_adversarial () =
+  List.iter
+    (fun img ->
+      let loaded = Loaded.load img in
+      check Alcotest.bool "walks agree" true
+        (Reference.walks_agree loaded ~seeds:loaded.Loaded.seeds))
+    (Lazy.force table_images)
+
+(* A function with [n] conditional jumps and then [n] calls, each to an
+   address of its own in a run of undecodable bytes: [f: je u_i ...;
+   call v_i ...; ret].  The walk of [f] meets [2n] addresses with no
+   instruction, and each [v_i] becomes an entry walked once.  Telling
+   whether such an address was met before must cost a lookup, not a scan
+   of those met so far: quadrupling [n] at most quadruples the walks,
+   and takes a run at most ten times as long, where a scan would make
+   it about sixteen; the rest is room for tables growing and timer
+   noise. *)
+let odd_targets_image n =
+  let u i = Printf.sprintf "u%d" i and v i = Printf.sprintf "v%d" i in
+  let items =
+    (Asm.Label "f" :: List.init n (fun i -> Asm.I (I.Jcc (I.E, I.To_label (u i)))))
+    @ List.init n (fun i -> Asm.I (I.Call (I.To_label (v i))))
+    @ [ Asm.I I.Ret ]
+    @ List.concat_map (fun l -> [ Asm.Label l; Asm.Raw "\xff" ]) (List.init n u @ List.init n v)
+    @ [ Asm.Raw "\xff" ]
+  in
+  let img, asm = image_of items in
+  (Loaded.load img, label asm "f", List.init n (fun i -> label asm (v i)))
+
+let test_rec_odd_targets_linear () =
+  let work n =
+    let loaded, f, callees = odd_targets_image n in
+    let res, rep =
+      Fetch_obs.Trace.with_run (fun () -> Recursive.run loaded ~seeds:[ f ])
+    in
+    let fn = Hashtbl.find res.funcs f in
+    check Alcotest.int (Printf.sprintf "n=%d: every call kept" n) n (List.length fn.calls);
+    check Alcotest.bool (Printf.sprintf "n=%d: every callee an entry" n) true
+      (List.for_all (Hashtbl.mem res.funcs) callees);
+    let walks =
+      Option.value ~default:0
+        (List.assoc_opt "recursive.functions_disassembled" rep.counters)
+    in
+    check Alcotest.bool
+      (Printf.sprintf "n=%d: %d walks <= 2n + 4" n walks)
+      true
+      (walks <= (2 * n) + 4);
+    (* the best of five runs on the warm load *)
+    let time () =
+      let t0 = Unix.gettimeofday () in
+      ignore (Recursive.run loaded ~seeds:[ f ]);
+      Unix.gettimeofday () -. t0
+    in
+    (walks, List.fold_left min infinity (List.init 5 (fun _ -> time ())))
+  in
+  let walks, secs = work 4000 in
+  let walks4, secs4 = work 16000 in
+  check Alcotest.bool "quadrupling n at most quadruples the walks" true
+    (walks4 <= (4 * walks) + 4);
+  check Alcotest.bool
+    (Printf.sprintf "quadrupling n: %.4f s -> %.4f s, at most ten times" secs secs4)
+    true
+    (secs4 <= (10. *. secs) +. 0.01)
+
+(* [error]-style detection counts the instructions other than syscalls
+   on the nonzero path, across block boundaries: [f: test rdi, rdi; je z;
+   (syscall; nop) x k; hlt; z: ret] is conditionally noreturn for k up
+   to seven, not for eight.  With [split], a start in the middle of the
+   path cuts it into two blocks first. *)
+let test_rec_cond_noreturn_bound () =
+  List.iter
+    (fun (k, split) ->
+      let items =
+        [
+          Asm.Label "f";
+          Asm.I (I.Test (I.W64, Reg.Rdi, Reg.Rdi));
+          Asm.I (I.Jcc (I.E, I.To_label "z"));
+        ]
+        @ List.concat
+            (List.init k (fun i ->
+                 [ Asm.Label (Printf.sprintf "p%d" i); Asm.I I.Syscall; Asm.I (I.Nop 1) ]))
+        @ [ Asm.I I.Hlt; Asm.Label "z"; Asm.I I.Ret ]
+      in
+      let img, asm = image_of items in
+      let loaded = Loaded.load img in
+      if split then ignore (Block_table.start loaded.blocks (label asm "p3"));
+      let f = label asm "f" in
+      let name = Printf.sprintf "k=%d split=%b" k split in
+      check Alcotest.bool name (k <= 7) (Recursive.detect_cond_noreturn loaded f);
+      check Alcotest.bool (name ^ ": == reference")
+        (Reference.detect_cond_noreturn loaded f)
+        (Recursive.detect_cond_noreturn loaded f))
+    [ (6, false); (7, false); (8, false); (7, true); (8, true) ]
+
 let suite =
   [
     Alcotest.test_case "rec: follows calls" `Quick test_rec_follows_calls;
@@ -1412,4 +1535,11 @@ let suite =
       test_worklist_rewalk_finds_callee;
     Alcotest.test_case "worklist: a dead call cycle is retracted" `Quick
       test_worklist_dead_cycle;
+    QCheck_alcotest.to_alcotest prop_block_walk_reference;
+    Alcotest.test_case "blocks: block walk == instruction walk, adversarial" `Quick
+      test_block_walk_adversarial;
+    Alcotest.test_case "rec: undecodable jump and call targets are linear" `Quick
+      test_rec_odd_targets_linear;
+    Alcotest.test_case "rec: error-style path bound, across blocks" `Quick
+      test_rec_cond_noreturn_bound;
   ]

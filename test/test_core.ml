@@ -1254,6 +1254,179 @@ let prop_order_free =
       let loaded, seeds = load_noreturn_draw draw in
       Reference.order_free loaded ~seeds)
 
+(* The cached-block walk is the per-instruction walk of
+   [Reference.walk] on synth draws: every body [run] keeps, and every
+   walk over the same facts that stops at every entry or only at the
+   seeds, safe or not, agrees field for field. *)
+let prop_block_walks =
+  QCheck.Test.make ~name:"recursive: block walk == instruction walk on synth draws"
+    ~count:10
+    (QCheck.make gen_noreturn_draw ~print:print_noreturn_draw)
+    (fun draw ->
+      let loaded, seeds = load_noreturn_draw draw in
+      Reference.walks_agree loaded ~seeds)
+
+(* A warm block cache answers like a fresh one.  The cache of a draw is
+   warmed by [run] on other seeds (every other seed, reversed), by a run
+   on a prefix followed by [extend], and by [Xref.detect]; [run] and
+   [Xref.detect] must then give what a fresh load of the image gives. *)
+let prop_warm_like_fresh =
+  QCheck.Test.make ~name:"recursive: a warm block cache answers like a fresh one"
+    ~count:10
+    (QCheck.make gen_noreturn_draw ~print:print_noreturn_draw)
+    (fun draw ->
+      let loaded, seeds = load_noreturn_draw draw in
+      ignore
+        (An.Recursive.run loaded
+           ~seeds:(List.filteri (fun i _ -> i mod 2 = 1) (List.rev seeds)));
+      Reference.warm_like_fresh loaded ~seeds:loaded.fde_starts
+      && Result.is_ok (Reference.run_then_extend loaded ~seeds (List.length seeds / 2))
+      && Reference.warm_like_fresh loaded ~seeds)
+
+(* The pipeline's reseed (the Fig. 6b check drops a broken FDE and
+   detection runs again on the same [Loaded.t]) and the pattern tools'
+   iterated runs walk a warm cache.  Both answer as on a fresh load, also
+   when the cache was warmed by the other first. *)
+let test_warm_pipeline_and_tools () =
+  let b = Link.build_random ~profile ~seed:30 { spec with Gen.n_broken_fde = 1 } in
+  let image = Fetch_elf.Image.strip b.image in
+  let answer l =
+    let r = Pipeline.run_loaded l in
+    (r.invalid_fde_starts <> [], Summary.to_json (Summary.of_result r))
+  in
+  let tools l =
+    let open Fetch_baselines.Pattern_tools in
+    [ Dyninst.detect l; Bap.detect l; Radare2.detect l; Ida.detect l; Binja.detect l ]
+  in
+  let fresh = answer (An.Loaded.load image) and fresh_tools = tools (An.Loaded.load image) in
+  check Alcotest.bool "the pipeline reseeds" true (fst fresh);
+  let warm = An.Loaded.load image in
+  check Alcotest.bool "pipeline, cold" true (answer warm = fresh);
+  check Alcotest.bool "pipeline, warm" true (answer warm = fresh);
+  check Alcotest.bool "pattern tools after the pipeline" true (tools warm = fresh_tools);
+  let warm = An.Loaded.load image in
+  check Alcotest.bool "pattern tools, cold" true (tools warm = fresh_tools);
+  check Alcotest.bool "pipeline after the pattern tools" true (answer warm = fresh)
+
+(* A seed in the middle of a straight-line block that an earlier walk
+   built: [f] runs [nop; nop; g: nop; ret] and [g] is not a start at
+   first, so [g]'s bytes lie inside one block of [f].  Seeding [g] as
+   well splits that block, and [f]'s body stops there. *)
+let test_block_split_at_seed () =
+  let img, asm =
+    asm_image
+      X86.Asm.[ Label "f"; I (XI.Nop 1); I (XI.Nop 1); Label "g"; I (XI.Nop 1); I XI.Ret ]
+  in
+  let f = X86.Asm.label_addr asm "f" and g = X86.Asm.label_addr asm "g" in
+  let loaded = An.Loaded.load img in
+  let bt = loaded.blocks in
+  let res = An.Recursive.run loaded ~seeds:[ f ] in
+  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "f alone: one run"
+    [ (f, g + 2) ] (Hashtbl.find res.funcs f).blocks;
+  let kf = An.Block_table.start bt f in
+  check Alcotest.int "one block through g" (g + 2) (An.Block_table.hi bt kf);
+  let n = An.Block_table.count bt in
+  let res = An.Recursive.run loaded ~seeds:[ f; g ] in
+  check Alcotest.int "seeding g splits it" (n + 1) (An.Block_table.count bt);
+  check Alcotest.int "f's block now ends at g" g (An.Block_table.hi bt kf);
+  check Alcotest.bool "and falls into g's" true
+    (An.Block_table.kind bt kf = An.Block_table.Fall
+    && An.Block_table.lo bt (An.Block_table.start bt g) = g);
+  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "f stops at g"
+    [ (f, g) ] (Hashtbl.find res.funcs f).blocks;
+  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "g's body"
+    [ (g, g + 2) ] (Hashtbl.find res.funcs g).blocks;
+  check Alcotest.bool "== the instruction walk, warm and fresh" true
+    (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds:[ f; g ])
+    && Reference.walks_agree loaded ~seeds:[ f; g ]
+    && Reference.warm_like_fresh loaded ~seeds:[ f; g ])
+
+(* §IV-E check (ii) across the whole instruction: on these draws a
+   pointer's walk decoded an instruction that overlapped committed
+   instructions at another alignment ([mov rdi, rdi] at 0x401040 over an
+   accepted [mov edi, edi] at 0x401041 on the first), and the rounds kept
+   the other span than a from-scratch run.  Such a walk is now rejected
+   as running into the middle of committed code. *)
+let test_xref_overlap_pinned () =
+  List.iter
+    (fun draw ->
+      let loaded, seeds = load_noreturn_draw draw in
+      check Alcotest.bool (print_noreturn_draw draw ^ ": incremental == reference") true
+        (xref_agrees_with_reference loaded ~seeds))
+    Profile.[ (627836, Synthllvm, 25, 2, 1, 3); (953042, Synthllvm, 13, 1, 1, 2) ]
+
+(* The first argument is carried across a block boundary: [f] zeroes rdi
+   and calls the [error]-style [err], and [g] jumps between the two, so
+   the [mov] and the [call] lie in two blocks of [f]'s run.  The call
+   returns (its argument is zero), so [f] reaches its [ret]; an argument
+   reset at the boundary would make [f] noreturn. *)
+let test_block_first_arg_carried () =
+  let open X86.Asm in
+  let img, asm =
+    asm_image
+      [
+        Label "g";
+        I (XI.Jmp (XI.To_label "l"));
+        Label "f";
+        I (XI.Mov (XI.W64, XI.Reg X86.Reg.Rdi, XI.Imm 0));
+        Label "l";
+        I (XI.Call (XI.To_label "err"));
+        I XI.Ret;
+        Label "err";
+        I (XI.Test (XI.W64, X86.Reg.Rdi, X86.Reg.Rdi));
+        I (XI.Jcc (XI.E, XI.To_label "ok"));
+        I XI.Hlt;
+        Label "ok";
+        I XI.Ret;
+      ]
+  in
+  let l = label_addr asm in
+  let seeds = [ l "g"; l "f"; l "err" ] in
+  let loaded = An.Loaded.load img in
+  let res = An.Recursive.run loaded ~seeds in
+  check Alcotest.bool "err is error-style" true (Hashtbl.mem res.cond_noreturn (l "err"));
+  check Alcotest.bool "f returns" true
+    ((Hashtbl.find res.funcs (l "f")).has_ret && not (Hashtbl.mem res.noreturn (l "f")));
+  check Alcotest.bool "l starts a block" true
+    (An.Block_table.lo loaded.blocks (An.Block_table.start loaded.blocks (l "l")) = l "l");
+  check Alcotest.bool "== the instruction walk" true
+    (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds)
+    && Reference.walks_agree loaded ~seeds)
+
+(* A walk's own callee can split the block under way: [f] calls [g],
+   and [g] lies inside the block that runs on from the call to [f]'s
+   branch.  Making [g] a block start when the run closes splits that
+   block; the branch must still be read as it was, so [f] goes on to
+   [l] and finds [h]. *)
+let test_block_split_by_callee () =
+  let open X86.Asm in
+  let img, asm =
+    asm_image
+      [
+        Label "f";
+        I (XI.Call (XI.To_label "g"));
+        I (XI.Nop 1);
+        Label "g";
+        I (XI.Nop 1);
+        I (XI.Test (XI.W64, X86.Reg.Rax, X86.Reg.Rax));
+        I (XI.Jcc (XI.B, XI.To_label "l"));
+        I XI.Ret;
+        Label "l";
+        I (XI.Call (XI.To_label "h"));
+        I XI.Ret;
+        Label "h";
+        I XI.Ret;
+      ]
+  in
+  let l = label_addr asm in
+  let seeds = [ l "f" ] in
+  let loaded = An.Loaded.load img in
+  let res = An.Recursive.run loaded ~seeds in
+  check (Alcotest.list Alcotest.int) "f, g and h" [ l "f"; l "g"; l "h" ]
+    (An.Recursive.starts res);
+  check Alcotest.bool "== the instruction walk" true
+    (Reference.walks_agree (An.Loaded.load img) ~seeds)
+
 let suite =
   suite
   @ [
@@ -1273,4 +1446,16 @@ let suite =
       Alcotest.test_case "extend: a seed inside committed code is refused" `Quick
         test_extend_refuses_committed_seed;
       QCheck_alcotest.to_alcotest prop_order_free;
+      QCheck_alcotest.to_alcotest prop_block_walks;
+      QCheck_alcotest.to_alcotest prop_warm_like_fresh;
+      Alcotest.test_case "recursive: warm pipeline reseed and pattern tools" `Quick
+        test_warm_pipeline_and_tools;
+      Alcotest.test_case "blocks: a seed splits another function's block" `Quick
+        test_block_split_at_seed;
+      Alcotest.test_case "xref: overlapping walk rejected, pinned draws" `Quick
+        test_xref_overlap_pinned;
+      Alcotest.test_case "blocks: the first argument crosses a block boundary" `Quick
+        test_block_first_arg_carried;
+      Alcotest.test_case "blocks: a callee splits the block under way" `Quick
+        test_block_split_by_callee;
     ]
