@@ -233,6 +233,20 @@ let perf () =
       Printf.printf "wrote %s (%d binaries)\n" snapshot_file binaries;
       print_string (Fetch_obs.Report.text seq_merged)
   | Some b -> (
+      (* the stage table the gate judged, so a gate log shows its numbers *)
+      let ms = Printf.sprintf "%.3f" in
+      print_string
+        (Fetch_util.Text_table.render
+           ~header:[ "stage"; "mean ms"; "baseline ms"; "limit ms" ]
+           (List.map
+              (fun (j : Gate.judged) ->
+                [
+                  j.j_name;
+                  Option.fold ~none:"missing" ~some:ms j.j_mean;
+                  ms j.j_baseline;
+                  Option.fold ~none:"not gated" ~some:ms j.j_limit;
+                ])
+              (Gate.judge ~tolerance:!tolerance ~baseline:b ~current:snapshot ())));
       match Gate.check ~tolerance:!tolerance ~baseline:b ~current:snapshot () with
       | [] ->
           Printf.printf

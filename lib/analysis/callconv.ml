@@ -82,7 +82,7 @@ let validate loaded (res : Recursive.result) start =
             match target with
             | Some t ->
                 Recursive.call_returns ~noreturn:res.noreturn
-                  ~cond_noreturn:res.cond_noreturn Fun.id st.arg t
+                  ~cond_noreturn:res.cond_noreturn st.arg t
             | None -> true);
         edge_state = (fun st -> { st with Lattice.arg = Recursive.Unknown });
         order = Dataflow.Depth_first;

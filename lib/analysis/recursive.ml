@@ -32,14 +32,13 @@ type func = {
   entry : int;
   mutable blocks : (int * int) list;  (** decoded [lo, hi) ranges *)
   mutable calls : (int * int) list;  (** call site, direct target *)
-  mutable out_jumps : (int * Insn.t * int) list;
-      (** direct jumps leaving the function: site, insn, target *)
-  mutable all_jump_sites : (int * Insn.t * int) list;
+  mutable out_jumps : (int * int) list;
+      (** direct jumps leaving the function: site, target *)
+  mutable all_jump_sites : (int * int) list;
       (** every direct/conditional jump with its target (incl. intra) *)
   mutable table_targets : (int * int list) list;  (** resolved jump tables *)
   mutable unresolved_indirect_jump : bool;
   mutable has_ret : bool;
-  mutable has_indirect_call : bool;
   mutable decode_error : bool;
 }
 
@@ -60,7 +59,6 @@ let new_func entry =
     table_targets = [];
     unresolved_indirect_jump = false;
     has_ret = false;
-    has_indirect_call = false;
     decode_error = false;
   }
 
@@ -126,9 +124,9 @@ type first_arg = Bt.first_arg = Zero | Nonzero | Unknown
 
 let first_arg_step = Bt.first_arg_step
 
-let call_returns ~noreturn ~cond_noreturn arg_of x t =
+let call_returns ~noreturn ~cond_noreturn arg t =
   (not (Hashtbl.mem noreturn t))
-  && ((not (Hashtbl.mem cond_noreturn t)) || arg_of x = Zero)
+  && ((not (Hashtbl.mem cond_noreturn t)) || arg = Zero)
 
 (* The last [Jump_table.window] instructions of [\[from, upto)], which
    run back to back, as (address, length, instruction), newest first. *)
@@ -202,9 +200,9 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~edge
   in
   let add_block t = Bt.push bt t t in
   let jump site t =
-    let jump = (site, Insn_table.insn tbl (Insn_table.find tbl site), t) in
-    f.all_jump_sites <- jump :: f.all_jump_sites;
-    jump
+    let j = (site, t) in
+    f.all_jump_sites <- j :: f.all_jump_sites;
+    j
   in
   (* go on at [a] with first argument [arg], after [n] instructions *)
   let rec next a arg n =
@@ -225,7 +223,6 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~edge
        callee inside this block splits it *)
     let m = Bt.insns bt k in
     stepped := !stepped + m;
-    if Bt.has_indirect_call bt k then f.has_indirect_call <- true;
     let n = n + m and hi = Bt.hi bt k and site = Bt.last bt k in
     match Bt.kind bt k with
     | Bt.Fall -> next hi (Bt.arg_after bt k arg) n
@@ -234,7 +231,7 @@ let disasm_function loaded ~safe ~noreturn ~cond_noreturn ~is_start ~edge
         f.calls <- (site, t) :: f.calls;
         if
           (not safe)
-          || call_returns ~noreturn ~cond_noreturn Fun.id (Bt.arg_after bt k arg) t
+          || call_returns ~noreturn ~cond_noreturn (Bt.arg_after bt k arg) t
         then next hi Unknown n
         else close hi n
     | Bt.Ret ->
@@ -334,7 +331,7 @@ let returns_of funcs dirty =
           if f.has_ret || f.unresolved_indirect_jump || f.decode_error then
             grant e;
           List.iter
-            (fun (_, _, t) ->
+            (fun (_, t) ->
               if Hashtbl.mem funcs t then begin
                 Itbl.add jumpers t e;
                 Stack.push t todo
@@ -577,7 +574,7 @@ let grow ~safe ~extending loaded res ~seeds =
       end
     in
     Hashtbl.replace res.funcs e w.f;
-    List.iter (fun (_, _, t) -> Itbl.add jumpers t e) w.f.out_jumps;
+    List.iter (fun (_, t) -> Itbl.add jumpers t e) w.f.out_jumps;
     changed := e :: !changed
   in
   (* settle the entries and the bodies once [flipped] are facts: the

@@ -33,14 +33,13 @@ type func = {
   entry : int;
   mutable blocks : (int * int) list;  (** decoded [lo, hi) ranges *)
   mutable calls : (int * int) list;  (** call site, direct target *)
-  mutable out_jumps : (int * Fetch_x86.Insn.t * int) list;
-      (** direct jumps leaving the function: site, insn, target *)
-  mutable all_jump_sites : (int * Fetch_x86.Insn.t * int) list;
+  mutable out_jumps : (int * int) list;
+      (** direct jumps leaving the function: site, target *)
+  mutable all_jump_sites : (int * int) list;
       (** every direct/conditional jump with its target (incl. intra) *)
   mutable table_targets : (int * int list) list;  (** resolved jump tables *)
   mutable unresolved_indirect_jump : bool;
   mutable has_ret : bool;
-  mutable has_indirect_call : bool;
   mutable decode_error : bool;
 }
 
@@ -106,16 +105,13 @@ type first_arg = Block_table.first_arg = Zero | Nonzero | Unknown
     [error]-style callee. *)
 val first_arg_step : Fetch_x86.Insn_table.t -> int -> first_arg -> first_arg
 
-(** [call_returns ~noreturn ~cond_noreturn arg_of x t]: does a direct
-    call to [t] return under these facts, when [arg_of x] is the first
-    argument at the call?  [arg_of x] is evaluated only when [t] is
-    [error]-style, so the engine passes the block it decoded so far and
-    pays for the fold only there. *)
+(** [call_returns ~noreturn ~cond_noreturn arg t]: does a direct call
+    to [t] return under these facts, when [arg] is the first argument at
+    the call? *)
 val call_returns :
   noreturn:(int, unit) Hashtbl.t ->
   cond_noreturn:(int, unit) Hashtbl.t ->
-  ('a -> first_arg) ->
-  'a ->
+  first_arg ->
   int ->
   bool
 

@@ -23,7 +23,7 @@ let flow_refs (res : Recursive.result) =
   Hashtbl.iter
     (fun _ (f : Recursive.func) ->
       List.iter (fun (_, tg) -> add tg) f.calls;
-      List.iter (fun (_, _, tg) -> add tg) f.all_jump_sites;
+      List.iter (fun (_, tg) -> add tg) f.all_jump_sites;
       List.iter (fun (_, tgs) -> List.iter add tgs) f.table_targets)
     res.funcs;
   t
@@ -92,7 +92,7 @@ let angr_merge_removals (res : Recursive.result) =
   Hashtbl.iter
     (fun _ (f : Recursive.func) ->
       List.iter (fun (_, t) -> bump t) f.calls;
-      List.iter (fun (_, _, t) -> bump t) f.out_jumps;
+      List.iter (fun (_, t) -> bump t) f.out_jumps;
       List.iter (fun (_, tgs) -> List.iter bump tgs) f.table_targets)
     res.funcs;
   let next_start entry =
@@ -105,7 +105,7 @@ let angr_merge_removals (res : Recursive.result) =
   Hashtbl.fold
     (fun entry (f : Recursive.func) acc ->
       match (f.out_jumps, f.calls) with
-      | [ (_, _, t) ], []
+      | [ (_, t) ], []
         when (not f.unresolved_indirect_jump)
              && Hashtbl.find_opt incoming t = Some 1
              && next_start entry = Some t ->
@@ -134,7 +134,7 @@ let tcall_starts_angr (res : Recursive.result) =
   Hashtbl.fold
     (fun entry (f : Recursive.func) acc ->
       List.fold_left
-        (fun acc (_, _, t) ->
+        (fun acc (_, t) ->
           if
             t <> entry && t mod 16 = 0
             && List.exists (fun (lo, hi) -> t >= lo && t < hi) f.blocks
@@ -151,7 +151,7 @@ let tcall_starts_ghidra (res : Recursive.result) ~threshold =
   Hashtbl.fold
     (fun entry (f : Recursive.func) acc ->
       List.fold_left
-        (fun acc (site, _, t) ->
+        (fun acc (site, t) ->
           if
             t <> entry
             && (t > site + threshold || t < entry)

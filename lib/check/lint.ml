@@ -256,23 +256,8 @@ let rule_fde_unreached v emit =
   List.iter
     (fun (lo, hi) ->
       if hi > lo then begin
-        let covered = ref 0 in
-        let rec scan from =
-          match Insn_index.next_from v.insn_spans from with
-          | Some (slo, shi) when slo < hi ->
-              let ilo = max slo lo and ihi = min shi hi in
-              if ihi > ilo then covered := !covered + (ihi - ilo);
-              scan shi
-          | _ -> ()
-        in
-        (* [next_from] skips instructions beginning before [lo]; back up
-           so a span straddling the range start still counts. *)
-        (match Insn_index.find v.insn_spans lo with
-        | Some (_, shi) ->
-            covered := min shi hi - lo;
-            scan shi
-        | None -> scan lo);
-        if !covered = 0 then
+        let covered = Insn_index.covered v.insn_spans ~lo ~hi in
+        if covered = 0 then
           emit
             {
               Finding.rule = "fde-unreached";
@@ -284,7 +269,7 @@ let rule_fde_unreached v emit =
                   "FDE covers [%#x, %#x) but no instruction there was decoded"
                   lo hi;
             }
-        else if !covered < hi - lo then
+        else if covered < hi - lo then
           emit
             {
               Finding.rule = "fde-unreached";
@@ -294,7 +279,7 @@ let rule_fde_unreached v emit =
               message =
                 Printf.sprintf
                   "FDE covers [%#x, %#x) but only %d of %d bytes were decoded"
-                  lo hi !covered (hi - lo);
+                  lo hi covered (hi - lo);
             }
       end)
     v.fdes

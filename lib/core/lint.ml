@@ -17,7 +17,7 @@ let view_of (r : Pipeline.result) =
               {
                 Fetch_check.Lint.entry;
                 blocks = f.blocks;
-                jumps = List.map (fun (s, _, t) -> (s, t)) f.all_jump_sites;
+                jumps = f.all_jump_sites;
               })
       r.Pipeline.starts
   in
@@ -41,7 +41,7 @@ let view_of (r : Pipeline.result) =
           (* conditionally-noreturn callees may return: falling through
              is the sound assumption for the height comparison *)
           Recursive.call_returns ~noreturn:res.noreturn
-            ~cond_noreturn:res.cond_noreturn Fun.id Recursive.Zero t
+            ~cond_noreturn:res.cond_noreturn Recursive.Zero t
       | None -> true);
     referenced_outside_jumps_of =
       (fun ~entry t ->

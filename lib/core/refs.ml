@@ -154,7 +154,7 @@ let scan_span loaded t ~fresh ~lo ~hi =
 let scan_func t entry (f : Recursive.func) =
   List.iter (fun (site, target) -> add t target (Call_target site)) f.calls;
   List.iter
-    (fun (site, _, target) -> add t target (Jump_target (site, entry)))
+    (fun (site, target) -> add t target (Jump_target (site, entry)))
     f.all_jump_sites;
   List.iter
     (fun (_, targets) ->

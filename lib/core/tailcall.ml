@@ -85,7 +85,7 @@ let run ~heights ~refs loaded (res : Recursive.result) =
           end
           else
             List.iter
-              (fun (site, _insn, t) ->
+              (fun (site, t) ->
                 if not (target_inside f t) then
                   match height_at site with
                   | None -> ()

@@ -15,13 +15,14 @@
 
     The iteration is incremental: each accepted pointer grows the
     committed disassembly in place via {!Fetch_analysis.Recursive.extend}
-    instead of re-running every seed, the ref table and the extent set
-    fold exactly the delta it returns, and the candidates still to judge
-    are one ordered set that gains only the delta's new candidates and
-    loses, for good, every candidate whose verdict cannot change while
-    the committed state only grows.  The grown ref table is returned
-    with the result: it is the detection's census, which every later
-    stage reads.  The test suite keeps a from-scratch reference model
+    instead of re-running every seed, the ref table folds exactly the
+    delta it returns, and the candidates still to judge are one ordered
+    set that gains only the delta's new candidates and loses, for good,
+    every candidate whose verdict cannot change while the committed
+    state only grows.  Error (iii) reads the code bits the extension
+    sets in the instruction table.  The grown ref table is returned with
+    the result: it is the detection's census, which every later stage
+    reads.  The test suite keeps a from-scratch reference model
     built on {!validate} (no pending set, every candidate re-validated
     every round) and holds [detect] equal to it. *)
 
@@ -75,45 +76,6 @@ let overlap (res : Recursive.result) addr len =
   let rec from b = if b >= addr + len then -1 else if mem b then b else from (b + 1) in
   if mem addr then -1 else from (addr + 1)
 
-(* Function-extent set: one bit per text byte, set for every byte of a
-   committed block of a detected function.  Error (iii) only asks
-   whether a byte is covered; which function covers it is a ledger
-   operand, folded from [res.funcs] on demand ([into]).  Bits, not
-   bytes: the set is allocated once per binary over the whole text. *)
-type extents = (int * int * Bytes.t) list
-
-let add_extents (m : extents) (f : Recursive.func) =
-  List.iter
-    (fun (lo, hi) ->
-      List.iter
-        (fun (rlo, rhi, bits) ->
-          for a = max lo rlo - rlo to min hi rhi - rlo - 1 do
-            let i = a lsr 3 in
-            Bytes.unsafe_set bits i
-              (Char.unsafe_chr
-                 (Char.code (Bytes.unsafe_get bits i) lor (1 lsl (a land 7))))
-          done)
-        m)
-    f.blocks
-
-let extents loaded (res : Recursive.result) =
-  let m =
-    List.map
-      (fun (lo, hi) -> (lo, hi, Bytes.make ((hi - lo + 7) lsr 3) '\000'))
-      (Loaded.text_ranges loaded)
-  in
-  Hashtbl.iter (fun _ f -> add_extents m f) res.funcs;
-  m
-
-let covered (m : extents) addr =
-  List.exists
-    (fun (lo, hi, bits) ->
-      addr >= lo && addr < hi
-      &&
-      let a = addr - lo in
-      Char.code (Bytes.unsafe_get bits (a lsr 3)) land (1 lsl (a land 7)) <> 0)
-    m
-
 (* The ledger's [into] operand: the highest entry among the functions
    whose blocks hold [addr], so the attribution of shared code depends
    on the result alone, never on hash iteration order.  Folded only
@@ -163,7 +125,7 @@ type verdict =
     can (a newly detected function can stop the walk earlier).
     [cand] must not be a detected entry: those are not §IV-E validation
     subjects. *)
-let validate loaded (res : Recursive.result) ~extents cand : verdict =
+let validate loaded (res : Recursive.result) cand : verdict =
   if not (Loaded.in_text loaded cand) then
     Rejected
       {
@@ -173,10 +135,12 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
       }
   else if mid_instruction res cand then
     Rejected { reason = Mid_instruction; fields = []; permanent = true }
-  else if covered extents cand then
+  else if Fetch_util.Insn_index.in_code res.insn_spans cand then
     (* a pointer into the body of a previously detected function is a
        control transfer into its middle (error iii) — jump-table entries
-       land here, for example *)
+       land here, for example.  Every committed block handed its
+       instructions to the table, which marks each of their bytes as
+       code. *)
     Rejected
       { reason = Transfer_into_function; fields = into res cand; permanent = true }
   else begin
@@ -188,7 +152,7 @@ let validate loaded (res : Recursive.result) ~extents cand : verdict =
       else begin
         if mid_instruction res t then
           raise (Reject (Mid_instruction, [ ("at", Prov.I t) ]));
-        if covered extents t then
+        if Fetch_util.Insn_index.in_code res.insn_spans t then
           raise (Reject (Transfer_into_function, ("at", Prov.I t) :: into res t))
       end
     in
@@ -271,10 +235,9 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
   let res = Recursive.run loaded ~seeds in
   Obs.span "xref" @@ fun () ->
   (* rounds only ever add functions and instructions (and never mutate
-     committed records), so the ref table and the extent set, built once
-     from the seed disassembly, fold each round's delta in place *)
+     committed records), so the ref table, built once from the seed
+     disassembly, folds each round's delta in place *)
   let refs = Refs.collect loaded res in
-  let extents = extents loaded res in
   (* the candidates not yet settled, ascending: filled once from the
      census, then only with the targets each delta makes candidates.  A
      candidate settles, leaving the set for good, when the scan meets it
@@ -295,7 +258,7 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
           end
           else begin
             Obs.incr c_candidates;
-            match validate loaded res ~extents cand with
+            match validate loaded res cand with
             | Accept ->
                 if Prov.enabled () then begin
                   let origin =
@@ -378,7 +341,6 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
                 (fun s c -> Iset.add c s)
                 !pending
                 (Refs.add_delta loaded refs delta);
-            List.iter (add_extents extents) delta.new_funcs;
             match on_commit with
             | Some f -> f ~cand res delta
             | None -> ());

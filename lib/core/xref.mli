@@ -8,11 +8,12 @@
 
     The iteration is incremental: an accepted pointer grows the committed
     disassembly in place ({!Fetch_analysis.Recursive.extend}), the ref
-    table ({!Refs.add_delta}) and the function-extent set fold exactly
-    the delta that call returns.  The candidates still to judge are one
-    ordered set: it gains only the candidates a delta adds, and a
-    candidate leaves it for good once it is a detected entry, accepted,
-    or rejected permanently.  {!validate} is exported as the shared
+    table ({!Refs.add_delta}) folds exactly the delta that call returns,
+    and error (iii) reads the code bits the extension sets in the
+    instruction table ({!Fetch_util.Insn_index.in_code}).  The
+    candidates still to judge are one ordered set: it gains only the
+    candidates a delta adds, and a candidate leaves it for good once it
+    is a detected entry, accepted, or rejected permanently.  {!validate} is exported as the shared
     primitive of the suite's from-scratch reference model, which re-runs
     disassembly and ref collection every round, re-validates every
     candidate, and must reach the same result. *)
@@ -22,19 +23,6 @@ type reject =
   | Mid_instruction  (** error (ii) *)
   | Transfer_into_function  (** error (iii) *)
   | Bad_call_conv  (** error (iv) *)
-
-(** The function-extent set: the bytes of every committed block of a
-    detected function, one bit per text byte.  Two sets over the same
-    binary compare with [(=)]. *)
-type extents
-
-(** [extents loaded res] is the set of every function of [res]. *)
-val extents : Fetch_analysis.Loaded.t -> Fetch_analysis.Recursive.result -> extents
-
-(** [add_extents m f] adds the bytes of [f]'s blocks to [m].  A set
-    does not depend on the order functions are added in, so folding each
-    round's new functions gives the set of the whole result. *)
-val add_extents : extents -> Fetch_analysis.Recursive.func -> unit
 
 type verdict =
   | Accept
@@ -52,15 +40,11 @@ type verdict =
               calling-convention rejections are not permanent *)
     }
 
-(** Validate one candidate against the committed results and their
-    function-extent set.  [cand] must not be a detected entry of the
-    result: those are not §IV-E validation subjects. *)
+(** Validate one candidate against the committed results.  [cand]
+    must not be a detected entry of the result: those are not §IV-E
+    validation subjects. *)
 val validate :
-  Fetch_analysis.Loaded.t ->
-  Fetch_analysis.Recursive.result ->
-  extents:extents ->
-  int ->
-  verdict
+  Fetch_analysis.Loaded.t -> Fetch_analysis.Recursive.result -> int -> verdict
 
 (** Iterated detection: run the engine from [seeds], accept legitimate
     pointers one at a time until none remains (or [max_rounds] is

@@ -232,6 +232,38 @@ let issue_to_string i = Printf.sprintf "%s: %s" i.what i.detail
    gate. *)
 let min_stage_ms = 0.1
 
+type judged = {
+  j_name : string;
+  j_mean : float option;
+  j_baseline : float;
+  j_limit : float option;
+}
+
+let judge ?(tolerance = 0.5) ~baseline ~current () =
+  (* stage means, normalised by overall machine speed *)
+  let stage_mean snap name =
+    List.find_map
+      (fun st -> if st.s_name = name then Some st.s_mean_ms else None)
+      snap.stages
+  in
+  let factor =
+    match (stage_mean baseline "pipeline", stage_mean current "pipeline") with
+    | Some b, Some c when b > 0.0 && c > 0.0 -> c /. b
+    | _ -> 1.0
+  in
+  List.map
+    (fun bst ->
+      {
+        j_name = bst.s_name;
+        j_mean = stage_mean current bst.s_name;
+        j_baseline = bst.s_mean_ms;
+        j_limit =
+          (if bst.s_mean_ms >= min_stage_ms then
+             Some (bst.s_mean_ms *. factor *. (1.0 +. tolerance))
+           else None);
+      })
+    baseline.stages
+
 let check ?(tolerance = 0.5) ~baseline ~current () =
   let issues = ref [] in
   let push what fmt =
@@ -250,28 +282,15 @@ let check ?(tolerance = 0.5) ~baseline ~current () =
             name bv cv
       | Some _ -> ())
     baseline.counters;
-  (* stage means, normalised by overall machine speed *)
-  let stage_mean snap name =
-    List.find_map
-      (fun st -> if st.s_name = name then Some st.s_mean_ms else None)
-      snap.stages
-  in
-  let factor =
-    match (stage_mean baseline "pipeline", stage_mean current "pipeline") with
-    | Some b, Some c when b > 0.0 && c > 0.0 -> c /. b
-    | _ -> 1.0
-  in
   List.iter
-    (fun bst ->
-      if bst.s_mean_ms >= min_stage_ms then
-        match stage_mean current bst.s_name with
-        | None -> push "stage" "%s present in baseline but missing now" bst.s_name
-        | Some cur_mean ->
-            let allowed = bst.s_mean_ms *. factor *. (1.0 +. tolerance) in
-            if cur_mean > allowed then
-              push "stage"
-                "%s regressed: %.3f ms/binary vs baseline %.3f (speed-adjusted \
-                 limit %.3f, tolerance %g%%)"
-                bst.s_name cur_mean bst.s_mean_ms allowed (tolerance *. 100.0))
-    baseline.stages;
+    (fun j ->
+      match (j.j_limit, j.j_mean) with
+      | Some _, None -> push "stage" "%s present in baseline but missing now" j.j_name
+      | Some allowed, Some cur_mean when cur_mean > allowed ->
+          push "stage"
+            "%s regressed: %.3f ms/binary vs baseline %.3f (speed-adjusted \
+             limit %.3f, tolerance %g%%)"
+            j.j_name cur_mean j.j_baseline allowed (tolerance *. 100.0)
+      | _ -> ())
+    (judge ~tolerance ~baseline ~current ());
   List.rev !issues

@@ -73,6 +73,20 @@ type issue = { what : string; detail : string }
 
 val issue_to_string : issue -> string
 
+(** How one baseline stage was judged. *)
+type judged = {
+  j_name : string;
+  j_mean : float option;  (** current mean; [None] when the stage is gone *)
+  j_baseline : float;  (** baseline mean *)
+  j_limit : float option;
+      (** speed-adjusted limit; [None] when the baseline mean is too small
+          to gate *)
+}
+
+(** Every baseline stage, in baseline order, as {!check} judges it. *)
+val judge :
+  ?tolerance:float -> baseline:snapshot -> current:snapshot -> unit -> judged list
+
 (** Compare [current] against [baseline]; empty list means the gate
     passes. *)
 val check :

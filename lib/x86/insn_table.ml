@@ -2,11 +2,9 @@
     and the fill-once rule. *)
 
 type t = {
-  bounds : int array;
-      (** per range, three ints: [lo], [hi] and the offset of [lo] in
-          [slot_of] *)
+  map : Fetch_util.Offset_map.t;
   slot_of : Bytes.t;
-      (** one native-endian int32 per byte offset: [0] not decoded yet,
+      (** one native-endian int32 per offset of [map]: [0] not decoded yet,
           [-1] no instruction there, [k + 1] slot [k] *)
   decode : int -> (Insn.t * int) option;
   mutable decoded : int;
@@ -19,20 +17,10 @@ type t = {
 }
 
 let create ~decode ranges =
-  let bounds = Array.make (3 * List.length ranges) 0 in
-  let total =
-    List.fold_left
-      (fun (i, base) (lo, hi) ->
-        bounds.(i) <- lo;
-        bounds.(i + 1) <- hi;
-        bounds.(i + 2) <- base;
-        (i + 3, base + max 0 (hi - lo)))
-      (0, 0) ranges
-    |> snd
-  in
+  let map = Fetch_util.Offset_map.create ranges in
   {
-    bounds;
-    slot_of = Bytes.make (4 * total) '\000';
+    map;
+    slot_of = Bytes.make (4 * Fetch_util.Offset_map.size map) '\000';
     decode;
     decoded = 0;
     count = 0;
@@ -40,14 +28,7 @@ let create ~decode ranges =
     info = [||];
   }
 
-(* the byte offset of [addr] in [slot_of], or -1 outside every range *)
-let rec offset_from b addr i =
-  if i >= Array.length b then -1
-  else if addr >= b.(i) && addr < b.(i + 1) then addr - b.(i) + b.(i + 2)
-  else offset_from b addr (i + 3)
-
-let offset t addr = offset_from t.bounds addr 0
-
+let offset t addr = Fetch_util.Offset_map.offset t.map addr
 let in_text t addr = offset t addr >= 0
 
 (* Slot arrays start at one slot per four bytes, about what a walk of

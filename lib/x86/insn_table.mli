@@ -1,7 +1,8 @@
 (** One flat decode table per binary: superset disassembly as a memo.
 
     The table covers a set of address ranges (a binary's executable
-    sections).  Each byte offset maps to a dense slot id, kept as an
+    sections), indexed by {!Fetch_util.Offset_map} as the committed-code
+    byte map is.  Each byte offset maps to a dense slot id, kept as an
     int32 in a [Bytes] buffer the GC does not scan.  The facts every
     walker reads live in arrays indexed by slot: the instruction, its
     length, and its register use and def sets as masks ({!Reg.mask}).
@@ -17,7 +18,8 @@
 type t
 
 (** [create ~decode ranges] is an empty table over [ranges], a list of
-    [(lo, hi)] address ranges ([hi] exclusive).  [decode addr] is called
+    [(lo, hi)] address ranges ([hi] exclusive; overlapping or adjacent
+    ones are merged).  [decode addr] is called
     at most once per address inside the ranges, and never outside
     them. *)
 val create : decode:(int -> (Insn.t * int) option) -> (int * int) list -> t

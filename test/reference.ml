@@ -19,8 +19,8 @@ module Insn_index = Fetch_util.Insn_index
 type ending =
   | End_ret
   | End_halt
-  | End_jump of Insn.t * int
-  | End_cond of Insn.t * int * int
+  | End_jump of int
+  | End_cond of int * int
   | End_indirect of Insn.operand
   | End_stop  (** a call that cannot return, a start or a known run *)
   | End_error
@@ -38,7 +38,6 @@ let walk ?(safe = true) loaded ~noreturn ~cond_noreturn ~is_start entry :
       table_targets = [];
       unresolved_indirect_jump = false;
       has_ret = false;
-      has_indirect_call = false;
       decode_error = false;
     }
   in
@@ -56,7 +55,7 @@ let walk ?(safe = true) loaded ~noreturn ~cond_noreturn ~is_start entry :
       let s = Insn_table.find tbl addr in
       if s < 0 then (acc, End_error)
       else
-        let insn = Insn_table.insn tbl s and len = Insn_table.len tbl s in
+        let len = Insn_table.len tbl s in
         let acc' = addr :: acc in
         match Insn_table.flow tbl s with
         | Semantics.Fall -> run (addr + len) acc'
@@ -64,20 +63,18 @@ let walk ?(safe = true) loaded ~noreturn ~cond_noreturn ~is_start entry :
             f.has_ret <- true;
             (acc', End_ret)
         | Semantics.Halt -> (acc', End_halt)
-        | Semantics.Jump (Semantics.Direct t) -> (acc', End_jump (insn, t))
+        | Semantics.Jump (Semantics.Direct t) -> (acc', End_jump t)
         | Semantics.Jump (Semantics.Indirect op) -> (acc', End_indirect op)
-        | Semantics.Cond t -> (acc', End_cond (insn, t, addr + len))
+        | Semantics.Cond t -> (acc', End_cond (t, addr + len))
         | Semantics.Callf (Semantics.Direct t) ->
             f.calls <- (addr, t) :: f.calls;
             if
               (not safe)
-              || Recursive.call_returns ~noreturn ~cond_noreturn first_arg acc t
+              || Recursive.call_returns ~noreturn ~cond_noreturn (first_arg acc) t
             then
               run (addr + len) acc'
             else (acc', End_stop)
-        | Semantics.Callf (Semantics.Indirect _) ->
-            f.has_indirect_call <- true;
-            run (addr + len) acc'
+        | Semantics.Callf (Semantics.Indirect _) -> run (addr + len) acc'
   in
   Queue.add (entry, []) pending;
   while not (Queue.is_empty pending) do
@@ -98,14 +95,14 @@ let walk ?(safe = true) loaded ~noreturn ~cond_noreturn ~is_start entry :
       match ending with
       | End_ret | End_halt | End_stop -> ()
       | End_error -> f.decode_error <- true
-      | End_jump (insn, t) ->
-          f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
-          if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
+      | End_jump t ->
+          f.all_jump_sites <- (site, t) :: f.all_jump_sites;
+          if leaves t then f.out_jumps <- (site, t) :: f.out_jumps
           else if Loaded.in_text loaded t then add t
-          else f.out_jumps <- (site, insn, t) :: f.out_jumps
-      | End_cond (insn, t, fall) ->
-          f.all_jump_sites <- (site, insn, t) :: f.all_jump_sites;
-          (if leaves t then f.out_jumps <- (site, insn, t) :: f.out_jumps
+          else f.out_jumps <- (site, t) :: f.out_jumps
+      | End_cond (t, fall) ->
+          f.all_jump_sites <- (site, t) :: f.all_jump_sites;
+          (if leaves t then f.out_jumps <- (site, t) :: f.out_jumps
            else if Loaded.in_text loaded t then add t);
           add ~window fall
       | End_indirect _ when not safe -> f.unresolved_indirect_jump <- true
@@ -198,7 +195,7 @@ let recursive loaded ~seeds : Recursive.result =
           if
             (not (Hashtbl.mem returns e))
             && List.exists
-                 (fun (_, _, t) ->
+                 (fun (_, t) ->
                    (not (Hashtbl.mem funcs t)) || Hashtbl.mem returns t)
                  f.out_jumps
           then begin
@@ -367,10 +364,11 @@ let order_free loaded ~seeds =
 
 (* Reference model of §IV-E detection, built on [Xref.validate]: every
    round re-runs disassembly (the naive fixpoint above) and ref
-   collection from scratch, builds a fresh extent set and re-validates
-   every candidate that is not a detected entry.  It retires no
-   candidate, so agreeing with it also checks that [Xref.detect] retires
-   only candidates whose verdict cannot flip.  Returns the final result,
+   collection from scratch, so error (iii) reads the code bits of a
+   fresh instruction table, and re-validates every candidate that is
+   not a detected entry.  It retires no candidate, so agreeing with it
+   also checks that [Xref.detect] retires only candidates whose verdict
+   cannot flip.  Returns the final result,
    the enlarged seed set (ascending, deduplicated) and the number of
    accepted pointers. *)
 let xref ?(max_rounds = 64) loaded ~seeds =
@@ -379,11 +377,10 @@ let xref ?(max_rounds = 64) loaded ~seeds =
     let res = recursive loaded ~seeds in
     if budget <= 0 then (res, List.sort_uniq compare seeds, accepted)
     else
-      let extents = Xref.extents loaded res in
       let acceptable cand =
         (not (Hashtbl.mem res.Recursive.funcs cand))
         &&
-        match Xref.validate loaded res ~extents cand with
+        match Xref.validate loaded res cand with
         | Xref.Accept -> true
         | Xref.Rejected _ -> false
       in

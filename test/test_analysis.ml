@@ -740,7 +740,7 @@ let test_worklist_self_call_through_jump () =
     (Recursive.starts res);
   let f3 = Hashtbl.find res.funcs (label asm "f3") in
   check Alcotest.bool "f3 stops at f7" true
-    (List.map (fun (_, _, t) -> t) f3.out_jumps = [ label asm "f7" ]);
+    (List.map (fun (_, t) -> t) f3.out_jumps = [ label asm "f7" ]);
   check (Alcotest.list Alcotest.int) "f3 and f7 never return, ex's fact dropped"
     (List.map (label asm) [ "f3"; "f7" ])
     (Reference.keys res.noreturn);

@@ -645,6 +645,27 @@ let test_lint_fde_partially_reached () =
   | [ f ] -> check Alcotest.bool "info severity" true (f.severity = Finding.Info)
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
+(* [fetch serve] lints untrusted binaries: an FDE claiming 2^40 bytes
+   costs the text it overlaps, not its claim. *)
+let test_lint_fde_huge_range () =
+  let loaded, asm =
+    loaded_of [ Asm.Label "f"; Asm.I I.Ret; Asm.Raw (String.make 15 '\xcc') ]
+  in
+  let fa = label asm "f" in
+  let res = Recursive.run loaded ~seeds:[ fa ] in
+  let fdes = [ (fa, fa + (1 lsl 40)) ] in
+  let t0 = Unix.gettimeofday () in
+  let fs = findings_of "fde-unreached" (Lint.run (lint_view ~fdes loaded res)) in
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 1.0 then Alcotest.failf "lint took %.1f s" dt;
+  match fs with
+  | [ f ] ->
+      check Alcotest.string "counts the decoded byte"
+        (Printf.sprintf "FDE covers [%#x, %#x) but only 1 of %d bytes were decoded"
+           fa (fa + (1 lsl 40)) (1 lsl 40))
+        f.message
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
 let test_lint_start_callconv () =
   let loaded, asm = loaded_of [ Asm.Label "f"; Asm.I I.Ret ] in
   let fa = label asm "f" in
@@ -1038,3 +1059,4 @@ let suite =
         Alcotest.test_case ("lint golden: " ^ name) `Quick
           (test_lint_golden name raw))
       golden_binaries
+  @ [ Alcotest.test_case "lint: fde-unreached on a 2^40-byte FDE" `Quick test_lint_fde_huge_range ]

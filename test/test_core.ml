@@ -214,7 +214,7 @@ let test_census_carried () =
       let jump_targets =
         Hashtbl.fold
           (fun _ (f : Fetch_analysis.Recursive.func) acc ->
-            List.map (fun (_, _, t) -> t) f.all_jump_sites @ acc)
+            List.map (fun (_, t) -> t) f.all_jump_sites @ acc)
           r.rec_result.funcs []
       in
       List.iter
@@ -707,7 +707,9 @@ let test_refs_scan_resync () =
 (* Regression: extent overlap attribution used to follow hash iteration
    order; the ledger's [into] is the highest entry whose blocks hold the
    byte, a function of the result alone, independent of insertion
-   order. *)
+   order.  The fabricated result commits its blocks through
+   [insn_spans] in table order, as the engine does, so the code bits
+   error (iii) reads are order independent too. *)
 let test_xref_extents_deterministic () =
   let mk entry blocks : An.Recursive.func =
     {
@@ -719,34 +721,40 @@ let test_xref_extents_deterministic () =
       table_targets = [];
       unresolved_indirect_jump = false;
       has_ret = true;
-      has_indirect_call = false;
       decode_error = false;
-    }
-  in
-  let result_of fns : An.Recursive.result =
-    let funcs = Hashtbl.create 8 in
-    List.iter (fun (f : An.Recursive.func) -> Hashtbl.replace funcs f.entry f) fns;
-    {
-      funcs;
-      noreturn = Hashtbl.create 1;
-      cond_noreturn = Hashtbl.create 1;
-      insn_spans = Fetch_util.Insn_index.create [];
     }
   in
   (* 0x60 bytes of text at 0x1000 hold every probe *)
   let loaded, _ = xref_image [ X86.Asm.Raw (String.make 0x60 '\xcc') ] in
+  let result_of fns : An.Recursive.result =
+    let funcs = Hashtbl.create 8 in
+    let insn_spans = Fetch_util.Insn_index.create (An.Loaded.text_ranges loaded) in
+    let rec commit a hi =
+      if a < hi then
+        match An.Loaded.insn_at loaded a with
+        | Some (_, len) ->
+            ignore (Fetch_util.Insn_index.add insn_spans ~lo:a ~hi:(a + len));
+            commit (a + len) hi
+        | None -> ()
+    in
+    List.iter
+      (fun (f : An.Recursive.func) ->
+        Hashtbl.replace funcs f.entry f;
+        List.iter (fun (lo, hi) -> commit lo hi) f.blocks)
+      fns;
+    { funcs; noreturn = Hashtbl.create 1; cond_noreturn = Hashtbl.create 1; insn_spans }
+  in
   let f1 = mk 0x1000 [ (0x1000, 0x1020) ]
   and f2 = mk 0x1010 [ (0x1010, 0x1030) ]
   and f3 = mk 0x1040 [ (0x1040, 0x1050) ] in
   let probes = [ 0x1005; 0x1015; 0x1025; 0x1045 ] in
   let owners fns =
     let res = result_of fns in
-    let extents = Xref.extents loaded res in
     fst
     @@ Prov.with_run (fun () ->
            List.map
              (fun cand ->
-               match Xref.validate loaded res ~extents cand with
+               match Xref.validate loaded res cand with
                | Xref.Rejected { reason = Xref.Transfer_into_function; fields; _ } ->
                    List.assoc_opt "into" fields
                | Xref.Accept | Xref.Rejected _ -> None)
@@ -759,19 +767,40 @@ let test_xref_extents_deterministic () =
   check Alcotest.bool "overlap attribution is canonical" true
     (o1 = List.map (fun e -> Some (Prov.I e)) [ 0x1000; 0x1010; 0x1010; 0x1040 ])
 
-(* Each commit's delta is exactly what the result gained, and the extent
-   set folded from the deltas equals the from-scratch build after every
-   commit — this is what lets [Xref.detect] skip the per-round O(funcs)
-   rebuild. *)
-let test_xref_extents_incremental () =
+(* Each commit's delta is exactly what the result gained, and the code
+   bits of the instruction table, which error (iii) reads, are the bytes
+   of the committed functions' blocks after every commit — so
+   [Xref.detect] keeps no extent set of its own. *)
+let test_xref_in_code () =
   let b = Lazy.force built in
   let loaded = An.Loaded.load (Fetch_elf.Image.strip b.image) in
   let seeds = loaded.An.Loaded.fde_starts in
   let snapshot (res : An.Recursive.result) =
     (An.Recursive.starts res, Fetch_util.Insn_index.to_list res.insn_spans)
   in
+  (* the first text byte where the code bits and the blocks disagree *)
+  let code_mismatch (res : An.Recursive.result) =
+    let blocks = Hashtbl.create 1024 in
+    Hashtbl.iter
+      (fun _ (f : An.Recursive.func) ->
+        List.iter
+          (fun (lo, hi) ->
+            for a = lo to hi - 1 do
+              Hashtbl.replace blocks a ()
+            done)
+          f.blocks)
+      res.funcs;
+    List.find_map
+      (fun (lo, hi) ->
+        List.find_opt
+          (fun a -> Fetch_util.Insn_index.in_code res.insn_spans a <> Hashtbl.mem blocks a)
+          (List.init (hi - lo) (fun i -> lo + i)))
+      (An.Loaded.text_ranges loaded)
+  in
   let start = An.Recursive.run loaded ~seeds in
-  let ext = Xref.extents loaded start in
+  (match code_mismatch start with
+  | Some a -> Alcotest.failf "seed run: code bit at %#x disagrees with the blocks" a
+  | None -> ());
   let prev = ref (snapshot start) in
   let commits = ref 0 in
   let gained now was = List.filter (fun x -> not (List.mem x was)) now in
@@ -788,9 +817,11 @@ let test_xref_extents_incremental () =
         if List.sort compare d.new_spans <> gained spans spans0 then
           Alcotest.failf "commit %d: delta spans differ from the gain" !commits;
         prev := (starts, spans);
-        List.iter (Xref.add_extents ext) d.new_funcs;
-        if ext <> Xref.extents loaded res then
-          Alcotest.failf "commit %d: incremental extents diverge" !commits)
+        match code_mismatch res with
+        | Some a ->
+            Alcotest.failf "commit %d: code bit at %#x disagrees with the blocks"
+              !commits a
+        | None -> ())
   in
   check Alcotest.bool "detection committed candidates" true (!commits > 0)
 
@@ -1091,8 +1122,7 @@ let suite =
     Alcotest.test_case "xref: budget exhaustion announced" `Quick test_xref_budget_exhaustion;
     Alcotest.test_case "refs: span scan resyncs on bad decode" `Quick test_refs_scan_resync;
     Alcotest.test_case "xref: extents attribution deterministic" `Quick test_xref_extents_deterministic;
-    Alcotest.test_case "xref: incremental extents == rebuild" `Quick
-      test_xref_extents_incremental;
+    Alcotest.test_case "xref: in_code == committed blocks" `Quick test_xref_in_code;
     Alcotest.test_case "provenance ledger end-to-end" `Quick test_provenance_end_to_end;
     Alcotest.test_case "full pipeline accuracy" `Quick test_full_pipeline_accuracy;
     Alcotest.test_case "pipeline from raw bytes" `Quick test_pipeline_on_encoded_bytes;

@@ -382,6 +382,18 @@ let test_bench_gate_check () =
   let issues = Gate.check ~tolerance:0.5 ~baseline:b ~current:slow () in
   check Alcotest.int "xref regression fails (noise stage skipped)" 1
     (List.length issues);
+  (* the judged table lists every baseline stage with its limit *)
+  check
+    Alcotest.(list (pair string (pair (option (float 1e-9)) (option (float 1e-9)))))
+    "judged stages: mean and limit"
+    [
+      ("pipeline", (Some 120.0, Some 180.0));
+      ("xref", (Some 200.0, Some 135.0));
+      ("noise", (Some 0.5, None));
+    ]
+    (List.map
+       (fun (j : Gate.judged) -> (j.j_name, (j.j_mean, j.j_limit)))
+       (Gate.judge ~tolerance:0.5 ~baseline:b ~current:slow ()));
   (* a uniformly 2x-slower machine passes: normalisation cancels it *)
   let half_speed =
     {

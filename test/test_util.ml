@@ -71,7 +71,7 @@ let test_pad_align () =
   Byte_buf.pad_to b ~align:8 ~byte:0;
   check Alcotest.int "idempotent" 8 (Byte_buf.length b)
 
-(* Two sections with a gap between them; the second spans ten pages. *)
+(* Two sections with a gap between them. *)
 let insn_ranges = [ (0x1000, 0x1100); (0x2000, 0x2a00) ]
 let span_opt = Alcotest.(option (pair int int))
 
@@ -97,7 +97,7 @@ let test_insn_index_next_from () =
   ignore (Insn_index.add t ~lo:0x2900 ~hi:0x2902);
   check span_opt "from the table start" (Some (0x10f0, 0x10f3))
     (Insn_index.next_from t 0);
-  check span_opt "from mid-instruction, across the section gap and empty pages"
+  check span_opt "from mid-instruction, across the section gap"
     (Some (0x2900, 0x2902)) (Insn_index.next_from t 0x10f1);
   check span_opt "from inside the gap" (Some (0x2900, 0x2902))
     (Insn_index.next_from t 0x1800);
@@ -149,12 +149,18 @@ let test_insn_index_invalid () =
 
 (* The reference semantics: a naive list of the recorded intervals, fed
    instructions first-writer-wins; true when the instruction was
-   recorded. *)
+   recorded.  [code] holds every instruction handed over, recorded or
+   not. *)
 let model_add m ~lo ~hi =
   (not (List.exists (fun (l, h) -> lo < h && l < hi) !m))
   && (m := (lo, hi) :: !m; true)
 
 let model_find m a = List.find_opt (fun (lo, hi) -> lo <= a && a < hi) !m
+
+let model_in_code code a = List.exists (fun (lo, hi) -> lo <= a && a < hi) code
+
+let model_covered m ~lo ~hi =
+  List.fold_left (fun n (l, h) -> n + max 0 (min h hi - max l lo)) 0 !m
 
 let model_next_from m a =
   match List.sort compare (List.filter (fun (lo, _) -> lo >= a) !m) with
@@ -170,11 +176,12 @@ let prop_insn_index_model =
   QCheck.Test.make ~name:"insn index agrees with the interval-list model" ~count:300
     QCheck.(list (pair (int_bound 1410) (int_range 1 15)))
     (fun inserts ->
-      let t = Insn_index.create qc_ranges and m = ref [] in
+      let t = Insn_index.create qc_ranges and m = ref [] and code = ref [] in
       List.iter
         (fun (lo, len) ->
           let hi = lo + len in
           if in_qc_ranges lo hi then begin
+            code := (lo, hi) :: !code;
             if Insn_index.add t ~lo ~hi <> model_add m ~lo ~hi then
               QCheck.Test.fail_reportf "add [%d, %d) disagrees with the model" lo hi
           end
@@ -185,10 +192,19 @@ let prop_insn_index_model =
         inserts;
       Insn_index.to_list t = List.sort compare !m
       && Insn_index.cardinal t = List.length !m
+      && Insn_index.covered t ~lo:min_int ~hi:max_int
+         = model_covered m ~lo:min_int ~hi:max_int
       && List.for_all
            (fun a ->
              Insn_index.find t a = model_find m a
-             && Insn_index.next_from t a = model_next_from m a)
+             && Insn_index.next_from t a = model_next_from m a
+             && Insn_index.in_code t a = model_in_code !code a
+             && (a mod 11 <> 0
+                || List.for_all
+                     (fun w ->
+                       Insn_index.covered t ~lo:a ~hi:(a + w)
+                       = model_covered m ~lo:a ~hi:(a + w))
+                     [ -3; 0; 1; 9; 160; 1500 ]))
            (List.init 1420 (fun a -> a - 5)))
 
 let test_prng_determinism () =
