@@ -132,10 +132,9 @@ let perf () =
       Printf.printf "checking against %s (scale %g, %d binaries)\n"
         (Option.get !check_file) b.Gate.scale b.Gate.binaries
   | _ -> ());
-  let analyze (bin : Fetch_eval.Corpus.binary) =
+  let analyze (id, stripped) =
     let r, report =
       Fetch_obs.Trace.with_run (fun () ->
-          let stripped = Fetch_elf.Image.strip bin.built.image in
           let loaded = Fetch_analysis.Loaded.load stripped in
           let r = Fetch_core.Pipeline.run_loaded loaded in
           (* lint every answer, as batch and serve do; its spans sit
@@ -143,23 +142,30 @@ let perf () =
           ignore (Fetch_core.Lint.run r);
           r)
     in
-    (bin.id, r.Fetch_core.Pipeline.starts, report)
+    (id, r.Fetch_core.Pipeline.starts, report)
   in
-  let jobs = Fetch_eval.Corpus.jobs_selfbuilt ~scale:!scale () in
-  let binaries = List.length jobs in
+  (* both walls time analysis only: every corpus image is synthesized
+     and stripped once, before either timed pass *)
+  let inputs =
+    List.map
+      (fun (j : Fetch_eval.Corpus.job) ->
+        let bin = j.build () in
+        (bin.id, Fetch_elf.Image.strip bin.built.image))
+      (Fetch_eval.Corpus.jobs_selfbuilt ~scale:!scale ())
+  in
+  let binaries = List.length inputs in
   let n_domains =
     if !domains > 0 then !domains else Fetch_par.Pool.default_domains ()
   in
   Printf.printf "sequential baseline (%d binaries)...\n%!" binaries;
   let seq, seq_wall =
-    Fetch_obs.Clock.time_s (fun () ->
-        List.map (fun (j : Fetch_eval.Corpus.job) -> analyze (j.build ())) jobs)
+    Fetch_obs.Clock.time_s (fun () -> List.map analyze inputs)
   in
   Printf.printf "parallel run (%d domains)...\n%!" n_domains;
   let par_outcomes, par_wall =
     Fetch_obs.Clock.time_s (fun () ->
         Fetch_par.Pool.with_pool ~domains:n_domains (fun pool ->
-            Fetch_eval.Corpus.map_selfbuilt_par pool ~scale:!scale analyze))
+            Fetch_par.Pool.map pool ~label:(fun _ (id, _) -> id) analyze inputs))
   in
   let par =
     List.map
@@ -250,9 +256,10 @@ let perf () =
       match Gate.check ~tolerance:!tolerance ~baseline:b ~current:snapshot () with
       | [] ->
           Printf.printf
-            "gate passed: %d counters identical, stage means within %g%% \
-             (speed-adjusted)\n"
+            "gate passed: %d counters identical, %d counter laws hold, stage \
+             means within %g%% (speed-adjusted)\n"
             (List.length b.Gate.counters)
+            (List.length (Fetch_obs.Law.all ()))
             (!tolerance *. 100.0)
       | issues ->
           Printf.eprintf "bench gate FAILED (%d issue%s):\n"

@@ -259,7 +259,7 @@ let unwind path =
               Printf.printf "  FDE pc=[%#x, %#x) len=%d\n" fde.pc_begin
                 (fde.pc_begin + fde.pc_range) fde.pc_range;
               match Fetch_dwarf.Cfa_table.rows ~cie fde with
-              | rows ->
+              | Ok rows ->
                   List.iter
                     (fun (r : Fetch_dwarf.Cfa_table.row) ->
                       let cfa =
@@ -275,7 +275,7 @@ let unwind path =
                         | Some h -> Printf.sprintf "  height=%d" h
                         | None -> ""))
                     rows
-              | exception Fetch_dwarf.Cfa_table.Unsupported m ->
+              | Error m ->
                   Printf.printf "    (unsupported CFI: %s)\n" m)
             cie.fdes)
         cies

@@ -3,6 +3,7 @@
 open Fetch_x86
 module Insn_index = Fetch_util.Insn_index
 module Obs = Fetch_obs.Trace
+module Prov = Fetch_obs.Provenance
 
 type func = {
   entry : int;
@@ -432,8 +433,13 @@ let rules =
     ("split-fn-fde", fun v _ -> rule_split_fn_fde v);
   ]
 
-let counters =
-  List.map (fun (name, _) -> (name, Obs.counter ("lint.findings." ^ name))) rules
+let decisions =
+  List.map
+    (fun (name, _) ->
+      ( name,
+        Prov.decision ("lint.findings." ^ name) ~ev:"lint.finding"
+          [ ("rule", Prov.S name) ] ))
+    rules
 
 let run v =
   Obs.span "lint" (fun () ->
@@ -442,8 +448,13 @@ let run v =
       List.iter
         (fun (name, rule) ->
           Obs.span ("lint." ^ name) (fun () ->
-              rule v ix (fun f ->
-                  Obs.incr (List.assoc name counters);
-                  acc := f :: !acc)))
+              rule v ix (fun f -> acc := f :: !acc)))
         rules;
-      List.sort Finding.compare !acc)
+      let findings = List.sort Finding.compare !acc in
+      List.iter
+        (fun (f : Finding.t) ->
+          Prov.decide (List.assoc f.rule decisions) ~addr:f.addr
+            (("severity", Prov.S (Finding.severity_label f.severity))
+            :: List.map (fun r -> ("related", Prov.I r)) (Option.to_list f.related)))
+        findings;
+      findings)

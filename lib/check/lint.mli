@@ -80,6 +80,7 @@ type view = {
 }
 
 (** Run every rule; findings come back sorted (most severe first, then by
-    address).  Instrumented runs get per-rule counters
-    ([lint.findings.<rule>]). *)
+    address).  Each finding is a decision: it bumps its rule's counter
+    ([lint.findings.<rule>]) and, while a ledger run is live, records a
+    [lint.finding] event, in sorted order. *)
 val run : view -> Finding.t list

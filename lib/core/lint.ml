@@ -53,18 +53,4 @@ let view_of (r : Pipeline.result) =
         | None -> None);
   }
 
-let run r =
-  let findings = Fetch_check.Lint.run (view_of r) in
-  let module Prov = Fetch_obs.Provenance in
-  if Prov.enabled () then
-    List.iter
-      (fun (f : Fetch_check.Finding.t) ->
-        Prov.emit ~ev:"lint.finding" ~addr:f.addr
-          (("rule", Prov.S f.rule)
-          :: ("severity", Prov.S (Fetch_check.Finding.severity_label f.severity))
-          ::
-          (match f.related with
-          | Some r -> [ ("related", Prov.I r) ]
-          | None -> [])))
-      findings;
-  findings
+let run r = Fetch_check.Lint.run (view_of r)

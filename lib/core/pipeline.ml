@@ -11,10 +11,13 @@ module Prov = Fetch_obs.Provenance
 
 (* Stage instrumentation: seed-source contributions and the Fig. 6b
    hand-broken-FDE rejections. *)
-let c_seeds_fde = Obs.counter "pipeline.seeds.fde"
-let c_seeds_symbol = Obs.counter "pipeline.seeds.symbol"
+let d_seed_fde = Prov.decision "pipeline.seeds.fde" ~ev:"seed.fde" []
+let d_seed_symbol = Prov.decision "pipeline.seeds.symbol" ~ev:"seed.symbol" []
 let c_seeds_final = Obs.counter "pipeline.seeds.final"
-let c_invalid_fde = Obs.counter "pipeline.invalid_fde_rejected"
+
+let d_invalid_fde =
+  Prov.decision "pipeline.invalid_fde_rejected" ~ev:"fde.invalid"
+    [ ("why", Prov.S "unreferenced_callconv_violation") ]
 
 type config = {
   xref : bool;  (** §IV-E pointer detection *)
@@ -82,21 +85,14 @@ let drop_invalid_fdes config loaded ((res, _, refs) as detection) =
           | Error v -> Some (s, v))
       loaded.Loaded.fde_starts
   in
-  Obs.add c_invalid_fde (List.length violations);
-  if Prov.enabled () then
-    List.iter
-      (fun (s, v) ->
-        (* Fig. 6b: unreferenced + callconv-invalid FDE start *)
-        Prov.emit ~ev:"fde.invalid" ~addr:s
-          (("why", Prov.S "unreferenced_callconv_violation")
-          :: Callconv.ledger_fields v))
-      violations;
+  List.iter
+    (fun (s, v) -> Prov.decide d_invalid_fde ~addr:s (Callconv.ledger_fields v))
+    violations;
   let invalid = List.map fst violations in
   if invalid = [] then ([], detection)
   else begin
-    if Prov.enabled () then
-      Prov.emit ~ev:"pipeline.reseed" ~addr:0
-        [ ("dropped", Prov.I (List.length invalid)) ];
+    Prov.emit ~ev:"pipeline.reseed" ~addr:0
+      [ ("dropped", Prov.I (List.length invalid)) ];
     (invalid, detect config loaded ~seeds:(seed_set ~excluding:invalid loaded))
   end
 
@@ -106,16 +102,8 @@ let run_loaded ?(config = default_config) loaded =
   (* 1. FDE starts (+ symbols, normally absent in stripped binaries) *)
   let seeds =
     Obs.span "seeds" @@ fun () ->
-    Obs.add c_seeds_fde (List.length loaded.Loaded.fde_starts);
-    Obs.add c_seeds_symbol (List.length loaded.Loaded.symbol_starts);
-    if Prov.enabled () then begin
-      List.iter
-        (fun s -> Prov.emit ~ev:"seed.fde" ~addr:s [])
-        loaded.Loaded.fde_starts;
-      List.iter
-        (fun s -> Prov.emit ~ev:"seed.symbol" ~addr:s [])
-        loaded.Loaded.symbol_starts
-    end;
+    List.iter (fun s -> Prov.decide d_seed_fde ~addr:s []) loaded.Loaded.fde_starts;
+    List.iter (fun s -> Prov.decide d_seed_symbol ~addr:s []) loaded.Loaded.symbol_starts;
     seed_set loaded
   in
   let detection = detect config loaded ~seeds in

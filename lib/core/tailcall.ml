@@ -15,15 +15,27 @@ module Obs = Fetch_obs.Trace
 module Prov = Fetch_obs.Provenance
 
 (* Stage instrumentation: one (jump site, external target) pair is
-   examined per height-resolved out-jump; each non-tail-call verdict is
-   attributed to the first failing rule of Algorithm 1. *)
+   examined per height-resolved out-jump and ends in one decision about
+   the jump target, a tail call or the first failing rule of Algorithm 1
+   (the law below). *)
 let c_pairs = Obs.counter "tailcall.pairs_examined"
-let c_tail_calls = Obs.counter "tailcall.tail_calls"
-let c_merges = Obs.counter "tailcall.merges"
-let c_skipped = Obs.counter "tailcall.skipped_incomplete_cfi"
-let c_rej_height = Obs.counter "tailcall.reject.cfa_height"
-let c_rej_refs = Obs.counter "tailcall.reject.jump_only_refs"
-let c_rej_callconv = Obs.counter "tailcall.reject.callconv"
+let d_tail_call = Prov.decision "tailcall.tail_calls" ~ev:"alg1.tail_call" []
+let d_merge = Prov.decision "tailcall.merges" ~ev:"alg1.merge" []
+
+let d_skipped =
+  Prov.decision "tailcall.skipped_incomplete_cfi" ~ev:"alg1.skip"
+    [ ("reason", Prov.S "incomplete_cfi") ]
+
+let rejection rule =
+  Prov.decision ("tailcall.reject." ^ rule) ~ev:"alg1.reject" [ ("rule", Prov.S rule) ]
+
+let d_rej_height = rejection "cfa_height"
+let d_rej_refs = rejection "jump_only_refs"
+let d_rej_callconv = rejection "callconv"
+
+let () =
+  Fetch_obs.Law.declare ~total:"tailcall.pairs_examined"
+    [ "tailcall.tail_calls"; "tailcall.reject.*" ]
 
 type outcome = {
   kept_starts : int list;
@@ -77,11 +89,8 @@ let run ~heights ~refs loaded (res : Recursive.result) =
                  (Fetch_dwarf.Height_oracle.complete_at loaded.Loaded.oracle
                     entry)
           then begin
-            Obs.incr c_skipped;
-            incr skipped;
-            if Prov.enabled () then
-              Prov.emit ~ev:"alg1.skip" ~addr:entry
-                [ ("reason", Prov.S "incomplete_cfi") ]
+            Prov.decide d_skipped ~addr:entry [];
+            incr skipped
           end
           else
             List.iter
@@ -91,55 +100,32 @@ let run ~heights ~refs loaded (res : Recursive.result) =
                   | None -> ()
                   | Some h ->
                       Obs.incr c_pairs;
-                      (* Algorithm 1 rule ids for the ledger: the
-                         subject of each event is the jump target (the
-                         candidate tail-callee / secondary part). *)
-                      let reject rule operands =
-                        if Prov.enabled () then
-                          Prov.emit ~ev:"alg1.reject" ~addr:t
-                            (("rule", Prov.S rule)
-                            :: ("site", Prov.I site) :: ("entry", Prov.I entry)
-                            :: operands)
-                      in
                       (* same short-circuit order as the paper's
                          conjunction; the first failing rule gets the
                          rejection *)
-                      let is_tail =
-                        if h <> 0 then begin
-                          Obs.incr c_rej_height;
-                          reject "cfa_height" [ ("height", Prov.I h) ];
-                          false
-                        end
-                        else if jump_only_refs ~entry t then begin
-                          Obs.incr c_rej_refs;
-                          reject "jump_only_refs" [];
-                          false
-                        end
+                      let is_tail, d, operands =
+                        if h <> 0 then
+                          (false, d_rej_height, [ ("height", Prov.I h) ])
+                        else if jump_only_refs ~entry t then
+                          (false, d_rej_refs, [])
                         else
                           match Callconv.validate loaded res t with
                           | Error v ->
-                              Obs.incr c_rej_callconv;
-                              reject "callconv" (Callconv.ledger_fields v);
-                              false
-                          | Ok () -> true
+                              (false, d_rej_callconv, Callconv.ledger_fields v)
+                          | Ok () -> (true, d_tail_call, [])
                       in
-                      if is_tail then begin
-                        Obs.incr c_tail_calls;
-                        if Prov.enabled () then
-                          Prov.emit ~ev:"alg1.tail_call" ~addr:t
-                            [ ("site", Prov.I site); ("entry", Prov.I entry) ];
-                        tail_calls := (site, t) :: !tail_calls
-                      end
+                      Prov.decide d ~addr:t
+                        (("site", Prov.I site) :: ("entry", Prov.I entry)
+                        :: operands);
+                      if is_tail then tail_calls := (site, t) :: !tail_calls
                       else if
                         Loaded.fde_starting_at loaded t
                         && jump_only_refs ~entry t
                         && (not (Hashtbl.mem removed t))
                         && t <> entry
                       then begin
-                        Obs.incr c_merges;
-                        if Prov.enabled () then
-                          Prov.emit ~ev:"alg1.merge" ~addr:t
-                            [ ("parent", Prov.I entry); ("site", Prov.I site) ];
+                        Prov.decide d_merge ~addr:t
+                          [ ("parent", Prov.I entry); ("site", Prov.I site) ];
                         Hashtbl.replace removed t entry;
                         merges := (t, entry) :: !merges
                       end)

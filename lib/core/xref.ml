@@ -35,20 +35,27 @@ let max_spec_insns = 200
 let max_spec_blocks = 24
 
 (* Stage instrumentation: every candidate validation ends in exactly one
-   of accepted / the four §IV-E rejection classes, so
-   [candidates_scanned = accepted + Σ rejects] holds for a run.  A
-   detected entry the scan meets is not a §IV-E validation subject: it
-   counts under [known_entries_skipped], once per candidate, since it
-   leaves the pending set when met. *)
+   decision, accepted or one of the four §IV-E rejection classes — the
+   law below.  A detected entry the scan meets is not a §IV-E validation
+   subject: it counts under [known_entries_skipped], once per candidate,
+   since it leaves the pending set when met. *)
 let c_candidates = Obs.counter "xref.candidates_scanned"
-let c_accepted = Obs.counter "xref.accepted"
+let d_accepted = Prov.decision "xref.accepted" ~ev:"xref.accept" []
 let c_rounds = Obs.counter "xref.rounds"
-let c_rej_opcode = Obs.counter "xref.reject.invalid_opcode"
-let c_rej_mid = Obs.counter "xref.reject.mid_instruction"
-let c_rej_into = Obs.counter "xref.reject.into_function"
-let c_rej_callconv = Obs.counter "xref.reject.callconv"
+
+let rejection reason =
+  Prov.decision ("xref.reject." ^ reason) ~ev:"xref.reject" [ ("reason", Prov.S reason) ]
+
+let d_rej_opcode = rejection "invalid_opcode"
+let d_rej_mid = rejection "mid_instruction"
+let d_rej_into = rejection "into_function"
+let d_rej_callconv = rejection "callconv"
 let c_known = Obs.counter "xref.known_entries_skipped"
-let c_budget = Obs.counter "xref.budget_exhausted"
+let d_budget = Prov.decision "xref.budget_exhausted" ~ev:"xref.budget_exhausted" []
+
+let () =
+  Fetch_obs.Law.declare ~total:"xref.candidates_scanned"
+    [ "xref.accepted"; "xref.reject.*" ]
 
 (* Per-binary distributions: how many rounds a binary needs and what each
    round costs, in microseconds: most rounds cost well under one
@@ -99,12 +106,11 @@ type reject =
   | Transfer_into_function
   | Bad_call_conv
 
-(* the stable rejection id used in ledger events *)
-let reject_name = function
-  | Invalid_opcode -> "invalid_opcode"
-  | Mid_instruction -> "mid_instruction"
-  | Transfer_into_function -> "into_function"
-  | Bad_call_conv -> "callconv"
+let rejected = function
+  | Invalid_opcode -> d_rej_opcode
+  | Mid_instruction -> d_rej_mid
+  | Transfer_into_function -> d_rej_into
+  | Bad_call_conv -> d_rej_callconv
 
 type verdict =
   | Accept
@@ -260,37 +266,25 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
             Obs.incr c_candidates;
             match validate loaded res cand with
             | Accept ->
-                if Prov.enabled () then begin
-                  let origin =
-                    match Refs.refs_to refs cand with
-                    | Refs.Data_pointer a :: _ ->
-                        [ ("via", Prov.S "data"); ("site", Prov.I a) ]
-                    | Refs.Code_constant a :: _ ->
-                        [ ("via", Prov.S "code"); ("site", Prov.I a) ]
-                    | Refs.Call_target a :: _ ->
-                        [ ("via", Prov.S "call"); ("site", Prov.I a) ]
-                    | Refs.Jump_target (a, e) :: _ ->
-                        [
-                          ("via", Prov.S "jump");
-                          ("site", Prov.I a);
-                          ("entry", Prov.I e);
-                        ]
-                    | [] -> []
-                  in
-                  Prov.emit ~ev:"xref.accept" ~addr:cand origin
-                end;
+                Prov.decide d_accepted ~addr:cand
+                  (match Refs.refs_to refs cand with
+                  | Refs.Data_pointer a :: _ ->
+                      [ ("via", Prov.S "data"); ("site", Prov.I a) ]
+                  | Refs.Code_constant a :: _ ->
+                      [ ("via", Prov.S "code"); ("site", Prov.I a) ]
+                  | Refs.Call_target a :: _ ->
+                      [ ("via", Prov.S "call"); ("site", Prov.I a) ]
+                  | Refs.Jump_target (a, e) :: _ ->
+                      [
+                        ("via", Prov.S "jump");
+                        ("site", Prov.I a);
+                        ("entry", Prov.I e);
+                      ]
+                  | [] -> []);
                 settle cand;
                 Some cand
             | Rejected { reason; fields; permanent } ->
-                Obs.incr
-                  (match reason with
-                  | Invalid_opcode -> c_rej_opcode
-                  | Mid_instruction -> c_rej_mid
-                  | Transfer_into_function -> c_rej_into
-                  | Bad_call_conv -> c_rej_callconv);
-                if Prov.enabled () then
-                  Prov.emit ~ev:"xref.reject" ~addr:cand
-                    (("reason", Prov.S (reject_name reason)) :: fields);
+                Prov.decide (rejected reason) ~addr:cand fields;
                 if permanent then settle cand;
                 go rest
           end
@@ -308,15 +302,9 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
       let left =
         Iset.filter (fun c -> not (Hashtbl.mem res.Recursive.funcs c)) !pending
       in
-      if not (Iset.is_empty left) then begin
-        Obs.incr c_budget;
-        if Prov.enabled () then
-          Prov.emit ~ev:"xref.budget_exhausted" ~addr:(Iset.min_elt left)
-            [
-              ("pending", Prov.I (Iset.cardinal left));
-              ("rounds", Prov.I !rounds);
-            ]
-      end;
+      if not (Iset.is_empty left) then
+        Prov.decide d_budget ~addr:(Iset.min_elt left)
+          [ ("pending", Prov.I (Iset.cardinal left)); ("rounds", Prov.I !rounds) ];
       seeds
     end
     else begin
@@ -333,7 +321,6 @@ let detect ?(max_rounds = 64) ?on_commit loaded ~seeds =
         (match r with
         | None -> ()
         | Some cand ->
-            Obs.incr c_accepted;
             if traced then Obs.set_arg "accepted" (Printf.sprintf "%#x" cand);
             let delta = Recursive.extend loaded res ~seeds:[ cand ] in
             pending :=

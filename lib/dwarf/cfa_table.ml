@@ -31,11 +31,10 @@ type state = {
   mutable regs : (int * reg_rule) list;
 }
 
-exception Unsupported of string
-
 (** [rows ~cie fde] interprets the CFI program; rows come back in
     increasing [loc] order, the first at [loc = 0]. *)
 let rows ~(cie : Eh_frame.cie) (fde : Eh_frame.fde) =
+  let exception Unsupported of string in
   let st = { cfa = Cfa_expr; regs = [] } in
   let initial_regs = ref [] in
   let stack = ref [] in
@@ -87,11 +86,14 @@ let rows ~(cie : Eh_frame.cie) (fde : Eh_frame.fde) =
     | Cfi.Advance_loc _ | Cfi.Nop -> ()
     | _ -> if not in_initial then emit ()
   in
-  List.iter (apply true) cie.initial;
-  initial_regs := st.regs;
-  emit ();
-  List.iter (apply false) fde.instrs;
-  List.rev !out
+  match
+    List.iter (apply true) cie.initial;
+    initial_regs := st.regs;
+    emit ();
+    List.iter (apply false) fde.instrs
+  with
+  | () -> Ok (List.rev !out)
+  | exception Unsupported m -> Error m
 
 (** Row in effect at code offset [off]. *)
 let row_at rows off =

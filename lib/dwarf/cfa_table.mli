@@ -28,12 +28,12 @@ val dw_rsp : int
 
 val dw_rbp : int
 
-exception Unsupported of string
-
 (** Interpret the CFI program; rows come back in increasing [loc] order,
-    the first at [loc = 0].  Raises {!Unsupported} on rule combinations
-    outside the DWARF subset compilers emit. *)
-val rows : cie:Eh_frame.cie -> Eh_frame.fde -> row list
+    the first at [loc = 0].  [Error] names a rule combination outside the
+    DWARF subset compilers emit: [def_cfa_register] or [def_cfa_offset]
+    over an expression CFA, or [restore_state] with nothing
+    remembered. *)
+val rows : cie:Eh_frame.cie -> Eh_frame.fde -> (row list, string) result
 
 (** Row in effect at a code offset. *)
 val row_at : row list -> int -> row option

@@ -34,13 +34,12 @@ let create cies =
         List.fold_left
           (fun map (fde : Eh_frame.fde) ->
             match Cfa_table.rows ~cie fde with
-            | rows when fde.pc_range > 0 ->
+            | Ok rows when fde.pc_range > 0 ->
                 let complete = Cfa_table.complete_rsp_heights rows in
                 add_override map ~lo:fde.pc_begin
                   ~hi:(fde.pc_begin + fde.pc_range)
                   { fde; rows; complete }
-            | _ -> map
-            | exception Cfa_table.Unsupported _ -> map)
+            | Ok _ | Error _ -> map)
           map cie.fdes)
       Imap.empty cies
   in

@@ -282,6 +282,11 @@ let check ?(tolerance = 0.5) ~baseline ~current () =
             name bv cv
       | Some _ -> ())
     baseline.counters;
+  (* a drift the baseline shares is invisible above; a broken law is not *)
+  List.iter
+    (fun (law, total, parts) ->
+      push "law" "%s broken: total %d, parts %d" (Law.to_string law) total parts)
+    (Law.broken current.counters);
   List.iter
     (fun j ->
       match (j.j_limit, j.j_mean) with

@@ -16,7 +16,9 @@
     same value (the corpus is deterministic, so [xref.accepted],
     [tailcall.merges], [pipeline.seeds.final] … pin the detection
     outcome).  Counters only the current snapshot has are new
-    instrumentation and pass.
+    instrumentation and pass.  The current counters must also obey
+    every declared {!Law}: a drift the baseline shares passes the
+    comparison, but not a broken law.
 
     Stage means are timing, so they are compared after machine-speed
     normalisation: every stage mean is scaled by the ratio of the two

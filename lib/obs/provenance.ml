@@ -2,6 +2,14 @@
 
 type value = I of int | S of string
 
+(* declared before [event], so an unannotated [e.ev] is an event's *)
+type decision = {
+  counter : string;
+  ev : string;
+  fixed : (string * value) list;
+  handle : Trace.counter;
+}
+
 type event = {
   ev : string;
   addr : int;
@@ -28,6 +36,20 @@ let emit ~ev ~addr fields =
     let scope_fields = List.concat (List.rev t.scopes) in
     t.rev_events <- { ev; addr; fields = fields @ scope_fields } :: t.rev_events
   end
+
+(* every declared decision, newest first (declared at module init) *)
+let rev_decisions = ref []
+
+let decision counter ~ev fixed =
+  let d = { counter; ev; fixed; handle = Trace.counter counter } in
+  rev_decisions := d :: !rev_decisions;
+  d
+
+let decisions () = List.rev !rev_decisions
+
+let decide d ~addr fields =
+  Trace.incr d.handle;
+  if enabled () then emit ~ev:d.ev ~addr (d.fixed @ fields)
 
 let with_scope fields f =
   let t = ctx () in

@@ -16,8 +16,9 @@
     recorded into a per-domain context, recording is a no-op (one
     domain-local load and a branch) while no ledger run is live on the
     calling domain, and instrumentation sites guard any extra evidence
-    gathering behind {!enabled}.  It is independent of {!Trace} —
-    either can run without the other.
+    gathering behind {!enabled}.  Either recorder can run without the
+    other; a {!decision} ties one {!Trace} counter to one event, so a
+    verdict is counted and recorded by the same call.
 
     {2 Event schema (stable)}
 
@@ -55,6 +56,27 @@ val enabled : unit -> bool
 (** Record one event.  No-op while the calling domain has no live
     ledger run. *)
 val emit : ev:string -> addr:int -> (string * value) list -> unit
+
+(** A verdict that is both counted and recorded: the {!Trace} counter
+    [counter] and the event [ev] with its fixed leading fields (a
+    rejection class, an Algorithm 1 rule).  In a run that records both,
+    a decision's events number exactly its counter. *)
+type decision = private {
+  counter : string;
+  ev : string;
+  fixed : (string * value) list;
+  handle : Trace.counter;
+}
+
+(** Declare a decision, registering its counter then and there. *)
+val decision : string -> ev:string -> (string * value) list -> decision
+
+(** Every declared decision, in declaration order. *)
+val decisions : unit -> decision list
+
+(** Bump [d]'s counter and, only while a ledger run is live on the
+    calling domain, record [d.ev] about [addr] with [d.fixed @ fields]. *)
+val decide : decision -> addr:int -> (string * value) list -> unit
 
 (** [with_scope fields f] appends [fields] to every event emitted by
     [f] on this domain (innermost scope last).  Nests; no-op wrapper

@@ -40,6 +40,11 @@ let figure4_fde =
 
 let figure4_cie = Eh_frame.default_cie ~fdes:[ figure4_fde ] ()
 
+let rows_ok ~cie fde =
+  match Cfa_table.rows ~cie fde with
+  | Ok rows -> rows
+  | Error m -> Alcotest.failf "unsupported CFI: %s" m
+
 let test_cfi_roundtrip () =
   let instrs =
     [
@@ -117,7 +122,7 @@ let test_eh_frame_terminator_and_empty () =
 
 (* Figure 4's run-time stack: heights at each point of the function. *)
 let test_figure4_heights () =
-  let rows = Cfa_table.rows ~cie:figure4_cie figure4_fde in
+  let rows = rows_ok ~cie:figure4_cie figure4_fde in
   let height off = Cfa_table.height_at rows off in
   check (Alcotest.option Alcotest.int) "entry" (Some 0) (height 0);
   check (Alcotest.option Alcotest.int) "after push rbp" (Some 8) (height 0x1);
@@ -146,7 +151,7 @@ let test_rbp_based_incomplete () =
         ];
     }
   in
-  let rows = Cfa_table.rows ~cie:figure4_cie fde in
+  let rows = rows_ok ~cie:figure4_cie fde in
   check Alcotest.bool "incomplete" false (Cfa_table.complete_rsp_heights rows);
   check (Alcotest.option Alcotest.int) "height before rebase" (Some 8)
     (Cfa_table.height_at rows 2);
@@ -174,7 +179,7 @@ let test_remember_restore () =
         ];
     }
   in
-  let rows = Cfa_table.rows ~cie:figure4_cie fde in
+  let rows = rows_ok ~cie:figure4_cie fde in
   check (Alcotest.option Alcotest.int) "inside epilogue" (Some 0)
     (Cfa_table.height_at rows 13);
   check (Alcotest.option Alcotest.int) "after restore" (Some 8)
@@ -191,6 +196,42 @@ let test_height_oracle () =
   match Height_oracle.entry_at oracle 0xb0 with
   | Some e -> check Alcotest.int "fde lookup" 56 e.fde.pc_range
   | None -> Alcotest.fail "entry_at"
+
+(* The rule combinations outside the compiler subset are errors, not
+   exceptions. *)
+let test_cfa_rows_unsupported () =
+  let expr = Cfi.Def_cfa_expression "\x77\x08" in
+  List.iter
+    (fun (what, instrs) ->
+      check Alcotest.bool what true
+        (Result.is_error
+           (Cfa_table.rows ~cie:figure4_cie
+              (Eh_frame.make_fde ~pc_begin:0 ~pc_range:16 instrs))))
+    [
+      ("def_cfa_register over an expression", [ expr; Cfi.Def_cfa_register 6 ]);
+      ("def_cfa_offset over an expression", [ expr; Cfi.Def_cfa_offset 16 ]);
+      ("restore_state with nothing remembered", [ Cfi.Advance_loc 1; Cfi.Restore_state ]);
+    ]
+
+(* An FDE whose CFI fails has no height and evicts nothing: the earlier
+   FDE it overlaps still answers, and its own unshared bytes stay
+   uncovered. *)
+let test_height_oracle_unsupported_fde () =
+  let good =
+    Eh_frame.make_fde ~pc_begin:0 ~pc_range:10
+      [ Cfi.Advance_loc 1; Cfi.Def_cfa_offset 16 ]
+  in
+  let bad = Eh_frame.make_fde ~pc_begin:5 ~pc_range:10 [ Cfi.Restore_state ] in
+  let oracle =
+    Height_oracle.create [ Eh_frame.default_cie ~fdes:[ good; bad ] () ]
+  in
+  List.iter
+    (fun (addr, want) ->
+      check (Alcotest.option Alcotest.int) (Printf.sprintf "height_at %d" addr) want
+        (Height_oracle.height_at oracle addr))
+    [ (0, Some 0); (7, Some 8); (9, Some 8); (10, None); (14, None) ];
+  check Alcotest.bool "the failing FDE's bytes are not covered" true
+    (Height_oracle.entry_at oracle 12 = None)
 
 (* Overlapping FDEs: a later FDE evicts every earlier FDE it overlaps,
    even partly.  B [5,15) evicts A [0,10), then C [12,20) evicts B, so
@@ -270,7 +311,7 @@ let prop_heights_match_simulation =
       let fde =
         { Eh_frame.pc_begin = 0; pc_range = List.length deltas + 2; lsda = None; instrs }
       in
-      let rows = Cfa_table.rows ~cie:figure4_cie fde in
+      let rows = rows_ok ~cie:figure4_cie fde in
       let ok = ref (Cfa_table.height_at rows 0 = Some 0) in
       List.iteri
         (fun i d ->
@@ -314,7 +355,7 @@ let test_personality_lsda_roundtrip () =
           check (Alcotest.option Alcotest.int) "no lsda" None b.lsda
       | _ -> Alcotest.fail "fde count");
       (* heights still work through the augmented CIE *)
-      let rows = Cfa_table.rows ~cie (List.hd cie.fdes) in
+      let rows = rows_ok ~cie (List.hd cie.fdes) in
       check (Alcotest.option Alcotest.int) "height" (Some 8)
         (Cfa_table.height_at rows 6)
   | _ -> Alcotest.fail "cie count"
@@ -916,4 +957,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_decode_total;
       Alcotest.test_case "height oracle: later FDE evicts overlaps" `Quick
         test_height_oracle_override;
+      Alcotest.test_case "cfa rows: unsupported rules are errors" `Quick
+        test_cfa_rows_unsupported;
+      Alcotest.test_case "height oracle: a failing FDE evicts nothing" `Quick
+        test_height_oracle_unsupported_fde;
     ]

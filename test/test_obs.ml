@@ -7,6 +7,7 @@ open Fetch_synth
 module Obs = Fetch_obs.Trace
 module Report = Fetch_obs.Report
 module Clock = Fetch_obs.Clock
+module Law = Fetch_obs.Law
 
 let check = Alcotest.check
 
@@ -277,12 +278,9 @@ let test_pipeline_instrumented () =
       "tailcall.reject.callconv";
     ];
   (* every scanned candidate is either accepted or rejected for exactly
-     one of the four reasons *)
-  check Alcotest.int "xref validation accounting"
-    (c "xref.candidates_scanned")
-    (c "xref.accepted" + c "xref.reject.invalid_opcode"
-    + c "xref.reject.mid_instruction" + c "xref.reject.into_function"
-    + c "xref.reject.callconv");
+     one of the four reasons, every examined pair likewise *)
+  check Alcotest.(list string) "counter laws hold" []
+    (List.map (fun (l, _, _) -> Law.to_string l) (Law.broken rep.Obs.counters));
   (* the decode histogram covers every decoded instruction *)
   let bi = List.assoc "recursive.block_insns" rep.Obs.histograms in
   check Alcotest.int "block histogram sums to insns decoded"
@@ -344,6 +342,56 @@ let test_bench_gate_roundtrip () =
       check Alcotest.int "hist sum" h0.Obs.sum h.Obs.sum;
       check Alcotest.bool "hist buckets preserved" true
         (Array.for_all2 ( = ) h0.Obs.buckets h.Obs.buckets)
+
+(* The committed baseline's law counters (scale 0.02): the gate must
+   flag a broken law even when the baseline carries the same drift. *)
+let test_bench_gate_laws () =
+  check Alcotest.(list string) "declared laws"
+    [
+      "tailcall.pairs_examined = tailcall.tail_calls + Σ tailcall.reject.*";
+      "xref.candidates_scanned = xref.accepted + Σ xref.reject.*";
+    ]
+    (List.sort compare (List.map Law.to_string (Law.all ())));
+  let counters =
+    [
+      ("xref.candidates_scanned", 5171);
+      ("xref.accepted", 92);
+      ("xref.reject.invalid_opcode", 0);
+      ("xref.reject.mid_instruction", 1249);
+      ("xref.reject.into_function", 3830);
+      ("xref.reject.callconv", 0);
+      ("tailcall.pairs_examined", 766);
+      ("tailcall.tail_calls", 548);
+      ("tailcall.merges", 218);
+      ("tailcall.reject.cfa_height", 187);
+      ("tailcall.reject.jump_only_refs", 31);
+      ("tailcall.reject.callconv", 0);
+    ]
+  in
+  let b = { (gate_snapshot ()) with Gate.counters } in
+  check Alcotest.int "the baseline obeys both laws" 0
+    (List.length (Gate.check ~baseline:b ~current:b ()));
+  let tamper name =
+    let s =
+      {
+        b with
+        Gate.counters =
+          List.map (fun (n, v) -> (n, if n = name then v + 1 else v)) counters;
+      }
+    in
+    List.map
+      (fun (i : Gate.issue) -> (i.what, String.sub i.detail 0 4))
+      (Gate.check ~baseline:s ~current:s ())
+  in
+  check Alcotest.(list (pair string string)) "xref reject tampered on both sides"
+    [ ("law", "xref") ]
+    (tamper "xref.reject.callconv");
+  check Alcotest.(list (pair string string)) "tailcall reject tampered on both sides"
+    [ ("law", "tail") ]
+    (tamper "tailcall.reject.jump_only_refs");
+  (* merges are not a part of the tail-call law *)
+  check Alcotest.(list (pair string string)) "merges tampered on both sides" []
+    (tamper "tailcall.merges")
 
 let test_bench_gate_check () =
   let b = gate_snapshot () in
@@ -482,6 +530,50 @@ let test_provenance_json_roundtrip () =
       | Error e -> Alcotest.failf "JSONL line does not parse: %s" e)
     lines
 
+(* One decision stream: on the three ledger-golden draws, run with
+   lint under both recorders, every declared decision's events (its id
+   with its fixed leading fields) number exactly its counter, and every
+   other event is one of the counterless ones. *)
+let test_ledger_folds_to_counters () =
+  let rec leads fixed fields =
+    match (fixed, fields) with
+    | [], _ -> true
+    | f :: fixed, g :: fields -> f = g && leads fixed fields
+    | _ :: _, [] -> false
+  in
+  let counterless = [ "recursive.discover"; "verdict.start"; "pipeline.reseed" ] in
+  let decisions = Prov.decisions () in
+  check Alcotest.int "declared decisions" 22 (List.length decisions);
+  List.iter
+    (fun name ->
+      let b = Ledger_draws.build name in
+      let ((), events), rep =
+        Obs.with_run (fun () ->
+            Prov.with_run (fun () ->
+                match Fetch_core.Pipeline.run_bytes b.raw with
+                | Ok r -> ignore (Fetch_core.Lint.run r)
+                | Error e -> failwith e))
+      in
+      let of_decision (d : Prov.decision) (e : Prov.event) =
+        e.ev = d.ev && leads d.fixed e.fields
+      in
+      List.iter
+        (fun (d : Prov.decision) ->
+          check Alcotest.int
+            (Printf.sprintf "%s: %s events" name d.counter)
+            (List.assoc d.counter rep.Obs.counters)
+            (List.length (List.filter (of_decision d) events)))
+        decisions;
+      check Alcotest.(list string) (name ^ ": undecided events are counterless") []
+        (List.filter_map
+           (fun (e : Prov.event) ->
+             if List.exists (fun d -> of_decision d e) decisions
+                || List.mem e.ev counterless
+             then None
+             else Some e.ev)
+           events))
+    Ledger_draws.names
+
 let test_provenance_explain () =
   let events =
     [
@@ -517,8 +609,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_preserves_histograms;
     Alcotest.test_case "bench snapshot JSON roundtrip" `Quick test_bench_gate_roundtrip;
     Alcotest.test_case "bench regression gate" `Quick test_bench_gate_check;
+    Alcotest.test_case "bench gate: counter laws" `Quick test_bench_gate_laws;
     Alcotest.test_case "provenance recorder and queries" `Quick test_provenance_recorder;
     Alcotest.test_case "provenance JSON roundtrip" `Quick test_provenance_json_roundtrip;
     Alcotest.test_case "provenance explain" `Quick test_provenance_explain;
+    Alcotest.test_case "ledger folds to the counters" `Quick
+      test_ledger_folds_to_counters;
     Alcotest.test_case "instrumented pipeline run" `Quick test_pipeline_instrumented;
   ]

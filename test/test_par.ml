@@ -158,17 +158,18 @@ let test_batch_determinism () =
         (a.Batch.summary.starts <> [])
   | Error f -> Alcotest.failf "bin-103 failed: %s" (Pool.failure_to_string f))
 
+let broken_laws (rep : Obs.report) =
+  List.map
+    (fun (l, total, parts) ->
+      Printf.sprintf "%s: %d vs %d" (Fetch_obs.Law.to_string l) total parts)
+    (Fetch_obs.Law.broken rep.Obs.counters)
+
 let test_batch_merged_invariants () =
-  (* the §IV-E accounting invariant must survive a merged parallel run:
-     every scanned candidate is accepted or rejected exactly once *)
+  (* the counter laws must survive a merged parallel run: every scanned
+     candidate is accepted or rejected exactly once *)
   let r = Batch.run ~domains:4 (batch_items ()) in
-  check Alcotest.int "xref accounting on the merged report"
-    (counter r "xref.candidates_scanned")
-    (counter r "xref.accepted"
-    + counter r "xref.reject.invalid_opcode"
-    + counter r "xref.reject.mid_instruction"
-    + counter r "xref.reject.into_function"
-    + counter r "xref.reject.callconv");
+  check Alcotest.(list string) "counter laws on the merged report" []
+    (broken_laws r.Batch.merged);
   check Alcotest.bool "merged seeds populated" true
     (counter r "pipeline.seeds.fde" > 0);
   (* merged pipeline span count = one per successful binary *)
@@ -266,6 +267,36 @@ let test_pool_future_map_mix () =
            (fun f -> match Pool.await f with Pool.Value v -> v | _ -> -1)
            futs))
 
+(* Both declared laws, judged on a nonzero total, hold on the merged
+   report of a pooled corpus run (pipeline plus lint per binary). *)
+let test_corpus_merged_laws () =
+  let reports =
+    Pool.with_pool ~domains:2 (fun pool ->
+        Fetch_eval.Corpus.map_selfbuilt_par pool ~scale:0.01
+          ~only:[ "Openssl-1.1.0l"; "Busybox-1.31"; "Lighttpd-1.4.54" ]
+          (fun (b : Fetch_eval.Corpus.binary) ->
+            snd
+              (Obs.with_run (fun () ->
+                   let r = Fetch_core.Pipeline.run b.built.image in
+                   ignore (Fetch_core.Lint.run r)))))
+  in
+  let merged =
+    Obs.merge
+      (List.map
+         (function
+           | Ok rep -> rep
+           | Error f -> Alcotest.fail (Pool.failure_to_string f))
+         reports)
+  in
+  check Alcotest.int "both laws declared" 2 (List.length (Fetch_obs.Law.all ()));
+  List.iter
+    (fun (l : Fetch_obs.Law.t) ->
+      check Alcotest.bool (l.total ^ " nonzero") true
+        (List.assoc l.total merged.Obs.counters > 0))
+    (Fetch_obs.Law.all ());
+  check Alcotest.(list string) "counter laws on the merged corpus report" []
+    (broken_laws merged)
+
 let suite =
   [
     Alcotest.test_case "pool map ordering" `Quick test_pool_map_order;
@@ -284,4 +315,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_batch_deterministic;
     Alcotest.test_case "parallel corpus matches sequential fold" `Quick
       test_corpus_par_matches_fold;
+    Alcotest.test_case "counter laws on a merged corpus run" `Quick
+      test_corpus_merged_laws;
   ]
