@@ -9,7 +9,8 @@
     {!Fetch_check.Dataflow.Fatal} verdict, and
     the bounded-walk shape of the original check (first in-state wins,
     depth-first, 64 instructions / 12 blocks of fuel) is the engine's
-    [First_write_wins] mode.
+    [First_write_wins] mode.  A block whose summary says none of its
+    body's reads fails is one step.
 
     Arguments (rdi, rsi, rdx, rcx, r8, r9) and rsp start initialized; a
     [push] is a save, not a use; a call leaves only the callee-saved
@@ -31,9 +32,12 @@ type violation = { at : int; reg : Reg.t option }
    is the first argument at the walk's position, stepped and read by the
    engine's own rule ({!Recursive.first_arg_step},
    {!Recursive.call_returns}).  The tracking is local to a block:
-   crossing a block boundary resets it to [Unknown]. *)
+   crossing a block boundary resets it to [Unknown].  A block's body
+   steps through its summaries in the block table. *)
+type state = { init : int; arg : Recursive.first_arg }
+
 module Lattice = struct
-  type state = { init : int; arg : Recursive.first_arg }
+  type nonrec state = state
   type fatal = violation
 
   let equal a b = a.init = b.init && a.arg = b.arg
@@ -53,49 +57,50 @@ module Lattice = struct
       in
       Dataflow.Fatal { at = addr; reg }
     else
-      let init = st.init lor Insn_table.defs tbl s in
-      let init =
-        match Insn_table.flow tbl s with
-        | Semantics.Callf _ ->
-            (* the callee clobbers every caller-saved register and
-               defines the return-value register *)
-            (init land Reg.callee_saved_mask) lor Reg.bit Reg.Rax
-        | _ -> init
-      in
-      Dataflow.Step { init; arg = Recursive.first_arg_step tbl s st.arg }
+      Dataflow.Step
+        {
+          init = Block_table.regs_step tbl s st.init;
+          arg = Recursive.first_arg_step tbl s st.arg;
+        }
+
+  let body bt k st =
+    if Block_table.regs_needed bt k land lnot st.init <> 0 then None
+    else
+      Some
+        {
+          init = Block_table.regs_after bt k st.init;
+          arg = Block_table.arg_after bt k st.arg;
+        }
 end
 
 module Solver = Dataflow.Make (Lattice)
 
+let entry_state = { init = Reg.args_mask; arg = Recursive.Unknown }
+
+let policy (res : Recursive.result) =
+  {
+    Solver.default_policy with
+    undecodable = (fun addr -> Some { at = addr; reg = None });
+    call_returns =
+      (fun t st ->
+        Recursive.call_returns ~noreturn:res.noreturn
+          ~cond_noreturn:res.cond_noreturn st.arg t);
+    edge_state = (fun st -> { st with arg = Recursive.Unknown });
+    order = Dataflow.Depth_first;
+  }
+
 (** Validate [start] as a function entry, with the violation on failure.
     [res]'s facts tell the walk which calls never return; fuel exhaustion
     means "assume fine". *)
-let validate loaded (res : Recursive.result) start =
+let validate loaded res start =
   if not (Loaded.in_text loaded start) then Error { at = start; reg = None }
-  else begin
-    let policy =
-      {
-        Solver.default_policy with
-        undecodable = (fun addr -> Some { at = addr; reg = None });
-        call_falls_through =
-          (fun ~target (st : Lattice.state) ->
-            match target with
-            | Some t ->
-                Recursive.call_returns ~noreturn:res.noreturn
-                  ~cond_noreturn:res.cond_noreturn st.arg t
-            | None -> true);
-        edge_state = (fun st -> { st with Lattice.arg = Recursive.Unknown });
-        order = Dataflow.Depth_first;
-      }
-    in
+  else
     let sol =
       Solver.solve ~max_block_insns:max_insns ~max_blocks ~record:false
-        loaded.Loaded.table policy ~merge:Dataflow.First_write_wins ~entry:start
-        ~init:{ Lattice.init = Reg.args_mask; arg = Recursive.Unknown }
-        ()
+        loaded.Loaded.blocks (policy res) ~merge:Dataflow.First_write_wins
+        ~entry:start ~init:entry_state ()
     in
     match sol.Solver.fatal with Some v -> Error v | None -> Ok ()
-  end
 
 let ledger_fields v =
   [

@@ -27,6 +27,29 @@ type violation = { at : int; reg : Fetch_x86.Reg.t option }
     function's end into data. *)
 val validate : Loaded.t -> Recursive.result -> int -> (unit, violation) result
 
+(** {2 The solve behind {!validate}}
+
+    What {!validate} hands the dataflow engine, so that a reference
+    engine can run the same problem. *)
+
+(** The state: the initialized registers ({!Fetch_x86.Reg.mask}) and
+    the first argument at the walk's position. *)
+type state = { init : int; arg : Recursive.first_arg }
+
+module Lattice :
+  Fetch_check.Dataflow.LATTICE with type state = state and type fatal = violation
+
+(** The state at a candidate start: the arguments initialized. *)
+val entry_state : state
+
+(** The edge policy under [res]'s noreturn facts. *)
+val policy : Recursive.result -> (state, violation) Fetch_check.Dataflow.policy
+
+(** Fuel: instructions per walk, walks per solve. *)
+val max_insns : int
+
+val max_blocks : int
+
 (** The violation as decision-ledger operands: [viol_at] and [viol_reg]
     (the register's 64-bit name, or ["undecodable"]). *)
 val ledger_fields : violation -> (string * Fetch_obs.Provenance.value) list

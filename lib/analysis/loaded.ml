@@ -30,7 +30,7 @@ type t = {
   symbol_starts : int list;  (** defined FUNC symbol addresses *)
   seeds : int list;  (** [fde_starts] ∪ [symbol_starts], ascending *)
   table : Fetch_x86.Insn_table.t;
-  blocks : Block_table.t;
+  blocks : Fetch_x86.Block_table.t;
   cache : (int, unit) Hashtbl.t;
 }
 
@@ -97,7 +97,7 @@ let load ?eh image =
     symbol_starts;
     seeds = List.sort_uniq compare (fde_starts @ symbol_starts);
     table;
-    blocks = Block_table.create table;
+    blocks = Fetch_x86.Block_table.create table;
     cache;
   }
 

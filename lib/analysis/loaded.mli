@@ -19,7 +19,7 @@ type t = {
   table : Fetch_x86.Insn_table.t;
       (** the executable sections' decode table: every walker reads
           instructions and their facts here, each address decoded once *)
-  blocks : Block_table.t;
+  blocks : Fetch_x86.Block_table.t;
       (** the basic blocks over [table], built as walks reach them and
           shared by every recursive walk of this binary *)
   cache : (int, unit) Hashtbl.t;

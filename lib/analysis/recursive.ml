@@ -414,9 +414,9 @@ let grow ~safe ~extending loaded res ~seeds =
   (* what this call may make an entry: a text address, not a committed one *)
   let in_scope t = Loaded.in_text loaded t && not (committed t) in
   (* every start a walk asks about must start a cached block: the seeds,
-     the committed entries, and each entry, whose own walk begins there *)
+     and each entry, whose own walk begins there; a committed entry began
+     a walk of the call that committed it, and a start stays one *)
   let bt = loaded.Loaded.blocks in
-  if extending then Hashtbl.iter (fun e _ -> ignore (Bt.start bt e)) res.funcs;
   let seed = Itbl.create 16 in
   List.iter
     (fun s ->

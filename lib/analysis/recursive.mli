@@ -77,8 +77,9 @@ val run : ?safe:bool -> Loaded.t -> seeds:int list -> result
     a committed entry — exactly what xref validation guarantees for
     accepted function pointers (§IV-E).  A seed that lies inside the
     committed instructions, other than a committed entry, breaks that
-    and raises [Invalid_argument] before [res] changes.  Always runs the
-    safe engine. *)
+    and raises [Invalid_argument] before [res] changes.  [res] must come
+    from {!run} or {!extend} on this [loaded]: its entries start blocks
+    of [loaded]'s block cache.  Always runs the safe engine. *)
 val extend : Loaded.t -> result -> seeds:int list -> delta
 
 (** Detected function starts, ascending. *)
@@ -94,7 +95,7 @@ val starts : result -> int list
 
 (** The first argument (rdi) at a call site, as far as §IV-C's backward
     slice can prove it. *)
-type first_arg = Block_table.first_arg = Zero | Nonzero | Unknown
+type first_arg = Fetch_x86.Block_table.first_arg = Zero | Nonzero | Unknown
 
 (** [first_arg_step tbl s arg] is the first argument after the
     instruction in slot [s] of [tbl]:

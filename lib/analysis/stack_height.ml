@@ -20,7 +20,10 @@
       blocks stay unvisited (recall loss).
     - Both assume an unknown (indirect) callee preserves rsp.
     - Heights become unknown at instructions whose stack effect is not
-      statically trackable ([leave], [mov rsp, r]). *)
+      statically trackable ([leave], [mov rsp, r]).
+
+    A block's body with no such instruction is one step, through its
+    summed stack effect in the block table. *)
 
 open Fetch_x86
 module Dataflow = Fetch_check.Dataflow
@@ -44,13 +47,15 @@ module Lattice = struct
         | Some d -> Dataflow.Step (h - d)
         | None -> Dataflow.Drop (* untrackable: abandon the path *))
     | _ -> Dataflow.Step h (* successors inherit the jump-site height *)
+
+  let body bt k h =
+    if Block_table.sp_unknown bt k then None
+    else Some (h - Block_table.sp_delta bt k)
 end
 
 module Solver = Dataflow.Make (Lattice)
 
-(** The height at each address reached from [entry]; first write wins
-    (the arrival-order sensitivity is part of the model). *)
-let analyze loaded ~style entry =
+let policy loaded ~style =
   let table_allowed op preceding =
     match Jump_table.resolve loaded.Loaded.image ~preceding op with
     | Some { Jump_table.targets; _ } -> (
@@ -72,20 +77,25 @@ let analyze loaded ~style entry =
   (* both tools know FDE boundaries: the linear guess never crosses into
      another FDE-covered function *)
   let linear a = not (Loaded.fde_starting_at loaded a) in
-  let policy =
-    {
-      Solver.default_policy with
-      resolve_indirect = (fun ~window op -> table_allowed op window);
-      stop_walk = (fun a -> not (Loaded.in_text loaded a));
-      linear_after_jump = linear;
-      linear_after_indirect = (fun a -> style = Dyninst && linear a);
-      inline_cond_fallthrough = true;
-      order = Dataflow.Breadth_first;
-    }
-  in
+  {
+    Solver.default_policy with
+    resolve_indirect = (fun ~window op -> table_allowed op window);
+    linear_after_jump = linear;
+    linear_after_indirect = (fun a -> style = Dyninst && linear a);
+    inline_cond_fallthrough = true;
+    order = Dataflow.Breadth_first;
+  }
+
+(** The height at each address reached from [entry]; first write wins
+    (the arrival-order sensitivity is part of the model).  The walks
+    stay in text: the engine drops an edge out of the decode table's
+    ranges. *)
+let analyze loaded ~style entry =
   let sol =
     Solver.solve ~max_block_insns:max_int ~max_blocks:max_int
-      loaded.Loaded.table policy ~merge:Dataflow.First_write_wins ~entry
-      ~init:0 ()
+      loaded.Loaded.blocks (policy loaded ~style)
+      ~merge:Dataflow.First_write_wins ~entry ~init:0 ()
   in
-  Dataflow.Itbl.find_opt sol.Solver.states
+  let heights = Dataflow.Itbl.create 64 in
+  Solver.iter_states loaded.Loaded.table sol (Dataflow.Itbl.replace heights);
+  Dataflow.Itbl.find_opt heights

@@ -18,3 +18,14 @@ type style = Angr | Dyninst
     entry) at each address reached from [entry], [None] at any other;
     first write wins. *)
 val analyze : Loaded.t -> style:style -> int -> int -> int option
+
+(** {2 The solve behind {!analyze}}
+
+    What {!analyze} hands the dataflow engine, so that a reference
+    engine can run the same problem: the state is the height, from [0]
+    at the entry, with unbounded fuel. *)
+
+module Lattice :
+  Fetch_check.Dataflow.LATTICE with type state = int and type fatal = unit
+
+val policy : Loaded.t -> style:style -> (int, unit) Fetch_check.Dataflow.policy

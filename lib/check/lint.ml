@@ -12,7 +12,7 @@ type func = {
 }
 
 type view = {
-  table : Insn_table.t;
+  block_table : Block_table.t;
   funcs : func list;
   insn_spans : Insn_index.t;
   fdes : (int * int) list;
@@ -20,26 +20,24 @@ type view = {
   oracle_height : int -> int option;
   entry_height : int -> int option;
   callconv_ok : int -> bool;
-  call_returns : int option -> bool;
+  call_returns : int -> bool;
   referenced_outside_jumps_of : entry:int -> int -> bool;
   resolve_indirect :
     window:(int * int * Insn.t) list -> Insn.operand -> int list option;
 }
-
-let in_blocks f addr =
-  List.exists (fun (lo, hi) -> addr >= lo && addr < hi) f.blocks
 
 (* ---- jump-mid-insn: a direct/cond jump target strictly inside a
    committed instruction.  The committed span table is the run's ground
    truth of instruction boundaries; a jump that lands between [lo] and the
    instruction's end contradicts the disassembly that produced it. *)
 let rule_jump_mid_insn v emit =
+  let tbl = Block_table.table v.block_table in
   let seen = Hashtbl.create 16 in
   List.iter
     (fun f ->
       List.iter
         (fun (site, target) ->
-          if Insn_table.in_text v.table target then
+          if Insn_table.in_text tbl target then
             match Insn_index.find v.insn_spans target with
             | Some (lo, _)
               when lo <> target && not (Hashtbl.mem seen (site, target)) ->
@@ -93,7 +91,18 @@ let index_of v =
         f.blocks)
     owners;
   let order = Array.init n Fun.id in
-  Array.sort (fun a b -> Int.compare lo.(a) lo.(b)) order;
+  (* by (lo, block number): packed into one int each when they fit *)
+  let base = Array.fold_left min max_int lo in
+  let bits = ref 0 in
+  while 1 lsl !bits < n do
+    incr bits
+  done;
+  if Array.for_all (fun l -> l - base <= max_int asr !bits) lo then begin
+    let key = Array.mapi (fun b l -> ((l - base) lsl !bits) lor b) lo in
+    Array.stable_sort Int.compare key;
+    Array.iteri (fun i k -> order.(i) <- k land ((1 lsl !bits) - 1)) key
+  end
+  else Array.stable_sort (fun a b -> Int.compare lo.(a) lo.(b)) order;
   let run_max = Array.map (fun b -> hi.(b)) order in
   for i = 1 to n - 1 do
     run_max.(i) <- max run_max.(i) run_max.(i - 1)
@@ -113,13 +122,14 @@ let rec lower_bound ix t a b =
    range: agreeing boundaries are legitimate code sharing (Info),
    disagreeing ones mean the two decodes cannot both be right (Error). *)
 let boundaries_in v ~from ~lo ~hi =
+  let tbl = Block_table.table v.block_table in
   let rec walk addr acc =
     if addr >= hi then List.rev acc
     else
-      let s = Insn_table.find v.table addr in
+      let s = Insn_table.find tbl addr in
       if s < 0 then List.rev acc
       else
-        walk (addr + Insn_table.len v.table s)
+        walk (addr + Insn_table.len tbl s)
           (if addr >= lo then addr :: acc else acc)
   in
   walk from []
@@ -325,55 +335,93 @@ module Height = struct
         | Known h, Some d -> Dataflow.Step (Known (h - d))
         | _, None | Top, _ -> Dataflow.Step Top)
     | _ -> Dataflow.Step st
+
+  let body bt k = function
+    | Known h when not (Block_table.sp_unknown bt k) ->
+        Some (Known (h - Block_table.sp_delta bt k))
+    | Known _ | Top -> Some Top
 end
 
 module Height_solver = Dataflow.Make (Height)
 
+(* is [\[lo, hi)] inside one of the ranges? *)
+let rec covers ranges lo hi =
+  match ranges with
+  | [] -> false
+  | (l, h) :: rest -> (lo >= l && hi <= h) || covers rest lo hi
+
+(* walk only the function's own blocks: the oracle's heights are
+   per-FDE, so following a tail call — or a trailing call that never
+   returns falling into the next function — would compare this
+   function's height against its neighbour's CFI table *)
+let height_policy v f =
+  {
+    Height_solver.default_policy with
+    resolve_indirect = v.resolve_indirect;
+    call_returns = (fun t _ -> v.call_returns t);
+    may_walk =
+      (* the walk starts at the entry, in the run the list ends with *)
+      (let runs = List.rev f.blocks in
+       fun lo hi -> covers runs lo hi);
+  }
+
+(* Within [\[a, hi)], from height [h] at [a]: the first address where
+   the oracle disagrees, before [stop], as [(addr, h, oracle)].  Every
+   instruction but a block's last falls through, so the height follows
+   each one's {!Semantics.sp_delta}; an unknown one makes it [Top]. *)
+let rec first_mismatch v tbl a hi h stop =
+  if a >= stop then None
+  else
+    match v.oracle_height a with
+    | Some oh when oh <> h -> Some (a, h, oh)
+    | _ -> (
+        let s = Insn_table.find tbl a in
+        let a' = a + Insn_table.len tbl s in
+        if a' >= hi then None
+        else
+          match Semantics.sp_delta (Insn_table.insn tbl s) with
+          | Some d -> first_mismatch v tbl a' hi (h - d) stop
+          | None -> None)
+
+(* The solve records one state per block entry; each entry is expanded
+   alongside the oracle in one pass, up to the first mismatch found so
+   far.  An entry at [Top] stays there. *)
 let rule_height_mismatch v emit =
+  let tbl = Block_table.table v.block_table in
   List.iter
     (fun f ->
       (* only solve where the oracle can answer at all *)
       if v.complete_at f.entry then begin
-      (* walk only the function's own blocks: the oracle's heights are
-         per-FDE, so following a tail call — or a trailing call that
-         never returns falling into the next function — would compare
-         this function's height against its neighbour's CFI table *)
-      let policy =
-        {
-          Height_solver.default_policy with
-          resolve_indirect = v.resolve_indirect;
-          call_falls_through = (fun ~target _ -> v.call_returns target);
-          stop_walk = (fun addr -> not (in_blocks f addr));
-        }
-      in
-      let sol =
-        Height_solver.solve v.table policy ~merge:Dataflow.Join_fixpoint
-          ~entry:f.entry ~init:(Height.Known 0) ()
-      in
-      let worst = ref None in
-      Dataflow.Itbl.iter
-        (fun addr st ->
-          match (st, v.oracle_height addr) with
-          | Height.Known h, Some oh when h <> oh -> (
-              match !worst with
-              | Some (a, _, _) when a <= addr -> ()
-              | _ -> worst := Some (addr, h, oh))
-          | _ -> ())
-        sol.Height_solver.states;
-      match !worst with
-      | Some (addr, h, oh) ->
-          emit
-            {
-              Finding.rule = "height-mismatch";
-              severity = Finding.Warning;
-              addr;
-              related = Some f.entry;
-              message =
-                Printf.sprintf
-                  "static stack height %d disagrees with the CFI oracle (%d)" h
-                  oh;
-            }
-      | None -> ()
+        let sol =
+          Height_solver.solve v.block_table (height_policy v f)
+            ~merge:Dataflow.Join_fixpoint ~entry:f.entry ~init:(Height.Known 0) ()
+        in
+        let worst =
+          List.fold_left
+            (fun worst (lo, hi, st) ->
+              match st with
+              | Height.Top -> worst
+              | Height.Known h -> (
+                  let stop = match worst with Some (w, _, _) -> w | None -> max_int in
+                  match first_mismatch v tbl lo hi h stop with
+                  | Some _ as m -> m
+                  | None -> worst))
+            None sol.Height_solver.entries
+        in
+        match worst with
+        | Some (addr, h, oh) ->
+            emit
+              {
+                Finding.rule = "height-mismatch";
+                severity = Finding.Warning;
+                addr;
+                related = Some f.entry;
+                message =
+                  Printf.sprintf
+                    "static stack height %d disagrees with the CFI oracle (%d)"
+                    h oh;
+              }
+        | None -> ()
       end)
     v.funcs
 
@@ -396,7 +444,7 @@ let rule_split_fn_fde v emit =
           if
             target <> f.entry
             && Hashtbl.mem fde_start target
-            && (not (in_blocks f target))
+            && (not (covers f.blocks target (target + 1)))
             && not (Hashtbl.mem seen (target, f.entry, site))
           then
             match v.oracle_height site with

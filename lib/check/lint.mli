@@ -12,7 +12,7 @@
       function pair, from its first overlapping block pair in block-list
       order.  A sweep over a block index sorted by start:
       O(B log B + overlapping block pairs), plus one boundary walk per
-      finding.
+      finding; the sort is of packed ints (start, block number).
     - [jump-mid-insn] — a direct/conditional jump lands strictly inside a
       committed instruction ([Error]).  O(J).
     - [jump-mid-func] — a jump from one function lands inside another
@@ -31,7 +31,9 @@
     - [height-mismatch] — a sound join-based stack-height dataflow (run on
       {!Dataflow.Join_fixpoint}) disagrees with the CFI height oracle
       inside rsp-complete CFI coverage ([Warning]).  One solve per
-      function whose entry has complete CFI.
+      function whose entry has complete CFI; the solve records a state
+      per block entry, and each is expanded alongside the oracle in one
+      pass.
     - [split-fn-fde] — a kept function jumps out of its blocks to an FDE
       start that nothing but its own jumps references, and that FDE
       begins at the jump site's nonzero CFI height: the FDE describes a
@@ -39,7 +41,7 @@
       Fig. 6b's non-contiguous case, the one Algorithm 1 merges).
       O(D + J) table lookups plus one reference query per candidate.
 
-    The linter consumes a {!view} — plain data, the decode table and
+    The linter consumes a {!view} — plain data, the block table and
     closures — so it depends on no particular pipeline;
     [Fetch_core.Lint] adapts a finished pipeline result into one. *)
 
@@ -53,9 +55,9 @@ type func = {
 }
 
 type view = {
-  table : Insn_table.t;
-      (** the decoded text: instructions, their facts and the text
-          ranges *)
+  block_table : Block_table.t;
+      (** the decoded text's cached blocks, over its decode table
+          (instructions, their facts and the text ranges) *)
   funcs : func list;  (** final detected functions *)
   insn_spans : Fetch_util.Insn_index.t;
       (** committed instruction extents of the whole run *)
@@ -63,14 +65,16 @@ type view = {
   complete_at : int -> bool;
       (** is the address inside an FDE whose CFI passes the §V-B
           rsp-completeness test? *)
-  oracle_height : int -> int option;  (** CFI stack height, complete only *)
+  oracle_height : int -> int option;
+      (** CFI stack height, complete only; the height rule asks it about
+          ascending addresses, block by block *)
   entry_height : int -> int option;
       (** CFI stack height without the completeness test — a fragment's
           FDE starts mid-frame, so only the raw table answers there *)
   callconv_ok : int -> bool;  (** §IV-E verdict for a candidate start *)
-  call_returns : int option -> bool;
-      (** does execution continue after a call to this target ([None]:
-          an indirect call)? *)
+  call_returns : int -> bool;
+      (** does execution continue after a direct call to this target?
+          (after an indirect call it always does) *)
   referenced_outside_jumps_of : entry:int -> int -> bool;
       (** is the address referenced by anything but jumps of [entry]?
           (criterion 3 of Algorithm 1) *)
@@ -84,3 +88,19 @@ type view = {
     ([lint.findings.<rule>]) and, while a ledger run is live, records a
     [lint.finding] event, in sorted order. *)
 val run : view -> Finding.t list
+
+(** {2 The solve behind [height-mismatch]}
+
+    What the rule hands the dataflow engine for a function, so that a
+    reference engine can run the same problem: the flat lattice, from
+    [Known 0] at the entry, joined at block entries. *)
+
+module Height : sig
+  type state = Known of int | Top
+
+  include Dataflow.LATTICE with type state := state and type fatal = unit
+end
+
+(** Jump tables and call fall-through from the view, confined to the
+    function's blocks. *)
+val height_policy : view -> func -> (Height.state, unit) Dataflow.policy

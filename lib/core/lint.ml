@@ -3,9 +3,7 @@
 
 open Fetch_analysis
 
-let view_of (r : Pipeline.result) =
-  let loaded = r.Pipeline.loaded in
-  let res = r.Pipeline.rec_result in
+let view loaded (res : Recursive.result) ~starts ~refs =
   (* the linter looks only at the functions the pipeline kept *)
   let funcs =
     List.filter_map
@@ -19,10 +17,10 @@ let view_of (r : Pipeline.result) =
                 blocks = f.blocks;
                 jumps = f.all_jump_sites;
               })
-      r.Pipeline.starts
+      starts
   in
   {
-    Fetch_check.Lint.table = loaded.Loaded.table;
+    Fetch_check.Lint.block_table = loaded.Loaded.blocks;
     funcs;
     insn_spans = res.Recursive.insn_spans;
     fdes =
@@ -31,26 +29,27 @@ let view_of (r : Pipeline.result) =
           (f.pc_begin, f.pc_begin + f.pc_range))
         loaded.Loaded.fdes;
     complete_at = Fetch_dwarf.Height_oracle.complete_at loaded.Loaded.oracle;
-    oracle_height = Fetch_dwarf.Height_oracle.height_at loaded.Loaded.oracle;
+    oracle_height = Fetch_dwarf.Height_oracle.along loaded.Loaded.oracle;
     entry_height =
       Fetch_dwarf.Height_oracle.height_at_unchecked loaded.Loaded.oracle;
     callconv_ok = (fun s -> Result.is_ok (Callconv.validate loaded res s));
     call_returns =
-      (function
-      | Some t ->
-          (* conditionally-noreturn callees may return: falling through
-             is the sound assumption for the height comparison *)
-          Recursive.call_returns ~noreturn:res.noreturn
-            ~cond_noreturn:res.cond_noreturn Recursive.Zero t
-      | None -> true);
+      (fun t ->
+        (* conditionally-noreturn callees may return: falling through is
+           the sound assumption for the height comparison *)
+        Recursive.call_returns ~noreturn:res.noreturn
+          ~cond_noreturn:res.cond_noreturn Recursive.Zero t);
     referenced_outside_jumps_of =
       (fun ~entry t ->
-        Refs.referenced_outside_jumps_of r.Pipeline.refs ~entry t);
+        Refs.referenced_outside_jumps_of refs ~entry t);
     resolve_indirect =
       (fun ~window op ->
         match Jump_table.resolve loaded.Loaded.image ~preceding:window op with
         | Some { Jump_table.targets; _ } -> Some targets
         | None -> None);
   }
+
+let view_of (r : Pipeline.result) =
+  view r.loaded r.rec_result ~starts:r.starts ~refs:r.refs
 
 let run r = Fetch_check.Lint.run (view_of r)

@@ -35,7 +35,10 @@ let d_rej_callconv = rejection "callconv"
 
 let () =
   Fetch_obs.Law.declare ~total:"tailcall.pairs_examined"
-    [ "tailcall.tail_calls"; "tailcall.reject.*" ]
+    [ "tailcall.tail_calls"; "tailcall.reject.*" ];
+  (* a merge follows only a pair that is not a tail call *)
+  Fetch_obs.Law.declare ~rel:Fetch_obs.Law.At_most ~total:"tailcall.merges"
+    [ "tailcall.reject.*" ]
 
 type outcome = {
   kept_starts : int list;

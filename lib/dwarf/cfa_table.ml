@@ -108,10 +108,12 @@ let row_at rows off =
     that point (height = cfa_offset - 8: at entry CFA = rsp + 8, height 0;
     height 0 means rsp points right below the return address, the tail-call
     precondition of Algorithm 1). *)
-let height_at rows off =
-  match row_at rows off with
-  | Some { cfa = Cfa_reg_offset (r, o); _ } when r = dw_rsp -> Some (o - 8)
-  | Some _ | None -> None
+let row_height (row : row) =
+  match row.cfa with
+  | Cfa_reg_offset (r, o) when r = dw_rsp -> Some (o - 8)
+  | Cfa_reg_offset _ | Cfa_expr -> None
+
+let height_at rows off = Option.bind (row_at rows off) row_height
 
 (** The paper's conservativeness test (§V-B): the CFI gives complete stack
     height information iff the CFA is always represented via rsp, starts as

@@ -44,6 +44,9 @@ val row_at : row list -> int -> row option
     address — the tail-call precondition of Algorithm 1). *)
 val height_at : row list -> int -> int option
 
+(** {!height_at} in effect from one row on. *)
+val row_height : row -> int option
+
 (** The paper's conservativeness test (§V-B): the CFI gives complete
     stack-height information iff the CFA starts as rsp + 8 and stays
     rsp-based with explicit offsets at every change point. *)

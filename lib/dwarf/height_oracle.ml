@@ -63,6 +63,50 @@ let height_at t addr =
       Cfa_table.height_at e.rows (addr - e.fde.pc_begin)
   | Some _ | None -> None
 
+(* The FDE range of the last answer ([lo = hi] before the first), and,
+   when its CFI is complete, its rows from the one in effect at the last
+   offset asked ([at]). *)
+type cursor = {
+  mutable lo : int;
+  mutable hi : int;
+  mutable complete : bool;
+  mutable rows : Cfa_table.row list;
+  mutable at : Cfa_table.row list;
+  mutable off : int;
+}
+
+(* the rows from the last one at or before [off] on *)
+let rec step_to off = function
+  | _ :: (r :: _ as rest) when r.Cfa_table.loc <= off -> step_to off rest
+  | at -> at
+
+let along t =
+  let c = { lo = 0; hi = 0; complete = false; rows = []; at = []; off = 0 } in
+  fun addr ->
+    if addr < c.lo || addr >= c.hi then begin
+      match entry_at t addr with
+      | Some e ->
+          c.lo <- e.fde.pc_begin;
+          c.hi <- e.fde.pc_begin + e.fde.pc_range;
+          c.complete <- e.complete;
+          c.rows <- e.rows;
+          c.at <- e.rows;
+          c.off <- 0
+      | None ->
+          c.lo <- 0;
+          c.hi <- 0
+    end;
+    if addr < c.lo || addr >= c.hi || not c.complete then None
+    else begin
+      let off = addr - c.lo in
+      if off < c.off then c.at <- c.rows;
+      c.off <- off;
+      c.at <- step_to off c.at;
+      match c.at with
+      | r :: _ when r.Cfa_table.loc <= off -> Cfa_table.row_height r
+      | _ -> None
+    end
+
 (** Height regardless of the completeness test — for a fragment's FDE
     start, which lies mid-frame (see the interface). *)
 let height_at_unchecked t addr =

@@ -27,6 +27,12 @@ val complete_at : t -> int -> bool
     is incomplete. *)
 val height_at : t -> int -> int option
 
+(** [along t] is {!height_at} for one reader, in any order of
+    addresses.  It keeps the FDE of its last answer and the row in effect
+    there, so an address at or after the last one, in the same FDE,
+    costs no lookup and only the rows between. *)
+val along : t -> int -> int option
+
 (** Height regardless of the completeness test — what the lint rule
     [split-fn-fde] reads at a fragment's FDE start, which lies mid-frame
     and so never passes the test. *)

@@ -1,10 +1,11 @@
 (** Counter conservation laws (see mli). *)
 
-type t = { total : string; parts : string list }
+type relation = Equal | At_most
+type t = { total : string; rel : relation; parts : string list }
 
 (* every declared law, newest first (declared at module init) *)
 let rev_laws = ref []
-let declare ~total parts = rev_laws := { total; parts } :: !rev_laws
+let declare ?(rel = Equal) ~total parts = rev_laws := { total; rel; parts } :: !rev_laws
 let all () = List.rev !rev_laws
 
 (* ["xref.reject.*"] -> [Some "xref.reject."] *)
@@ -15,18 +16,21 @@ let prefix_of part =
 
 let to_string law =
   let part p = if prefix_of p = None then p else "Σ " ^ p in
-  law.total ^ " = " ^ String.concat " + " (List.map part law.parts)
+  let op = match law.rel with Equal -> " = " | At_most -> " ≤ " in
+  law.total ^ op ^ String.concat " + " (List.map part law.parts)
 
-(* a part's value; [None] when a named part is missing *)
+(* a part's value; [None] when a named part, or every counter of a
+   prefix, is missing *)
 let value counters part =
   match prefix_of part with
   | None -> List.assoc_opt part counters
   | Some prefix ->
-      Some
-        (List.fold_left
-           (fun acc (name, v) ->
-             if String.starts_with ~prefix name then acc + v else acc)
-           0 counters)
+      List.fold_left
+        (fun acc (name, v) ->
+          if String.starts_with ~prefix name then
+            Some (v + Option.value acc ~default:0)
+          else acc)
+        None counters
 
 let broken counters =
   List.filter_map
@@ -35,6 +39,7 @@ let broken counters =
       match List.assoc_opt law.total counters with
       | Some total when List.for_all Option.is_some parts ->
           let sum = List.fold_left (fun acc v -> acc + Option.get v) 0 parts in
-          if sum <> total then Some (law, total, sum) else None
+          let holds = match law.rel with Equal -> total = sum | At_most -> total <= sum in
+          if holds then None else Some (law, total, sum)
       | Some _ | None -> None)
     (all ())

@@ -57,13 +57,27 @@ let in_code t addr =
   let o = Offset_map.offset t.map addr in
   o >= 0 && get t o land code_bit <> 0
 
+(* The bytes of committed instructions in offsets [\[o, stop)], an
+   instruction at a time: [d] is a start's length or a later byte's
+   distance back to its start. *)
+let rec covered_from t o stop n =
+  if o >= stop then n
+  else
+    let v = get t o in
+    let d = v land max_len in
+    if d = 0 then covered_from t (o + 1) stop n
+    else
+      let e = if v land start_bit <> 0 then o + d else o - d + (get t (o - d) land max_len) in
+      covered_from t e stop (n + min e stop - o)
+
 let covered t ~lo ~hi =
-  let n = ref 0 in
-  Offset_map.iter t.map (fun ~lo:rlo ~hi:rhi ~base ->
-      for o = base + max lo rlo - rlo to base + min hi rhi - rlo - 1 do
-        if get t o land max_len <> 0 then incr n
-      done);
-  !n
+  let o = Offset_map.span t.map ~lo ~hi in
+  if o >= 0 then covered_from t o (o + hi - lo) 0
+  else
+    let n = ref 0 in
+    Offset_map.iter t.map (fun ~lo:rlo ~hi:rhi ~base ->
+        n := covered_from t (base + max lo rlo - rlo) (base + min hi rhi - rlo) !n);
+    !n
 
 let next_from t addr =
   let exception Found of int * int in

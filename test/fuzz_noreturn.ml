@@ -20,7 +20,12 @@
      5. the draw's [Loaded.t], its block cache warmed by all of the
         above, answers [run] and [Xref.detect] like a fresh load of the
         same image: same functions field for field, spans, facts and
-        seeds.
+        seeds;
+     6. every dataflow solve behind [Xref.detect]'s result equals the
+        per-instruction model ([Reference.solves_agree]): the §IV-E
+        verdict and solve at each kept start and pointer candidate, both
+        stack-height styles from each kept start, and the lint report
+        of the kept starts.
 
    Runs as part of `dune runtest` and as a CI smoke job.  A failure
    prints the seed, the iteration and the draw, which a tier-1 case in
@@ -84,7 +89,15 @@ let () =
     let res_r, seeds_r, _ = Reference.xref loaded ~seeds in
     if seeds_i <> seeds_r || Reference.signature res_i <> Reference.signature res_r
     then fail "xref incremental <> reference";
-    if not (Reference.warm_like_fresh loaded ~seeds) then fail "warm Loaded <> fresh"
+    if not (Reference.warm_like_fresh loaded ~seeds) then fail "warm Loaded <> fresh";
+    let starts = Recursive.starts res_i and refs = Fetch_core.Refs.collect loaded res_i in
+    match
+      Reference.solves_agree loaded res_i ~starts
+        ~cands:(Fetch_core.Refs.pointer_candidates refs)
+        (Fetch_core.Lint.view loaded res_i ~starts ~refs)
+    with
+    | Ok () -> ()
+    | Error e -> fail ("block solves <> model: " ^ e)
   done;
   if !failures > 0 then begin
     Printf.printf "fuzz_noreturn: %d FAILURES (seed %d, %d iters)\n" !failures

@@ -393,3 +393,317 @@ let xref ?(max_rounds = 64) loaded ~seeds =
           loop (budget - 1) (List.sort_uniq compare (cand :: seeds)) (accepted + 1)
   in
   loop max_rounds seeds 0
+
+(* ---- The dataflow engine, one instruction at a time: the model the
+   block-stepping solves of [Fetch_check.Dataflow] are held to.  A walk
+   applies the transfer at every instruction and records every
+   pre-state by address (first write wins, or joined); the policy is the
+   engine's own, asked per address ([may_walk a (a + 1)]). *)
+
+module Dataflow = Fetch_check.Dataflow
+
+module Solve (L : Dataflow.LATTICE) = struct
+  type solution = {
+    states : (int, L.state) Hashtbl.t;
+    fatal : L.fatal option;
+    exhausted : bool;
+    blocks_walked : int;
+    steps : int;
+    joins : int;
+  }
+
+  exception Fatal_stop of L.fatal
+
+  let solve ?(max_block_insns = 4096) ?(max_blocks = 4096) ?(record = true) tbl
+      (policy : (L.state, L.fatal) Dataflow.policy) ~merge ~entry ~init () =
+    let joining = merge = Dataflow.Join_fixpoint in
+    let states = Hashtbl.create 64 and in_states = Hashtbl.create 32 in
+    let visited = Hashtbl.create 32 in
+    let stack = ref [] and fifo = Queue.create () in
+    let push succs =
+      match policy.order with
+      | Dataflow.Depth_first -> stack := succs @ !stack
+      | Dataflow.Breadth_first -> List.iter (fun x -> Queue.add x fifo) succs
+    in
+    let pop () =
+      match (policy.order, !stack) with
+      | Dataflow.Depth_first, x :: rest ->
+          stack := rest;
+          Some x
+      | Dataflow.Depth_first, [] -> None
+      | Dataflow.Breadth_first, _ -> Queue.take_opt fifo
+    in
+    let exhausted = ref false and blocks = ref 0 and steps = ref 0 and joins = ref 0 in
+    let stop_walk a = not (policy.may_walk a (a + 1)) in
+    let record_state addr st =
+      if record then
+        match Hashtbl.find_opt states addr with
+        | None -> Hashtbl.replace states addr st
+        | Some old ->
+            if joining then
+              let j = L.join old st in
+              if not (L.equal j old) then Hashtbl.replace states addr j
+    in
+    let walk_block b st0 =
+      let succs = ref [] in
+      let emit st t =
+        if Insn_table.in_text tbl t && not (stop_walk t) then
+          succs := (t, policy.edge_state st) :: !succs
+      in
+      (* the reversed (addr, len, insn) run from [b] through [upto] *)
+      let window_to upto =
+        let rec run a acc =
+          if a > upto then acc
+          else
+            let s = Insn_table.find tbl a in
+            let len = Insn_table.len tbl s in
+            run (a + len) ((a, len, Insn_table.insn tbl s) :: acc)
+        in
+        run b []
+      in
+      let rec go addr st fuel =
+        if fuel <= 0 then exhausted := true
+        else if stop_walk addr then ()
+        else
+          let s = Insn_table.find tbl addr in
+          if s < 0 then (
+            match policy.undecodable addr with
+            | Some f -> raise (Fatal_stop f)
+            | None -> ())
+          else begin
+            incr steps;
+            record_state addr st;
+            match L.transfer tbl ~addr s st with
+            | Dataflow.Fatal f -> raise (Fatal_stop f)
+            | Dataflow.Drop -> ()
+            | Dataflow.Step st' -> (
+                let next = addr + Insn_table.len tbl s in
+                match Insn_table.flow tbl s with
+                | Semantics.Fall | Semantics.Callf (Semantics.Indirect _) ->
+                    go next st' (fuel - 1)
+                | Semantics.Ret | Semantics.Halt -> ()
+                | Semantics.Jump (Semantics.Direct t) ->
+                    emit st' t;
+                    if policy.linear_after_jump next then go next st' (fuel - 1)
+                | Semantics.Cond t ->
+                    emit st' t;
+                    if policy.inline_cond_fallthrough then go next st' (fuel - 1)
+                    else emit st' next
+                | Semantics.Jump (Semantics.Indirect op) -> (
+                    match policy.resolve_indirect ~window:(window_to addr) op with
+                    | Some ts -> List.iter (emit st') ts
+                    | None ->
+                        if policy.linear_after_indirect next then
+                          go next st' (fuel - 1))
+                | Semantics.Callf (Semantics.Direct t) ->
+                    if policy.call_returns t st then go next st' (fuel - 1))
+          end
+      in
+      go b st0 max_block_insns;
+      List.rev !succs
+    in
+    let admit succs =
+      if not joining then succs
+      else
+        List.filter_map
+          (fun (t, s) ->
+            match Hashtbl.find_opt in_states t with
+            | None ->
+                Hashtbl.replace in_states t s;
+                Some (t, s)
+            | Some old ->
+                let j = L.join old s in
+                if L.equal j old then None
+                else begin
+                  incr joins;
+                  Hashtbl.replace in_states t j;
+                  Some (t, j)
+                end)
+          succs
+    in
+    if joining then Hashtbl.replace in_states entry init;
+    push [ (entry, init) ];
+    let fatal =
+      try
+        let rec loop () =
+          match pop () with
+          | None -> ()
+          | Some (b, st) ->
+              if !blocks >= max_blocks then exhausted := true
+              else begin
+                if joining || not (Hashtbl.mem visited b) then begin
+                  Hashtbl.replace visited b ();
+                  incr blocks;
+                  push (admit (walk_block b st))
+                end;
+                loop ()
+              end
+        in
+        loop ();
+        None
+      with Fatal_stop f -> Some f
+    in
+    { states; fatal; exhausted = !exhausted; blocks_walked = !blocks; steps = !steps; joins = !joins }
+end
+
+(* Both engines on one problem: [Ok ()] when the block-stepping solve
+   equals the model in verdict, fuel, counts and every recorded state,
+   [Error] naming the first difference otherwise. *)
+module Agree (L : Dataflow.LATTICE) = struct
+  module B = Dataflow.Make (L)
+  module M = Solve (L)
+
+  let check ?max_block_insns ?max_blocks ?record bt policy ~merge ~entry ~init () =
+    let tbl = Fetch_x86.Block_table.table bt in
+    let m = M.solve ?max_block_insns ?max_blocks ?record tbl policy ~merge ~entry ~init () in
+    let b = B.solve ?max_block_insns ?max_blocks ?record bt policy ~merge ~entry ~init () in
+    let states = Hashtbl.create 64 and twice = ref false in
+    B.iter_states tbl b (fun a st ->
+        if Hashtbl.mem states a then twice := true;
+        Hashtbl.replace states a st);
+    let same_states =
+      Hashtbl.length states = Hashtbl.length m.states
+      && Hashtbl.fold
+           (fun a st ok ->
+             ok && match Hashtbl.find_opt states a with Some st' -> L.equal st st' | None -> false)
+           m.states true
+    in
+    let diff what = Error (Printf.sprintf "entry %#x: %s" entry what) in
+    if b.fatal <> m.fatal then diff "verdict"
+    else if b.exhausted <> m.exhausted then diff "fuel"
+    else if b.blocks_walked <> m.blocks_walked then diff "blocks walked"
+    else if b.steps <> m.steps then diff "steps"
+    else if b.joins <> m.joins then diff "joins"
+    else if !twice then diff "an instruction recorded twice"
+    else if not same_states then diff "recorded states"
+    else Ok ()
+end
+
+module Callconv_agree = Agree (Callconv.Lattice)
+module Heights_agree = Agree (Stack_height.Lattice)
+module Lint_agree = Agree (Fetch_check.Lint.Height)
+
+(* [Callconv.validate], on the model engine *)
+let callconv loaded res start =
+  if not (Loaded.in_text loaded start) then Error { Callconv.at = start; reg = None }
+  else
+    let sol =
+      Callconv_agree.M.solve ~max_block_insns:Callconv.max_insns
+        ~max_blocks:Callconv.max_blocks ~record:false loaded.Loaded.table
+        (Callconv.policy res) ~merge:Dataflow.First_write_wins ~entry:start
+        ~init:Callconv.entry_state ()
+    in
+    match sol.fatal with Some v -> Error v | None -> Ok ()
+
+(* [Stack_height.analyze], on the model engine: the heights by address *)
+let stack_heights loaded ~style entry =
+  (Heights_agree.M.solve ~max_block_insns:max_int ~max_blocks:max_int
+     loaded.Loaded.table (Stack_height.policy loaded ~style)
+     ~merge:Dataflow.First_write_wins ~entry ~init:0 ())
+    .states
+
+(* [Fetch_check.Lint.run] with its two solving rules on the model
+   engine: [start-callconv] through {!callconv}, and [height-mismatch]
+   comparing every recorded address with the oracle. *)
+let lint loaded res (v : Fetch_check.Lint.view) =
+  let module Lint = Fetch_check.Lint in
+  let others =
+    Lint.run
+      {
+        v with
+        callconv_ok = (fun s -> Result.is_ok (callconv loaded res s));
+        complete_at = (fun _ -> false);
+      }
+  in
+  let tbl = Fetch_x86.Block_table.table v.block_table in
+  let heights =
+    List.filter_map
+      (fun (f : Lint.func) ->
+        if not (v.complete_at f.entry) then None
+        else
+          let sol =
+            Lint_agree.M.solve tbl (Lint.height_policy v f) ~merge:Dataflow.Join_fixpoint
+              ~entry:f.entry ~init:(Lint.Height.Known 0) ()
+          in
+          Hashtbl.fold
+            (fun addr st worst ->
+              match (st, v.oracle_height addr) with
+              | Lint.Height.Known h, Some oh when h <> oh -> (
+                  match worst with
+                  | Some (a, _, _) when a <= addr -> worst
+                  | _ -> Some (addr, h, oh))
+              | _ -> worst)
+            sol.states None
+          |> Option.map (fun (addr, h, oh) ->
+                 {
+                   Fetch_check.Finding.rule = "height-mismatch";
+                   severity = Fetch_check.Finding.Warning;
+                   addr;
+                   related = Some f.entry;
+                   message =
+                     Printf.sprintf
+                       "static stack height %d disagrees with the CFI oracle (%d)" h oh;
+                 }))
+      v.funcs
+  in
+  List.sort Fetch_check.Finding.compare (others @ heights)
+
+(* Every solve behind the detection [res] on [loaded], and the
+   linter's, against the model engine, for the functions at [starts]
+   and the candidates [cands]: §IV-E's verdict at each, its full solve,
+   both stack-height styles from each start (the heights by address and
+   the full solves), and the lint report of [view] with its two solving
+   rules on the model.  [Ok ()] or the first difference. *)
+let solves_agree loaded res ~starts ~cands (view : Fetch_check.Lint.view) =
+  let ( let* ) = Result.bind in
+  let bt = loaded.Loaded.blocks in
+  let rec each f = function
+    | [] -> Ok ()
+    | x :: rest ->
+        let* () = f x in
+        each f rest
+  in
+  let* () =
+    each
+      (fun s ->
+        if Callconv.validate loaded res s <> callconv loaded res s then
+          Error (Printf.sprintf "callconv verdict at %#x" s)
+        else if not (Loaded.in_text loaded s) then Ok ()
+        else
+          Callconv_agree.check ~max_block_insns:Callconv.max_insns
+            ~max_blocks:Callconv.max_blocks ~record:false bt (Callconv.policy res)
+            ~merge:Dataflow.First_write_wins ~entry:s ~init:Callconv.entry_state ())
+      (starts @ cands)
+  in
+  let* () =
+    each
+      (fun s ->
+        each
+          (fun style ->
+            let model = stack_heights loaded ~style s in
+            let heights = Stack_height.analyze loaded ~style s in
+            let keys = Hashtbl.fold (fun a _ acc -> a :: acc) model [] in
+            let lo = List.fold_left min s keys and hi = List.fold_left max s keys in
+            let rec same a =
+              a > hi + 16 || (heights a = Hashtbl.find_opt model a && same (a + 1))
+            in
+            if not (same (lo - 16)) then Error (Printf.sprintf "stack heights from %#x" s)
+            else
+              Heights_agree.check ~max_block_insns:max_int ~max_blocks:max_int bt
+                (Stack_height.policy loaded ~style) ~merge:Dataflow.First_write_wins
+                ~entry:s ~init:0 ())
+          [ Stack_height.Angr; Stack_height.Dyninst ])
+      starts
+  in
+  let* () =
+    each
+      (fun (f : Fetch_check.Lint.func) ->
+        if not (view.complete_at f.entry) then Ok ()
+        else
+          Lint_agree.check bt (Fetch_check.Lint.height_policy view f)
+            ~merge:Dataflow.Join_fixpoint ~entry:f.entry
+            ~init:(Fetch_check.Lint.Height.Known 0) ())
+      view.funcs
+  in
+  if Fetch_check.Lint.run view <> lint loaded res view then Error "lint findings"
+  else Ok ()

@@ -1478,6 +1478,64 @@ let test_rec_cond_noreturn_bound () =
         (Recursive.detect_cond_noreturn loaded f))
     [ (6, false); (7, false); (8, false); (7, true); (8, true) ]
 
+(* Each lattice's [body] over a cached block equals its [transfer]
+   folded over the block's body one instruction at a time: [None]
+   exactly when an instruction drops the path or fails, the same state
+   otherwise.  Every block of the synth and adversarial images, after a
+   pipeline run and its lint built and split them, from several states
+   each. *)
+let test_body_summaries () =
+  let module Df = Fetch_check.Dataflow in
+  let module Height = Fetch_check.Lint.Height in
+  let fold (type s f) transfer (bt : Block_table.t) k (st : s) : s option =
+    let tbl = Block_table.table bt in
+    let rec go a i (st : s) =
+      if i = 0 then Some st
+      else
+        let s = Insn_table.find tbl a in
+        match (transfer tbl ~addr:a s st : (s, f) Df.step) with
+        | Df.Step st -> go (a + Insn_table.len tbl s) (i - 1) st
+        | Df.Drop | Df.Fatal _ -> None
+    in
+    go (Block_table.lo bt k) (Block_table.body_insns bt k) st
+  in
+  let masks =
+    [ 0; Reg.args_mask; 0xffff; Reg.callee_saved_mask; Reg.mask [ Reg.Rax; Reg.Rbx ] ]
+  in
+  let regs =
+    List.concat_map
+      (fun init ->
+        List.map
+          (fun arg -> { Callconv.init; arg })
+          [ Recursive.Zero; Recursive.Nonzero; Recursive.Unknown ])
+      masks
+  in
+  List.iter
+    (fun img ->
+      let r = Fetch_core.Pipeline.run img in
+      ignore (Fetch_core.Lint.run r);
+      let bt = r.loaded.Loaded.blocks in
+      for k = 0 to Block_table.count bt - 1 do
+        let at = Printf.sprintf "block at %#x" (Block_table.lo bt k) in
+        List.iter
+          (fun st ->
+            check Alcotest.bool (at ^ ": registers") true
+              (Callconv.Lattice.body bt k st = fold Callconv.Lattice.transfer bt k st))
+          regs;
+        List.iter
+          (fun h ->
+            check (Alcotest.option Alcotest.int) (at ^ ": height")
+              (fold Stack_height.Lattice.transfer bt k h)
+              (Stack_height.Lattice.body bt k h))
+          [ 0; 24 ];
+        List.iter
+          (fun st ->
+            check Alcotest.bool (at ^ ": flat height") true
+              (Height.body bt k st = fold Height.transfer bt k st))
+          [ Height.Known 0; Height.Known (-40); Height.Top ]
+      done)
+    (Lazy.force table_images)
+
 let suite =
   [
     Alcotest.test_case "rec: follows calls" `Quick test_rec_follows_calls;
@@ -1542,4 +1600,6 @@ let suite =
       test_rec_odd_targets_linear;
     Alcotest.test_case "rec: error-style path bound, across blocks" `Quick
       test_rec_cond_noreturn_bound;
+    Alcotest.test_case "blocks: body summaries == per-instruction fold" `Quick
+      test_body_summaries;
   ]

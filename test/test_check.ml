@@ -58,11 +58,32 @@ module Count = struct
     | I.Nop _ -> Dataflow.Step (st + 1)
     | I.Ud2 -> Dataflow.Fatal addr
     | _ -> Dataflow.Step st
+
+  (* the NOPs of a block's body, unless it holds a [ud2] *)
+  let body bt k st =
+    let tbl = Block_table.table bt in
+    let rec go a i st =
+      if i = 0 then Some st
+      else
+        let s = Insn_table.find tbl a in
+        let a' = a + Insn_table.len tbl s in
+        match Insn_table.insn tbl s with
+        | I.Nop _ -> go a' (i - 1) (st + 1)
+        | I.Ud2 -> None
+        | _ -> go a' (i - 1) st
+    in
+    go (Block_table.lo bt k) (Block_table.body_insns bt k) st
 end
 
 module CS = Dataflow.Make (Count)
 
-let prog_of (loaded : Loaded.t) = loaded.table
+let prog_of (loaded : Loaded.t) = loaded.blocks
+
+(* the recorded pre-state at [a] *)
+let state_at (loaded : Loaded.t) sol a =
+  let found = ref None in
+  CS.iter_states loaded.table sol (fun a' st -> if a' = a then found := Some st);
+  !found
 
 (* Diamond: the left path counts two NOPs, the right path none; both end
    with an explicit jump to [merge]. *)
@@ -90,7 +111,7 @@ let test_engine_first_write_wins () =
      fallthrough, so the 2-NOP path reaches [merge] first and later
      arrivals are discarded *)
   check (Alcotest.option Alcotest.int) "first arrival kept" (Some 2)
-    (Dataflow.Itbl.find_opt sol.CS.states (label asm "merge"));
+    (state_at loaded sol (label asm "merge"));
   check Alcotest.int "four blocks walked" 4 sol.CS.blocks_walked;
   check Alcotest.bool "not exhausted" false sol.CS.exhausted;
   check (Alcotest.option Alcotest.int) "no fatal" None sol.CS.fatal
@@ -103,7 +124,7 @@ let test_engine_join_fixpoint () =
   in
   (* the join (min) over both paths survives regardless of arrival order *)
   check (Alcotest.option Alcotest.int) "joined over both paths" (Some 0)
-    (Dataflow.Itbl.find_opt sol.CS.states (label asm "merge"));
+    (state_at loaded sol (label asm "merge"));
   check Alcotest.bool "at least one in-state update" true (sol.CS.joins >= 1)
 
 let test_engine_fatal_stops () =
@@ -156,13 +177,13 @@ let test_engine_edge_state_resets () =
   in
   let plain = solve CS.default_policy in
   check (Alcotest.option Alcotest.int) "state crosses the edge" (Some 2)
-    (Dataflow.Itbl.find_opt plain.CS.states (label asm "b"));
+    (state_at loaded plain (label asm "b"));
   let reset =
     solve
       { CS.default_policy with edge_state = (fun _ -> 0) }
   in
   check (Alcotest.option Alcotest.int) "edge hook reset the state" (Some 0)
-    (Dataflow.Itbl.find_opt reset.CS.states (label asm "b"))
+    (state_at loaded reset (label asm "b"))
 
 let test_engine_undecodable_policy () =
   let loaded, asm =
@@ -178,6 +199,50 @@ let test_engine_undecodable_policy () =
   check (Alcotest.option Alcotest.int) "undecodable byte is fatal"
     (Some (label asm "f" + 1))
     sol.CS.fatal
+
+(* A walk that begins mid-block splits a block an earlier walk recorded:
+   the split-off part keeps the state the earlier walk reached it with
+   (first write wins), or joins the new one into it.  Breadth-first, the
+   walk from [a] records [\[a, ret\]] with 2 NOPs counted at [mid]; the
+   jump from the fallthrough then begins a walk at [mid] with 0. *)
+let test_engine_split_keeps_records () =
+  let items =
+    [
+      Asm.Label "f";
+      Asm.I (I.Test (I.W64, Reg.Rdi, Reg.Rdi));
+      Asm.I (I.Jcc (I.E, I.To_label "a"));
+      Asm.I (I.Jmp (I.To_label "mid"));
+      Asm.Label "a";
+      Asm.I (I.Nop 1);
+      Asm.I (I.Nop 1);
+      Asm.Label "mid";
+      Asm.I (I.Nop 1);
+      Asm.Label "ret";
+      Asm.I I.Ret;
+    ]
+  in
+  let module M = Reference.Solve (Count) in
+  List.iter
+    (fun (merge, name, at_mid, at_ret) ->
+      let loaded, asm = loaded_of items in
+      let sol =
+        CS.solve (prog_of loaded) CS.default_policy ~merge ~entry:(label asm "f")
+          ~init:0 ()
+      in
+      check (Alcotest.option Alcotest.int) (name ^ ": at mid") (Some at_mid)
+        (state_at loaded sol (label asm "mid"));
+      check (Alcotest.option Alcotest.int) (name ^ ": at ret") (Some at_ret)
+        (state_at loaded sol (label asm "ret"));
+      let model =
+        M.solve loaded.table CS.default_policy ~merge ~entry:(label asm "f") ~init:0 ()
+      in
+      check (Alcotest.option Alcotest.int) (name ^ ": the model at mid") (Some at_mid)
+        (Hashtbl.find_opt model.states (label asm "mid"));
+      check Alcotest.int (name ^ ": steps") model.steps sol.CS.steps)
+    [
+      (Dataflow.First_write_wins, "first write", 2, 3);
+      (Dataflow.Join_fixpoint, "join", 0, 1);
+    ]
 
 (* --- §IV-E on the engine: caller-saved registers die at call sites --- *)
 
@@ -219,6 +284,63 @@ let test_callconv_callee_saved_survives_call () =
   in
   check Alcotest.bool "rbx survives the call" true (Result.is_ok v)
 
+(* An indirect call does not end a block: [b]'s body clobbers r10 with
+   the call and then reads it, which fails whatever the state [b] is
+   entered with (here r10 initialized, in [f]).  The block summary must
+   say so, not only the per-instruction step. *)
+let test_callconv_indirect_call_clobbers_in_block () =
+  let v, asm =
+    validate_items
+      [
+        Asm.Label "f";
+        Asm.I (I.Mov (I.W64, I.Reg Reg.R10, I.Imm 7));
+        Asm.I (I.Jmp (I.To_label "b"));
+        Asm.Label "b";
+        Asm.I (I.Call_ind (I.Reg Reg.Rdi));
+        Asm.Label "read";
+        Asm.I (I.Mov (I.W64, I.Reg Reg.Rdx, I.Reg Reg.R10));
+        Asm.I I.Ret;
+      ]
+  in
+  check Alcotest.bool "stale r10 read after the indirect call" true
+    (v = Error { Callconv.at = label asm "read"; reg = Some Reg.R10 })
+
+(* The 64-instruction fuel cuts a long block exactly where a walk that
+   steps every instruction stops: a stale read as the 64th instruction
+   is a violation, as the 65th it is never reached. *)
+let test_callconv_fuel_cuts_a_block () =
+  let with_read_at n =
+    validate_items
+      (Asm.Label "f"
+       :: List.init (n - 1) (fun _ -> Asm.I (I.Nop 1))
+      @ [ Asm.Label "read"; Asm.I (I.Mov (I.W64, I.Reg Reg.Rax, I.Reg Reg.R10)); Asm.I I.Ret ])
+  in
+  let v, asm = with_read_at Callconv.max_insns in
+  check Alcotest.bool "read as the last instruction the fuel covers" true
+    (v = Error { Callconv.at = label asm "read"; reg = Some Reg.R10 });
+  let v, _ = with_read_at (Callconv.max_insns + 1) in
+  check Alcotest.bool "read past the fuel" true (v = Ok ())
+
+(* A body whose stack effect does not fit the summary's 26 bits keeps it
+   exactly (the block table holds it apart): the heights equal the
+   per-instruction model's. *)
+let test_heights_wide_delta () =
+  let sub v = Asm.I (I.Arith (I.Sub, I.W64, I.Reg Reg.Rsp, I.Imm v)) in
+  let loaded, asm =
+    loaded_of
+      [ Asm.Label "f"; sub 0x40000000; sub 0x40000000; Asm.Label "end"; Asm.I (I.Nop 1); Asm.I I.Ret ]
+  in
+  let f = label asm "f" in
+  let heights = Stack_height.analyze loaded ~style:Stack_height.Dyninst f in
+  check (Alcotest.option Alcotest.int) "height after the body" (Some 0x80000000)
+    (heights (label asm "end"));
+  let model = Reference.stack_heights loaded ~style:Stack_height.Dyninst f in
+  check Alcotest.bool "== the model" true
+    (Hashtbl.fold (fun a h ok -> ok && heights a = Some h) model true);
+  let bt = loaded.blocks in
+  check Alcotest.int "the summary's delta" (-0x80000000)
+    (Block_table.sp_delta bt (Block_table.start bt f))
+
 (* --- the linter, rule by rule, against fabricated views --- *)
 
 let lint_view ?(funcs = []) ?(fdes = []) ?(complete = [])
@@ -227,7 +349,7 @@ let lint_view ?(funcs = []) ?(fdes = []) ?(complete = [])
     ?(referenced_outside_jumps_of = fun ~entry:_ _ -> false) loaded
     (res : Recursive.result) =
   {
-    Lint.table = loaded.Loaded.table;
+    Lint.block_table = loaded.Loaded.blocks;
     funcs;
     insn_spans = res.Recursive.insn_spans;
     fdes;
@@ -377,7 +499,8 @@ let fabricated_insn a =
 
 let fabricated_view funcs =
   {
-    Lint.table = Insn_table.create ~decode:fabricated_insn [ (0, 4096) ];
+    Lint.block_table =
+      Block_table.create (Insn_table.create ~decode:fabricated_insn [ (0, 4096) ]);
     funcs;
     insn_spans = Fetch_util.Insn_index.create [];
     fdes = [];
@@ -1059,4 +1182,14 @@ let suite =
         Alcotest.test_case ("lint golden: " ^ name) `Quick
           (test_lint_golden name raw))
       golden_binaries
-  @ [ Alcotest.test_case "lint: fde-unreached on a 2^40-byte FDE" `Quick test_lint_fde_huge_range ]
+  @ [
+      Alcotest.test_case "lint: fde-unreached on a 2^40-byte FDE" `Quick test_lint_fde_huge_range;
+      Alcotest.test_case "engine: a split keeps the recorded states" `Quick
+        test_engine_split_keeps_records;
+      Alcotest.test_case "callconv: an indirect call clobbers inside its block" `Quick
+        test_callconv_indirect_call_clobbers_in_block;
+      Alcotest.test_case "callconv: the fuel cuts a long block" `Quick
+        test_callconv_fuel_cuts_a_block;
+      Alcotest.test_case "stack heights: a body too wide for the summary" `Quick
+        test_heights_wide_delta;
+    ]

@@ -1160,24 +1160,25 @@ let run_draw (seed, compiler, opt, n_funcs, cxx, tailonly, pointer, unreachable)
 (* Property: on arbitrary generator configurations, FETCH never reports a
    false positive and never misses a function outside the documented
    harmless classes. *)
+let gen_fetch_draw =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* compiler = oneofl [ Profile.Synthgcc; Profile.Synthllvm ] in
+    let* opt = oneofl Profile.all_opts in
+    let* n_funcs = int_range 10 70 in
+    let* cxx = bool in
+    let* tailonly = int_bound 2 in
+    let* pointer = int_bound 2 in
+    let* unreachable = int_bound 1 in
+    return (seed, compiler, opt, n_funcs, cxx, tailonly, pointer, unreachable))
+
+let print_fetch_draw (seed, c, o, n, cxx, t, p, u) =
+  Printf.sprintf "seed=%d %s-%s n=%d cxx=%b t=%d p=%d u=%d" seed
+    (Profile.compiler_name c) (Profile.opt_name o) n cxx t p u
+
 let prop_fetch_invariants =
-  let gen =
-    QCheck.Gen.(
-      let* seed = int_bound 1_000_000 in
-      let* compiler = oneofl [ Profile.Synthgcc; Profile.Synthllvm ] in
-      let* opt = oneofl Profile.all_opts in
-      let* n_funcs = int_range 10 70 in
-      let* cxx = bool in
-      let* tailonly = int_bound 2 in
-      let* pointer = int_bound 2 in
-      let* unreachable = int_bound 1 in
-      return (seed, compiler, opt, n_funcs, cxx, tailonly, pointer, unreachable))
-  in
   QCheck.Test.make ~name:"FETCH invariants on random corpora" ~count:12
-    (QCheck.make gen
-       ~print:(fun (seed, c, o, n, cxx, t, p, u) ->
-         Printf.sprintf "seed=%d %s-%s n=%d cxx=%b t=%d p=%d u=%d" seed
-           (Profile.compiler_name c) (Profile.opt_name o) n cxx t p u))
+    (QCheck.make gen_fetch_draw ~print:print_fetch_draw)
     (fun draw ->
       let b, r = run_draw draw in
       let fp, fn = metrics b.truth r.starts in
@@ -1194,6 +1195,17 @@ let prop_fetch_invariants =
    - the last missed [__clang_call_terminate]: [Gen] gave its only call
      to an entry-jump function, whose fixed body drops it.
    Pin that these draws now hold the invariants with no exception. *)
+let fetch_residual_draws =
+  Profile.
+    [
+      (203756, Synthllvm, Ofast, 70, false, 2, 1, 0);
+      (569195, Synthllvm, O2, 38, false, 2, 0, 1);
+      (552791, Synthllvm, O2, 56, false, 1, 0, 0);
+      (397847, Synthllvm, Ofast, 69, true, 0, 2, 0);
+      (816198, Synthgcc, O3, 24, false, 1, 1, 1);
+      (328031, Synthllvm, Ofast, 59, true, 0, 1, 0);
+    ]
+
 let test_fetch_invariants_residual () =
   List.iter
     (fun ((seed, _, _, _, _, _, _, _) as draw) ->
@@ -1208,15 +1220,7 @@ let test_fetch_invariants_residual () =
              if acceptable_miss r b.truth a then None
              else Some (name_of b.truth a))
            fn))
-    Profile.
-      [
-        (203756, Synthllvm, Ofast, 70, false, 2, 1, 0);
-        (569195, Synthllvm, O2, 38, false, 2, 0, 1);
-        (552791, Synthllvm, O2, 56, false, 1, 0, 0);
-        (397847, Synthllvm, Ofast, 69, true, 0, 2, 0);
-        (816198, Synthgcc, O3, 24, false, 1, 1, 1);
-        (328031, Synthllvm, Ofast, 59, true, 0, 1, 0);
-      ]
+    fetch_residual_draws
 
 (* Draws on which the engine's answer once depended on the order seeds
    arrived in, while it kept a breadth-first registration order: the
@@ -1353,15 +1357,15 @@ let test_block_split_at_seed () =
   let res = An.Recursive.run loaded ~seeds:[ f ] in
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "f alone: one run"
     [ (f, g + 2) ] (Hashtbl.find res.funcs f).blocks;
-  let kf = An.Block_table.start bt f in
-  check Alcotest.int "one block through g" (g + 2) (An.Block_table.hi bt kf);
-  let n = An.Block_table.count bt in
+  let kf = Fetch_x86.Block_table.start bt f in
+  check Alcotest.int "one block through g" (g + 2) (Fetch_x86.Block_table.hi bt kf);
+  let n = Fetch_x86.Block_table.count bt in
   let res = An.Recursive.run loaded ~seeds:[ f; g ] in
-  check Alcotest.int "seeding g splits it" (n + 1) (An.Block_table.count bt);
-  check Alcotest.int "f's block now ends at g" g (An.Block_table.hi bt kf);
+  check Alcotest.int "seeding g splits it" (n + 1) (Fetch_x86.Block_table.count bt);
+  check Alcotest.int "f's block now ends at g" g (Fetch_x86.Block_table.hi bt kf);
   check Alcotest.bool "and falls into g's" true
-    (An.Block_table.kind bt kf = An.Block_table.Fall
-    && An.Block_table.lo bt (An.Block_table.start bt g) = g);
+    (Fetch_x86.Block_table.kind bt kf = Fetch_x86.Block_table.Fall
+    && Fetch_x86.Block_table.lo bt (Fetch_x86.Block_table.start bt g) = g);
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "f stops at g"
     [ (f, g) ] (Hashtbl.find res.funcs f).blocks;
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "g's body"
@@ -1418,7 +1422,7 @@ let test_block_first_arg_carried () =
   check Alcotest.bool "f returns" true
     ((Hashtbl.find res.funcs (l "f")).has_ret && not (Hashtbl.mem res.noreturn (l "f")));
   check Alcotest.bool "l starts a block" true
-    (An.Block_table.lo loaded.blocks (An.Block_table.start loaded.blocks (l "l")) = l "l");
+    (Fetch_x86.Block_table.lo loaded.blocks (Fetch_x86.Block_table.start loaded.blocks (l "l")) = l "l");
   check Alcotest.bool "== the instruction walk" true
     (Reference.signature res = Reference.signature (Reference.recursive loaded ~seeds)
     && Reference.walks_agree loaded ~seeds)
@@ -1457,6 +1461,39 @@ let test_block_split_by_callee () =
   check Alcotest.bool "== the instruction walk" true
     (Reference.walks_agree (An.Loaded.load img) ~seeds)
 
+(* Every dataflow solve behind a pipeline result, and the linter's,
+   equals the per-instruction model: §IV-E at each kept start and
+   pointer candidate, both stack-height styles from each kept start, and
+   the lint report (see [Reference.solves_agree]). *)
+let solves_agree (r : Pipeline.result) =
+  Reference.solves_agree r.loaded r.rec_result ~starts:r.starts
+    ~cands:(Refs.pointer_candidates r.refs) (Fetch_core.Lint.view_of r)
+
+let prop_solves_agree =
+  QCheck.Test.make ~name:"dataflow: block solves == per-instruction model" ~count:4
+    (QCheck.make gen_fetch_draw ~print:print_fetch_draw)
+    (fun draw ->
+      match solves_agree (snd (run_draw draw)) with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_report e)
+
+(* The same on the pinned draws of "FETCH invariants" and on every
+   adversarial scenario. *)
+let test_solves_agree_pinned () =
+  List.iter
+    (fun (case, r) ->
+      check (Alcotest.result Alcotest.unit Alcotest.string) case (Ok ())
+        (solves_agree (Lazy.force r)))
+    (List.map
+       (fun ((seed, _, _, _, _, _, _, _) as draw) ->
+         (Printf.sprintf "seed=%d" seed, lazy (snd (run_draw draw))))
+       fetch_residual_draws
+    @ List.map
+        (fun sc ->
+          ( sc.Adversary.id,
+            lazy (Pipeline.run (Adversary.build sc ~seed:2026).image) ))
+        Adversary.all)
+
 let suite =
   suite
   @ [
@@ -1488,4 +1525,7 @@ let suite =
         test_block_first_arg_carried;
       Alcotest.test_case "blocks: a callee splits the block under way" `Quick
         test_block_split_by_callee;
+      QCheck_alcotest.to_alcotest prop_solves_agree;
+      Alcotest.test_case "dataflow: block solves == model, pinned and adversarial"
+        `Quick test_solves_agree_pinned;
     ]

@@ -216,6 +216,50 @@ let test_cfa_rows_unsupported () =
 (* An FDE whose CFI fails has no height and evicts nothing: the earlier
    FDE it overlaps still answers, and its own unshared bytes stay
    uncovered. *)
+(* [along] answers as [height_at] at every address of every FDE, one
+   byte either side included: in ascending order, as lint asks it, and
+   in a shuffled order with a fresh reader.  Synth draws and every
+   adversarial scenario (overlapping, broken and 64-bit FDEs among
+   them). *)
+let test_height_oracle_along () =
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun (img : Fetch_elf.Image.t) ->
+      let loaded = Fetch_analysis.Loaded.load img in
+      let oracle = loaded.oracle in
+      let addrs =
+        Array.of_list
+          (List.concat_map
+             (fun (f : Eh_frame.fde) -> List.init (f.pc_range + 2) (fun i -> f.pc_begin - 1 + i))
+             loaded.fdes)
+      in
+      let agree name addrs =
+        let along = Height_oracle.along oracle in
+        check Alcotest.(list (option int)) name
+          (List.map (Height_oracle.height_at oracle) addrs)
+          (List.map along addrs)
+      in
+      check Alcotest.bool "some FDE has heights" true
+        (Array.exists (fun a -> Height_oracle.height_at oracle a <> None) addrs);
+      agree "ascending" (List.sort_uniq compare (Array.to_list addrs));
+      for i = Array.length addrs - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = addrs.(i) in
+        addrs.(i) <- addrs.(j);
+        addrs.(j) <- x
+      done;
+      agree "shuffled" (Array.to_list addrs))
+    (List.map
+       (fun (compiler, seed) ->
+         (Fetch_synth.Link.build_random
+            ~profile:(Fetch_synth.Profile.make compiler Fetch_synth.Profile.O2)
+            ~seed Fetch_synth.Gen.default_spec)
+           .image)
+       [ (Fetch_synth.Profile.Synthgcc, 3); (Fetch_synth.Profile.Synthllvm, 4) ]
+    @ List.map
+        (fun sc -> (Fetch_synth.Adversary.build sc ~seed:2026).image)
+        Fetch_synth.Adversary.all)
+
 let test_height_oracle_unsupported_fde () =
   let good =
     Eh_frame.make_fde ~pc_begin:0 ~pc_range:10
@@ -961,4 +1005,6 @@ let suite =
         test_cfa_rows_unsupported;
       Alcotest.test_case "height oracle: a failing FDE evicts nothing" `Quick
         test_height_oracle_unsupported_fde;
+      Alcotest.test_case "height oracle: along == height_at" `Quick
+        test_height_oracle_along;
     ]
